@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from . import bumps
+from . import bumps, cyclic
 from .errors import NotAProjection, NotUnitary
 from .group_algebra import GAMatrix, GroupSpec
 from .nc_forms import ChartGrid2D, JetFunction, MixedForm, ScalarForm
@@ -86,15 +86,13 @@ def closedness_defect(form, cocycles=(), include_literal_q0=True):
     higher algebra degree vanish modulo graded commutators, which is
     detected by pairing against the supplied closed normalized cochains.
     """
-    from .cyclic import pair_cochain_form
-
     d = form.dtot()
     worst = 0.0
     if include_literal_q0:
         zero_part = d.algebra_component(0)
         worst = zero_part.max_abs()
     for phi in cocycles:
-        worst = max(worst, pair_cochain_form(phi, d).max_abs())
+        worst = max(worst, cyclic.pair_cochain_form(phi, d).max_abs())
     return worst
 
 
@@ -123,11 +121,9 @@ def chern_homotopy_defect(path, phi, k_max=None):
         # the degree-n pairing reads bidegree (2k - n, n); p <= dim M
         # bounds the character order needed
         k_max = max((phi.degree + path.samples[0].grid.ndim) // 2, 1)
-    from .cyclic import pair_cochain_form
-
     ch1 = chern_even(path.samples[-1], k_max)
     ch0 = chern_even(path.samples[0], k_max)
-    paired = pair_cochain_form(phi, ch1 - ch0)
+    paired = cyclic.pair_cochain_form(phi, ch1 - ch0)
     return abs(paired.integrate())
 
 

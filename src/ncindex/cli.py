@@ -4,8 +4,10 @@ Configs are JSON with a list of experiments; every experiment produces
 one or more report rows (value, oracle, residual, tolerance, pass).
 Reports are written as CSV (one row per check, deterministic given config
 and seed) and JSON (full detail including wall times).  Exit code 0 means
-every row passed, 2 means at least one check failed or a domain error was
-recorded, 1 means the config or IO was bad.
+every row passed, 2 means at least one check failed or an experiment
+raised (recorded as an error row), 1 means the config or IO was bad.
+Command-line overrides go only to the kinds that take their key and are
+validated with the config.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import json
 import sys
 import time
+import traceback
 import zlib
 from pathlib import Path
 
@@ -36,6 +39,9 @@ _KIND_KEYS = {
     "specflow": {"fourier_cutoff", "m_values", "margin", "shift"},
     "cyclic-check": {"k", "m_max", "instances"},
 }
+
+#: symbol types of the toeplitz kind and the system each one needs
+_U_TYPES = {"exp": "circle", "fourier": None, "shift-generator": "rotation"}
 
 CSV_COLUMNS = ("experiment", "kind", "check", "inputs", "value", "oracle",
                "residual", "tolerance", "passed")
@@ -73,6 +79,24 @@ def _row(exp, check, value, oracle, residual, tol):
         "tolerance": _fmt(tol),
         "passed": bool(residual <= tol),
     }
+
+
+def _check_toeplitz(exp):
+    where = f"experiment {exp['id']!r}"
+    system = exp.get("system", "circle")
+    if system not in ("circle", "rotation"):
+        raise ConfigError(f"{where}: unknown system {system!r}")
+    uspec = exp.get("u", {"type": "exp"})
+    if not isinstance(uspec, dict) or uspec.get("type") not in _U_TYPES:
+        raise ConfigError(f"{where}: u must be an object whose type is one "
+                          f"of {sorted(_U_TYPES)}")
+    need = _U_TYPES[uspec["type"]]
+    if need not in (None, system):
+        raise ConfigError(
+            f"{where}: {uspec['type']} symbols need the {need} system")
+    if uspec["type"] == "fourier" and not isinstance(uspec.get("coeffs"),
+                                                      dict):
+        raise ConfigError(f"{where}: fourier symbols need a coeffs object")
 
 
 def validate_config(cfg):
@@ -115,7 +139,19 @@ def validate_config(cfg):
                 raise ConfigError(
                     f"experiment {exp['id']!r}: explicit arcs need a "
                     f"square deck matrix of matching size")
+        if kind == "toeplitz":
+            _check_toeplitz(exp)
     return cfg
+
+
+def _apply_overrides(cfg, overrides):
+    """Merge each given override into the experiments whose kind takes
+    that key."""
+    given = {k: v for k, v in overrides.items() if v is not None}
+    exps = [dict(exp, **{k: v for k, v in given.items()
+                         if k in _COMMON_KEYS | _KIND_KEYS[exp["kind"]]})
+            for exp in cfg["experiments"]]
+    return dict(cfg, experiments=exps)
 
 
 def _exp_rng(seed, exp_id):
@@ -134,29 +170,22 @@ def _run_toeplitz(exp, seed):
 
     tol = exp.get("tolerance", 0.05)
     fc = exp.get("fourier_cutoff", 64)
-    system_name = exp.get("system", "circle")
-    if system_name == "circle":
+    if exp.get("system", "circle") == "circle":
         system = CircleSystem(grid_n=exp.get("grid_size", 256))
-    elif system_name == "rotation":
-        system = RotationSystem(exp.get("p", 1), exp.get("q", 3))
     else:
-        raise ConfigError(f"unknown system {system_name!r}")
+        system = RotationSystem(exp.get("p", 1), exp.get("q", 3))
     uspec = exp.get("u", {"type": "exp", "m": 1})
-    if uspec.get("type") == "exp":
-        if system_name != "circle":
-            raise ConfigError("exp symbols need the circle system")
+    if uspec["type"] == "exp":
         u = system.exponential(int(uspec.get("m", 1)))
         expected = float(uspec.get("m", 1))
-    elif uspec.get("type") == "fourier":
+    elif uspec["type"] == "fourier":
         u = system.element({int(k): complex(v[0], v[1]) if
                             isinstance(v, list) else complex(v)
                             for k, v in uspec["coeffs"].items()})
         expected = None
-    elif uspec.get("type") == "shift-generator":
+    else:
         u = system.v()
         expected = -1.0
-    else:
-        raise ConfigError(f"unknown u spec {uspec!r}")
 
     tp = assemble_toeplitz(system, u, fc, exp.get("eps_k", 1e-6))
     ti = tau_index(tp)
@@ -306,11 +335,21 @@ _RUNNERS = {
 
 
 def run_experiment(exp, seed):
+    """Rows, wall time and error text of one experiment.
+
+    Any exception becomes one failed row named after its type, and the
+    error text carries its message.  One that is not a domain, arithmetic
+    or value error is a fault of the program, so the error text also
+    keeps its traceback.
+    """
     start = time.perf_counter()
     try:
         rows = _RUNNERS[exp["kind"]](exp, exp.get("seed", seed))
         err = None
-    except (DomainError, ArithmeticError, ValueError) as e:
+    except Exception as e:
+        err = f"{type(e).__name__}: {e}"
+        if not isinstance(e, (DomainError, ArithmeticError, ValueError)):
+            err += "\n" + traceback.format_exc()
         rows = [{
             "experiment": exp["id"],
             "kind": exp["kind"],
@@ -322,7 +361,6 @@ def run_experiment(exp, seed):
             "tolerance": "",
             "passed": False,
         }]
-        err = f"{type(e).__name__}: {e}"
     wall = time.perf_counter() - start
     return rows, wall, err
 
@@ -338,14 +376,13 @@ def run(config, out_dir=None, seed=None, overrides=None):
             return 1
     try:
         cfg = validate_config(config)
+        if overrides:
+            cfg = validate_config(_apply_overrides(cfg, overrides))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     seed = cfg.get("seed", 0) if seed is None else seed
     exps = cfg["experiments"]
-    if overrides:
-        exps = [dict(e, **{k: v for k, v in overrides.items()
-                           if v is not None}) for e in exps]
 
     results = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
@@ -397,17 +434,12 @@ def main(argv=None):
     parser.add_argument("--grid-size", type=int, default=None)
     parser.add_argument("--fourier-cutoff", type=int, default=None)
     parser.add_argument("--tolerance", type=float, default=None)
-    parser.add_argument("--stretch", action="store_true",
-                        help="enable gated torus / 2D checks")
     args = parser.parse_args(argv)
     overrides = {
         "grid_size": args.grid_size,
         "fourier_cutoff": args.fourier_cutoff,
         "tolerance": args.tolerance,
     }
-    if args.stretch:
-        print("stretch checks are gated and not part of this build's "
-              "acceptance surface", file=sys.stderr)
     return run(args.config, out_dir=args.out, seed=args.seed,
                overrides=overrides)
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import bumps
 from .errors import BadCover, DegreeMismatch, UnsupportedManifold
 from .chern import chern_even
-from .cyclic import GroupCocycle, pair_cochain_form, tau_to_c
+from .cyclic import GroupCocycle, d_gamma, pair_cochain_form, tau_to_c
 from .group_algebra import GAMatrix, GroupSpec
 from .nc_forms import JetFunction, MixedForm, ScalarForm
 
@@ -282,8 +282,6 @@ def cocycle_closedness_defect(cover, tau, samples=40, seed=0):
     spec = cover.deck_spec
     pool = spec.elements() if spec.is_finite else spec.ball(3)
     worst = 0.0
-    from .cyclic import d_gamma
-
     dt = d_gamma(tau)
     for _ in range(samples):
         tup = [pool[int(i)] for i in
@@ -380,7 +378,7 @@ def verify_prop_chern(cover, tau, tol=1e-8, flat_tol=1e-9):
     }
 
 
-def higher_index_rhs(cover, tau, symbol_integer, stretch=False):
+def higher_index_rhs(cover, tau, symbol_integer):
     """Topological side of the covering index formula on the circle.
 
     The symbol data enters as the configured integer multiple of the
@@ -389,9 +387,8 @@ def higher_index_rhs(cover, tau, symbol_integer, stretch=False):
     """
     n = tau.degree
     dim = cover.grid.ndim
-    if dim != 1 and not stretch:
-        raise UnsupportedManifold("only the circle without the stretch "
-                                  "flag")
+    if dim != 1:
+        raise UnsupportedManifold("only the circle")
     if n != 1:
         raise UnsupportedManifold("degree-one cocycles only on the circle")
     k_exp = dim * (dim + 1) // 2 + n * (n - 1) // 2

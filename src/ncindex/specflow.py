@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (CrossingUnresolved, EndpointDegenerate, IllConditioned,
-                     NotAProjection, NotUnitary)
+from . import bumps
+from .errors import (CrossingUnresolved, EndpointDegenerate, NotAProjection,
+                     NotUnitary)
+from .toeplitz import kernel_rank
 
 #: global orientation between the compression-convention relative index
 #: and the spectral flow, fixed by the winding-one example
@@ -77,35 +79,25 @@ class SelfAdjointPath:
             self.mats + other.mats[1:], min(self.delta_c, other.delta_c))
 
 
-def _filtered_eigs(mat, margin_filter):
-    w, v = np.linalg.eigh(mat)
-    if margin_filter is None:
-        return w
-    keep = [i for i in range(len(w)) if not margin_filter(v[:, i])]
-    return w[keep]
-
-
 def spectral_flow(path, margin_filter=None):
     """Signed count of eigenvalue crossings through zero along the path.
 
     Eigenpairs rejected by `margin_filter` (truncation-boundary modes)
-    are ignored throughout.  Both endpoints must be invertible on the
-    retained subspace.
+    are ignored throughout; the filter takes a matrix whose columns are
+    the eigenvectors and returns one rejection flag per column.  Both
+    endpoints must be invertible on the retained subspace.
     """
-    negs = []
+    eigs = []
     for mat in path.mats:
-        w = _filtered_eigs(mat, margin_filter)
-        negs.append(int(np.sum(w < 0.0)))
-    for label, mat in (("initial", path.mats[0]), ("final", path.mats[-1])):
-        w = _filtered_eigs(mat, margin_filter)
+        w, v = np.linalg.eigh(mat)
+        eigs.append(w if margin_filter is None else w[~margin_filter(v)])
+    for label, w in (("initial", eigs[0]), ("final", eigs[-1])):
         if len(w) and np.min(np.abs(w)) < path.delta_c:
             raise EndpointDegenerate(
                 f"{label} endpoint has an eigenvalue at "
                 f"{np.min(np.abs(w)):.3g}, inside the crossing window")
-    total = 0
-    for a, b in zip(negs, negs[1:]):
-        total += a - b
-    return total
+    negs = [int(np.sum(w < 0.0)) for w in eigs]
+    return sum(a - b for a, b in zip(negs, negs[1:]))
 
 
 def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
@@ -113,7 +105,8 @@ def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
 
     Kernel and cokernel dimensions come from singular values of the
     compression below `eps_k`; a `spurious` callback may reject vectors
-    (in ambient coordinates) that are finite-truncation artifacts.
+    (in ambient coordinates, one per column) that are finite-truncation
+    artifacts.
     """
     P = np.asarray(P, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
@@ -126,34 +119,18 @@ def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
     comp = bq.conj().T @ bp
     if comp.size == 0:
         return bp.shape[1] - bq.shape[1]
-    sv = np.linalg.svd(comp, compute_uv=False)
-    small = sv < eps_k
-    above = sv[~small]
-    if len(above) and above.min() < 10 * eps_k:
-        raise IllConditioned(
-            f"singular value {above.min():.3g} within 10x of {eps_k:g}")
-    uu, svals, vh = np.linalg.svd(comp)
-    ker = 0
-    for i in range(vh.shape[0]):
-        if i < len(svals) and svals[i] >= eps_k:
-            continue
-        vec = bp @ vh[i].conj()
-        if spurious is None or not spurious(vec):
-            ker += 1
-    coker = 0
-    for i in range(uu.shape[1]):
-        if i < len(svals) and svals[i] >= eps_k:
-            continue
-        vec = bq @ uu[:, i]
-        if spurious is None or not spurious(vec):
-            coker += 1
-    return ker - coker
+    uu, sv, vh = np.linalg.svd(comp)
+    r = kernel_rank(sv, eps_k)
+    ker = bp @ vh[r:].conj().T
+    coker = bq @ uu[:, r:]
+    if spurious is None:
+        return ker.shape[1] - coker.shape[1]
+    return int(np.sum(~spurious(ker)) - np.sum(~spurious(coker)))
 
 
 def _range_basis(P, thresh=0.5):
     w, v = np.linalg.eigh(P)
-    cols = [i for i in range(len(w)) if w[i] > thresh]
-    return v[:, cols]
+    return v[:, w > thresh]
 
 
 # ---------------------------------------------------------------------
@@ -166,8 +143,6 @@ class ChiTriple:
     supports, and chi_1 chosen so chi_1^2 + (chi_0 + chi_2)^2 = 1."""
 
     def __init__(self, n=257, family="mollifier"):
-        from . import bumps
-
         self.t = np.linspace(0.0, 1.0, n)
         s0, _, _ = bumps.step((0.5 - self.t) / (0.5 - 1.0 / 3.0), family)
         s2, _, _ = bumps.step((self.t - 0.5) / (2.0 / 3.0 - 0.5), family)
@@ -253,15 +228,18 @@ def shift_matrix(fc, m):
 
 
 def boundary_mass_filter(fc, margin=0.1):
-    """Rejects vectors concentrated in the outer margin of the window."""
+    """Rejects vectors concentrated in the outer margin of the window.
+
+    The returned test takes one vector, or a matrix of column vectors and
+    then gives one flag per column.
+    """
     n = 2 * fc + 1
     edge = int(np.ceil(n * margin / 2.0))
     lo, hi = edge, n - edge
 
-    def reject(vec):
-        v = np.abs(np.asarray(vec)) ** 2
-        inner = v[lo:hi].sum()
-        return inner < 0.5 * v.sum()
+    def reject(vecs):
+        v = np.abs(np.asarray(vecs)) ** 2
+        return v[lo:hi].sum(axis=0) < 0.5 * v.sum(axis=0)
 
     return reject
 

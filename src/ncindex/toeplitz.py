@@ -1,11 +1,14 @@
 """Truncated-Fourier Toeplitz index engine for circle actions.
 
-The compression P a P of an acting unitary onto the nonnegative modes of
-the circle Dirac generator is assembled on the mode window [0, F_c] and
-its tau-weighted kernel/cokernel defect is read from singular values.
-Kernel vectors concentrated near the top of the window are truncation
-artifacts of the finite section and are discarded; the genuine Hardy
-boundary sits at mode 0.
+Every system is a circle action on d x d matrices of Fourier polynomials,
+written as weight decompositions {m: d x d block}; the translation action
+on functions on the circle is the case d = 1.  The compression P a P of
+an acting unitary onto the nonnegative modes of the circle Dirac
+generator is assembled on the mode window [0, F_c] as one block Toeplitz
+matrix, and its tau-weighted kernel/cokernel defect is read from its
+singular values.  Kernel vectors concentrated near the top of the window
+are truncation artifacts of the finite section and are discarded; the
+genuine Hardy boundary sits at mode 0.
 
 Orientation is pinned once by the translation action with the symbol of
 one negative winding, whose index is +1; the classical winding number of
@@ -14,72 +17,91 @@ the determinant loop therefore enters all comparisons with a minus sign.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import IllConditioned, NotUnitary, PhaseJump
-from .group_algebra import GroupAlgebraElement, GroupSpec
 
 TWO_PI_I = 2j * np.pi
 
 
-class CircleSystem:
-    """Translation action on functions on the circle.
+class WeightBlockSystem:
+    """Circle action on d x d matrices of Fourier polynomials.
 
-    Elements are Fourier polynomials (group algebra of Z); the action
+    Elements are weight decompositions {m: d x d block}: the circle acts
+    on weight m with character e^{2 pi i m t}, so the generator multiplies
+    weight m by 2 pi i m, and the invariant trace is the normalized matrix
+    trace of the weight-zero block.  `grid_n` is the default number of
+    points at which `samples` evaluates a symbol.
+    """
+
+    kind = "weight-block"
+
+    def __init__(self, rep_dim, grid_n):
+        self.rep_dim = rep_dim
+        self.grid_n = grid_n
+
+    def element(self, blocks):
+        d = self.rep_dim
+        return {int(m): np.asarray(b, dtype=complex).reshape(d, d)
+                for m, b in blocks.items() if np.any(b)}
+
+    def one(self):
+        return {0: np.eye(self.rep_dim, dtype=complex)}
+
+    def weights(self, a):
+        return a
+
+    weight_blocks = weights
+
+    def delta(self, a):
+        """Generator of the action: d/dt of the action at t = 0."""
+        return {m: TWO_PI_I * m * b for m, b in a.items() if m}
+
+    def trace(self, a):
+        b = a.get(0)
+        if b is None:
+            return 0j
+        return complex(np.trace(b) / self.rep_dim)
+
+    def star(self, a):
+        return {-m: b.conj().T for m, b in a.items()}
+
+    def mul(self, a, b):
+        out = {}
+        for m, x in a.items():
+            for n, y in b.items():
+                out[m + n] = out.get(m + n, 0) + x @ y
+        return {m: b for m, b in out.items() if np.any(b)}
+
+    def samples(self, a, n=None):
+        """Values of the symbol on a uniform grid of n points."""
+        n = n or self.grid_n
+        x = np.arange(n) / n
+        d = self.rep_dim
+        vals = np.zeros((n, d, d), dtype=complex)
+        for m, b in a.items():
+            vals += np.exp(TWO_PI_I * m * x)[:, None, None] * b
+        return vals
+
+
+class CircleSystem(WeightBlockSystem):
+    """Translation action on functions on the circle: the case d = 1.
+
+    Elements are Fourier polynomials {m: coefficient}; the action
     translates, the generator differentiates, and the invariant trace is
-    the zeroth Fourier coefficient.  The faithful representation is
-    grid-diagonal on `grid_n` points.
+    the zeroth Fourier coefficient.
     """
 
     kind = "circle"
 
     def __init__(self, grid_n=256):
-        self.spec = GroupSpec.lattice(1)
-        self.grid_n = grid_n
-        self.rep_dim = 1
-
-    def element(self, coeffs):
-        return GroupAlgebraElement(self.spec,
-                                   {(int(m),): c for m, c in
-                                    coeffs.items()})
+        super().__init__(1, grid_n)
 
     def exponential(self, m):
         """The loop x -> e^{-2 pi i m x}."""
         return self.element({-m: 1.0})
-
-    def weights(self, a):
-        return {g[0]: c for g, c in a.terms.items()}
-
-    def delta(self, a):
-        """Generator of the action: d/dt of translation at t = 0."""
-        return GroupAlgebraElement(
-            self.spec,
-            {g: TWO_PI_I * g[0] * c for g, c in a.terms.items()})
-
-    def trace(self, a):
-        return a.trace_e()
-
-    def star(self, a):
-        return a.star()
-
-    def mul(self, a, b):
-        return a * b
-
-    def one(self):
-        return GroupAlgebraElement.one(self.spec)
-
-    def samples(self, a, n=None):
-        """Values of the symbol on a uniform grid, as 1x1 blocks."""
-        n = n or self.grid_n
-        x = np.arange(n) / n
-        vals = np.zeros(n, dtype=complex)
-        for g, c in a.terms.items():
-            vals += c * np.exp(TWO_PI_I * g[0] * x)
-        return vals.reshape(n, 1, 1)
-
-    def weight_blocks(self, a):
-        return {g[0]: np.array([[c]], dtype=complex)
-                for g, c in a.terms.items()}
 
     @staticmethod
     def from_samples(values, band):
@@ -94,13 +116,11 @@ class CircleSystem:
         return out
 
 
-class RotationSystem:
+class RotationSystem(WeightBlockSystem):
     """Rational rotation algebra in its q x q clock-shift representation.
 
-    Elements are weight decompositions {m: block} where the circle acts
-    on weight m with character e^{2 pi i m t}; the shift generator V has
-    weight one and the clock generator has weight zero.  The invariant
-    trace is the normalized matrix trace of the weight-zero block.
+    The shift generator V has weight one and the clock generator has
+    weight zero.
     """
 
     kind = "rotation"
@@ -108,16 +128,12 @@ class RotationSystem:
     def __init__(self, p, q):
         if q < 1:
             raise ValueError("q must be positive")
+        super().__init__(q, 64)
         self.p = p
         self.q = q
-        self.rep_dim = q
         omega = np.exp(TWO_PI_I * p / q)
         self.clock = np.diag(omega ** np.arange(q))
         self.shift = np.roll(np.eye(q, dtype=complex), 1, axis=0)
-
-    def element(self, blocks):
-        return {int(m): np.asarray(b, dtype=complex)
-                for m, b in blocks.items() if np.any(b)}
 
     def v(self):
         return {1: self.shift.copy()}
@@ -125,140 +141,63 @@ class RotationSystem:
     def u_clock(self):
         return {0: self.clock.copy()}
 
-    def one(self):
-        return {0: np.eye(self.q, dtype=complex)}
 
-    def weights(self, a):
-        return a
-
-    def weight_blocks(self, a):
-        return a
-
-    def delta(self, a):
-        return {m: TWO_PI_I * m * b for m, b in a.items() if m}
-
-    def trace(self, a):
-        b = a.get(0)
-        if b is None:
-            return 0j
-        return complex(np.trace(b) / self.q)
-
-    def star(self, a):
-        return {-m: b.conj().T for m, b in a.items()}
-
-    def mul(self, a, b):
-        out = {}
-        for m, x in a.items():
-            for n, y in b.items():
-                k = m + n
-                xy = x @ y
-                out[k] = out.get(k, 0) + xy
-        return {m: b for m, b in out.items() if np.any(b)}
-
-    def samples(self, a, n=64):
-        x = np.arange(n) / n
-        vals = np.zeros((n, self.q, self.q), dtype=complex)
-        for m, b in a.items():
-            vals += np.exp(TWO_PI_I * m * x)[:, None, None] * b
-        return vals
-
-
-def unitary_residual(system, u):
-    uu = system.mul(system.star(u), u)
-    one = system.one()
-    keys = set(system.weights(uu)) | set(system.weights(one))
-    worst = 0.0
-    for k in keys:
-        a = np.asarray(system.weight_blocks(uu).get(
-            k, np.zeros((system.rep_dim, system.rep_dim))))
-        b = np.asarray(system.weight_blocks(one).get(
-            k, np.zeros((system.rep_dim, system.rep_dim))))
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
-
-
+@dataclass
 class ToeplitzProblem:
-    """Assembled compressions of the acting symbol on modes [0, F_c]."""
+    """Compression of a symbol on modes [0, F_c]: `blocks` holds its one
+    block Toeplitz matrix, `bandwidth` the largest weight of the symbol."""
 
-    def __init__(self, system, u, fc, eps_k=1e-6, blocks=None,
-                 bandwidth=0):
-        self.system = system
-        self.u = u
-        self.fc = fc
-        self.eps_k = eps_k
-        self.blocks = blocks
-        self.bandwidth = bandwidth
+    system: WeightBlockSystem
+    fc: int
+    eps_k: float
+    blocks: list
+    bandwidth: int
 
 
 def assemble_toeplitz(system, u, fc, eps_k=1e-6, tol=1e-8):
-    """Compression matrices of the action of u onto modes 0..F_c.
+    """Block Toeplitz compression of the action of u onto modes 0..F_c.
 
-    For the circle system one scalar Toeplitz matrix per grid point is
-    produced (they are diagonal-phase conjugates of each other); matrix
-    systems give a single block Toeplitz matrix.  Entries depend only on
-    the mode difference.
+    Weight m raises the mode index by m, so the (j, k) block is the
+    weight j - k block of u.  For the circle the translate of u by y has
+    the compression diag(e^{2 pi i k y}) T diag(e^{-2 pi i k y}), with
+    the same singular values and mode masses, so one matrix serves every
+    translate.
     """
-    res = unitary_residual(system, u)
+    d = system.rep_dim
+    uu = system.mul(system.star(u), u)
+    uu[0] = uu.get(0, 0) - np.eye(d)
+    res = max(float(np.max(np.abs(b))) for b in uu.values())
     if res > tol:
         raise NotUnitary(f"unitarity residual {res:.3g} > {tol}")
-    weights = system.weight_blocks(u)
-    band = max((abs(m) for m in weights), default=0)
-    d = system.rep_dim
     size = fc + 1
-    blocks = []
-    if system.kind == "circle":
-        ys = np.arange(system.grid_n) / system.grid_n
-        base = {m: c[0, 0] for m, c in weights.items()}
-        for y in ys:
-            mat = np.zeros((size, size), dtype=complex)
-            for m, c in base.items():
-                cy = c * np.exp(TWO_PI_I * m * y)
-                # weight m raises the mode index by m
-                for k in range(size):
-                    j = k + m
-                    if 0 <= j < size:
-                        mat[j, k] = cy
-            blocks.append(mat)
-    else:
-        mat = np.zeros((size * d, size * d), dtype=complex)
-        for m, blk in weights.items():
-            for k in range(size):
-                j = k + m
-                if 0 <= j < size:
-                    mat[j * d:(j + 1) * d, k * d:(k + 1) * d] = blk
-        blocks.append(mat)
-    return ToeplitzProblem(system, u, fc, eps_k, blocks, band)
+    mat = np.zeros((size, d, size, d), dtype=complex)
+    for m, blk in u.items():
+        k = np.arange(max(0, -m), min(size, size - m))
+        mat[k + m, :, k, :] = blk
+    band = max((abs(m) for m in u), default=0)
+    return ToeplitzProblem(system, fc, eps_k,
+                           [mat.reshape(size * d, size * d)], band)
 
 
-def _mode_mass_top(vec, d, size, margin):
-    """Fraction of l2 mass in the top `margin` share of the mode range."""
-    v = np.abs(np.asarray(vec).reshape(size, d)) ** 2
-    per_mode = v.sum(axis=1)
-    cut = int(np.floor(size * (1.0 - margin)))
-    total = per_mode.sum()
-    if total == 0:
-        return 0.0
-    return float(per_mode[cut:].sum() / total)
-
-
-def _block_index(mat, d, eps_k, margin):
-    size = mat.shape[0] // d
-    uu, sv, vh = np.linalg.svd(mat)
-    small = sv < eps_k
-    above = sv[~small]
-    if len(above) and above.min() < 10 * eps_k:
+def kernel_rank(sv, eps_k):
+    """Number of singular values (sorted descending) at or above the
+    kernel threshold; raises IllConditioned when the smallest of them
+    lies within 10x of it."""
+    r = int(np.sum(sv >= eps_k))
+    if r and sv[r - 1] < 10 * eps_k:
         raise IllConditioned(
-            f"singular value {above.min():.3g} within 10x of the kernel "
+            f"singular value {sv[r - 1]:.3g} within 10x of the kernel "
             f"threshold {eps_k:g}")
-    ker = 0
-    for i in np.nonzero(small)[0]:
-        if _mode_mass_top(vh[i].conj(), d, size, margin) <= 0.5:
-            ker += 1
-    coker = 0
-    for i in np.nonzero(small)[0]:
-        if _mode_mass_top(uu[:, i], d, size, margin) <= 0.5:
-            coker += 1
-    return ker - coker
+    return r
+
+
+def _mode_mass_top(vecs, d, margin):
+    """Share of each column's l2 mass in the top `margin` share of the
+    mode range."""
+    size = len(vecs) // d
+    per_mode = (np.abs(vecs) ** 2).reshape(size, d, -1).sum(axis=1)
+    cut = int(np.floor(size * (1.0 - margin)))
+    return per_mode[cut:].sum(axis=0) / per_mode.sum(axis=0)
 
 
 def tau_index(tp, margin=0.1):
@@ -267,18 +206,18 @@ def tau_index(tp, margin=0.1):
     Kernel and cokernel vectors are read from singular values below the
     threshold; vectors whose mass sits in the top margin of the mode
     window are finite-section artifacts and are not counted.  The result
-    is normalized by the trace: grid average for the circle system,
-    matrix-dimension division for matrix systems.
+    is normalized by the trace, i.e. divided by the matrix dimension d.
     """
     if tp.fc < 8 * max(tp.bandwidth, 1):
         raise ValueError(
             f"truncation margin violated: F_c = {tp.fc} < 8 x bandwidth "
             f"= {8 * tp.bandwidth}")
     d = tp.system.rep_dim
-    if tp.system.kind == "circle":
-        vals = [_block_index(b, 1, tp.eps_k, margin) for b in tp.blocks]
-        return float(np.mean(vals))
-    return _block_index(tp.blocks[0], d, tp.eps_k, margin) / d
+    uu, sv, vh = np.linalg.svd(tp.blocks[0])
+    r = kernel_rank(sv, tp.eps_k)
+    ker = np.sum(_mode_mass_top(vh[r:].T, d, margin) <= 0.5)
+    coker = np.sum(_mode_mass_top(uu[:, r:], d, margin) <= 0.5)
+    return int(ker - coker) / d
 
 
 def dynsys_formula(system, u, tol=1e-10):

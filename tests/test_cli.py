@@ -123,3 +123,69 @@ def test_flag_overrides(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out),
                  "--fourier-cutoff", "96"]) == 0
+
+
+@pytest.mark.parametrize("exp", [
+    {"u": "oops"},
+    {"system": "torus"},
+    {"u": {"type": "mystery"}},
+    {"u": {"type": "shift-generator"}},
+    {"system": "rotation", "u": {"type": "exp", "m": 1}},
+    {"u": {"type": "fourier"}},
+])
+def test_bad_toeplitz_system_or_symbol_exits_one(tmp_path, exp):
+    cfg = {"experiments": [dict({"id": "t", "kind": "toeplitz"}, **exp)]}
+    with pytest.raises(ConfigError):
+        validate_config(cfg)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 1
+    assert not (out / "report.csv").exists()
+
+
+def test_unexpected_exception_becomes_error_row(tmp_path):
+    cfg = {"experiments": [
+        {"id": "bad-m", "kind": "toeplitz", "u": {"type": "exp", "m": [1]}},
+        {"id": "sf", "kind": "specflow", "fourier_cutoff": 32,
+         "m_values": [1]},
+    ]}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    with open(out / "report.csv") as fh:
+        rows = {r["experiment"]: r for r in csv.DictReader(fh)}
+    assert rows["bad-m"]["check"] == "TypeError"
+    assert rows["bad-m"]["passed"] == "False"
+    assert rows["sf"]["passed"] == "True"
+    detail = json.loads((out / "report.json").read_text())
+    err = {e["experiment"]: e["error"] for e in detail["experiments"]}
+    assert err["bad-m"].startswith("TypeError: ") and len(err["bad-m"]) > 11
+    assert "Traceback" in err["bad-m"]
+    assert err["sf"] is None
+
+
+def test_override_is_validated(tmp_path):
+    cfg = write_config(tmp_path, TOEPLITZ_CFG)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out),
+                 "--tolerance", "-1"]) == 1
+    assert not (out / "report.csv").exists()
+
+
+def test_override_goes_only_to_kinds_that_take_it(tmp_path):
+    cfg = {"experiments": [
+        TOEPLITZ_CFG["experiments"][0],
+        {"id": "sf", "kind": "specflow", "fourier_cutoff": 32,
+         "m_values": [1]},
+    ]}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out),
+                 "--grid-size", "32"]) == 0
+    with open(out / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for r in rows:
+        if r["kind"] == "specflow":
+            assert "grid_size" not in r["inputs"]
+        else:
+            assert "grid_size=32" in r["inputs"]

@@ -175,3 +175,38 @@ def test_oddind_magnitude_two():
     rep = verify_oddind(64, 2)
     assert abs(rep["spfl"]) == 2
     assert abs(rep["rel_index"]) == 2
+
+
+def test_verify_oddind_decomposes_each_matrix_once(monkeypatch):
+    counts = {"svd": 0, "eigh": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rep = verify_oddind(32, 1)
+    assert rep["match"]
+    # one eigh per path sample, then P, ran P and ran Q
+    assert counts == {"svd": 1, "eigh": 3 * 33 + 3}
+
+
+def test_boundary_mass_filter_on_columns():
+    fc = 16
+    n = 2 * fc + 1
+    rng = np.random.default_rng(5)
+    vecs = rng.standard_normal((n, 12)) + 1j * rng.standard_normal((n, 12))
+    vecs[2:-2, :4] *= 1e-3      # mass pushed to the window edges
+    vecs[:, 4] = 0.0
+    vecs[0, 4] = 1.0            # a single edge mode
+    _, eig = np.linalg.eigh(truncated_dirac(fc) + shift_matrix(fc, 1)
+                            + shift_matrix(fc, 1).conj().T)
+    for mat in (vecs, eig):
+        reject = boundary_mass_filter(fc)
+        flags = reject(mat)
+        assert flags.shape == (mat.shape[1],)
+        assert list(flags) == [reject(mat[:, i])
+                               for i in range(mat.shape[1])]
+    assert reject(vecs)[:5].all() and not reject(vecs)[5:].any()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncindex.errors import NotUnitary, PhaseJump
-from ncindex.toeplitz import (CircleSystem, RotationSystem,
+from ncindex.toeplitz import (CircleSystem, RotationSystem, ToeplitzProblem,
                               assemble_toeplitz, dynsys_formula, tau_index,
                               winding_index, winding_oracle)
 
@@ -193,3 +193,74 @@ def test_rotation_formula_values():
 def test_dynsys_formula_identity_symbol():
     sys_c = CircleSystem(16)
     assert dynsys_formula(sys_c, sys_c.one()) == 0
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_phase_conjugates_share_tau_index():
+    # the translate of u by y compresses to D_y T D_y*; one block must
+    # stand for all of them, as the old per-translate average did
+    sys_c = CircleSystem(256)
+    modes = np.arange(65)
+    for m in range(-3, 4):
+        u = sys_c.exponential(m)
+        tp = assemble_toeplitz(sys_c, u, 64)
+        value = tau_index(tp)
+        for y in (0.125, 0.37, 0.81):
+            d_y = np.diag(np.exp(2j * np.pi * modes * y))
+            conj = d_y @ tp.blocks[0] @ d_y.conj().T
+            shifted = sys_c.element(
+                {k: c * np.exp(2j * np.pi * k * y)
+                 for k, c in sys_c.weights(u).items()})
+            assert np.max(np.abs(
+                assemble_toeplitz(sys_c, shifted, 64).blocks[0]
+                - conj)) <= 1e-13
+            tp_y = ToeplitzProblem(sys_c, 64, tp.eps_k, [conj],
+                                   tp.bandwidth)
+            assert tau_index(tp_y) == value
+
+
+def test_tau_index_runs_one_svd(monkeypatch):
+    for system, u in ((CircleSystem(256), CircleSystem().exponential(1)),
+                      (RotationSystem(1, 3), RotationSystem(1, 3).v())):
+        tp = assemble_toeplitz(system, u, 64)
+        calls = _count_calls(monkeypatch, "svd")
+        tau_index(tp)
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+
+def test_circle_is_the_one_block_case():
+    sys_c = CircleSystem(32)
+    u = sys_c.exponential(2)
+    assert sys_c.rep_dim == 1
+    assert all(np.shape(b) == (1, 1) for b in sys_c.weight_blocks(u).values())
+    assert sys_c.samples(u).shape == (32, 1, 1)
+    tp = assemble_toeplitz(sys_c, u, 32)
+    assert len(tp.blocks) == 1 and tp.blocks[0].shape == (33, 33)
+
+
+def test_mode_mass_top_matches_per_column_loop():
+    from ncindex.toeplitz import _mode_mass_top
+
+    rng = np.random.default_rng(4)
+    for d, size in ((1, 33), (3, 17)):
+        vecs = rng.standard_normal((d * size, 9)) \
+            + 1j * rng.standard_normal((d * size, 9))
+        vecs[: d * (size - 3), :3] *= 1e-4   # mass pushed to the top modes
+        cut = int(np.floor(size * 0.9))
+        for i, share in enumerate(_mode_mass_top(vecs, d, 0.1)):
+            per_mode = (np.abs(vecs[:, i].reshape(size, d)) ** 2).sum(axis=1)
+            assert abs(share - per_mode[cut:].sum() / per_mode.sum()) \
+                <= 1e-12
+        assert (_mode_mass_top(vecs, d, 0.1)[:3] > 0.5).all()
