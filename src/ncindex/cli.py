@@ -40,6 +40,12 @@ _KIND_KEYS = {
     "cyclic-check": {"k", "m_max", "instances"},
 }
 
+#: integer fields and their least value (None: any integer); `arcs` is
+#: checked only when it is not a list of explicit arcs
+_INT_KEYS = {"fourier_cutoff": None, "grid_size": None, "chart_grid": None,
+             "deck_order": None, "p": None, "q": None, "arcs": None,
+             "k": 2, "m_max": 1, "instances": 1}
+
 #: symbol types of the toeplitz kind and the system each one needs
 _U_TYPES = {"exp": "circle", "fourier": None, "shift-generator": "rotation"}
 
@@ -125,6 +131,16 @@ def validate_config(cfg):
             raise ConfigError(
                 f"experiment {exp['id']!r}: unknown fields "
                 f"{sorted(unknown)}")
+        for key, least in _INT_KEYS.items():
+            if key not in exp or (key == "arcs"
+                                  and isinstance(exp[key], list)):
+                continue
+            val = exp[key]
+            if (isinstance(val, bool) or not isinstance(val, int)
+                    or (least is not None and val < least)):
+                bound = "" if least is None else f" >= {least}"
+                raise ConfigError(f"experiment {exp['id']!r}: {key} must "
+                                  f"be an integer{bound}")
         tol = exp.get("tolerance")
         if tol is not None and not (isinstance(tol, (int, float))
                                     and tol > 0):

@@ -15,12 +15,14 @@ with degree 0 excluded (the canonical trace plays that role directly).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 from .errors import NotAProjection, UnsupportedDegree
 from .group_algebra import GAMatrix
+from .nc_forms import ScalarForm
 
 # ---------------------------------------------------------------------
 # group cochains
@@ -226,38 +228,30 @@ def chern_lambda(p, m_max, tol=1e-10):
 
     Returns one chain per even degree 2m, m = 0..m_max: the matrix trace
     of the (2m+1)-fold tensor power of p with sign (-1)^m, expanded into
-    group tensor words.
+    group tensor words over the support of p.  With E[i, j, s] the
+    coefficient of the s-th support element in p[i, j], chain 2m is the
+    cyclic contraction of 2m+1 copies of E over the matrix indices.
     """
     if not isinstance(p, GAMatrix):
         raise TypeError("chern_lambda expects a GAMatrix projection")
     if (p @ p - p).max_abs() > tol or (p.star() - p).max_abs() > tol:
         raise NotAProjection("p fails p^2 = p or p* = p")
     n = p.n
-    entries = [[p.entry(i, j) for j in range(n)] for i in range(n)]
+    support = list(p.parts)
+    E = np.moveaxis(np.reshape(list(p.parts.values()), (-1, n, n)), 0, -1)
     chains = []
     for m in range(m_max + 1):
         slots = 2 * m + 1
-        sign = -1.0 if m % 2 else 1.0
-        terms = {}
-        for cycle in itertools.product(range(n), repeat=slots):
-            gas = []
-            dead = False
-            for s in range(slots):
-                ga = entries[cycle[s]][cycle[(s + 1) % slots]]
-                if not ga.terms:
-                    dead = True
-                    break
-                gas.append(ga)
-            if dead:
-                continue
-            for combo in itertools.product(*(ga.terms.items()
-                                             for ga in gas)):
-                word = tuple(g for g, _ in combo)
-                coeff = sign
-                for _, c in combo:
-                    coeff *= c
-                terms[word] = terms.get(word, 0j) + coeff
-        chains.append(CyclicChain(p.spec, 2 * m, terms))
+        operands = []
+        for s in range(slots):
+            operands += [E, [s, (s + 1) % slots, slots + s]]
+        coeffs = np.einsum(*operands, list(range(slots, 2 * slots)),
+                           optimize=True).ravel()
+        if m % 2:
+            coeffs = -coeffs
+        words = itertools.product(support, repeat=slots)
+        chains.append(CyclicChain(p.spec, 2 * m,
+                                  dict(zip(words, coeffs.tolist()))))
     return chains
 
 
@@ -270,27 +264,23 @@ def pair_cochain_form(phi, omega):
     """Pair a cyclic cochain with the matching algebra-degree component.
 
     The matrix indices of the word are traced out first, then phi is
-    applied multilinearly to the group tensor slots.  The result is a
-    scalar grid form of whatever manifold degrees are present.
+    applied multilinearly to the group tensor slots, giving one scalar
+    per word.  The result is a scalar grid form of whatever manifold
+    degrees are present.
     """
-    from .nc_forms import ScalarForm
-
     n = phi.degree
     total = ScalarForm.zero(omega.grid)
     traced = omega if omega.size == 1 else omega.graded_trace()
     for word, sform in traced.terms.values():
         if len(word) - 1 != n:
             continue
-        gas = [m.entry(0, 0) for m in word]
-        for combo in itertools.product(*(ga.terms.items() for ga in gas)):
-            tup = tuple(g for g, _ in combo)
-            coeff = phi(*tup)
-            if coeff == 0:
-                continue
-            for _, c in combo:
-                coeff *= c
-            if coeff:
-                total = total + sform.scale(coeff)
+        slots = [m.entry(0, 0).terms for m in word]
+        weights = np.ravel(functools.reduce(
+            np.multiply.outer, [list(t.values()) for t in slots]))
+        coeff = np.dot([phi(*tup) for tup in itertools.product(*slots)],
+                       weights)
+        if coeff:
+            total = total + sform.scale(coeff)
     return total
 
 
@@ -374,35 +364,40 @@ def closed_cocycle_basis(spec, degree, tol=1e-10):
         return []
     mat = (np.array(rows)[:, keep] if rows
            else np.zeros((1, len(keep))))
-    _, svals, vh = np.linalg.svd(mat)
+    # the null space needs all of V but none of U beyond rank(mat)
+    _, svals, vh = np.linalg.svd(mat,
+                                 full_matrices=mat.shape[0] < mat.shape[1])
     null_dim = int(np.sum(svals <= tol * max(1.0, svals[0] if len(svals)
                                              else 1.0)))
     null_dim += vh.shape[0] - len(svals)
+    pos = {idx: i for i, idx in enumerate(keep)}
+    tups = [tup for tup, (idx, _) in orbit_of.items() if idx in pos]
+    cols = [pos[orbit_of[tup][0]] for tup in tups]
+    signs = np.array([orbit_of[tup][1] for tup in tups])
     basis = []
-    for r in range(vh.shape[0] - null_dim, vh.shape[0]):
-        coeffs = vh[r]
-        table = {}
-        for tup, (idx, s) in orbit_of.items():
-            if idx in orbit_dead:
-                continue
-            pos = keep.index(idx)
-            val = s * coeffs[pos]
-            if val != 0:
-                table[tup] = val
-        basis.append(_table_cochain(spec, n, table))
+    for coeffs in vh[vh.shape[0] - null_dim:]:
+        vals = (signs * coeffs[cols]).tolist()
+        basis.append(_table_cochain(spec, n, {
+            tup: v for tup, v in zip(tups, vals) if v != 0}))
     return basis
 
 
 def _table_cochain(spec, degree, table):
+    """Cochain read from {tuple: value}; the table stays at phi.table."""
     def fn(*args):
-        return table.get(tuple(args), 0j)
+        return table.get(args, 0j)
 
-    return CyclicCochain(spec, degree, fn, normalized=True,
-                         e_supported=True)
+    phi = CyclicCochain(spec, degree, fn, normalized=True, e_supported=True)
+    phi.table = table
+    return phi
 
 
 def random_closed_cocycle(spec, degree, rng, basis=None):
-    """Seeded random combination of the closed-cocycle basis."""
+    """Seeded random combination of the closed-cocycle basis.
+
+    The basis tables (as from `closed_cocycle_basis`) are combined once
+    into a single table cochain.
+    """
     if basis is None:
         basis = closed_cocycle_basis(spec, degree)
     if not basis:
@@ -410,9 +405,8 @@ def random_closed_cocycle(spec, degree, rng, basis=None):
                          f"{spec}")
     w = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
         len(basis))
-
-    def fn(*args):
-        return sum(c * b(*args) for c, b in zip(w, basis))
-
-    return CyclicCochain(spec, degree, fn, normalized=True,
-                         e_supported=True)
+    table = {}
+    for c, b in zip(w, basis):
+        for tup, val in b.table.items():
+            table[tup] = table.get(tup, 0) + c * val
+    return _table_cochain(spec, degree, table)

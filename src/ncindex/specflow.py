@@ -118,11 +118,13 @@ def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
     bq = _range_basis(Q)
     comp = bq.conj().T @ bp
     if comp.size == 0:
-        return bp.shape[1] - bq.shape[1]
-    uu, sv, vh = np.linalg.svd(comp)
-    r = kernel_rank(sv, eps_k)
-    ker = bp @ vh[r:].conj().T
-    coker = bq @ uu[:, r:]
+        # an empty range: all of ran P is kernel, all of ran Q cokernel
+        ker, coker = bp, bq
+    else:
+        uu, sv, vh = np.linalg.svd(comp)
+        r = kernel_rank(sv, eps_k)
+        ker = bp @ vh[r:].conj().T
+        coker = bq @ uu[:, r:]
     if spurious is None:
         return ker.shape[1] - coker.shape[1]
     return int(np.sum(~spurious(ker)) - np.sum(~spurious(coker)))

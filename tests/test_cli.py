@@ -189,3 +189,51 @@ def test_override_goes_only_to_kinds_that_take_it(tmp_path):
             assert "grid_size" not in r["inputs"]
         else:
             assert "grid_size=32" in r["inputs"]
+
+
+@pytest.mark.parametrize("exp", [
+    {"kind": "cyclic-check", "k": "5"},
+    {"kind": "cyclic-check", "m_max": 2.0},
+    {"kind": "specflow", "fourier_cutoff": "64"},
+    {"kind": "cyclic-check", "k": 1},
+    {"kind": "cyclic-check", "m_max": 0},
+    {"kind": "cyclic-check", "instances": 0},
+    {"kind": "cyclic-check", "instances": None},
+    {"kind": "toeplitz", "grid_size": True},
+    {"kind": "toeplitz", "system": "rotation", "p": "2", "q": 5,
+     "u": {"type": "shift-generator"}},
+    {"kind": "toeplitz", "system": "rotation", "p": 2, "q": 5.0,
+     "u": {"type": "shift-generator"}},
+    {"kind": "chern-check", "chart_grid": 64.5},
+    {"kind": "covering-check", "arcs": "3"},
+    {"kind": "covering-check", "deck_order": False},
+])
+def test_mistyped_integer_field_exits_one(tmp_path, exp):
+    cfg = {"experiments": [dict({"id": "x"}, **exp)]}
+    with pytest.raises(ConfigError):
+        validate_config(cfg)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 1
+    assert not (out / "report.csv").exists()
+
+
+def test_integer_fields_accept_integers_and_arc_lists():
+    validate_config({"experiments": [
+        {"id": "c", "kind": "cyclic-check", "k": 2, "m_max": 1,
+         "instances": 1},
+        {"id": "t", "kind": "toeplitz", "system": "rotation", "p": -1,
+         "q": 3, "u": {"type": "shift-generator"}, "fourier_cutoff": 8},
+        {"id": "v", "kind": "covering-check", "arcs": [[0.0, 0.6],
+                                                       [0.5, 1.1]],
+         "deck": [[0, 1], [-1, 0]], "deck_order": 0, "grid_size": 64},
+        {"id": "b", "kind": "chern-check", "chart_grid": 16},
+    ]})
+
+
+def test_mistyped_override_exits_one(tmp_path):
+    cfg = write_config(tmp_path, TOEPLITZ_CFG)
+    out = tmp_path / "out"
+    assert run(str(cfg), out_dir=str(out),
+               overrides={"fourier_cutoff": "64"}) == 1
+    assert not (out / "report.csv").exists()

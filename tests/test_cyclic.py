@@ -277,3 +277,137 @@ def test_closed_cocycle_basis_is_closed():
                 tup = tuple(int(i) for i in
                             rng.integers(0, 5, degree + 2))
                 assert abs(bt(*tup)) <= 1e-10
+
+
+# -- array paths against per-tuple references -------------------------------
+
+def _chern_lambda_by_tuples(p, m_max):
+    """Per-tuple enumeration over index cycles and group combos."""
+    n = p.n
+    entries = [[p.entry(i, j) for j in range(n)] for i in range(n)]
+    chains = []
+    for m in range(m_max + 1):
+        slots = 2 * m + 1
+        sign = -1.0 if m % 2 else 1.0
+        terms = {}
+        for cycle in itertools.product(range(n), repeat=slots):
+            gas = [entries[cycle[s]][cycle[(s + 1) % slots]]
+                   for s in range(slots)]
+            for combo in itertools.product(*(ga.terms.items()
+                                             for ga in gas)):
+                word = tuple(g for g, _ in combo)
+                coeff = sign
+                for _, c in combo:
+                    coeff *= c
+                terms[word] = terms.get(word, 0j) + coeff
+        chains.append(terms)
+    return chains
+
+
+def _pair_by_combos(phi, omega):
+    """Per-combo pairing: one scalar-form scale and add per group tuple."""
+    total = ScalarForm.zero(omega.grid)
+    traced = omega if omega.size == 1 else omega.graded_trace()
+    for word, sform in traced.terms.values():
+        if len(word) - 1 != phi.degree:
+            continue
+        gas = [m.entry(0, 0) for m in word]
+        for combo in itertools.product(*(ga.terms.items() for ga in gas)):
+            coeff = phi(*(g for g, _ in combo))
+            for _, c in combo:
+                coeff *= c
+            if coeff:
+                total = total + sform.scale(coeff)
+    return total
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_chern_lambda_matches_tuple_enumeration(k):
+    spec = GroupSpec.cyclic(k)
+    rng = np.random.default_rng(30 + k)
+    for p in (random_projection_matrix(spec, 2, rng, rank_choices=(1, 2)),
+              random_projection_matrix(spec, 2, rng, rank_choices=(1, 2)),
+              GAMatrix.identity(spec, 1), GAMatrix.identity(spec, 2)):
+        chains = chern_lambda(p, 2)
+        ref = _chern_lambda_by_tuples(p, 2)
+        for m, (chain, terms) in enumerate(zip(chains, ref)):
+            assert chain.degree == 2 * m
+            for word in set(chain.terms) | set(terms):
+                assert abs(chain.terms.get(word, 0j)
+                           - terms.get(word, 0j)) <= 1e-12
+
+
+def test_pair_cochain_form_matches_per_combo_on_character():
+    rng = np.random.default_rng(40)
+    p = random_projection_matrix(Z5, 2, rng, rank_choices=(1, 2))
+    grid = CircleGrid(4)
+    from ncindex.chern import chern_even
+
+    P = MixedForm.zero(grid, Z5, 2, kalg=6)
+    P.add_term(ScalarForm.one(grid), (p,))
+    ch = chern_even(P, 2)
+    for degree in (2, 4):
+        phi = random_closed_cocycle(Z5, degree, rng)
+        diff = pair_cochain_form(phi, ch) - _pair_by_combos(phi, ch)
+        assert diff.max_abs() <= 1e-12
+
+
+def test_pair_cochain_form_matches_per_combo_on_covering_form():
+    from ncindex.chern import chern_even
+    from ncindex.covering import (CoverData, build_mf_projection,
+                                  vandermonde_cocycle, winding_cocycle)
+
+    cover = CoverData.standard(CircleGrid(128))
+    P = build_mf_projection(cover, kalg=4).form
+    ch = chern_even(P, 1)
+    spec = cover.deck_spec
+    phi = tau_to_c(winding_cocycle(spec))
+    new, ref = pair_cochain_form(phi, ch), _pair_by_combos(phi, ch)
+    assert ref.max_abs() > 1e-3
+    assert (new - ref).max_abs() <= 1e-12
+    aP = P.dtot_algebra()
+    flat = (P @ aP @ aP).graded_trace()
+    phi2 = tau_to_c(vandermonde_cocycle(spec, 2))
+    assert (pair_cochain_form(phi2, flat)
+            - _pair_by_combos(phi2, flat)).max_abs() <= 1e-12
+
+
+@pytest.mark.parametrize("k,degree", [(5, 2), (5, 4), (7, 4)])
+def test_random_closed_cocycle_is_the_weighted_basis_sum(k, degree):
+    spec = GroupSpec.cyclic(k)
+    basis = closed_cocycle_basis(spec, degree)
+    phi = random_closed_cocycle(spec, degree, np.random.default_rng(50),
+                                basis)
+    rng = np.random.default_rng(50)
+    w = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
+        len(basis))
+    sample = np.random.default_rng(51)
+    tups = [tuple(int(g) for g in t)
+            for t in sample.integers(0, k, (100, degree + 1))]
+    for tail in sample.integers(1, k, (100, degree)):
+        # nonzero slots with product e: the cochains' support
+        tups.append((int(-tail.sum() % k),) + tuple(int(g) for g in tail))
+    for tup in tups:
+        expected = sum(c * b(*tup) for c, b in zip(w, basis))
+        assert abs(phi(*tup) - expected) <= 1e-12
+
+
+def test_closed_cocycle_basis_z7_degree4_is_lean():
+    import tracemalloc
+
+    z7 = GroupSpec.cyclic(7)
+    tracemalloc.start()
+    try:
+        basis = closed_cocycle_basis(z7, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+    assert len(basis) == 41
+    rng = np.random.default_rng(60)
+    for phi in basis:
+        bt = b_transpose(phi)
+        for _ in range(40):
+            tail = rng.integers(1, 7, 5)
+            tup = (int(-tail.sum() % 7),) + tuple(int(g) for g in tail)
+            assert abs(bt(*tup)) <= 1e-10

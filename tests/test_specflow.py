@@ -210,3 +210,23 @@ def test_boundary_mass_filter_on_columns():
         assert list(flags) == [reject(mat[:, i])
                                for i in range(mat.shape[1])]
     assert reject(vecs)[:5].all() and not reject(vecs)[5:].any()
+
+
+def test_relative_index_filters_an_empty_range():
+    fc = 8
+    n = 2 * fc + 1
+    reject = boundary_mass_filter(fc)
+
+    def proj(*modes):
+        out = np.zeros((n, n), dtype=complex)
+        for i in modes:
+            out[i, i] = 1.0
+        return out
+
+    # the edge mode e0 is a finite-section artifact whether or not an
+    # interior mode shares its range
+    assert relative_index(proj(), proj(0), spurious=reject) == 0
+    assert relative_index(proj(5), proj(0, 5), spurious=reject) == 0
+    assert relative_index(proj(), proj(0)) == -1
+    assert relative_index(proj(5), proj(5, 16), spurious=reject) == 0
+    assert relative_index(proj(8), proj(), spurious=reject) == 1
