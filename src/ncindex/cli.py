@@ -13,9 +13,9 @@ validated with the config.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
+import math
 import sys
 import time
 import traceback
@@ -24,30 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import (bumps, chern, covering, cyclic, group_algebra, nc_forms,
+               specflow, testing, toeplitz)
 from .errors import DomainError
-
-KINDS = ("chern-check", "covering-check", "toeplitz", "specflow",
-         "cyclic-check")
-
-_COMMON_KEYS = {"id", "kind", "tolerance", "seed"}
-_KIND_KEYS = {
-    "toeplitz": {"system", "u", "fourier_cutoff", "grid_size", "eps_k",
-                 "p", "q"},
-    "covering-check": {"arcs", "bump_family", "deck", "deck_order",
-                       "grid_size", "flat_tolerance"},
-    "chern-check": {"chart_grid", "bott_radius", "bump_family"},
-    "specflow": {"fourier_cutoff", "m_values", "margin", "shift"},
-    "cyclic-check": {"k", "m_max", "instances"},
-}
-
-#: integer fields and their least value (None: any integer); `arcs` is
-#: checked only when it is not a list of explicit arcs
-_INT_KEYS = {"fourier_cutoff": None, "grid_size": None, "chart_grid": None,
-             "deck_order": None, "p": None, "q": None, "arcs": None,
-             "k": 2, "m_max": 1, "instances": 1}
-
-#: symbol types of the toeplitz kind and the system each one needs
-_U_TYPES = {"exp": "circle", "fourier": None, "shift-generator": "rotation"}
 
 CSV_COLUMNS = ("experiment", "kind", "check", "inputs", "value", "oracle",
                "residual", "tolerance", "passed")
@@ -74,35 +53,156 @@ def _inputs_summary(exp):
 
 
 def _row(exp, check, value, oracle, residual, tol):
-    return {
-        "experiment": exp["id"],
-        "kind": exp["kind"],
-        "check": check,
-        "inputs": _inputs_summary(exp),
-        "value": _fmt(value),
-        "oracle": _fmt(oracle),
-        "residual": _fmt(residual),
-        "tolerance": _fmt(tol),
-        "passed": bool(residual <= tol),
-    }
+    return dict(zip(CSV_COLUMNS, (
+        exp["id"], exp["kind"], check, _inputs_summary(exp), _fmt(value),
+        _fmt(oracle), _fmt(residual), _fmt(tol), bool(residual <= tol))))
 
 
-def _check_toeplitz(exp):
-    where = f"experiment {exp['id']!r}"
-    system = exp.get("system", "circle")
-    if system not in ("circle", "rotation"):
-        raise ConfigError(f"{where}: unknown system {system!r}")
-    uspec = exp.get("u", {"type": "exp"})
-    if not isinstance(uspec, dict) or uspec.get("type") not in _U_TYPES:
-        raise ConfigError(f"{where}: u must be an object whose type is one "
-                          f"of {sorted(_U_TYPES)}")
-    need = _U_TYPES[uspec["type"]]
-    if need not in (None, system):
-        raise ConfigError(
-            f"{where}: {uspec['type']} symbols need the {need} system")
-    if uspec["type"] == "fourier" and not isinstance(uspec.get("coeffs"),
-                                                      dict):
-        raise ConfigError(f"{where}: fourier symbols need a coeffs object")
+# ---------------------------------------------------------------------
+# the config schema
+# ---------------------------------------------------------------------
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int_list(v):
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _check(need, ok):
+    """A field check: None for a good value, else what the value must be."""
+    return lambda v: None if ok(v) else need
+
+
+def _at_least(least):
+    return _check(f"an integer >= {least}",
+                  lambda v: _is_int(v) and v >= least)
+
+
+def _one_of(*names):
+    return _check(f"one of {list(names)}",
+                  lambda v: isinstance(v, str) and v in names)
+
+
+#: symbol types of the toeplitz kind and the system each one needs
+_U_TYPES = {"exp": "circle", "fourier": None, "shift-generator": "rotation"}
+
+
+def _is_symbol(u):
+    return (isinstance(u, dict) and isinstance(u.get("type"), str)
+            and u["type"] in _U_TYPES
+            and (u["type"] != "fourier"
+                 or isinstance(u.get("coeffs"), dict)))
+
+
+def _is_arcs(v):
+    return _is_int(v) or (isinstance(v, list) and all(
+        isinstance(a, list) and len(a) == 2 and all(map(_is_number, a))
+        for a in v))
+
+
+_INTEGER = _check("an integer", _is_int)
+_NUMBER = _check("a number", _is_number)
+_TOLERANCE = _check("a positive number", lambda v: _is_number(v) and v > 0)
+_STRING = _check("a string", lambda v: isinstance(v, str))
+_FAMILY = _one_of(*bumps.FAMILIES)
+_SYMBOL = _check(f"an object whose type is one of {sorted(_U_TYPES)}, "
+                 f"with a coeffs object for fourier", _is_symbol)
+
+#: {kind: {key: (check, default)}}; a default of None means none
+_FIELDS = {
+    "chern-check": {
+        "chart_grid": (_INTEGER, 64),
+        "bott_radius": (_NUMBER, 0.42),
+        "bump_family": (_FAMILY, "mollifier"),
+        "tolerance": (_TOLERANCE, 2e-3),
+    },
+    "covering-check": {
+        "arcs": (_check("an integer or a list of [start, end] arcs",
+                        _is_arcs), 3),
+        "deck": (_check("a list of integer lists", lambda v: isinstance(
+            v, list) and all(map(_is_int_list, v))), None),
+        "bump_family": (_FAMILY, "mollifier"),
+        "deck_order": (_INTEGER, 0),
+        "grid_size": (_INTEGER, 1024),
+        "flat_tolerance": (_NUMBER, 1e-9),
+        "tolerance": (_TOLERANCE, 1e-8),
+    },
+    "toeplitz": {
+        "system": (_one_of("circle", "rotation"), "circle"),
+        "u": (_SYMBOL, {"type": "exp", "m": 1}),
+        "fourier_cutoff": (_INTEGER, 64),
+        "grid_size": (_INTEGER, 256),
+        "eps_k": (_NUMBER, 1e-6),
+        "p": (_INTEGER, 1),
+        "q": (_INTEGER, 3),
+        "tolerance": (_TOLERANCE, 0.05),
+    },
+    "specflow": {
+        "fourier_cutoff": (_INTEGER, 64),
+        "m_values": (_check("a list of integers", _is_int_list), [1, 2]),
+        "margin": (_NUMBER, 0.1),
+        "shift": (_NUMBER, 0.5),
+    },
+    "cyclic-check": {
+        "k": (_at_least(2), 5),
+        "m_max": (_at_least(1), 2),
+        "instances": (_at_least(1), 5),
+        "tolerance": (_TOLERANCE, 1e-9),
+    },
+}
+
+#: checks of the fields every kind takes; `id` and `kind` are required
+#: and `seed` falls back to the config's seed
+_COMMON = {"id": _STRING, "kind": _one_of(*_FIELDS), "seed": _INTEGER}
+
+
+def _require(where, key, check, value):
+    need = check(value)
+    if need is not None:
+        raise ConfigError(f"{where}{key} must be {need}")
+
+
+def _validate_experiment(exp, seen):
+    if not isinstance(exp, dict):
+        raise ConfigError("experiment entries must be objects")
+    _require("every experiment ", "id", _STRING, exp.get("id"))
+    where = f"experiment {exp['id']!r}: "
+    if exp["id"] in seen:
+        raise ConfigError(f"duplicate experiment id {exp['id']!r}")
+    seen.add(exp["id"])
+    _require(where, "kind", _COMMON["kind"], exp.get("kind"))
+    fields = _FIELDS[exp["kind"]]
+    unknown = set(exp) - set(_COMMON) - set(fields)
+    if unknown:
+        raise ConfigError(f"{where}unknown fields {sorted(unknown)}")
+    for key, value in exp.items():
+        check = _COMMON[key] if key in _COMMON else fields[key][0]
+        _require(where, key, check, value)
+    if isinstance(exp.get("arcs"), list):
+        n = len(exp["arcs"])
+        deck = exp.get("deck")
+        if not isinstance(deck, list) or len(deck) != n \
+                or any(len(row) != n for row in deck):
+            raise ConfigError(f"{where}explicit arcs need a square deck "
+                              f"matrix of matching size")
+    if exp["kind"] == "toeplitz":
+        x = _filled(exp)
+        need = _U_TYPES[x["u"]["type"]]
+        if need not in (None, x["system"]):
+            raise ConfigError(f"{where}{x['u']['type']} symbols need the "
+                              f"{need} system")
+
+
+def _filled(exp):
+    """The experiment with every default of its kind filled in."""
+    return {**{k: d for k, (_, d) in _FIELDS[exp["kind"]].items()}, **exp}
 
 
 def validate_config(cfg):
@@ -111,52 +211,15 @@ def validate_config(cfg):
     unknown = set(cfg) - {"seed", "experiments", "out"}
     if unknown:
         raise ConfigError(f"unknown top-level fields {sorted(unknown)}")
+    for key, check in (("seed", _INTEGER), ("out", _STRING)):
+        if key in cfg:
+            _require("", key, check, cfg[key])
     exps = cfg.get("experiments")
     if not isinstance(exps, list) or not exps:
         raise ConfigError("config needs a non-empty experiments list")
     seen = set()
     for exp in exps:
-        if not isinstance(exp, dict):
-            raise ConfigError("experiment entries must be objects")
-        kind = exp.get("kind")
-        if kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {kind!r}")
-        if "id" not in exp:
-            raise ConfigError("every experiment needs an id")
-        if exp["id"] in seen:
-            raise ConfigError(f"duplicate experiment id {exp['id']!r}")
-        seen.add(exp["id"])
-        unknown = set(exp) - _COMMON_KEYS - _KIND_KEYS[kind]
-        if unknown:
-            raise ConfigError(
-                f"experiment {exp['id']!r}: unknown fields "
-                f"{sorted(unknown)}")
-        for key, least in _INT_KEYS.items():
-            if key not in exp or (key == "arcs"
-                                  and isinstance(exp[key], list)):
-                continue
-            val = exp[key]
-            if (isinstance(val, bool) or not isinstance(val, int)
-                    or (least is not None and val < least)):
-                bound = "" if least is None else f" >= {least}"
-                raise ConfigError(f"experiment {exp['id']!r}: {key} must "
-                                  f"be an integer{bound}")
-        tol = exp.get("tolerance")
-        if tol is not None and not (isinstance(tol, (int, float))
-                                    and tol > 0):
-            raise ConfigError(
-                f"experiment {exp['id']!r}: tolerance must be positive")
-        if kind == "covering-check" and isinstance(exp.get("arcs"), list):
-            deck = exp.get("deck")
-            n = len(exp["arcs"])
-            if (not isinstance(deck, list) or len(deck) != n
-                    or any(not isinstance(row, list) or len(row) != n
-                           for row in deck)):
-                raise ConfigError(
-                    f"experiment {exp['id']!r}: explicit arcs need a "
-                    f"square deck matrix of matching size")
-        if kind == "toeplitz":
-            _check_toeplitz(exp)
+        _validate_experiment(exp, seen)
     return cfg
 
 
@@ -165,32 +228,24 @@ def _apply_overrides(cfg, overrides):
     that key."""
     given = {k: v for k, v in overrides.items() if v is not None}
     exps = [dict(exp, **{k: v for k, v in given.items()
-                         if k in _COMMON_KEYS | _KIND_KEYS[exp["kind"]]})
+                         if k in _FIELDS[exp["kind"]]})
             for exp in cfg["experiments"]]
     return dict(cfg, experiments=exps)
 
 
-def _exp_rng(seed, exp_id):
-    return np.random.default_rng(
-        (seed or 0) * 2 ** 32 + zlib.crc32(exp_id.encode()))
-
-
 # ---------------------------------------------------------------------
-# experiment runners
+# experiment runners: each takes the experiment with every default filled
+# in and returns its checks as (check, value, oracle, residual, tolerance)
 # ---------------------------------------------------------------------
 
 
-def _run_toeplitz(exp, seed):
-    from .toeplitz import (CircleSystem, RotationSystem, assemble_toeplitz,
-                           dynsys_formula, tau_index, winding_index)
-
-    tol = exp.get("tolerance", 0.05)
-    fc = exp.get("fourier_cutoff", 64)
-    if exp.get("system", "circle") == "circle":
-        system = CircleSystem(grid_n=exp.get("grid_size", 256))
+def _run_toeplitz(x, seed):
+    tol = x["tolerance"]
+    if x["system"] == "circle":
+        system = toeplitz.CircleSystem(grid_n=x["grid_size"])
     else:
-        system = RotationSystem(exp.get("p", 1), exp.get("q", 3))
-    uspec = exp.get("u", {"type": "exp", "m": 1})
+        system = toeplitz.RotationSystem(x["p"], x["q"])
+    uspec = x["u"]
     if uspec["type"] == "exp":
         u = system.exponential(int(uspec.get("m", 1)))
         expected = float(uspec.get("m", 1))
@@ -203,129 +258,96 @@ def _run_toeplitz(exp, seed):
         u = system.v()
         expected = -1.0
 
-    tp = assemble_toeplitz(system, u, fc, exp.get("eps_k", 1e-6))
-    ti = tau_index(tp)
-    formula = dynsys_formula(system, u)
-    wind = winding_index(system, u)
-    rows = [
-        _row(exp, "tau_index_vs_formula", ti, formula,
-             abs(ti - formula), tol),
-        _row(exp, "tau_index_vs_winding", ti, wind, abs(ti - wind), tol),
-        _row(exp, "tau_index_integrality", ti, round(ti),
-             abs(ti - round(ti)), tol),
+    tp = toeplitz.assemble_toeplitz(system, u, x["fourier_cutoff"],
+                                    x["eps_k"])
+    ti = toeplitz.tau_index(tp)
+    formula = toeplitz.dynsys_formula(system, u)
+    wind = toeplitz.winding_index(system, u)
+    checks = [
+        ("tau_index_vs_formula", ti, formula, abs(ti - formula), tol),
+        ("tau_index_vs_winding", ti, wind, abs(ti - wind), tol),
+        ("tau_index_integrality", ti, round(ti), abs(ti - round(ti)), tol),
     ]
     if expected is not None:
-        rows.append(_row(exp, "tau_index_vs_expected", ti, expected,
-                         abs(ti - expected), tol))
-    return rows
+        checks.append(("tau_index_vs_expected", ti, expected,
+                       abs(ti - expected), tol))
+    return checks
 
 
-def _run_covering(exp, seed):
-    from .covering import (CoverData, build_mf_projection, omega_integral,
-                           verify_prop_chern, winding_cocycle,
-                           zero_cocycle)
-    from .group_algebra import GroupSpec
-    from .nc_forms import CircleGrid
-
-    tol = exp.get("tolerance", 1e-8)
-    grid = CircleGrid(exp.get("grid_size", 1024))
-    deck_order = exp.get("deck_order", 0)
-    if "arcs" in exp and isinstance(exp["arcs"], list):
-        spec = (GroupSpec.cyclic(deck_order) if deck_order
-                else GroupSpec.lattice(1))
-        cover = CoverData(grid, exp["arcs"],
-                          exp.get("bump_family", "mollifier"), spec,
-                          exp["deck"])
+def _run_covering(x, seed):
+    tol = x["tolerance"]
+    grid = nc_forms.CircleGrid(x["grid_size"])
+    if isinstance(x["arcs"], list):
+        spec = (group_algebra.GroupSpec.cyclic(x["deck_order"])
+                if x["deck_order"] else group_algebra.GroupSpec.lattice(1))
+        cover = covering.CoverData(grid, x["arcs"], x["bump_family"], spec,
+                                   x["deck"])
     else:
-        cover = CoverData.standard(
-            grid, n_arcs=exp.get("arcs", 3),
-            family=exp.get("bump_family", "mollifier"),
-            deck_order=deck_order)
+        cover = covering.CoverData.standard(
+            grid, n_arcs=x["arcs"], family=x["bump_family"],
+            deck_order=x["deck_order"])
     if cover.deck_spec.family == "cyclic":
         # torsion coefficients: the only closed degree-one cocycle is 0
-        tau = zero_cocycle(cover.deck_spec)
-        mf = build_mf_projection(cover)
-        w = omega_integral(cover, tau)
+        tau = covering.zero_cocycle(cover.deck_spec)
+        mf = covering.build_mf_projection(cover)
+        w = covering.omega_integral(cover, tau)
         return [
-            _row(exp, "projection_idempotence", mf.idempotence, 0.0,
-                 mf.idempotence, 1e-12),
-            _row(exp, "omega_integral_torsion", w, 0.0, abs(w), tol),
+            ("projection_idempotence", mf.idempotence, 0.0, mf.idempotence,
+             1e-12),
+            ("omega_integral_torsion", w, 0.0, abs(w), tol),
         ]
-    tau = winding_cocycle(cover.deck_spec)
-    rep = verify_prop_chern(cover, tau, tol=tol,
-                            flat_tol=exp.get("flat_tolerance", 1e-9))
-    rows = [
-        _row(exp, "character_form_identity", rep["lhs_integral"],
-             rep["rhs_integral"], rep["residual"], tol),
-        _row(exp, "flat_connection_cancellation",
-             rep["flat_connection_residual"], 0.0,
-             rep["flat_connection_residual"],
-             exp.get("flat_tolerance", 1e-9)),
-        _row(exp, "projection_idempotence", rep["idempotence"], 0.0,
-             rep["idempotence"], 1e-12),
+    tau = covering.winding_cocycle(cover.deck_spec)
+    rep = covering.verify_prop_chern(cover, tau, tol=tol,
+                                     flat_tol=x["flat_tolerance"])
+    other = covering.CoverData.standard(grid, n_arcs=cover.n_arcs,
+                                        family="poly-spline")
+    w1 = covering.omega_integral(cover, tau)
+    w2 = covering.omega_integral(other, covering.winding_cocycle(
+        other.deck_spec))
+    return [
+        ("character_form_identity", rep["lhs_integral"],
+         rep["rhs_integral"], rep["residual"], tol),
+        ("flat_connection_cancellation", rep["flat_connection_residual"],
+         0.0, rep["flat_connection_residual"], x["flat_tolerance"]),
+        ("projection_idempotence", rep["idempotence"], 0.0,
+         rep["idempotence"], 1e-12),
+        ("omega_integral_bump_independence", w1, w2, abs(w1 - w2), tol),
     ]
-    n_arcs = exp.get("arcs", 3) if not isinstance(exp.get("arcs"), list) \
-        else len(exp["arcs"])
-    other = CoverData.standard(grid, n_arcs=n_arcs, family="poly-spline")
-    w1 = omega_integral(cover, tau)
-    w2 = omega_integral(other, winding_cocycle(other.deck_spec))
-    rows.append(_row(exp, "omega_integral_bump_independence", w1, w2,
-                     abs(w1 - w2), tol))
-    return rows
 
 
-def _run_chern(exp, seed):
-    from .chern import bott_integral
-
-    n = exp.get("chart_grid", 64)
-    tol = exp.get("tolerance", 2e-3)
-    val = bott_integral(n, r_max=exp.get("bott_radius", 0.42),
-                        family=exp.get("bump_family", "mollifier"))
-    return [_row(exp, "bott_normalization", val, 1.0, abs(val - 1.0),
-                 tol)]
+def _run_chern(x, seed):
+    val = chern.bott_integral(x["chart_grid"], r_max=x["bott_radius"],
+                              family=x["bump_family"])
+    return [("bott_normalization", val, 1.0, abs(val - 1.0),
+             x["tolerance"])]
 
 
-def _run_specflow(exp, seed):
-    from .specflow import verify_oddind
-
-    fc = exp.get("fourier_cutoff", 64)
-    rows = []
-    for m in exp.get("m_values", [1, 2]):
-        rep = verify_oddind(fc, int(m), margin=exp.get("margin", 0.1),
-                            shift=exp.get("shift", 0.5))
-        rows.append(_row(exp, f"oddind_m{m}", rep["spfl"],
-                         rep["rel_index_adjusted"],
-                         abs(rep["spfl"] - rep["rel_index_adjusted"]),
-                         0.5))
-    return rows
+def _run_specflow(x, seed):
+    # spectral flow and relative index are integers: 0.5 is an exact match
+    checks = []
+    for m in x["m_values"]:
+        rep = specflow.verify_oddind(x["fourier_cutoff"], m,
+                                     margin=x["margin"], shift=x["shift"])
+        checks.append((f"oddind_m{m}", rep["spfl"], rep["rel_index_adjusted"],
+                       abs(rep["spfl"] - rep["rel_index_adjusted"]), 0.5))
+    return checks
 
 
-def _run_cyclic(exp, seed):
-    import math
-
-    from .chern import chern_even
-    from .cyclic import (chern_lambda, closed_cocycle_basis,
-                         pair_cochain_form, random_closed_cocycle)
-    from .group_algebra import GroupSpec
-    from .nc_forms import CircleGrid, MixedForm, ScalarForm
-    from .testing import random_projection_matrix
-
-    tol = exp.get("tolerance", 1e-9)
-    k = exp.get("k", 5)
-    m_max = exp.get("m_max", 2)
-    count = exp.get("instances", 5)
-    rng = _exp_rng(seed, exp["id"])
-    spec = GroupSpec.cyclic(k)
-    grid = CircleGrid(4)
+def _run_cyclic(x, seed):
+    m_max = x["m_max"]
+    rng = np.random.default_rng(
+        (seed or 0) * 2 ** 32 + zlib.crc32(x["id"].encode()))
+    spec = group_algebra.GroupSpec.cyclic(x["k"])
+    grid = nc_forms.CircleGrid(4)
     worst = 0.0
-    bases = {m: closed_cocycle_basis(spec, 2 * m)
+    bases = {m: cyclic.closed_cocycle_basis(spec, 2 * m)
              for m in range(1, m_max + 1)}
-    for _ in range(count):
-        p = random_projection_matrix(spec, 2, rng)
-        P = MixedForm.zero(grid, spec, 2, kalg=2 * m_max + 2)
-        P.add_term(ScalarForm.one(grid), (p,))
-        ch = chern_even(P, m_max)
-        chains = chern_lambda(p, m_max)
+    for _ in range(x["instances"]):
+        p = testing.random_projection_matrix(spec, 2, rng)
+        P = nc_forms.MixedForm.zero(grid, spec, 2, kalg=2 * m_max + 2)
+        P.add_term(nc_forms.ScalarForm.one(grid), (p,))
+        ch = chern.chern_even(P, m_max)
+        chains = cyclic.chern_lambda(p, m_max)
         # degree-0 pairing is the canonical trace on both sides
         trace_lhs = chains[0].terms.get((spec.identity(),), 0j)
         trace_rhs = ch.scalar_part().component(())[0]
@@ -333,21 +355,17 @@ def _run_cyclic(exp, seed):
         for m in range(1, m_max + 1):
             if not bases[m]:
                 continue
-            phi = random_closed_cocycle(spec, 2 * m, rng, bases[m])
+            phi = cyclic.random_closed_cocycle(spec, 2 * m, rng, bases[m])
             lhs = chains[m].pair(phi)
             rhs = ((2j * np.pi) ** m * math.factorial(m)
-                   * pair_cochain_form(phi, ch).component(())[0])
+                   * cyclic.pair_cochain_form(phi, ch).component(())[0])
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return [_row(exp, "normalization_bridge", worst, 0.0, worst, tol)]
+    return [("normalization_bridge", worst, 0.0, worst, x["tolerance"])]
 
 
-_RUNNERS = {
-    "toeplitz": _run_toeplitz,
-    "covering-check": _run_covering,
-    "chern-check": _run_chern,
-    "specflow": _run_specflow,
-    "cyclic-check": _run_cyclic,
-}
+_RUNNERS = {"chern-check": _run_chern, "covering-check": _run_covering,
+            "toeplitz": _run_toeplitz, "specflow": _run_specflow,
+            "cyclic-check": _run_cyclic}
 
 
 def run_experiment(exp, seed):
@@ -360,34 +378,28 @@ def run_experiment(exp, seed):
     """
     start = time.perf_counter()
     try:
-        rows = _RUNNERS[exp["kind"]](exp, exp.get("seed", seed))
+        checks = _RUNNERS[exp["kind"]](_filled(exp), exp.get("seed", seed))
+        rows = [_row(exp, *c) for c in checks]
         err = None
     except Exception as e:
         err = f"{type(e).__name__}: {e}"
         if not isinstance(e, (DomainError, ArithmeticError, ValueError)):
             err += "\n" + traceback.format_exc()
-        rows = [{
-            "experiment": exp["id"],
-            "kind": exp["kind"],
-            "check": type(e).__name__,
-            "inputs": _inputs_summary(exp),
-            "value": "error",
-            "oracle": "",
-            "residual": "inf",
-            "tolerance": "",
-            "passed": False,
-        }]
+        rows = [dict(zip(CSV_COLUMNS, (
+            exp["id"], exp["kind"], type(e).__name__, _inputs_summary(exp),
+            "error", "", "inf", "", False)))]
     wall = time.perf_counter() - start
     return rows, wall, err
 
 
 def run(config, out_dir=None, seed=None, overrides=None):
-    """Run every experiment in the config; returns the exit code."""
+    """Run every experiment in the config, one after another in the
+    calling thread and in the order of their ids; returns the exit code."""
     if isinstance(config, (str, Path)):
         try:
             with open(config) as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return 1
     try:
@@ -398,21 +410,13 @@ def run(config, out_dir=None, seed=None, overrides=None):
         print(f"config error: {e}", file=sys.stderr)
         return 1
     seed = cfg.get("seed", 0) if seed is None else seed
-    exps = cfg["experiments"]
-
-    results = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        futs = {pool.submit(run_experiment, exp, seed): exp["id"]
-                for exp in exps}
-        for fut in concurrent.futures.as_completed(futs):
-            results[futs[fut]] = fut.result()
 
     rows, details = [], []
-    for exp_id in sorted(results):
-        exp_rows, wall, err = results[exp_id]
+    for exp in sorted(cfg["experiments"], key=lambda e: e["id"]):
+        exp_rows, wall, err = run_experiment(exp, seed)
         exp_rows.sort(key=lambda r: r["check"])
         rows.extend(exp_rows)
-        details.append({"experiment": exp_id, "wall_time_s": wall,
+        details.append({"experiment": exp["id"], "wall_time_s": wall,
                         "error": err, "rows": exp_rows,
                         "seed": seed})
 
@@ -422,22 +426,20 @@ def run(config, out_dir=None, seed=None, overrides=None):
         with open(out / "report.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
-            for r in rows:
-                writer.writerow(r)
+            writer.writerows(rows)
         with open(out / "report.json", "w") as fh:
             json.dump({"seed": seed, "experiments": details}, fh,
                       indent=2, default=str)
-    except OSError as e:
+    except (OSError, ValueError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return 1
 
-    failed = [r for r in rows if not r["passed"]]
     for r in rows:
         status = "pass" if r["passed"] else "FAIL"
         print(f"[{status}] {r['experiment']}/{r['check']}: "
               f"value={r['value']} oracle={r['oracle']} "
               f"residual={r['residual']}")
-    return 2 if failed else 0
+    return 0 if all(r["passed"] for r in rows) else 2
 
 
 def main(argv=None):
@@ -451,11 +453,8 @@ def main(argv=None):
     parser.add_argument("--fourier-cutoff", type=int, default=None)
     parser.add_argument("--tolerance", type=float, default=None)
     args = parser.parse_args(argv)
-    overrides = {
-        "grid_size": args.grid_size,
-        "fourier_cutoff": args.fourier_cutoff,
-        "tolerance": args.tolerance,
-    }
+    overrides = {k: getattr(args, k)
+                 for k in ("grid_size", "fourier_cutoff", "tolerance")}
     return run(args.config, out_dir=args.out, seed=args.seed,
                overrides=overrides)
 

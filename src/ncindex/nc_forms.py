@@ -567,19 +567,7 @@ class MixedForm:
     # -- differential -------------------------------------------------
     def dtot(self):
         """Total differential d_M + (-1)^p (prepend unit slot)."""
-        out = self._spawn()
-        ident = GAMatrix.identity(self.spec, self.size)
-        for word, sform in self.terms.values():
-            dm = sform.d()
-            if not dm.is_zero():
-                out.add_term(dm, word)
-            if len(word) > self.kalg:
-                out.dropped = True
-            else:
-                for p, s in sform.split():
-                    out.add_term(s.scale(-1.0 if p % 2 else 1.0),
-                                 (ident,) + word)
-        return out
+        return self.dtot_manifold() + self.dtot_algebra()
 
     def dtot_manifold(self):
         out = self._spawn()

@@ -82,22 +82,24 @@ class SelfAdjointPath:
 def spectral_flow(path, margin_filter=None):
     """Signed count of eigenvalue crossings through zero along the path.
 
+    The per-sample drops of the negative-eigenvalue count telescope to
+    the drop between the two endpoints, so only those are decomposed.
     Eigenpairs rejected by `margin_filter` (truncation-boundary modes)
-    are ignored throughout; the filter takes a matrix whose columns are
-    the eigenvectors and returns one rejection flag per column.  Both
+    are ignored; the filter takes a matrix whose columns are the
+    eigenvectors and returns one rejection flag per column.  Both
     endpoints must be invertible on the retained subspace.
     """
-    eigs = []
-    for mat in path.mats:
+    negs = []
+    for label, mat in (("initial", path.mats[0]), ("final", path.mats[-1])):
         w, v = np.linalg.eigh(mat)
-        eigs.append(w if margin_filter is None else w[~margin_filter(v)])
-    for label, w in (("initial", eigs[0]), ("final", eigs[-1])):
+        if margin_filter is not None:
+            w = w[~margin_filter(v)]
         if len(w) and np.min(np.abs(w)) < path.delta_c:
             raise EndpointDegenerate(
                 f"{label} endpoint has an eigenvalue at "
                 f"{np.min(np.abs(w)):.3g}, inside the crossing window")
-    negs = [int(np.sum(w < 0.0)) for w in eigs]
-    return sum(a - b for a, b in zip(negs, negs[1:]))
+        negs.append(int(np.sum(w < 0.0)))
+    return negs[0] - negs[1]
 
 
 def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):

@@ -10,9 +10,12 @@ they target.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .group_algebra import GAMatrix, gamatrix_from_sectors
+from .cyclic import CyclicCochain, GroupCocycle
+from .group_algebra import GAMatrix, GroupSpec, gamatrix_from_sectors
 from .nc_forms import JetFunction, MixedForm, ScalarForm
 
 TWO_PI = 2.0 * np.pi
@@ -194,10 +197,6 @@ def random_alternating_cocycle(spec, degree, rng, span=12):
     permutations; exact for roundtrip tests since evaluation is pure
     table lookup and summation in a fixed order.
     """
-    import itertools
-
-    from .cyclic import GroupCocycle
-
     if spec.family == "cyclic":
         def diff(a, b):
             return (b - a) % spec.order
@@ -235,9 +234,6 @@ def random_alternating_cocycle(spec, degree, rng, span=12):
 
 def random_odd_winding_cocycle(rng, span=12):
     """Random degree-one alternating invariant cochain on the lattice."""
-    from .cyclic import GroupCocycle
-    from .group_algebra import GroupSpec
-
     table = {d: complex(rng.standard_normal(), rng.standard_normal())
              for d in range(1, span + 1)}
     table[0] = 0j
@@ -253,10 +249,6 @@ def random_odd_winding_cocycle(rng, span=12):
 
 def random_normalized_cochain(spec, degree, rng):
     """Random normalized lambda-invariant cochain on a finite group."""
-    import itertools
-
-    from .cyclic import CyclicCochain
-
     k = spec.order
     n = degree
     sign = -1.0 if n % 2 else 1.0

@@ -1,8 +1,12 @@
 import csv
 import json
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+from ncindex import cli
 from ncindex.cli import main, run, validate_config, ConfigError
 
 
@@ -237,3 +241,80 @@ def test_mistyped_override_exits_one(tmp_path):
     assert run(str(cfg), out_dir=str(out),
                overrides={"fourier_cutoff": "64"}) == 1
     assert not (out / "report.csv").exists()
+
+
+SPECFLOW_EXP = {"id": "sf", "kind": "specflow", "fourier_cutoff": 32,
+                "m_values": [1]}
+ARCS = [[0.0, 0.6], [0.5, 1.1]]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiments": [dict(SPECFLOW_EXP, margin="0.1")]},
+    {"experiments": [dict(SPECFLOW_EXP, m_values=["a"])]},
+    {"experiments": [{"id": "b", "kind": "chern-check", "chart_grid": 16,
+                      "bott_radius": "0.4"}]},
+    {"experiments": [{"id": "b", "kind": "chern-check", "chart_grid": 16,
+                      "bump_family": "nope"}]},
+    {"experiments": [{"id": "c", "kind": "cyclic-check", "k": 3,
+                      "m_max": 1, "instances": 1, "seed": 1.5}]},
+    {"seed": 1.5, "experiments": [{"id": "c", "kind": "cyclic-check",
+                                   "k": 3, "m_max": 1, "instances": 1}]},
+    {"experiments": [{"id": "b", "kind": "chern-check", "chart_grid": 16,
+                      "tolerance": True}]},
+    {"experiments": [dict(SPECFLOW_EXP, tolerance=1e-30)]},
+    {"experiments": [dict(SPECFLOW_EXP, tolerance=0.5)]},
+    {"experiments": [dict(SPECFLOW_EXP, id=5), SPECFLOW_EXP]},
+    {"experiments": [dict(SPECFLOW_EXP, id=["sf"])]},
+    {"out": 7, "experiments": [SPECFLOW_EXP]},
+    {"experiments": [{"id": "t", "kind": "toeplitz",
+                      "u": {"type": ["exp"]}}]},
+    {"experiments": [{"id": "v", "kind": "covering-check", "grid_size": 64,
+                      "arcs": [["a", 0.6], [0.5, 1.1]],
+                      "deck": [[0, 1], [-1, 0]]}]},
+    {"experiments": [{"id": "v", "kind": "covering-check", "grid_size": 64,
+                      "arcs": ARCS, "deck": [[0, 1.5], [-1, 0]]}]},
+], ids=["margin-string", "m_values-strings", "bott_radius-string",
+        "bump_family-unknown", "experiment-seed-float", "config-seed-float",
+        "tolerance-bool", "specflow-tolerance-tiny", "specflow-tolerance",
+        "ids-int-and-string", "id-list", "out-int", "u-type-list",
+        "arc-string", "deck-float"])
+def test_mistyped_field_exits_one(tmp_path, monkeypatch, capsys, cfg):
+    # no --out: a config's own "out" decides where the report would go
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", str(path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("report.*"))
+
+
+def test_experiments_run_serially_with_real_wall_times(tmp_path,
+                                                       monkeypatch):
+    threads = []
+    real = cli.run_experiment
+
+    def recorded(exp, seed):
+        threads.append(threading.get_ident())
+        return real(exp, seed)
+
+    monkeypatch.setattr(cli, "run_experiment", recorded)
+    cfg = {"experiments": [
+        SPECFLOW_EXP,
+        {"id": "b", "kind": "chern-check", "chart_grid": 16},
+        TOEPLITZ_CFG["experiments"][0],
+    ]}
+    path = write_config(tmp_path, cfg)
+    start = time.perf_counter()
+    assert run(str(path), out_dir=tmp_path) == 0
+    elapsed = time.perf_counter() - start
+    assert threads == [threading.get_ident()] * 3
+    detail = json.loads((tmp_path / "report.json").read_text())
+    assert sum(e["wall_time_s"] for e in detail["experiments"]) <= elapsed
+
+
+def test_table_defaults_pass_their_checks():
+    for kind, fields in cli._FIELDS.items():
+        for key, (check, default) in fields.items():
+            if default is not None:
+                assert check(default) is None, (kind, key)
+    with open(Path(__file__).parents[1] / "configs" / "checks.json") as fh:
+        validate_config(json.load(fh))

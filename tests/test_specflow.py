@@ -189,8 +189,8 @@ def test_verify_oddind_decomposes_each_matrix_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     rep = verify_oddind(32, 1)
     assert rep["match"]
-    # one eigh per path sample, then P, ran P and ran Q
-    assert counts == {"svd": 1, "eigh": 3 * 33 + 3}
+    # one eigh per path endpoint, then P, ran P and ran Q
+    assert counts == {"svd": 1, "eigh": 2 + 3}
 
 
 def test_boundary_mass_filter_on_columns():
