@@ -198,6 +198,10 @@ def _validate_experiment(exp, seen):
         if need not in (None, x["system"]):
             raise ConfigError(f"{where}{x['u']['type']} symbols need the "
                               f"{need} system")
+        # a number must be a whole winding; other values reach the runner
+        m = x["u"].get("m")
+        if isinstance(m, (int, float)) and not _is_int(m):
+            raise ConfigError(f"{where}u.m must be an integer")
 
 
 def _filled(exp):

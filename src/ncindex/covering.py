@@ -249,12 +249,11 @@ def winding_cocycle(spec):
     def fn(a, b):
         return complex(b[0] - a[0])
 
-    return GroupCocycle(spec, 1, fn, alternating=True, invariant=True)
+    return GroupCocycle(spec, 1, fn)
 
 
 def zero_cocycle(spec, degree=1):
-    return GroupCocycle(spec, degree, lambda *a: 0j, alternating=True,
-                        invariant=True)
+    return GroupCocycle(spec, degree, lambda *a: 0j)
 
 
 def vandermonde_cocycle(spec, degree):
@@ -273,7 +272,7 @@ def vandermonde_cocycle(spec, degree):
                 out *= xs[b] - xs[a]
         return complex(out)
 
-    return GroupCocycle(spec, degree, fn, alternating=True, invariant=True)
+    return GroupCocycle(spec, degree, fn)
 
 
 def cocycle_closedness_defect(cover, tau, samples=40, seed=0):
@@ -354,9 +353,9 @@ def verify_prop_chern(cover, tau, tol=1e-8, flat_tol=1e-9):
     realized = 1 if res_paper <= res_flip else -1
 
     # purely algebraic curvature factors: P dP dP with both differentials
-    # in the algebra direction, paired against an alternating cochain
-    aP = P.dtot_algebra()
-    flat_form = (P @ aP @ aP).graded_trace()
+    # in the algebra direction, paired against an alternating cochain;
+    # in ch they are the algebra-degree-2 part, scaled by -1/(2 pi i)
+    flat_form = ch.algebra_component(2).scale(-TWO_PI_I)
     tau2 = vandermonde_cocycle(cover.deck_spec, 2)
     flat2 = pair_cochain_form(tau_to_c(tau2), flat_form).max_abs()
 

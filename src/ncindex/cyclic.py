@@ -1,9 +1,9 @@
 """Cyclic cochains on group algebras and the group-cohomology dictionary.
 
-Cochains are evaluator callbacks with memo tables rather than dense
-tensors, since only finitely many tuples are queried per run.  The
-dictionary between alternating invariant group cochains tau and cyclic
-cochains c supported at the identity conjugacy class follows
+Cochains are memoised evaluator callbacks or {tuple: value} tables rather
+than dense tensors, since only finitely many tuples are queried per run.
+The dictionary between alternating invariant group cochains tau and
+cyclic cochains c supported at the identity conjugacy class follows
 
     c_tau(g_0,...,g_n) = tau(e, g_1, g_1 g_2, ..., g_1...g_n)
                          when g_0 g_1 ... g_n = e, else 0,
@@ -32,46 +32,20 @@ from .nc_forms import ScalarForm
 class GroupCocycle:
     """Degree-n multilinear evaluator on (n+1)-tuples of group elements."""
 
-    def __init__(self, spec, degree, fn, alternating=False, invariant=False):
+    def __init__(self, spec, degree, fn):
         self.spec = spec
         self.degree = degree
         self._fn = fn
-        self.alternating = alternating
-        self.invariant = invariant
         self._memo = {}
 
     def __call__(self, *args):
         if len(args) != self.degree + 1:
             raise ValueError(f"expected {self.degree + 1} arguments")
-        key = tuple(args)
-        val = self._memo.get(key)
+        val = self._memo.get(args)
         if val is None:
             val = complex(self._fn(*args))
-            self._memo[key] = val
+            self._memo[args] = val
         return val
-
-    def invariance_defect(self, rng, samples=20, radius=2):
-        pool = self.spec.ball(radius)
-        worst = 0.0
-        for _ in range(samples):
-            tup = [pool[int(i)] for i in
-                   rng.integers(0, len(pool), self.degree + 1)]
-            g = pool[int(rng.integers(0, len(pool)))]
-            shifted = [self.spec.mul(g, t) for t in tup]
-            worst = max(worst, abs(self(*tup) - self(*shifted)))
-        return worst
-
-    def alternating_defect(self, rng, samples=20, radius=2):
-        pool = self.spec.ball(radius)
-        worst = 0.0
-        for _ in range(samples):
-            tup = [pool[int(i)] for i in
-                   rng.integers(0, len(pool), self.degree + 1)]
-            i, j = rng.choice(self.degree + 1, size=2, replace=False)
-            swapped = list(tup)
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            worst = max(worst, abs(self(*tup) + self(*swapped)))
-        return worst
 
 
 def d_gamma(tau):
@@ -86,9 +60,7 @@ def d_gamma(tau):
             total += term if j % 2 == 0 else -term
         return total
 
-    return GroupCocycle(tau.spec, n + 1, fn,
-                        alternating=tau.alternating,
-                        invariant=tau.invariant)
+    return GroupCocycle(tau.spec, n + 1, fn)
 
 
 # ---------------------------------------------------------------------
@@ -99,27 +71,35 @@ def d_gamma(tau):
 class CyclicCochain:
     """Degree-n evaluator on group tuples, extended multilinearly.
 
-    normalized: vanishes whenever a slot i >= 1 carries the identity.
-    e_supported: vanishes unless the product of all slots is the identity.
+    A function cochain memoises the values of `fn`.  A table cochain
+    (`from_table`) reads its values from `table`, a {tuple: value} dict
+    that lists every nonzero value, and stores nothing; `table` is None
+    for function cochains.
     """
 
-    def __init__(self, spec, degree, fn, normalized=False,
-                 e_supported=False):
+    def __init__(self, spec, degree, fn):
         self.spec = spec
         self.degree = degree
         self._fn = fn
-        self.normalized = normalized
-        self.e_supported = e_supported
         self._memo = {}
+        self.table = None
+
+    @classmethod
+    def from_table(cls, spec, degree, table):
+        phi = cls(spec, degree, None)
+        phi._memo = None
+        phi.table = table
+        return phi
 
     def __call__(self, *args):
         if len(args) != self.degree + 1:
             raise ValueError(f"expected {self.degree + 1} arguments")
-        key = tuple(args)
-        val = self._memo.get(key)
+        if self.table is not None:
+            return self.table.get(args, 0j)
+        val = self._memo.get(args)
         if val is None:
             val = complex(self._fn(*args))
-            self._memo[key] = val
+            self._memo[args] = val
         return val
 
     def cyclic_defect(self, rng, samples=20, radius=2):
@@ -153,8 +133,7 @@ def b_transpose(phi):
         total += term if (n + 1) % 2 == 0 else -term
         return total
 
-    return CyclicCochain(spec, n + 1, fn, normalized=phi.normalized,
-                         e_supported=phi.e_supported)
+    return CyclicCochain(spec, n + 1, fn)
 
 
 def tau_to_c(tau):
@@ -178,7 +157,7 @@ def tau_to_c(tau):
             pts.append(acc)
         return tau(*pts)
 
-    return CyclicCochain(spec, n, fn, normalized=True, e_supported=True)
+    return CyclicCochain(spec, n, fn)
 
 
 def c_to_tau(c):
@@ -198,7 +177,7 @@ def c_to_tau(c):
             prev = x
         return c(*slots)
 
-    return GroupCocycle(spec, n, fn, alternating=True, invariant=True)
+    return GroupCocycle(spec, n, fn)
 
 
 # ---------------------------------------------------------------------
@@ -289,49 +268,52 @@ def pair_cochain_form(phi, omega):
 # ---------------------------------------------------------------------
 
 
+def signed_orbits(tuples, degree):
+    """The signed cyclic orbits of `tuples`, in order of first appearance.
+
+    A degree-n cyclic cochain takes the value (-1)^(n s) phi(x) on x
+    rotated by s slots, so each orbit is yielded as {tuple: sign}.  An
+    orbit that meets itself with the opposite sign forces every cyclic
+    cochain to vanish on it; its signs are all 0.
+    """
+    sign_rot = -1.0 if degree % 2 else 1.0
+    seen = set()
+    for tup in tuples:
+        if tup in seen:
+            continue
+        members = {}
+        cur, s, dead = tup, 1.0, False
+        for _ in range(degree + 1):
+            dead = dead or members.get(cur, s) != s
+            members[cur] = s
+            cur = (cur[-1],) + cur[:-1]
+            s *= sign_rot
+        seen.update(members)
+        yield dict.fromkeys(members, 0.0) if dead else members
+
+
 def closed_cocycle_basis(spec, degree, tol=1e-10):
     """Basis of b^t-closed normalized invariant cyclic cochains at <e>.
 
     Enumerates Z/k tensor tuples with all entries != e and product e,
     groups them into signed cyclic orbits, and solves b^t phi = 0 on all
-    reduced chains by a dense null space.  Returns a list of CyclicCochain
-    objects spanning the kernel.
+    reduced chains by a dense null space.  Returns a list of table
+    cochains spanning the kernel.
     """
     if not spec.is_finite:
         raise ValueError("enumeration needs a finite cyclic group")
     k = spec.order
     n = degree
-    sign_rot = -1.0 if n % 2 else 1.0
 
-    # orbits of support tuples under the signed cyclic action
+    # one variable per orbit of support tuples that is not forced to zero
+    support = (((-sum(tail)) % k,) + tail
+               for tail in itertools.product(range(1, k), repeat=n))
     orbit_of = {}
-    orbit_reps = []
-    orbit_dead = set()
-    for tail in itertools.product(range(1, k), repeat=n):
-        g0 = (-sum(tail)) % k
-        if g0 == 0:
-            continue
-        tup = (g0,) + tail
-        if tup in orbit_of:
-            continue
-        idx = len(orbit_reps)
-        members = {}
-        cur = tup
-        s = 1.0
-        dead = False
-        for _ in range(n + 1):
-            if cur in members and members[cur] != s:
-                dead = True
-            members[cur] = s
-            cur = (cur[-1],) + cur[:-1]
-            s *= sign_rot
-        for t2, s2 in members.items():
-            orbit_of[t2] = (idx, s2)
-        orbit_reps.append(tup)
-        if dead:
-            orbit_dead.add(idx)
-
-    nvar = len(orbit_reps)
+    nvar = 0
+    for members in signed_orbits((t for t in support if t[0]), n):
+        if any(members.values()):
+            orbit_of.update((tup, (nvar, s)) for tup, s in members.items())
+            nvar += 1
     if nvar == 0:
         return []
 
@@ -346,57 +328,37 @@ def closed_cocycle_basis(spec, degree, tol=1e-10):
                 merged = y[:i] + ((y[i] + y[i + 1]) % k,) + y[i + 2:]
             else:
                 merged = ((y[n + 1] + y[0]) % k,) + y[1:n + 1]
-            if any(g == 0 for g in merged):
-                continue
             ref = orbit_of.get(merged)
             if ref is None:
                 continue
             idx, s = ref
-            if idx in orbit_dead:
-                continue
             row[idx] += s * (1.0 if i % 2 == 0 else -1.0)
             hit = True
         if hit:
             rows.append(row)
-    # forced-zero orbits drop out of the variable set
-    keep = [i for i in range(nvar) if i not in orbit_dead]
-    if not keep:
-        return []
-    mat = (np.array(rows)[:, keep] if rows
-           else np.zeros((1, len(keep))))
+    mat = np.array(rows) if rows else np.zeros((1, nvar))
     # the null space needs all of V but none of U beyond rank(mat)
     _, svals, vh = np.linalg.svd(mat,
                                  full_matrices=mat.shape[0] < mat.shape[1])
     null_dim = int(np.sum(svals <= tol * max(1.0, svals[0] if len(svals)
                                              else 1.0)))
     null_dim += vh.shape[0] - len(svals)
-    pos = {idx: i for i, idx in enumerate(keep)}
-    tups = [tup for tup, (idx, _) in orbit_of.items() if idx in pos]
-    cols = [pos[orbit_of[tup][0]] for tup in tups]
-    signs = np.array([orbit_of[tup][1] for tup in tups])
+    tups = list(orbit_of)
+    cols = [idx for idx, _ in orbit_of.values()]
+    signs = np.array([s for _, s in orbit_of.values()])
     basis = []
     for coeffs in vh[vh.shape[0] - null_dim:]:
-        vals = (signs * coeffs[cols]).tolist()
-        basis.append(_table_cochain(spec, n, {
+        vals = (signs * coeffs[cols]).astype(complex).tolist()
+        basis.append(CyclicCochain.from_table(spec, n, {
             tup: v for tup, v in zip(tups, vals) if v != 0}))
     return basis
-
-
-def _table_cochain(spec, degree, table):
-    """Cochain read from {tuple: value}; the table stays at phi.table."""
-    def fn(*args):
-        return table.get(args, 0j)
-
-    phi = CyclicCochain(spec, degree, fn, normalized=True, e_supported=True)
-    phi.table = table
-    return phi
 
 
 def random_closed_cocycle(spec, degree, rng, basis=None):
     """Seeded random combination of the closed-cocycle basis.
 
     The basis tables (as from `closed_cocycle_basis`) are combined once
-    into a single table cochain.
+    into a single table cochain with complex values.
     """
     if basis is None:
         basis = closed_cocycle_basis(spec, degree)
@@ -406,7 +368,7 @@ def random_closed_cocycle(spec, degree, rng, basis=None):
     w = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
         len(basis))
     table = {}
-    for c, b in zip(w, basis):
+    for c, b in zip(w.tolist(), basis):
         for tup, val in b.table.items():
             table[tup] = table.get(tup, 0) + c * val
-    return _table_cochain(spec, degree, table)
+    return CyclicCochain.from_table(spec, degree, table)

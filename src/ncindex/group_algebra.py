@@ -510,10 +510,6 @@ class GAMatrix:
                          for g, m in self.parts.items()})
 
     # -- structure -------------------------------------------------------
-    def mat_trace(self):
-        return GroupAlgebraElement(
-            self.spec, {g: np.trace(m) for g, m in self.parts.items()})
-
     def entry(self, i, j):
         return GroupAlgebraElement(
             self.spec, {g: m[i, j] for g, m in self.parts.items()})

@@ -486,12 +486,6 @@ class MixedForm:
                      (GAMatrix.identity(spec, size),))
         return out
 
-    @classmethod
-    def from_term(cls, sform, matrix, kalg=4):
-        out = cls(sform.grid, matrix.spec, matrix.n, kalg)
-        out.add_term(sform, (matrix,))
-        return out
-
     def add_term(self, sform, word):
         if len(word) - 1 > self.kalg:
             self.dropped = True

@@ -248,43 +248,24 @@ def boundary_mass_filter(fc, margin=0.1):
     return reject
 
 
-def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5,
-                  samples=33):
+def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
     """Both sides of the odd pairing on a mode-window truncation.
 
-    Spectral flow of (1-t) D + t U D U* (with trivialized endpoints)
-    against the relative index of the nonnegative spectral projections,
-    for U the winding symbol of degree m.  Boundary modes are excluded
-    by the margin; the two sides agree after the pinned orientation.
+    Spectral flow of the path D + A -> (1-t) D + t U D U* -> U (D + A) U*
+    (trivialized endpoints) against the relative index of the nonnegative
+    spectral projections, for U the winding symbol of degree m.  The flow
+    is read off the two endpoints alone (see `spectral_flow`).  Boundary
+    modes are excluded by the margin; the two sides agree after the
+    pinned orientation.
     """
-    D = truncated_dirac(fc)
-    A = default_trivializer(fc, shift)
+    start = truncated_dirac(fc) + default_trivializer(fc, shift)
     U = shift_matrix(fc, m)
-    D1 = U @ D @ U.conj().T
-    A1 = U @ A @ U.conj().T
     reject = boundary_mass_filter(fc, margin)
-
-    def seg_start(s):
-        return D + (1.0 - s) * A
-
-    def seg_main(s):
-        return (1.0 - s) * D + s * D1
-
-    def seg_end(s):
-        return D1 + s * A1
-
-    ts = np.linspace(0.0, 1.0, samples)
-    all_ts, all_mats = [], []
-    off = 0.0
-    for seg in (seg_start, seg_main, seg_end):
-        for t in ts:
-            all_ts.append(off + t)
-            all_mats.append(seg(t))
-        off += 1.0
-    path = SelfAdjointPath(all_ts, all_mats, delta_c)
+    path = SelfAdjointPath([0.0, 1.0], [start, U @ start @ U.conj().T],
+                           delta_c)
     spfl = spectral_flow(path, margin_filter=reject)
 
-    P = _nonneg_projection(D + A)
+    P = _nonneg_projection(start)
     Q = U @ P @ U.conj().T
     rel = relative_index(P, Q, spurious=reject)
     adjusted = RELATIVE_INDEX_ORIENTATION * rel

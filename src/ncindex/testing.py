@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .cyclic import CyclicCochain, GroupCocycle
+from .cyclic import CyclicCochain, GroupCocycle, signed_orbits
 from .group_algebra import GAMatrix, GroupSpec, gamatrix_from_sectors
 from .nc_forms import JetFunction, MixedForm, ScalarForm
 
@@ -51,10 +51,6 @@ def random_trig_jet(grid, rng, band=2, order=2, real=False):
         coeffs = {m: 0.5 * (coeffs[m] + np.conj(coeffs[-m]))
                   for m in coeffs}
     return JetFunction.trig(grid, coeffs, order)
-
-
-def random_trig_oneform(grid, rng, band=2, order=2):
-    return ScalarForm(grid, {(0,): random_trig_jet(grid, rng, band, order)})
 
 
 def random_gamatrix(spec, n, rng, support=None):
@@ -229,7 +225,7 @@ def random_alternating_cocycle(spec, degree, rng, span=12):
             total += s * table.get(key, 0j)
         return total
 
-    return GroupCocycle(spec, degree, fn, alternating=True, invariant=True)
+    return GroupCocycle(spec, degree, fn)
 
 
 def random_odd_winding_cocycle(rng, span=12):
@@ -243,37 +239,20 @@ def random_odd_winding_cocycle(rng, span=12):
     def fn(a, b):
         return table.get(b[0] - a[0], 0j)
 
-    return GroupCocycle(GroupSpec.lattice(1), 1, fn, alternating=True,
-                        invariant=True)
+    return GroupCocycle(GroupSpec.lattice(1), 1, fn)
 
 
 def random_normalized_cochain(spec, degree, rng):
-    """Random normalized lambda-invariant cochain on a finite group."""
-    k = spec.order
-    n = degree
-    sign = -1.0 if n % 2 else 1.0
+    """Random normalized lambda-invariant table cochain on a finite group.
+
+    One complex value is drawn per signed orbit of the tuples without an
+    identity entry, in lexicographic order, also for the orbits that are
+    forced to zero.
+    """
     table = {}
-    for tup in itertools.product(range(k), repeat=n + 1):
-        if tup in table or any(g == 0 for g in tup):
-            continue
+    tuples = itertools.product(range(1, spec.order), repeat=degree + 1)
+    for members in signed_orbits(tuples, degree):
         val = complex(rng.standard_normal(), rng.standard_normal())
-        cur = tup
-        s = 1.0
-        vals = {}
-        ok = True
-        for _ in range(n + 1):
-            if cur in vals and vals[cur] != s * val:
-                ok = False
-            vals[cur] = s * val
-            cur = (cur[-1],) + cur[:-1]
-            s *= sign
-        if not ok:
-            # orbit forced to zero by the sign relation
-            table.update({c: 0j for c in vals})
-            continue
-        table.update(vals)
-
-    def fn(*args):
-        return table.get(tuple(args), 0j)
-
-    return CyclicCochain(spec, n, fn, normalized=True)
+        table.update((tup, s * val if s else 0j)
+                     for tup, s in members.items())
+    return CyclicCochain.from_table(spec, degree, table)

@@ -273,11 +273,15 @@ ARCS = [[0.0, 0.6], [0.5, 1.1]]
                       "deck": [[0, 1], [-1, 0]]}]},
     {"experiments": [{"id": "v", "kind": "covering-check", "grid_size": 64,
                       "arcs": ARCS, "deck": [[0, 1.5], [-1, 0]]}]},
+    {"experiments": [{"id": "t", "kind": "toeplitz",
+                      "u": {"type": "exp", "m": 1.5}}]},
+    {"experiments": [{"id": "t", "kind": "toeplitz",
+                      "u": {"type": "exp", "m": True}}]},
 ], ids=["margin-string", "m_values-strings", "bott_radius-string",
         "bump_family-unknown", "experiment-seed-float", "config-seed-float",
         "tolerance-bool", "specflow-tolerance-tiny", "specflow-tolerance",
         "ids-int-and-string", "id-list", "out-int", "u-type-list",
-        "arc-string", "deck-float"])
+        "arc-string", "deck-float", "u-m-float", "u-m-bool"])
 def test_mistyped_field_exits_one(tmp_path, monkeypatch, capsys, cfg):
     # no --out: a config's own "out" decides where the report would go
     monkeypatch.chdir(tmp_path)

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from ncindex.chern import chern_even
 from ncindex.covering import (CoverData, build_mf_projection,
                               cocycle_closedness_defect, higher_index_rhs,
-                              omega_integral, omega_tau,
+                              omega_integral, omega_tau, vandermonde_cocycle,
                               verify_prop_chern, winding_cocycle,
                               zero_cocycle)
-from ncindex.cyclic import GroupCocycle
+from ncindex.cyclic import GroupCocycle, pair_cochain_form, tau_to_c
 from ncindex.errors import BadCover, UnsupportedManifold
 from ncindex.group_algebra import GroupSpec
 from ncindex.nc_forms import CircleGrid
@@ -103,8 +104,7 @@ def test_omega_bump_family_independence():
 def test_omega_rejects_non_closed_tau():
     cover = standard(deck_order=4)
     spec = cover.deck_spec
-    tau = GroupCocycle(spec, 1, lambda a, b: complex((b - a) % 4),
-                       invariant=True)
+    tau = GroupCocycle(spec, 1, lambda a, b: complex((b - a) % 4))
     assert cocycle_closedness_defect(cover, tau) > 1e-3
     with pytest.raises(ValueError):
         omega_tau(cover, tau)
@@ -170,8 +170,7 @@ def test_coboundary_pairing_vanishes():
     ch = chern_even(P, 1)
     spec = cover.deck_spec
     psi = CyclicCochain(spec, 0,
-                        lambda g: 1.0 if g == (2,) else 0.0,
-                        normalized=True)
+                        lambda g: 1.0 if g == (2,) else 0.0)
     paired = pair_cochain_form(b_transpose(psi), ch)
     assert abs(paired.integrate()) <= 1e-12
 
@@ -188,7 +187,31 @@ def test_higher_index_rhs():
 
 def test_higher_index_degree_guard():
     cover = standard()
-    tau2 = GroupCocycle(cover.deck_spec, 2, lambda *a: 0j,
-                        alternating=True, invariant=True)
+    tau2 = GroupCocycle(cover.deck_spec, 2, lambda *a: 0j)
     with pytest.raises(UnsupportedManifold):
         higher_index_rhs(cover, tau2, 1)
+
+
+@pytest.mark.parametrize("n_arcs,family", [(3, "mollifier"),
+                                           (4, "raised-cosine")])
+def test_flat_form_is_the_algebra_part_of_the_character(n_arcs, family):
+    rng = np.random.default_rng(90 + n_arcs)
+    ov = 1.0 / (2 * n_arcs)
+    jit = rng.uniform(-0.2, 0.2, size=2 * n_arcs) * ov
+    arcs = [(i / n_arcs - ov / 2 + jit[2 * i],
+             (i + 1) / n_arcs + ov / 2 + jit[2 * i + 1])
+            for i in range(n_arcs)]
+    deck = np.zeros((n_arcs, n_arcs), dtype=int)
+    deck[-1, 0], deck[0, -1] = 1, -1
+    cover = CoverData(GRID, arcs, family, GroupSpec.lattice(1), deck)
+    P = build_mf_projection(cover).form
+    # the product verify_prop_chern took the flat form from before
+    aP = P.dtot_algebra()
+    ref = (P @ aP @ aP).graded_trace()
+    flat = chern_even(P, 1).algebra_component(2).scale(-2j * np.pi)
+    assert ref.max_abs() > 1e-2
+    assert (flat - ref).max_abs() <= 1e-12
+    phi = tau_to_c(vandermonde_cocycle(cover.deck_spec, 2))
+    rep = verify_prop_chern(cover, winding_cocycle(cover.deck_spec))
+    assert rep["flat_connection_residual"] \
+        == pair_cochain_form(phi, ref).max_abs() == 0.0

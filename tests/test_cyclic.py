@@ -21,21 +21,19 @@ Z5 = GroupSpec.cyclic(5)
 
 
 def winding_tau(spec=Z):
-    return GroupCocycle(spec, 1, lambda a, b: complex(b[0] - a[0]),
-                        alternating=True, invariant=True)
+    return GroupCocycle(spec, 1, lambda a, b: complex(b[0] - a[0]))
 
 
 def odd_tau_z5():
     table = {d: complex(np.sin(2.3 * d) - np.sin(2.3 * ((-d) % 5)))
              for d in range(5)}
-    return GroupCocycle(Z5, 1, lambda a, b: table[(b - a) % 5],
-                        alternating=True, invariant=True)
+    return GroupCocycle(Z5, 1, lambda a, b: table[(b - a) % 5])
 
 
 # -- group differential ---------------------------------------------------
 
 def test_d_gamma_constant():
-    c = GroupCocycle(Z5, 0, lambda g: 1.0, invariant=True)
+    c = GroupCocycle(Z5, 0, lambda g: 1.0)
     d = d_gamma(c)
     for t in itertools.product(range(5), repeat=2):
         assert d(*t) == 0
@@ -64,8 +62,7 @@ def test_d_gamma_squares_to_zero_enumerated():
 # -- transpose boundary ----------------------------------------------------
 
 def test_b_transpose_of_trace_vanishes():
-    tr = CyclicCochain(Z5, 0, lambda g: 1.0 if g == 0 else 0.0,
-                       e_supported=True)
+    tr = CyclicCochain(Z5, 0, lambda g: 1.0 if g == 0 else 0.0)
     bt = b_transpose(tr)
     for t in itertools.product(range(5), repeat=2):
         assert abs(bt(*t)) <= 1e-14
@@ -411,3 +408,56 @@ def test_closed_cocycle_basis_z7_degree4_is_lean():
             tail = rng.integers(1, 7, 5)
             tup = (int(-tail.sum() % 7),) + tuple(int(g) for g in tail)
             assert abs(bt(*tup)) <= 1e-10
+
+
+# -- table cochains ---------------------------------------------------------
+
+def test_table_cochain_pairing_stores_nothing():
+    z7 = GroupSpec.cyclic(7)
+    rng = np.random.default_rng(70)
+    p = random_projection_matrix(z7, 2, rng)
+    phi = random_closed_cocycle(z7, 4, rng)
+    table = dict(phi.table)
+    chain = chern_lambda(p, 2)[2]
+    assert len(chain.terms) == 7 ** 5
+    value = chain.pair(phi)
+    assert not phi._memo
+    assert phi.table == table
+    assert value == sum(c * table.get(t, 0j) for t, c in chain.terms.items())
+
+
+def _normalized_table_by_orbit_walk(k, n, rng):
+    """The per-tuple orbit walk that `random_normalized_cochain` used."""
+    sign = -1.0 if n % 2 else 1.0
+    table = {}
+    for tup in itertools.product(range(k), repeat=n + 1):
+        if tup in table or any(g == 0 for g in tup):
+            continue
+        val = complex(rng.standard_normal(), rng.standard_normal())
+        cur = tup
+        s = 1.0
+        vals = {}
+        ok = True
+        for _ in range(n + 1):
+            if cur in vals and vals[cur] != s * val:
+                ok = False
+            vals[cur] = s * val
+            cur = (cur[-1],) + cur[:-1]
+            s *= sign
+        if not ok:
+            table.update({c: 0j for c in vals})
+            continue
+        table.update(vals)
+    return table
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_random_normalized_cochain_matches_orbit_walk(degree):
+    for seed in range(5):
+        phi = random_normalized_cochain(Z5, degree,
+                                        np.random.default_rng(seed))
+        ref = _normalized_table_by_orbit_walk(
+            5, degree, np.random.default_rng(seed))
+        assert phi.table == ref
+        for tup in itertools.product(range(5), repeat=degree + 1):
+            assert phi(*tup) == ref.get(tup, 0j)

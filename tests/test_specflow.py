@@ -230,3 +230,44 @@ def test_relative_index_filters_an_empty_range():
     assert relative_index(proj(), proj(0)) == -1
     assert relative_index(proj(5), proj(5, 16), spurious=reject) == 0
     assert relative_index(proj(8), proj(), spurious=reject) == 1
+
+
+def _oddind_by_samples(fc, m, margin=0.1, delta_c=0.2, shift=0.5,
+                       samples=33):
+    """The three-segment, 3 * 33-sample path verify_oddind used to build."""
+    D = truncated_dirac(fc)
+    A = default_trivializer(fc, shift)
+    U = shift_matrix(fc, m)
+    D1 = U @ D @ U.conj().T
+    A1 = U @ A @ U.conj().T
+    segs = (lambda s: D + (1.0 - s) * A, lambda s: (1.0 - s) * D + s * D1,
+            lambda s: D1 + s * A1)
+    ts = np.linspace(0.0, 1.0, samples)
+    path = SelfAdjointPath([off + t for off in range(3) for t in ts],
+                           [seg(t) for seg in segs for t in ts], delta_c)
+    reject = boundary_mass_filter(fc, margin)
+    P = _nonneg_projection(D + A)
+    Q = U @ P @ U.conj().T
+    return (spectral_flow(path, margin_filter=reject),
+            relative_index(P, Q, spurious=reject))
+
+
+def _spfl_and_index(fc, m):
+    rep = verify_oddind(fc, m)
+    return rep["spfl"], rep["rel_index"]
+
+
+@pytest.mark.parametrize("fc", [16, 32])
+@pytest.mark.parametrize("m", [-2, -1, 1, 2, 3])
+def test_verify_oddind_matches_sampled_path(fc, m):
+    # at fc = 16 and m = 3 one of the three clipped modes lies inside the
+    # margin, and both sides reject the final endpoint
+    outcomes = []
+    for fn in (_spfl_and_index, _oddind_by_samples):
+        try:
+            outcomes.append(fn(fc, m))
+        except EndpointDegenerate as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+    assert (fc, m) == (16, 3) or outcomes[0] == (
+        m, RELATIVE_INDEX_ORIENTATION * m)
