@@ -202,6 +202,39 @@ def _validate_experiment(exp, seen):
         m = x["u"].get("m")
         if isinstance(m, (int, float)) and not _is_int(m):
             raise ConfigError(f"{where}u.m must be an integer")
+        band = _bandwidth(x["u"])
+        if band is not None \
+                and x["fourier_cutoff"] < toeplitz.least_cutoff(band):
+            raise ConfigError(
+                f"{where}fourier_cutoff {x['fourier_cutoff']} is below "
+                f"8 x bandwidth = {toeplitz.least_cutoff(band)}, the "
+                f"truncation margin of tau_index")
+    if exp["kind"] == "specflow":
+        x = _filled(exp)
+        try:
+            edge = specflow.edge_width(x["fourier_cutoff"], x["margin"])
+        except (OverflowError, ValueError):
+            edge = math.inf     # a margin or window that is not finite
+        over = [m for m in x["m_values"] if abs(m) > edge]
+        if over:
+            raise ConfigError(
+                f"{where}m_values {over} exceed the edge width {edge} = "
+                f"ceil((2 fourier_cutoff + 1) margin / 2) of the boundary "
+                f"filter")
+
+
+def _bandwidth(u):
+    """Largest |weight| of a toeplitz symbol spec; None when a malformed
+    winding or coefficient key leaves the rejection to the runner."""
+    if u["type"] == "shift-generator":
+        return 1
+    if u["type"] == "exp":
+        m = u.get("m", 1)
+        return abs(m) if _is_int(m) else None
+    try:
+        return max((abs(int(k)) for k in u["coeffs"]), default=0)
+    except ValueError:
+        return None
 
 
 def _filled(exp):

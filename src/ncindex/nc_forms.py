@@ -493,7 +493,11 @@ class MixedForm:
         word = _canonical_word(word)
         if word is None or sform.is_zero():
             return
-        key = (len(word), _word_key(word))
+        self._merge((len(word), _word_key(word)), word, sform)
+
+    def _merge(self, key, word, sform):
+        """Add a term whose word is canonical and keyed; drop it if it
+        cancels."""
         slot = self.terms.get(key)
         if slot is None:
             self.terms[key] = [word, sform]
@@ -520,10 +524,13 @@ class MixedForm:
         self._check(other)
         out = self._spawn(min(self.kalg, other.kalg))
         out.dropped = self.dropped or other.dropped
-        for word, sform in self.terms.values():
-            out.add_term(sform, word)
-        for word, sform in other.terms.values():
-            out.add_term(sform, word)
+        # both operands' words are canonical already: merge them by key
+        for terms in (self.terms, other.terms):
+            for key, (word, sform) in terms.items():
+                if len(word) - 1 > out.kalg:
+                    out.dropped = True
+                else:
+                    out._merge(key, word, sform)
         return out
 
     def __sub__(self, other):

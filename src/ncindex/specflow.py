@@ -231,6 +231,14 @@ def shift_matrix(fc, m):
     return mat
 
 
+def edge_width(fc, margin=0.1):
+    """Modes at each end of the window that `boundary_mass_filter`
+    treats as its outer margin.  A shift by more than this many modes
+    clips window modes the filter does not reject, so `verify_oddind`
+    needs |m| <= edge_width(fc, margin)."""
+    return int(np.ceil((2 * fc + 1) * margin / 2.0))
+
+
 def boundary_mass_filter(fc, margin=0.1):
     """Rejects vectors concentrated in the outer margin of the window.
 
@@ -238,7 +246,7 @@ def boundary_mass_filter(fc, margin=0.1):
     then gives one flag per column.
     """
     n = 2 * fc + 1
-    edge = int(np.ceil(n * margin / 2.0))
+    edge = edge_width(fc, margin)
     lo, hi = edge, n - edge
 
     def reject(vecs):

@@ -5,10 +5,23 @@ written as weight decompositions {m: d x d block}; the translation action
 on functions on the circle is the case d = 1.  The compression P a P of
 an acting unitary onto the nonnegative modes of the circle Dirac
 generator is assembled on the mode window [0, F_c] as one block Toeplitz
-matrix, and its tau-weighted kernel/cokernel defect is read from its
+matrix T, and its tau-weighted kernel/cokernel defect is read from its
 singular values.  Kernel vectors concentrated near the top of the window
 are truncation artifacts of the finite section and are discarded; the
 genuine Hardy boundary sits at mode 0.
+
+Only the boundary is decomposed.  Widom's formula for finite sections,
+
+    T_n(ab) = T_n(a) T_n(b) + P_n H(a) H(b~) P_n + W_n H(a~) H(b) W_n
+
+(Boettcher-Silbermann, Introduction to Large Truncated Toeplitz
+Matrices, 1999), with a = u*, b = u and ab = 1 for a unitary u, gives
+T*T = 1 - (Hankel terms); the Hankel matrices of a symbol of bandwidth w
+vanish outside their leading w x w corner, so T*T, and likewise TT*, is
+the identity outside the first and last w modes of the window.  The columns
+(rows) of T off that boundary are therefore orthonormal and orthogonal
+to the boundary columns (rows): every other singular value is exactly 1,
+and the kernel and cokernel lie in the span of the boundary coordinates.
 
 Orientation is pinned once by the translation action with the symbol of
 one negative winding, whose index is +1; the classical winding number of
@@ -200,6 +213,12 @@ def _mode_mass_top(vecs, d, margin):
     return per_mode[cut:].sum(axis=0) / per_mode.sum(axis=0)
 
 
+def least_cutoff(bandwidth):
+    """Smallest mode cutoff F_c that `tau_index` accepts for a symbol of
+    the given bandwidth (at least 1)."""
+    return 8 * max(bandwidth, 1)
+
+
 def tau_index(tp, margin=0.1):
     """Trace-weighted kernel-minus-cokernel defect of the compression.
 
@@ -207,17 +226,41 @@ def tau_index(tp, margin=0.1):
     threshold; vectors whose mass sits in the top margin of the mode
     window are finite-section artifacts and are not counted.  The result
     is normalized by the trace, i.e. divided by the matrix dimension d.
+
+    By Widom's formula (see the module docstring) the kernel and the
+    cokernel of T lie in the span of the boundary coordinates S, the
+    first and last w = max(bandwidth, 1) modes, and all singular values
+    of T but those of T[:, S] equal 1.  So the kernel comes from a thin
+    SVD of T[:, S], the cokernel from one of T[S, :]*, and the threshold
+    guard sees the thin singular values together with the implied ones.
+    Both are SVDs: a Gram matrix would square singular values near eps_k
+    down to the rounding level of 1.
     """
-    if tp.fc < 8 * max(tp.bandwidth, 1):
+    if tp.fc < least_cutoff(tp.bandwidth):
         raise ValueError(
             f"truncation margin violated: F_c = {tp.fc} < 8 x bandwidth "
-            f"= {8 * tp.bandwidth}")
+            f"= {least_cutoff(tp.bandwidth)}")
     d = tp.system.rep_dim
-    uu, sv, vh = np.linalg.svd(tp.blocks[0])
-    r = kernel_rank(sv, tp.eps_k)
-    ker = np.sum(_mode_mass_top(vh[r:].T, d, margin) <= 0.5)
-    coker = np.sum(_mode_mass_top(uu[:, r:], d, margin) <= 0.5)
-    return int(ker - coker) / d
+    mat = tp.blocks[0]
+    size = len(mat)
+    edge = max(tp.bandwidth, 1) * d
+    bnd = np.r_[:edge, size - edge:size]
+    _, sv, vh = np.linalg.svd(mat[:, bnd], full_matrices=False)
+    _, _, wh = np.linalg.svd(mat[bnd].conj().T, full_matrices=False)
+    spectrum = np.concatenate([np.ones(size - len(bnd)), sv])
+    r = kernel_rank(np.sort(spectrum)[::-1], tp.eps_k)
+    n = size - r
+    if n > len(bnd):
+        raise IllConditioned(
+            f"kernel threshold {tp.eps_k:g} lies above the singular value "
+            f"1 of the interior modes")
+    ker = np.zeros((size, n), dtype=complex)
+    coker = np.zeros((size, n), dtype=complex)
+    ker[bnd] = vh[len(bnd) - n:].T
+    coker[bnd] = wh[len(bnd) - n:].T
+    nker = np.sum(_mode_mass_top(ker, d, margin) <= 0.5)
+    ncoker = np.sum(_mode_mass_top(coker, d, margin) <= 0.5)
+    return int(nker - ncoker) / d
 
 
 def dynsys_formula(system, u, tol=1e-10):

@@ -322,3 +322,71 @@ def test_table_defaults_pass_their_checks():
                 assert check(default) is None, (kind, key)
     with open(Path(__file__).parents[1] / "configs" / "checks.json") as fh:
         validate_config(json.load(fh))
+
+
+@pytest.mark.parametrize("u, fc, least", [
+    ({"type": "exp", "m": 9}, 64, 72),
+    ({"type": "exp", "m": -3}, 23, 24),
+    ({"type": "exp", "m": 0}, 7, 8),
+    ({"type": "fourier", "coeffs": {"-1": 1.0, "9": [0.0, 0.0]}}, 64, 72),
+    ({"type": "shift-generator"}, 7, 8),
+], ids=["exp-9", "exp-neg3", "exp-0", "fourier-9", "shift-generator"])
+def test_toeplitz_cutoff_below_truncation_margin_exits_one(tmp_path, capsys,
+                                                           u, fc, least):
+    exp = {"id": "t", "kind": "toeplitz", "u": u, "fourier_cutoff": fc}
+    if u["type"] == "shift-generator":
+        exp["system"] = "rotation"
+    path = write_config(tmp_path, {"experiments": [exp]})
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 1
+    assert f"8 x bandwidth = {least}" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+def test_toeplitz_cutoff_at_truncation_margin_runs(tmp_path):
+    cfg = {"experiments": [
+        {"id": "t", "kind": "toeplitz", "u": {"type": "exp", "m": -2},
+         "fourier_cutoff": 16},
+        {"id": "r", "kind": "toeplitz", "system": "rotation",
+         "u": {"type": "shift-generator"}, "fourier_cutoff": 8}]}
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+def test_cutoff_override_meets_the_truncation_margin(tmp_path, capsys):
+    cfg = write_config(tmp_path, TOEPLITZ_CFG)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out),
+                 "--fourier-cutoff", "7"]) == 1
+    assert "8 x bandwidth = 8" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("m_values", [[3], [-3], [1, 2, 3]])
+def test_specflow_winding_beyond_the_edge_exits_one(tmp_path, capsys,
+                                                     m_values):
+    cfg = {"experiments": [dict(SPECFLOW_EXP, fourier_cutoff=16,
+                                m_values=m_values)]}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 1
+    assert "edge width 2" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+def test_specflow_winding_at_the_edge_runs(tmp_path):
+    cfg = {"experiments": [dict(SPECFLOW_EXP, fourier_cutoff=16,
+                                m_values=[2, -2])]}
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf")])
+def test_specflow_margin_that_is_not_finite_is_an_error_row(tmp_path,
+                                                           margin):
+    cfg = {"experiments": [dict(SPECFLOW_EXP, margin=margin)]}
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+    detail = json.loads((tmp_path / "report.json").read_text())
+    err = detail["experiments"][0]["error"]
+    assert err and "Traceback" not in err

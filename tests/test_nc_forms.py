@@ -6,7 +6,7 @@ from ncindex.nc_forms import (ChartGrid2D, CircleGrid, JetFunction,
                               MixedForm, ScalarForm, form_dtot, form_mul,
                               graded_trace)
 from ncindex.testing import (random_gamatrix, random_mixed_form,
-                             random_trig_jet)
+                             random_projection_form, random_trig_jet)
 
 GRID = CircleGrid(16)
 SPEC = GroupSpec.cyclic(3)
@@ -195,3 +195,68 @@ def test_chart_grid_wedge_and_d():
     dy = ScalarForm(grid, {(1,): f})
     wedge = dx.wedge(dy)
     assert set(wedge.comps) <= {(0, 1)}
+
+
+def _add_by_add_term(a, b):
+    """The sum as every term of both operands passed through add_term,
+    which canonicalises each word again."""
+    out = MixedForm.zero(a.grid, a.spec, a.size, min(a.kalg, b.kalg))
+    out.dropped = a.dropped or b.dropped
+    for word, sform in [*a.terms.values(), *b.terms.values()]:
+        out.add_term(sform, word)
+    return out
+
+
+def _same_sforms(s, t):
+    assert sorted(s.comps) == sorted(t.comps)
+    for axes, jet in s.comps.items():
+        assert np.array_equal(jet.stack, t.comps[axes].stack)
+
+
+def test_sum_merges_canonical_terms_without_add_term(monkeypatch):
+    rng = np.random.default_rng(7)
+    P = random_projection_form(GRID, SPEC, 2, rng)
+    calls = []
+    real = MixedForm.add_term
+
+    def counted(self, sform, word):
+        calls.append(len(word))
+        return real(self, sform, word)
+
+    monkeypatch.setattr(MixedForm, "add_term", counted)
+    dP = P.dtot()
+    monkeypatch.undo()
+    assert dP.terms and len(calls) <= len(dP.terms)
+
+
+def test_sum_merges_by_key():
+    rng = np.random.default_rng(8)
+    P = random_projection_form(GRID, SPEC, 2, rng)
+    w = random_mixed_form(GRID, SPEC, 2, 1, 0, rng, kalg=5)
+    low = random_mixed_form(GRID, SPEC, 2, 0, 1, rng, kalg=1)
+    dP = P.dtot()
+    for a, b in ((P, dP), (dP, P), (P, w), (P + w, P.scale(-1.0)),
+                 (dP @ dP, low), (low, dP @ dP)):
+        total = a + b
+        kalg = min(a.kalg, b.kalg)
+        keys = [k for k in {**a.terms, **b.terms} if k[0] - 1 <= kalg]
+        assert list(total.terms) == [
+            k for k in keys if k not in a.terms or k not in b.terms
+            or not (a.terms[k][1] + b.terms[k][1]).is_zero()]
+        for key, (word, sform) in total.terms.items():
+            parts = [t.terms[key] for t in (a, b) if key in t.terms]
+            assert word is parts[0][0]
+            _same_sforms(sform, parts[0][1] if len(parts) == 1
+                         else parts[0][1] + parts[1][1])
+        assert total.dropped == (a.dropped or b.dropped or any(
+            k[0] - 1 > kalg for k in {**a.terms, **b.terms}))
+        # the old path re-canonicalised every word, which moves its bytes
+        # by rounding only: same terms, same scalar forms
+        old = _add_by_add_term(a, b)
+        assert len(old.terms) == len(total.terms)
+        for (word, sform), (old_word, old_sform) in zip(
+                total.terms.values(), old.terms.values()):
+            assert max((x - y).max_abs()
+                       for x, y in zip(word, old_word)) <= 1e-15
+            _same_sforms(sform, old_sform)
+    assert (dP @ dP + low).dropped

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from ncindex.errors import NotUnitary, PhaseJump
+from ncindex.errors import IllConditioned, NotUnitary, PhaseJump
 from ncindex.toeplitz import (CircleSystem, RotationSystem, ToeplitzProblem,
-                              assemble_toeplitz, dynsys_formula, tau_index,
-                              winding_index, winding_oracle)
+                              WeightBlockSystem, assemble_toeplitz,
+                              dynsys_formula, kernel_rank, tau_index,
+                              winding_index, winding_oracle, _mode_mass_top)
 
 
 def test_trace_properties_circle():
@@ -104,8 +107,6 @@ def test_tau_index_paper_value():
 
 
 def test_ill_conditioned_guard():
-    from ncindex.errors import IllConditioned
-
     sys_c = CircleSystem(16)
     # kernel threshold pushed into the singular-value bulk
     tp = assemble_toeplitz(sys_c, sys_c.exponential(1), 16, eps_k=0.2)
@@ -195,15 +196,15 @@ def test_dynsys_formula_identity_symbol():
     assert dynsys_formula(sys_c, sys_c.one()) == 0
 
 
-def _count_calls(monkeypatch, name):
+def _record_calls(monkeypatch, name):
     calls = []
     real = getattr(np.linalg, name)
 
-    def counted(*args, **kwargs):
-        calls.append(name)
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(np.linalg, name, recorded)
     return calls
 
 
@@ -230,14 +231,25 @@ def test_phase_conjugates_share_tau_index():
             assert tau_index(tp_y) == value
 
 
-def test_tau_index_runs_one_svd(monkeypatch):
+def test_tau_index_runs_two_thin_boundary_svds(monkeypatch):
+    rs = RotationSystem(1, 3)
+    v2u = rs.mul(rs.mul(rs.v(), rs.v()), rs.u_clock())
     for system, u in ((CircleSystem(256), CircleSystem().exponential(1)),
-                      (RotationSystem(1, 3), RotationSystem(1, 3).v())):
+                      (CircleSystem(256), CircleSystem().exponential(-3)),
+                      (rs, rs.v()), (rs, v2u)):
         tp = assemble_toeplitz(system, u, 64)
-        calls = _count_calls(monkeypatch, "svd")
+        svds = _record_calls(monkeypatch, "svd")
+        eighs = _record_calls(monkeypatch, "eigh")
         tau_index(tp)
-        assert len(calls) == 1
         monkeypatch.undo()
+        assert len(svds) == 2
+        width = 2 * max(tp.bandwidth, 1) * system.rep_dim
+        for args, kwargs in svds:
+            assert np.shape(args[0])[1] <= width
+            full = kwargs.get("full_matrices",
+                              args[1] if len(args) > 1 else True)
+            assert full is False
+        assert eighs == []
 
 
 def test_circle_is_the_one_block_case():
@@ -264,3 +276,137 @@ def test_mode_mass_top_matches_per_column_loop():
             assert abs(share - per_mode[cut:].sum() / per_mode.sum()) \
                 <= 1e-12
         assert (_mode_mass_top(vecs, d, 0.1)[:3] > 0.5).all()
+
+
+# ---------------------------------------------------------------------
+# the boundary reduction against the dense decomposition it replaced
+# ---------------------------------------------------------------------
+
+
+def _dense_tau_index(tp, margin=0.1):
+    """tau_index as one dense SVD of the whole compression."""
+    if tp.fc < 8 * max(tp.bandwidth, 1):
+        raise ValueError("truncation margin violated")
+    d = tp.system.rep_dim
+    uu, sv, vh = np.linalg.svd(tp.blocks[0])
+    r = kernel_rank(sv, tp.eps_k)
+    ker = np.sum(_mode_mass_top(vh[r:].T, d, margin) <= 0.5)
+    coker = np.sum(_mode_mass_top(uu[:, r:], d, margin) <= 0.5)
+    return int(ker - coker) / d
+
+
+_ROTATION_SYMBOLS = {
+    "v": lambda rs: rs.v(),
+    "v*": lambda rs: rs.star(rs.v()),
+    "v-u": lambda rs: rs.mul(rs.v(), rs.u_clock()),
+    "v2-u": lambda rs: rs.mul(rs.mul(rs.v(), rs.v()), rs.u_clock()),
+}
+
+
+@pytest.mark.parametrize("fc", (64, 128, 256))
+@pytest.mark.parametrize("m", (-3, -2, -1, 1, 2, 3))
+def test_tau_index_matches_dense_oracle_circle(m, fc):
+    sys_c = CircleSystem(256)
+    tp = assemble_toeplitz(sys_c, sys_c.exponential(m), fc)
+    assert tau_index(tp) == _dense_tau_index(tp)
+
+
+@pytest.mark.parametrize("fc", (64, 256))
+@pytest.mark.parametrize("symbol", sorted(_ROTATION_SYMBOLS))
+@pytest.mark.parametrize("p, q", [(p, q) for q in (3, 5, 6)
+                                  for p in range(1, q)
+                                  if math.gcd(p, q) == 1])
+def test_tau_index_matches_dense_oracle_rotation(p, q, symbol, fc):
+    rs = RotationSystem(p, q)
+    tp = assemble_toeplitz(rs, _ROTATION_SYMBOLS[symbol](rs), fc)
+    assert tau_index(tp) == _dense_tau_index(tp)
+
+
+def _unitarity_residual(system, u):
+    uu = system.mul(system.star(u), u)
+    uu[0] = uu.get(0, 0) - np.eye(system.rep_dim)
+    return max(float(np.max(np.abs(b))) for b in uu.values())
+
+
+def test_tau_index_matches_dense_oracle_nearly_unitary_symbols():
+    # the sampled homotopy path: unitary only up to the Fourier cut
+    sys_c = CircleSystem(256)
+    x = np.arange(256) / 256
+    for s in np.linspace(0.0, 0.4, 5):
+        samples = np.exp(-2j * np.pi * x) \
+            * np.exp(1j * s * np.cos(2 * np.pi * x))
+        u = sys_c.element(CircleSystem.from_samples(samples, band=8))
+        for fc in (64, 128):
+            tp = assemble_toeplitz(sys_c, u, fc)
+            assert tau_index(tp) == _dense_tau_index(tp) == 1.0
+    # symbols perturbed to a unitarity residual just under tol = 1e-8
+    rng = np.random.default_rng(5)
+    rs = RotationSystem(1, 3)
+    for system, u, weight, index in ((sys_c, sys_c.exponential(2), 3, 2.0),
+                                     (rs, rs.v(), -2, -1.0)):
+        d = system.rep_dim
+        blk = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        # the residual is linear in a small bump: 1e-9 * blk gives its rate
+        rate = _unitarity_residual(system, {**u, weight: 1e-9 * blk}) / 1e-9
+        u = {**u, weight: 0.95e-8 / rate * blk}
+        assert 0.9e-8 < _unitarity_residual(system, u) < 1e-8
+        tp = assemble_toeplitz(system, u, 64)
+        assert tau_index(tp) == _dense_tau_index(tp) == index
+
+
+def _two_projection_loop(angle):
+    """The unitary loop ((1 - P) + P z)((1 - Q) + Q z^{-1}) of two rank-one
+    projections at the given angle: index 0, and its compression has the
+    boundary singular value cos(angle) twice."""
+    system = WeightBlockSystem(2, 64)
+    eye = np.eye(2)
+    p = np.outer([1.0, 0.0], [1.0, 0.0])
+    e = np.array([np.cos(angle), np.sin(angle)])
+    q = np.outer(e, e)
+    u = system.mul(system.element({0: eye - p, 1: p}),
+                   system.element({0: eye - q, -1: q}))
+    return system, u
+
+
+def test_tau_index_matches_dense_oracle_inner_boundary_values():
+    for angle in (0.3, 1.2):
+        system, u = _two_projection_loop(angle)
+        tp = assemble_toeplitz(system, u, 64)
+        assert tau_index(tp) == _dense_tau_index(tp) == 0.0
+
+
+def test_ill_conditioned_guard_on_a_boundary_singular_value():
+    # cos(angle) = 3e-6 sits within 10x of the default threshold 1e-6;
+    # every implied singular value 1 is far from it
+    system, u = _two_projection_loop(math.acos(3e-6))
+    tp = assemble_toeplitz(system, u, 64)
+    for index in (tau_index, _dense_tau_index):
+        with pytest.raises(IllConditioned, match="singular value 3e-06"):
+            index(tp)
+
+
+def _outcome(index, tp):
+    try:
+        return index(tp)
+    except IllConditioned as err:
+        return str(err)
+
+
+def test_guard_fires_where_the_dense_guard_fires():
+    sys_c = CircleSystem(256)
+    x = np.arange(256) / 256
+    sampled = sys_c.element(CircleSystem.from_samples(
+        np.exp(-2j * np.pi * x) * np.exp(0.4j * np.cos(2 * np.pi * x)), 8))
+    loop, u_loop = _two_projection_loop(1.2)
+    for system, u, fc in ((sys_c, sys_c.exponential(1), 16),
+                          (sys_c, sampled, 64), (loop, u_loop, 16)):
+        for eps_k in (1e-6, 1e-3, 0.02, 0.04, 0.05, 0.2, 0.5, 0.95):
+            tp = assemble_toeplitz(system, u, fc, eps_k=eps_k)
+            assert _outcome(tau_index, tp) == _outcome(_dense_tau_index, tp)
+
+
+def test_threshold_above_the_interior_singular_values():
+    sys_c = CircleSystem(16)
+    tp = assemble_toeplitz(sys_c, sys_c.exponential(1), 16, eps_k=2.0)
+    with pytest.raises(IllConditioned, match="above the singular value 1"):
+        tau_index(tp)
