@@ -207,8 +207,9 @@ def _validate_experiment(exp, seen):
                 and x["fourier_cutoff"] < toeplitz.least_cutoff(band):
             raise ConfigError(
                 f"{where}fourier_cutoff {x['fourier_cutoff']} is below "
-                f"8 x bandwidth = {toeplitz.least_cutoff(band)}, the "
-                f"truncation margin of tau_index")
+                f"{toeplitz.least_cutoff(band)}, the truncation margin of "
+                f"tau_index: at least 8 x bandwidth = {8 * max(band, 1)}, "
+                f"with the top margin holding the bandwidth")
     if exp["kind"] == "specflow":
         x = _filled(exp)
         try:

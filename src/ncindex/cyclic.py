@@ -15,14 +15,13 @@ with degree 0 excluded (the canonical trace plays that role directly).
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
 
 from .errors import NotAProjection, UnsupportedDegree
 from .group_algebra import GAMatrix
-from .nc_forms import ScalarForm
+from .nc_forms import JetFunction, ScalarForm
 
 # ---------------------------------------------------------------------
 # group cochains
@@ -242,25 +241,19 @@ def chern_lambda(p, m_max, tol=1e-10):
 def pair_cochain_form(phi, omega):
     """Pair a cyclic cochain with the matching algebra-degree component.
 
-    The matrix indices of the word are traced out first, then phi is
-    applied multilinearly to the group tensor slots, giving one scalar
-    per word.  The result is a scalar grid form of whatever manifold
-    degrees are present.
+    The matrix indices are traced out first; then each entry of algebra
+    degree phi.degree contributes phi(g_0, ..., g_n) times its jets.  The
+    result is a scalar grid form of whatever manifold degrees are present.
     """
-    n = phi.degree
-    total = ScalarForm.zero(omega.grid)
     traced = omega if omega.size == 1 else omega.graded_trace()
-    for word, sform in traced.terms.values():
-        if len(word) - 1 != n:
-            continue
-        slots = [m.entry(0, 0).terms for m in word]
-        weights = np.ravel(functools.reduce(
-            np.multiply.outer, [list(t.values()) for t in slots]))
-        coeff = np.dot([phi(*tup) for tup in itertools.product(*slots)],
-                       weights)
-        if coeff:
-            total = total + sform.scale(coeff)
-    return total
+    values, stacks = {}, {}
+    for tup, axes, x in traced.algebra_component(phi.degree).entries():
+        values.setdefault(axes, []).append(phi(*tup))
+        stacks.setdefault(axes, []).append(x[0, 0])
+    return ScalarForm(omega.grid, {
+        axes: JetFunction.from_stack(
+            omega.grid, np.tensordot(values[axes], stacks[axes], 1))
+        for axes in values})
 
 
 # ---------------------------------------------------------------------

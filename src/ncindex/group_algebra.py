@@ -179,10 +179,6 @@ class GroupAlgebraElement:
 
     # -- constructors ------------------------------------------------
     @classmethod
-    def zero(cls, spec):
-        return cls(spec, {})
-
-    @classmethod
     def one(cls, spec):
         return cls(spec, {spec.identity(): 1.0})
 
@@ -248,20 +244,11 @@ class GroupAlgebraElement:
         """Coefficient at the identity (the canonical trace)."""
         return self.terms.get(self.spec.identity(), 0j)
 
-    def coeff(self, g):
-        return self.terms.get(g, 0j)
-
-    def norm1(self):
-        return sum(abs(c) for c in self.terms.values())
-
     def max_abs(self):
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def support_radius(self):
         return max((self.spec.length(g) for g in self.terms), default=0)
-
-    def is_zero(self, tol=0.0):
-        return all(abs(c) <= tol for c in self.terms.values())
 
     # -- representations -----------------------------------------------
     def regular_rep(self, radius):
@@ -442,10 +429,6 @@ class GAMatrix:
 
     # -- constructors ------------------------------------------------
     @classmethod
-    def zero(cls, spec, n):
-        return cls(spec, n, {})
-
-    @classmethod
     def identity(cls, spec, n):
         return cls(spec, n, {spec.identity(): np.eye(n, dtype=complex)})
 
@@ -456,12 +439,6 @@ class GAMatrix:
         m = np.zeros((n, n), dtype=complex)
         m[i, j] = coeff
         return cls(spec, n, {g: m})
-
-    @classmethod
-    def from_ga(cls, ga, n=1):
-        return cls(ga.spec, n,
-                   {g: c * np.eye(n, dtype=complex)
-                    for g, c in ga.terms.items()})
 
     # -- algebra -------------------------------------------------------
     def _check(self, other):
@@ -514,39 +491,9 @@ class GAMatrix:
         return GroupAlgebraElement(
             self.spec, {g: m[i, j] for g, m in self.parts.items()})
 
-    def scalar_component(self):
-        """Coefficient of the scalar identity: tr of the e-part over n."""
-        m = self.parts.get(self.spec.identity())
-        if m is None:
-            return 0j
-        return np.trace(m) / self.n
-
-    def canonical(self):
-        """Subtract the scalar-identity component (slot >= 1 reduction)."""
-        c = self.scalar_component()
-        if c == 0:
-            return self
-        return self - GAMatrix.identity(self.spec, self.n).scale(c)
-
-    def is_zero(self, tol=0.0):
-        return all(np.max(np.abs(m)) <= tol for m in self.parts.values())
-
     def max_abs(self):
         return max((float(np.max(np.abs(m))) for m in self.parts.values()),
                    default=0.0)
-
-    def key(self):
-        items = sorted(self.parts.items(), key=lambda t: t[0])
-        return (self.n, tuple((g, m.tobytes()) for g, m in items))
-
-    def elementary(self):
-        """Decompose into ((g, i, j), coeff) with nonzero coeff."""
-        out = []
-        for g, m in sorted(self.parts.items(), key=lambda t: t[0]):
-            ii, jj = np.nonzero(m)
-            for i, j in zip(ii, jj):
-                out.append(((g, int(i), int(j)), m[i, j]))
-        return out
 
     def __repr__(self):
         return f"GAMatrix(n={self.n}, support={sorted(self.parts)})"

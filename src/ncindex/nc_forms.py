@@ -1,34 +1,37 @@
-"""Noncommutative differential forms over matrix group algebras.
+"""Noncommutative differential forms with values in M_n(Omega C[Gamma]).
 
-A mixed form on a grid M with values in forms over B = M_n(C Gamma) is
-stored as a finite sum of terms
+A mixed form on a grid is stored by component: for each algebra degree q
+and increasing tuple of grid axes, a block of entries keyed by exact group
+tuples (g_0, ..., g_q).  The entry at a tuple is the (n, n) matrix of jets
+of the coefficient of g_0 dg_1 ... dg_q dx_axes.  As d e = 0, the tuples
+with g_i != e for i >= 1 are a basis of Omega^q C[Gamma], so equal forms
+have equal entries.  Words over B = M_n(C Gamma) enter through the map
 
-    (scalar grid form) x (m_0 (x) m_1 (x) ... (x) m_q),
+    phi(m_0 dm_1 ... dm_q)[i, j]
+        = sum over i_1..i_q of m_0[i, i_1] dm_1[i_1, i_2] ... dm_q[i_q, j]
 
-with m_i in M_n(C Gamma) and every slot i >= 1 reduced modulo scalar
-multiples of the identity.  The grid dependence lives entirely in the
-scalar part, which carries its derivatives as analytic jets; the algebra
-word is grid independent.  The total differential acts by
+of differential graded algebras Omega(M_n B) -> M_n(Omega B), which
+contracts the interior matrix indices.  So the characters are Karoubi's
+tr P (dP)^{2k} in M_n(Omega B).  The total differential of a term of
+manifold degree p is d_tot(s x w) = (d_M s) x w + (-1)^p s x dw, where d
+prepends e to the tuple.  The graded product multiplies entry matrices,
+merges adjacent group entries by the group law and crosses factors with
+the Koszul sign (-1)^{q p'}.
 
-    d_tot(s x w) = (d_M s) x w + (-1)^p s x (1 (x) w)
-
-on a term of manifold degree p, and the graded product crosses factors
-with the Koszul sign (-1)^{q * p'}.
-
-Algebra words multiply by folding the left word into the first slot of
-the right one:
-
-    (m_0...m_k)(n_0...n_l)
-      = sum_i (-1)^{k-i} m_0 ... m_i m_{i+1} ... m_k n_0 (x) n_1...n_l,
-
-which is the unique product for which a word equals m_0 dm_1 ... dm_k and
-the graded Leibniz rule holds.
+Over a finite group a block is one dense array with a leading axis of
+length k per slot, so merges are index maps.  Over an infinite group (the
+lattice deck groups of covers) it is a dict keyed by tuple: a dense window
+of the lattice would be mostly zeros (about 270 MB for a four-arc cover),
+while per-tuple dicts over Z/7 take ten times as long as the dense array.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+import types
 
 import numpy as np
 
@@ -48,9 +51,6 @@ class CircleGrid:
         self.n = n
         self.points = np.arange(n) / n
         self.shape = (n,)
-
-    def axes(self):
-        return (self.points,)
 
     def __eq__(self, other):
         return isinstance(other, CircleGrid) and other.n == self.n
@@ -97,46 +97,35 @@ def _multi_indices(ndim, order):
     return out
 
 
-class _JetLayout:
+def _jet_order(ndim, size):
+    """The jet order whose layout has `size` multi-indices."""
+    return next(o for o in itertools.count()
+                if math.comb(o + ndim, ndim) >= size)
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_layout(ndim, order):
     """Index bookkeeping for stacked jets of one (ndim, order) shape."""
-
-    _cache = {}
-
-    def __new__(cls, ndim, order):
-        key = (ndim, order)
-        hit = cls._cache.get(key)
-        if hit is not None:
-            return hit
-        self = super().__new__(cls)
-        self.ndim = ndim
-        self.order = order
-        self.indices = _multi_indices(ndim, order)
-        self.position = {a: i for i, a in enumerate(self.indices)}
-        # Leibniz table: (out, left, right, multinomial coefficient)
-        table = []
-        for alpha in self.indices:
-            o = self.position[alpha]
-            for beta in itertools.product(*(range(a + 1) for a in alpha)):
-                coeff = 1.0
-                for a, b in zip(alpha, beta):
-                    coeff *= math.comb(a, b)
-                gamma = tuple(a - b for a, b in zip(alpha, beta))
-                table.append((o, self.position[beta],
-                              self.position[gamma], coeff))
-        self.mul_table = table
-        # partial-derivative source positions per axis
-        self.partials = []
-        if order >= 1:
-            sub = _multi_indices(ndim, order - 1)
-            for ax in range(ndim):
-                src = []
-                for alpha in sub:
-                    shifted = tuple(a + (1 if i == ax else 0)
-                                    for i, a in enumerate(alpha))
-                    src.append(self.position[shifted])
-                self.partials.append(src)
-        cls._cache[key] = self
-        return self
+    indices = _multi_indices(ndim, order)
+    position = {a: i for i, a in enumerate(indices)}
+    # Leibniz table: (out, left, right, multinomial coefficient)
+    table = []
+    for alpha in indices:
+        for beta in itertools.product(*(range(a + 1) for a in alpha)):
+            gamma = tuple(a - b for a, b in zip(alpha, beta))
+            coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+            table.append((position[alpha], position[beta], position[gamma],
+                          float(coeff)))
+    leibniz = np.zeros((len(indices),) * 3)
+    for o, i, j, coeff in table:
+        leibniz[o, i, j] += coeff
+    # partial-derivative source positions per axis
+    partials = [[position[tuple(a + (i == ax) for i, a in enumerate(alpha))]
+                 for alpha in _multi_indices(ndim, order - 1)]
+                for ax in range(ndim)] if order >= 1 else []
+    return types.SimpleNamespace(indices=indices, position=position,
+                                 mul_table=table, leibniz=leibniz,
+                                 partials=partials)
 
 
 class JetFunction:
@@ -154,18 +143,9 @@ class JetFunction:
         self.order = order
         self.stack = stack
 
-    @property
-    def layout(self):
-        return _JetLayout(self.grid.ndim, self.order)
-
-    @property
-    def data(self):
-        lay = self.layout
-        return {a: self.stack[i] for i, a in enumerate(lay.indices)}
-
     @classmethod
     def constant(cls, grid, value, order=2):
-        lay = _JetLayout(grid.ndim, order)
+        lay = _jet_layout(grid.ndim, order)
         stack = np.zeros((len(lay.indices),) + grid.shape, dtype=complex)
         stack[0] = complex(value)
         return cls(grid, order, stack)
@@ -175,7 +155,7 @@ class JetFunction:
         """Build from {multi-index: sample array}; missing jets are zero
         up to the largest supplied order."""
         order = max(sum(a) for a in arrays)
-        lay = _JetLayout(grid.ndim, order)
+        lay = _jet_layout(grid.ndim, order)
         stack = np.zeros((len(lay.indices),) + grid.shape, dtype=complex)
         for alpha, arr in arrays.items():
             stack[lay.position[alpha]] = np.asarray(
@@ -183,12 +163,17 @@ class JetFunction:
         return cls(grid, order, stack)
 
     @classmethod
+    def from_stack(cls, grid, stack):
+        """Jet of stacked samples (J, *grid); J fixes the order."""
+        return cls(grid, _jet_order(grid.ndim, len(stack)), stack)
+
+    @classmethod
     def trig(cls, grid, coeffs, order=2):
         """Trigonometric polynomial sum c_m e^{2 pi i m x} on a circle."""
         if grid.ndim != 1:
             raise ValueError("trig jets are one dimensional")
         x = grid.points
-        lay = _JetLayout(1, order)
+        lay = _jet_layout(1, order)
         stack = np.zeros((len(lay.indices),) + grid.shape, dtype=complex)
         for m, c in coeffs.items():
             wave = np.exp(2j * np.pi * m * x)
@@ -203,19 +188,12 @@ class JetFunction:
         if self.grid != other.grid:
             raise ValueError("jets live on different grids")
         order = min(self.order, other.order)
-        n = len(_JetLayout(self.grid.ndim, order).indices)
+        n = len(_jet_layout(self.grid.ndim, order).indices)
         return order, self.stack[:n], other.stack[:n]
 
     def __add__(self, other):
         order, a, b = self._common(other)
         return JetFunction(self.grid, order, a + b)
-
-    def __sub__(self, other):
-        order, a, b = self._common(other)
-        return JetFunction(self.grid, order, a - b)
-
-    def __neg__(self):
-        return JetFunction(self.grid, self.order, -self.stack)
 
     def scale(self, c):
         return JetFunction(self.grid, self.order, c * self.stack)
@@ -224,7 +202,7 @@ class JetFunction:
         if not isinstance(other, JetFunction):
             return self.scale(other)
         order, a, b = self._common(other)
-        lay = _JetLayout(self.grid.ndim, order)
+        lay = _jet_layout(self.grid.ndim, order)
         out = np.zeros_like(a)
         for o, i, j, coeff in lay.mul_table:
             if coeff == 1.0:
@@ -233,49 +211,30 @@ class JetFunction:
                 out[o] += coeff * (a[i] * b[j])
         return JetFunction(self.grid, order, out)
 
-    __rmul__ = scale
-
     def conj(self):
         return JetFunction(self.grid, self.order, np.conj(self.stack))
 
     def partial(self, axis):
         if self.order < 1:
             raise ValueError("jet order exhausted; build with higher order")
-        src = self.layout.partials[axis]
+        src = _jet_layout(self.grid.ndim, self.order).partials[axis]
         return JetFunction(self.grid, self.order - 1, self.stack[src])
 
     def rsqrt(self):
         """Jets of s^{-1/2}; needs strictly positive values."""
-        lay = self.layout
         v = self.stack[0]
         if np.any(np.real(v) <= 0):
             raise ValueError("rsqrt needs positive values")
-        ndim = self.grid.ndim
-        out = np.zeros_like(self.stack)
-        out[0] = v ** -0.5
-        if self.order >= 1:
-            for ax in range(ndim):
-                a = tuple(1 if i == ax else 0 for i in range(ndim))
-                p = lay.position[a]
-                out[p] = -0.5 * self.stack[p] * v ** -1.5
-        if self.order >= 2:
-            for alpha in lay.indices:
-                if sum(alpha) != 2:
-                    continue
-                # d2(s^-1/2) = (3/4) s_a s_b s^-5/2 - (1/2) s_ab s^-3/2
-                nz = [i for i, a in enumerate(alpha) if a]
-                if len(nz) == 1:
-                    ea = tuple(1 if i == nz[0] else 0 for i in range(ndim))
-                    sa = sb = self.stack[lay.position[ea]]
-                else:
-                    e0 = tuple(1 if i == nz[0] else 0 for i in range(ndim))
-                    e1 = tuple(1 if i == nz[1] else 0 for i in range(ndim))
-                    sa = self.stack[lay.position[e0]]
-                    sb = self.stack[lay.position[e1]]
-                out[lay.position[alpha]] = (
-                    0.75 * sa * sb * v ** -2.5
-                    - 0.5 * self.stack[lay.position[alpha]] * v ** -1.5)
-        return JetFunction(self.grid, self.order, out)
+        # Taylor series about the values; delta^m has no jets of order
+        # below m, so order + 1 terms are exact
+        delta = JetFunction(self.grid, self.order, self.stack.copy())
+        delta.stack[0] = 0
+        out = JetFunction(self.grid, self.order, np.zeros_like(self.stack))
+        term, c = JetFunction.constant(self.grid, 1.0, self.order), v ** -0.5
+        for m in range(self.order + 1):
+            out = out + term.scale(c)
+            term, c = term * delta, c * (-0.5 - m) / ((m + 1) * v)
+        return out
 
     def max_abs(self):
         return float(np.max(np.abs(self.stack[0]), initial=0.0))
@@ -347,9 +306,11 @@ class ScalarForm:
         comps = dict(self.comps)
         for axes, jet in other.comps.items():
             if axes in comps:
-                comps[axes] = comps[axes] + jet
-            else:
-                comps[axes] = jet
+                jet = comps[axes] + jet
+                if jet.is_zero():
+                    del comps[axes]
+                    continue
+            comps[axes] = jet
         return ScalarForm._raw(self.grid, comps)
 
     def __sub__(self, other):
@@ -358,24 +319,6 @@ class ScalarForm:
     def scale(self, c):
         return ScalarForm._raw(
             self.grid, {a: j.scale(c) for a, j in self.comps.items()})
-
-    def conj(self):
-        return ScalarForm._raw(
-            self.grid, {a: j.conj() for a, j in self.comps.items()})
-
-    def wedge(self, other):
-        comps = {}
-        for a1, j1 in self.comps.items():
-            for a2, j2 in other.comps.items():
-                axes, sign = _merge_axes(a1, a2)
-                if axes is None:
-                    continue
-                jet = j1 * j2 if sign == 1 else (j1 * j2).scale(sign)
-                if axes in comps:
-                    comps[axes] = comps[axes] + jet
-                else:
-                    comps[axes] = jet
-        return ScalarForm._raw(self.grid, comps)
 
     def d(self):
         comps = {}
@@ -391,15 +334,6 @@ class ScalarForm:
                 else:
                     comps[merged] = dj
         return ScalarForm._raw(self.grid, comps)
-
-    def degrees(self):
-        return sorted({len(a) for a in self.comps})
-
-    def split(self):
-        """Yield (degree, pure ScalarForm) pieces."""
-        for p in self.degrees():
-            comps = {a: j for a, j in self.comps.items() if len(a) == p}
-            yield p, ScalarForm._raw(self.grid, comps)
 
     def component(self, axes):
         jet = self.comps.get(tuple(axes))
@@ -424,36 +358,159 @@ class ScalarForm:
 
 
 # ---------------------------------------------------------------------
-# algebra words
+# blocks: the entries of one (algebra degree, manifold axes) component
 # ---------------------------------------------------------------------
 
 
-def _canonical_word(word):
-    """Reduce slots >= 1 modulo the scalar identity; None if a slot dies."""
-    out = [word[0]]
-    for m in word[1:]:
-        c = m.canonical()
-        if c.is_zero():
-            return None
-        out.append(c)
-    return tuple(out)
+def _jet_outer(x, y, ndim):
+    """Products x[s] y[t] of every entry of x with every entry of y.
+
+    Entries are (n, n, J, G) arrays, multiplied as matrices, by Leibniz
+    in the jets and pointwise on the G grid points.  The result has the
+    leading (tuple) axes of x, then those of y, then the entry axes.
+    """
+    J = min(x.shape[-2], y.shape[-2])
+    lay = _jet_layout(ndim, _jet_order(ndim, J))
+    n, G = x.shape[-4], x.shape[-1]
+    xs = x[..., :J, :].reshape(-1, n, n, J, G)
+    ys = y[..., :J, :].reshape(-1, n, n, J, G)
+    L, R = len(xs), len(ys)
+    if L * R * n * n < G:
+        # few pairs on a long grid: broadcast along the grid
+        out = np.zeros((L, R, n, n, J, G), dtype=complex)
+        for o, i, j, c in lay.mul_table:
+            out[:, :, :, :, o] += c * np.sum(
+                xs[:, None, :, :, None, i] * ys[None, :, None, :, :, j], 3)
+    else:
+        # many pairs: one BLAS product per grid point, the jets of x
+        # contracted into its inner index
+        xo = np.einsum("oij,Labig->gLaobj", lay.leibniz, xs)
+        yb = ys.transpose(4, 1, 3, 0, 2).reshape(G, n * J, R * n)
+        out = np.matmul(xo.reshape(G, L * n * J, n * J), yb)
+        out = out.reshape(G, L, n, J, R, n).transpose(1, 4, 2, 5, 3, 0)
+    return out.reshape(x.shape[:-4] + y.shape[:-4] + (n, n, J, G))
 
 
-def _word_key(word):
-    return tuple(m.key() for m in word)
+def _partial(x, axis, ndim):
+    """Jets of the derivative along a grid axis, for (..., J, G) arrays."""
+    partials = _jet_layout(ndim, _jet_order(ndim, x.shape[-2])).partials
+    if not partials:
+        raise ValueError("jet order exhausted; build with higher order")
+    return x[..., partials[axis], :]
 
 
-def _word_mul(w, v):
-    """Products of tensor words: fold w into the leading slot of v."""
-    k = len(w) - 1
-    combined = w + (v[0],)
-    out = []
-    for i in range(k + 1):
-        sign = -1 if (k - i) % 2 else 1
-        merged = combined[i] @ combined[i + 1]
-        slots = combined[:i] + (merged,) + combined[i + 2:] + v[1:]
-        out.append((sign, slots))
-    return out
+class _DenseBlocks:
+    """Blocks over a finite group: one array with a leading axis per slot
+    over the elements 0..k-1.  The group law enters as index maps:
+    solve[g][m] is the h with g h = m."""
+
+    def __init__(self, spec, ndim):
+        els = spec.elements()
+        self.ndim, self.e, self.k = ndim, spec.identity(), len(els)
+        self.solve = [np.argsort([spec.mul(g, h) for h in els]) for g in els]
+
+    def block(self, entries, q):
+        entries = list(entries)
+        out = np.zeros((self.k,) * (q + 1) + entries[0][1].shape,
+                       dtype=complex)
+        for tup, x in entries:
+            out[tup] += x
+        return out
+
+    def stacked(self, block):
+        live = block.any(axis=(-4, -3, -2, -1))
+        tuples = zip(*(idx.tolist() for idx in np.nonzero(live)))
+        return list(tuples), block[live]
+
+    def apply(self, block, fn):
+        return fn(block)
+
+    def add(self, a, b):
+        J = min(a.shape[-2], b.shape[-2])
+        return a[..., :J, :] + b[..., :J, :]
+
+    def prune(self, block):
+        return block if block.any() else None
+
+    def merge(self, block, i):
+        head = (slice(None),) * i
+        # every summand is a fresh array, so the sum accumulates in place
+        return functools.reduce(operator.iadd, (
+            np.take(block[head + (g,)], solve, axis=i)
+            for g, solve in enumerate(self.solve)))
+
+    def outer(self, a, b, fuse=False):
+        if not fuse:
+            return _jet_outer(a, b, self.ndim)
+        # a's last slot g meets b's first slot g^-1 m at the fused slot m
+        head = (slice(None),) * (a.ndim - 5)
+        return functools.reduce(operator.iadd, (
+            _jet_outer(a[head + (g,)], b[solve], self.ndim)
+            for g, solve in enumerate(self.solve) if a[head + (g,)].any()))
+
+    def prepend_e(self, block):
+        out = np.zeros((self.k,) + block.shape, dtype=complex)
+        out[self.e] = block
+        return out
+
+    def kill(self, block):
+        for i in range(1, block.ndim - 4):
+            block[(slice(None),) * i + (self.e,)] = 0
+        return block
+
+
+class _TupleBlocks:
+    """Blocks over an infinite group: a dict from group tuples to entries,
+    all with one jet order."""
+
+    def __init__(self, spec, ndim):
+        self.ndim, self.e, self.mul = ndim, spec.identity(), spec.mul
+
+    def block(self, entries, q):
+        return dict(entries)
+
+    def stacked(self, block):
+        return list(block), np.stack(list(block.values()))
+
+    def apply(self, block, fn):
+        return {t: fn(x) for t, x in block.items()}
+
+    def add(self, a, b):
+        J = min(next(iter(c.values())).shape[-2] for c in (a, b))
+        return self._collect((t, x[..., :J, :]) for c in (a, b)
+                             for t, x in c.items())
+
+    def prune(self, block):
+        return {t: x for t, x in block.items() if x.any()} or None
+
+    def merge(self, block, i):
+        return self._collect(
+            (t[:i] + (self.mul(t[i], t[i + 1]),) + t[i + 2:], x)
+            for t, x in block.items())
+
+    def outer(self, a, b, fuse=False):
+        out = self._collect((s + t, _jet_outer(x, y, self.ndim))
+                            for s, x in a.items() for t, y in b.items())
+        return self.merge(out, len(next(iter(a))) - 1) if fuse else out
+
+    def prepend_e(self, block):
+        return {(self.e,) + t: x for t, x in block.items()}
+
+    def kill(self, block):
+        return {t: x for t, x in block.items() if self.e not in t[1:]}
+
+    @staticmethod
+    def _collect(pairs):
+        out = {}
+        for t, x in pairs:
+            out[t] = out[t] + x if t in out else x
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _blocks(spec, ndim):
+    """Dense blocks over a finite group, tuple-keyed ones otherwise."""
+    return (_DenseBlocks if spec.is_finite else _TupleBlocks)(spec, ndim)
 
 
 # ---------------------------------------------------------------------
@@ -462,9 +519,15 @@ def _word_mul(w, v):
 
 
 class MixedForm:
-    """Finite sum of (scalar grid form) x (algebra tensor word) terms."""
+    """Mixed form with values in M_n(Omega C[Gamma]).
 
-    __slots__ = ("grid", "spec", "size", "kalg", "terms", "dropped")
+    terms maps (algebra degree q, manifold axes) to a block whose entry
+    at the group tuple (g_0, ..., g_q) is the (n, n, J, G) jet array of
+    the coefficient of g_0 dg_1 ... dg_q dx_axes.
+    """
+
+    __slots__ = ("grid", "spec", "size", "kalg", "terms", "dropped",
+                 "layout")
 
     def __init__(self, grid, spec, size, kalg=4):
         self.grid = grid
@@ -473,6 +536,7 @@ class MixedForm:
         self.kalg = kalg
         self.terms = {}
         self.dropped = False
+        self.layout = _blocks(spec, grid.ndim)
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -487,29 +551,36 @@ class MixedForm:
         return out
 
     def add_term(self, sform, word):
-        if len(word) - 1 > self.kalg:
+        """Add sform x phi(m_0 dm_1 ... dm_q) for a word of GAMatrix: the
+        entry at (g_0, ..., g_q) is the product of the coefficient
+        matrices of g_s in m_s, and a tuple with e in a slot >= 1 dies."""
+        q = len(word) - 1
+        if q > self.kalg:
             self.dropped = True
             return
-        word = _canonical_word(word)
-        if word is None or sform.is_zero():
+        e = self.spec.identity()
+        slots = [[(g, m) for g, m in mat.parts.items() if s == 0 or g != e]
+                 for s, mat in enumerate(word)]
+        mats = [(tuple(g for g, _ in combo),
+                 functools.reduce(np.matmul, [m for _, m in combo]))
+                for combo in itertools.product(*slots)]
+        if not mats:    # e in a slot >= 1 of every tuple
             return
-        self._merge((len(word), _word_key(word)), word, sform)
+        for axes, jet in sform.comps.items():
+            stack = jet.stack.reshape(len(jet.stack), -1)
+            self._add((q, axes), self.layout.block(
+                ((t, m[:, :, None, None] * stack) for t, m in mats), q))
 
-    def _merge(self, key, word, sform):
-        """Add a term whose word is canonical and keyed; drop it if it
-        cancels."""
-        slot = self.terms.get(key)
-        if slot is None:
-            self.terms[key] = [word, sform]
-        else:
-            merged = slot[1] + sform
-            if merged.is_zero():
-                del self.terms[key]
-            else:
-                slot[1] = merged
+    def _add(self, key, block):
+        """Add a block at key, dropping the key if its block is zero."""
+        if key in self.terms:
+            block = self.layout.add(self.terms.pop(key), block)
+        block = self.layout.prune(block)
+        if block is not None:
+            self.terms[key] = block
 
-    def _spawn(self, kalg=None):
-        out = MixedForm(self.grid, self.spec, self.size,
+    def _spawn(self, kalg=None, size=None):
+        out = MixedForm(self.grid, self.spec, size or self.size,
                         self.kalg if kalg is None else kalg)
         out.dropped = self.dropped
         return out
@@ -519,130 +590,128 @@ class MixedForm:
                 or self.size != other.size):
             raise ValueError("incompatible mixed forms")
 
+    def _mapped(self, fn, size=None):
+        """The form with fn applied to every block array."""
+        out = self._spawn(size=size)
+        for key, block in self.terms.items():
+            out._add(key, self.layout.apply(block, fn))
+        return out
+
     # -- linear structure -------------------------------------------------
     def __add__(self, other):
         self._check(other)
         out = self._spawn(min(self.kalg, other.kalg))
         out.dropped = self.dropped or other.dropped
-        # both operands' words are canonical already: merge them by key
-        for terms in (self.terms, other.terms):
-            for key, (word, sform) in terms.items():
-                if len(word) - 1 > out.kalg:
-                    out.dropped = True
-                else:
-                    out._merge(key, word, sform)
+        for key, block in [*self.terms.items(), *other.terms.items()]:
+            if key[0] > out.kalg:
+                out.dropped = True
+            else:
+                out._add(key, block)
         return out
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, c):
-        out = self._spawn()
-        for word, sform in self.terms.values():
-            out.add_term(sform.scale(c), word)
-        return out
-
-    def __neg__(self):
-        return self.scale(-1.0)
+        return self._mapped(lambda x: c * x)
 
     # -- graded product ---------------------------------------------------
     def __matmul__(self, other):
+        """Graded product.  The left word folds into the leading slot of
+        the right one,
+
+            (g_0 dg_1 ... dg_a)(h_0 dh_1 ... dh_b)
+              = sum_i (-1)^(a-i) (g_0, ..., g_i g_{i+1}, ..., g_a, h_0, ...)
+
+        with g_{a+1} = h_0, and a grid form of degree p' crosses a word
+        of degree a with the Koszul sign (-1)^(a p').
+        """
         self._check(other)
         out = self._spawn(min(self.kalg, other.kalg))
         out.dropped = self.dropped or other.dropped
-        for w, sw in self.terms.values():
-            qw = len(w) - 1
-            for v, sv in other.terms.values():
-                if qw + len(v) - 1 > out.kalg:
+        lay = self.layout
+        for (qa, ax_a), a in self.terms.items():
+            # the terms i < a merge slots of the left word only
+            folded = None
+            for i in range(qa):
+                sign = (-1) ** (qa - i)
+                part = lay.apply(lay.merge(a, i), lambda x: sign * x)
+                folded = part if folded is None else lay.add(folded, part)
+            for (qb, ax_b), b in other.terms.items():
+                axes, sign = _merge_axes(ax_a, ax_b)
+                if qa + qb > out.kalg:
                     out.dropped = True
-                    continue
-                for p2, s2 in sv.split():
-                    sign = -1 if (qw * p2) % 2 else 1
-                    scalar = sw.wedge(s2).scale(sign)
-                    if scalar.is_zero():
-                        continue
-                    for wsign, word in _word_mul(w, v):
-                        out.add_term(scalar.scale(wsign), word)
+                elif axes is not None:
+                    block = lay.outer(a, b, fuse=True)
+                    if folded is not None:
+                        block = lay.add(block, lay.outer(folded, b))
+                    sign *= (-1) ** (qa * len(ax_b))
+                    out._add((qa + qb, axes),
+                             lay.kill(lay.apply(block, lambda x: sign * x)))
         return out
 
     # -- differential -------------------------------------------------
     def dtot(self):
-        """Total differential d_M + (-1)^p (prepend unit slot)."""
+        """Total differential d_M + (-1)^p (prepend e)."""
         return self.dtot_manifold() + self.dtot_algebra()
 
     def dtot_manifold(self):
         out = self._spawn()
-        for word, sform in self.terms.values():
-            dm = sform.d()
-            if not dm.is_zero():
-                out.add_term(dm, word)
+        ndim = self.grid.ndim
+        for (q, axes), block in self.terms.items():
+            for ax in range(ndim):
+                if ax not in axes:
+                    merged, sign = _merge_axes((ax,), axes)
+                    out._add((q, merged), self.layout.apply(
+                        block, lambda x: sign * _partial(x, ax, ndim)))
         return out
 
     def dtot_algebra(self):
         out = self._spawn()
-        ident = GAMatrix.identity(self.spec, self.size)
-        for word, sform in self.terms.values():
-            if len(word) > self.kalg:
+        lay = self.layout
+        for (q, axes), block in self.terms.items():
+            if q + 1 > self.kalg:
                 out.dropped = True
                 continue
-            for p, s in sform.split():
-                out.add_term(s.scale(-1.0 if p % 2 else 1.0),
-                             (ident,) + word)
+            sign = (-1) ** len(axes)
+            out._add((q + 1, axes), lay.kill(lay.apply(
+                lay.prepend_e(block), lambda x: sign * x)))
         return out
 
     # -- trace ---------------------------------------------------------
     def graded_trace(self):
-        """Matrix trace into forms over the scalar algebra (size 1).
-
-        Tensor slots are kept; only the matrix indices are traced out:
-        m_0 (x) ... (x) m_q goes to the sum over index cycles of
-        m_0[i_0,i_1] (x) m_1[i_1,i_2] (x) ... (x) m_q[i_q,i_0].
-        """
-        out = MixedForm(self.grid, self.spec, 1, self.kalg)
-        out.dropped = self.dropped
-        n = self.size
-        for word, sform in self.terms.values():
-            entries = [[[m.entry(i, j) for j in range(n)] for i in range(n)]
-                       for m in word]
-            q = len(word) - 1
-            for cycle in itertools.product(range(n), repeat=q + 1):
-                gas = []
-                dead = False
-                for s in range(q + 1):
-                    ga = entries[s][cycle[s]][cycle[(s + 1) % (q + 1)]]
-                    if not ga.terms:
-                        dead = True
-                        break
-                    gas.append(ga)
-                if dead:
-                    continue
-                out.add_term(sform,
-                             tuple(GAMatrix.from_ga(ga, 1) for ga in gas))
-        return out
+        """Matrix trace into forms over the scalar algebra (size 1)."""
+        return self._mapped(
+            lambda x: np.trace(x, axis1=-4, axis2=-3)[..., None, None, :, :],
+            size=1)
 
     # -- inspection ------------------------------------------------------
+    def entries(self):
+        """Yield (group tuple, axes, (n, n, J, *grid) array) for every
+        nonzero entry."""
+        for (_q, axes), block in self.terms.items():
+            tuples, arrays = self.layout.stacked(block)
+            arrays = arrays.reshape(arrays.shape[:-1] + self.grid.shape)
+            yield from ((tup, axes, x) for tup, x in zip(tuples, arrays))
+
     def star(self):
         """Adjoint, defined for forms of algebra degree zero."""
+        if any(q for q, _ in self.terms):
+            raise ValueError("star only on algebra-degree-0 forms")
         out = self._spawn()
-        for word, sform in self.terms.values():
-            if len(word) != 1:
-                raise ValueError("star only on algebra-degree-0 forms")
-            out.add_term(sform.conj(), (word[0].star(),))
+        for (_q, axes), block in self.terms.items():
+            out._add((0, axes), self.layout.block(
+                (((self.spec.inv(g),), x.conj().swapaxes(0, 1))
+                 for (g,), x in zip(*self.layout.stacked(block))), 0))
         return out
 
     def components(self):
         """Occupied (manifold degree, algebra degree) pairs."""
-        out = set()
-        for word, sform in self.terms.values():
-            for p, _ in sform.split():
-                out.add((p, len(word) - 1))
-        return sorted(out)
+        return sorted({(len(axes), q) for q, axes in self.terms})
 
     def algebra_component(self, q):
         out = self._spawn()
-        for word, sform in self.terms.values():
-            if len(word) - 1 == q:
-                out.add_term(sform, word)
+        out.terms = {key: b for key, b in self.terms.items() if key[0] == q}
         return out
 
     def scalar_part(self):
@@ -652,50 +721,17 @@ class MixedForm:
         """
         if self.size != 1:
             raise ValueError("scalar_part needs a traced (size-1) form")
-        total = ScalarForm.zero(self.grid)
-        for word, sform in self.terms.values():
-            if len(word) != 1:
-                continue
-            c = word[0].entry(0, 0).trace_e()
-            if c:
-                total = total + sform.scale(c)
-        return total
+        return ScalarForm(self.grid, {
+            axes: JetFunction.from_stack(self.grid, x[0, 0])
+            for tup, axes, x in self.algebra_component(0).entries()
+            if tup == (self.spec.identity(),)})
 
     def max_abs(self):
-        """Faithful sup seminorm: expand words over the elementary basis
-        (group element, row, column) per slot and take the largest
-        accumulated coefficient magnitude."""
-        groups = {}
-        for word, sform in self.terms.values():
-            elem = [m.elementary() for m in word]
-            for axes, jet in sform.comps.items():
-                groups.setdefault((len(word), axes), []).append(
-                    (elem, jet.value()))
-        best = 0.0
-        for (q, _axes), entries in groups.items():
-            spaces = [{} for _ in range(q)]
-            for elem, _ in entries:
-                for s in range(q):
-                    sp = spaces[s]
-                    for key, _c in elem[s]:
-                        if key not in sp:
-                            sp[key] = len(sp)
-            shape = tuple(len(sp) for sp in spaces)
-            acc = np.zeros(shape + self.grid.shape, dtype=complex)
-            for elem, vals in entries:
-                coeff = None
-                for s in range(q):
-                    sp = spaces[s]
-                    vec = np.zeros(len(sp), dtype=complex)
-                    for key, c in elem[s]:
-                        vec[sp[key]] = c
-                    coeff = vec if coeff is None \
-                        else np.multiply.outer(coeff, vec)
-                acc += np.multiply.outer(coeff, vals)
-            m = float(np.max(np.abs(acc)))
-            if m > best:
-                best = m
-        return best
+        """Largest value of an entry: faithful, since the group tuples
+        and matrix positions form a basis."""
+        arrays = (self.layout.stacked(b)[1] for b in self.terms.values())
+        return max((float(np.max(np.abs(x[..., 0, :]))) for x in arrays),
+                   default=0.0)
 
 
 def form_dtot(omega):

@@ -37,6 +37,8 @@ import numpy as np
 from .errors import IllConditioned, NotUnitary, PhaseJump
 
 TWO_PI_I = 2j * np.pi
+# share of the top modes in which tau_index looks for artifacts
+MARGIN = 0.1
 
 
 class WeightBlockSystem:
@@ -209,17 +211,29 @@ def _mode_mass_top(vecs, d, margin):
     mode range."""
     size = len(vecs) // d
     per_mode = (np.abs(vecs) ** 2).reshape(size, d, -1).sum(axis=1)
-    cut = int(np.floor(size * (1.0 - margin)))
+    cut = _margin_cut(size, margin)
     return per_mode[cut:].sum(axis=0) / per_mode.sum(axis=0)
 
 
+def _margin_cut(size, margin):
+    """First mode of the top `margin` share of `size` modes."""
+    return int(np.floor(size * (1.0 - margin)))
+
+
 def least_cutoff(bandwidth):
-    """Smallest mode cutoff F_c that `tau_index` accepts for a symbol of
-    the given bandwidth (at least 1)."""
-    return 8 * max(bandwidth, 1)
+    """Smallest mode cutoff F_c at which `tau_index` runs for every symbol
+    of bandwidth w = max(bandwidth, 1) at the default margin: F_c >= 8w,
+    and the top margin of the F_c + 1 modes holds w modes, as many as the
+    finite section can leave artifact kernel vectors there (w for
+    exp(w))."""
+    w = max(bandwidth, 1)
+    fc = 8 * w
+    while fc + 1 - _margin_cut(fc + 1, MARGIN) < w:
+        fc += 1
+    return fc
 
 
-def tau_index(tp, margin=0.1):
+def tau_index(tp, margin=MARGIN):
     """Trace-weighted kernel-minus-cokernel defect of the compression.
 
     Kernel and cokernel vectors are read from singular values below the
@@ -236,10 +250,10 @@ def tau_index(tp, margin=0.1):
     Both are SVDs: a Gram matrix would square singular values near eps_k
     down to the rounding level of 1.
     """
-    if tp.fc < least_cutoff(tp.bandwidth):
+    if tp.fc < 8 * max(tp.bandwidth, 1):
         raise ValueError(
             f"truncation margin violated: F_c = {tp.fc} < 8 x bandwidth "
-            f"= {least_cutoff(tp.bandwidth)}")
+            f"= {8 * max(tp.bandwidth, 1)}")
     d = tp.system.rep_dim
     mat = tp.blocks[0]
     size = len(mat)
@@ -254,6 +268,12 @@ def tau_index(tp, margin=0.1):
         raise IllConditioned(
             f"kernel threshold {tp.eps_k:g} lies above the singular value "
             f"1 of the interior modes")
+    # the artifacts of one side are n vectors at the top of the window
+    top = tp.fc + 1 - _margin_cut(tp.fc + 1, margin)
+    if n > top * d:
+        raise ValueError(
+            f"truncation margin violated: {n} kernel vectors, but the top "
+            f"margin of the {tp.fc + 1} modes holds {top}")
     ker = np.zeros((size, n), dtype=complex)
     coker = np.zeros((size, n), dtype=complex)
     ker[bnd] = vh[len(bnd) - n:].T

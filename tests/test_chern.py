@@ -99,19 +99,26 @@ def test_characters_are_closed_observably():
     assert closedness_defect(chern_odd(u, 2), cocycles) <= 1e-9
 
 
+def _direct_sum(blocks, kalg):
+    """Block-diagonal 4x4 form from 2x2 algebra-degree-0 forms, one
+    add_term per matrix entry of each (group tuple, axes) entry."""
+    direct = MixedForm.zero(GRID, Z3, 4, kalg)
+    for src, off in blocks:
+        for (g,), axes, x in src.entries():
+            for i in range(2):
+                for j in range(2):
+                    jet = JetFunction.from_stack(GRID, x[i, j])
+                    direct.add_term(
+                        ScalarForm(GRID, {axes: jet}),
+                        (GAMatrix.single(Z3, 4, off + i, off + j, g),))
+    return direct
+
+
 def test_character_additive_on_direct_sums():
     rng = np.random.default_rng(1)
     Pa = random_projection_form(GRID, Z3, 2, rng, kalg=4)
     Pb = random_projection_form(GRID, Z3, 2, rng, kalg=4)
-    direct = MixedForm.zero(GRID, Z3, 4, 4)
-    for src, off in ((Pa, 0), (Pb, 2)):
-        for word, sform in src.terms.values():
-            (mat,) = word
-            big = {g: np.zeros((4, 4), dtype=complex)
-                   for g in mat.parts}
-            for g, blk in mat.parts.items():
-                big[g][off:off + 2, off:off + 2] = blk
-            direct.add_term(sform, (GAMatrix(Z3, 4, big),))
+    direct = _direct_sum(((Pa, 0), (Pb, 2)), 4)
     lhs = chern_even(direct, 1)
     rhs = chern_even(Pa, 1) + chern_even(Pb, 1)
     assert (lhs - rhs).max_abs() <= 1e-10
@@ -121,14 +128,7 @@ def test_odd_character_additive_on_direct_sums():
     rng = np.random.default_rng(6)
     ua = random_unitary_form(GRID, Z3, 2, rng, kalg=3)
     ub = random_unitary_form(GRID, Z3, 2, rng, kalg=3)
-    direct = MixedForm.zero(GRID, Z3, 4, 3)
-    for src, off in ((ua, 0), (ub, 2)):
-        for word, sform in src.terms.values():
-            (mat,) = word
-            big = {g: np.zeros((4, 4), dtype=complex) for g in mat.parts}
-            for g, blk in mat.parts.items():
-                big[g][off:off + 2, off:off + 2] = blk
-            direct.add_term(sform, (GAMatrix(Z3, 4, big),))
+    direct = _direct_sum(((ua, 0), (ub, 2)), 3)
     lhs = chern_odd(direct, 1)
     rhs = chern_odd(ua, 1) + chern_odd(ub, 1)
     assert (lhs - rhs).max_abs() <= 1e-10

@@ -353,6 +353,26 @@ def test_toeplitz_cutoff_at_truncation_margin_runs(tmp_path):
     assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("m", [8, -8])
+def test_toeplitz_cutoff_top_margin_holds_the_bandwidth(tmp_path, capsys,
+                                                        m):
+    # at margin 0.1, 8 x bandwidth = 64 leaves 6 modes in the top margin,
+    # fewer than the 8 artifact vectors there; 70 leaves 8
+    exp = {"id": "t", "kind": "toeplitz", "u": {"type": "exp", "m": m},
+           "fourier_cutoff": 64}
+    out = tmp_path / "low"
+    path = write_config(tmp_path, {"experiments": [exp]})
+    assert main(["--config", str(path), "--out", str(out)]) == 1
+    assert "below 70" in capsys.readouterr().err
+    out = tmp_path / "ok"
+    path = write_config(tmp_path, {"experiments": [
+        dict(exp, fourier_cutoff=70)]})
+    assert main(["--config", str(path), "--out", str(out)]) == 0
+    with open(out / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(r["passed"] == "True" for r in rows)
+
+
 def test_cutoff_override_meets_the_truncation_margin(tmp_path, capsys):
     cfg = write_config(tmp_path, TOEPLITZ_CFG)
     out = tmp_path / "out"

@@ -11,7 +11,7 @@ from ncindex.cyclic import (CyclicCochain, GroupCocycle,
                             tau_to_c)
 from ncindex.errors import NotAProjection, UnsupportedDegree
 from ncindex.group_algebra import GAMatrix, GroupSpec
-from ncindex.nc_forms import CircleGrid, MixedForm, ScalarForm
+from ncindex.nc_forms import CircleGrid, JetFunction, MixedForm, ScalarForm
 from ncindex.testing import (random_mixed_form, random_normalized_cochain,
                              random_projection_matrix,
                              random_unitary_matrix)
@@ -302,19 +302,17 @@ def _chern_lambda_by_tuples(p, m_max):
 
 
 def _pair_by_combos(phi, omega):
-    """Per-combo pairing: one scalar-form scale and add per group tuple."""
+    """Per-tuple pairing: the matrix trace of each entry taken by hand,
+    then one scalar-form scale and add per group tuple."""
     total = ScalarForm.zero(omega.grid)
-    traced = omega if omega.size == 1 else omega.graded_trace()
-    for word, sform in traced.terms.values():
-        if len(word) - 1 != phi.degree:
+    for tup, axes, x in omega.entries():
+        if len(tup) - 1 != phi.degree:
             continue
-        gas = [m.entry(0, 0) for m in word]
-        for combo in itertools.product(*(ga.terms.items() for ga in gas)):
-            coeff = phi(*(g for g, _ in combo))
-            for _, c in combo:
-                coeff *= c
-            if coeff:
-                total = total + sform.scale(coeff)
+        coeff = phi(*tup)
+        if coeff:
+            jet = JetFunction.from_stack(
+                omega.grid, sum(x[i, i] for i in range(omega.size)))
+            total = total + ScalarForm(omega.grid, {axes: jet}).scale(coeff)
     return total
 
 
@@ -367,6 +365,12 @@ def test_pair_cochain_form_matches_per_combo_on_covering_form():
     phi2 = tau_to_c(vandermonde_cocycle(spec, 2))
     assert (pair_cochain_form(phi2, flat)
             - _pair_by_combos(phi2, flat)).max_abs() <= 1e-12
+    # an untraced form: the reference traces each entry by hand
+    dP = P.dtot()
+    untraced = P @ dP @ dP
+    ref = _pair_by_combos(phi, untraced)
+    assert ref.max_abs() > 1e-3
+    assert (pair_cochain_form(phi, untraced) - ref).max_abs() <= 1e-12
 
 
 @pytest.mark.parametrize("k,degree", [(5, 2), (5, 4), (7, 4)])

@@ -44,10 +44,12 @@ def test_dtot_definition_on_simple_tensor():
     # (1,0) part is df x g, (0,1) part is f x (1 (x) g)
     comps = d.components()
     assert (1, 0) in comps and (0, 1) in comps
-    one_zero = d.algebra_component(0)
-    [(word, sform)] = list(one_zero.terms.values())
-    assert np.max(np.abs(sform.component((0,))
-                         - f.partial(0).value())) <= 1e-12
+    [(tup, axes, x)] = list(d.algebra_component(0).entries())
+    assert (tup, axes) == ((1,), (0,))
+    assert np.max(np.abs(x[0, 0, 0] - f.partial(0).value())) <= 1e-12
+    [(tup, axes, x)] = list(d.algebra_component(1).entries())
+    assert (tup, axes) == ((0, 1), ())
+    assert np.max(np.abs(x[0, 0, 0] - f.value())) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -108,11 +110,16 @@ def test_canonicalization_idempotent_and_kills_identity_slots():
     g = random_gamatrix(SPEC, 2, np.random.default_rng(5))
     w = MixedForm.zero(GRID, SPEC, 2, 4)
     w.add_term(ScalarForm.one(GRID), (g, ident))
-    assert not w.terms  # slot-1 identity dies under canonicalization
+    assert not w.terms  # d e = 0: a slot-1 identity kills the word
     w2 = MixedForm.zero(GRID, SPEC, 2, 4)
     w2.add_term(ScalarForm.one(GRID), (g, g))
-    [(word, _)] = list(w2.terms.values())
-    assert abs(word[1].scalar_component()) <= 1e-14
+    # phi(g dg): one entry per tuple (a, b), b != e, holding g_a g_b
+    got = {tup: x[:, :, 0] for tup, _axes, x in w2.entries()}
+    want = {(a, b): ma @ mb for a, ma in g.parts.items()
+            for b, mb in g.parts.items() if b != SPEC.identity()}
+    assert got and set(got) == set(want)
+    for tup, m in want.items():
+        assert np.max(np.abs(got[tup] - m[:, :, None])) <= 1e-14
 
 
 def test_dtot_algebra_part_is_unit_prepend():
@@ -140,6 +147,7 @@ def test_forms_identified_modulo_slot_identity():
     w2 = MixedForm.zero(GRID, SPEC, 2, 4)
     w2.add_term(ScalarForm.one(GRID), (g, shifted))
     assert (w1 - w2).max_abs() <= 1e-13
+    assert not (w1 - w2).terms  # the shift lives in the dead e slot
 
 
 def test_cutoff_drop_flag():
@@ -191,26 +199,20 @@ def test_chart_grid_wedge_and_d():
     sf = ScalarForm.function(f)
     ddf = sf.d().d()
     assert ddf.max_abs() <= 1e-10
-    dx = sf.d()
-    dy = ScalarForm(grid, {(1,): f})
-    wedge = dx.wedge(dy)
-    assert set(wedge.comps) <= {(0, 1)}
+    # the product of df with f dy lies in degree (2, 0) only
+    trivial = GroupSpec.trivial()
+
+    def scalar(sform):
+        form = MixedForm.zero(grid, trivial, 1)
+        form.add_term(sform, (GAMatrix.identity(trivial, 1),))
+        return form
+
+    wedge = scalar(sf.d()) @ scalar(ScalarForm(grid, {(1,): f}))
+    assert wedge.terms and set(wedge.terms) <= {(0, (0, 1))}
 
 
-def _add_by_add_term(a, b):
-    """The sum as every term of both operands passed through add_term,
-    which canonicalises each word again."""
-    out = MixedForm.zero(a.grid, a.spec, a.size, min(a.kalg, b.kalg))
-    out.dropped = a.dropped or b.dropped
-    for word, sform in [*a.terms.values(), *b.terms.values()]:
-        out.add_term(sform, word)
-    return out
-
-
-def _same_sforms(s, t):
-    assert sorted(s.comps) == sorted(t.comps)
-    for axes, jet in s.comps.items():
-        assert np.array_equal(jet.stack, t.comps[axes].stack)
+def _entry_map(form):
+    return {(tup, axes): x for tup, axes, x in form.entries()}
 
 
 def test_sum_merges_canonical_terms_without_add_term(monkeypatch):
@@ -239,24 +241,60 @@ def test_sum_merges_by_key():
                  (dP @ dP, low), (low, dP @ dP)):
         total = a + b
         kalg = min(a.kalg, b.kalg)
-        keys = [k for k in {**a.terms, **b.terms} if k[0] - 1 <= kalg]
-        assert list(total.terms) == [
-            k for k in keys if k not in a.terms or k not in b.terms
-            or not (a.terms[k][1] + b.terms[k][1]).is_zero()]
-        for key, (word, sform) in total.terms.items():
-            parts = [t.terms[key] for t in (a, b) if key in t.terms]
-            assert word is parts[0][0]
-            _same_sforms(sform, parts[0][1] if len(parts) == 1
-                         else parts[0][1] + parts[1][1])
+        ea, eb = _entry_map(a), _entry_map(b)
+        want = {}
+        for key in {**ea, **eb}:
+            if len(key[0]) - 1 > kalg:
+                continue
+            parts = [e[key] for e in (ea, eb) if key in e]
+            x = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+            if x.any():
+                want[key] = x
+        got = _entry_map(total)
+        # exact group tuples: entries add bitwise, cancelled ones vanish
+        assert set(got) == set(want)
+        for key, x in want.items():
+            assert np.array_equal(got[key], x)
+        assert set(total.terms) == {(len(t) - 1, axes) for t, axes in want}
         assert total.dropped == (a.dropped or b.dropped or any(
-            k[0] - 1 > kalg for k in {**a.terms, **b.terms}))
-        # the old path re-canonicalised every word, which moves its bytes
-        # by rounding only: same terms, same scalar forms
-        old = _add_by_add_term(a, b)
-        assert len(old.terms) == len(total.terms)
-        for (word, sform), (old_word, old_sform) in zip(
-                total.terms.values(), old.terms.values()):
-            assert max((x - y).max_abs()
-                       for x, y in zip(word, old_word)) <= 1e-15
-            _same_sforms(sform, old_sform)
+            len(t) - 1 > kalg for t, _axes in {**ea, **eb}))
     assert (dP @ dP + low).dropped
+
+
+@pytest.mark.parametrize("spec", [SPEC, GroupSpec.lattice(1)],
+                         ids=["Z3", "Z"])
+def test_products_merge_exactly(spec):
+    grid = CircleGrid(8)
+    rng = np.random.default_rng(1)
+    a, b, c = (random_mixed_form(grid, spec, 2, 0, 1, rng, kalg=6)
+               for _ in range(3))
+    left, right = (a @ b) @ c, a @ (b @ c)
+    assert set(left.terms) == set(right.terms)
+    # equal words share their group tuple; an entry on one side only is
+    # a rounding residue of a coefficient that is exactly zero
+    el, er = _entry_map(left), _entry_map(right)
+    assert len(set(el) & set(er)) >= 0.9 * max(len(el), len(er))
+    for key in set(el) ^ set(er):
+        assert np.max(np.abs({**el, **er}[key])) <= 1e-9
+    diff = left - right
+    assert len(diff.terms) <= min(len(left.terms), len(right.terms))
+    assert len(_entry_map(diff)) <= max(len(el), len(er))
+    assert diff.max_abs() <= 1e-9
+    P = random_projection_form(grid, SPEC, 2, rng)
+    assert len((P @ P - P).terms) <= len(P.terms)
+    assert len(_entry_map(P @ P - P)) <= len(_entry_map(P))
+
+
+def test_exact_cancellations_are_dropped():
+    from ncindex.covering import CoverData, build_mf_projection
+
+    P = random_projection_form(GRID, SPEC, 2, np.random.default_rng(9))
+    cover = CoverData.standard(CircleGrid(64))
+    Q = build_mf_projection(cover).form
+    for form in (P, Q):
+        assert form.terms
+        assert len((form - form).terms) == 0
+        assert len((form + form.scale(-1.0)).terms) == 0
+    sf = ScalarForm.function(random_trig_jet(GRID,
+                                             np.random.default_rng(10)))
+    assert (sf + sf.scale(-1.0)).is_zero()

@@ -6,8 +6,9 @@ import pytest
 from ncindex.errors import IllConditioned, NotUnitary, PhaseJump
 from ncindex.toeplitz import (CircleSystem, RotationSystem, ToeplitzProblem,
                               WeightBlockSystem, assemble_toeplitz,
-                              dynsys_formula, kernel_rank, tau_index,
-                              winding_index, winding_oracle, _mode_mass_top)
+                              dynsys_formula, kernel_rank, least_cutoff,
+                              tau_index, winding_index, winding_oracle,
+                              _mode_mass_top)
 
 
 def test_trace_properties_circle():
@@ -120,6 +121,20 @@ def test_truncation_margin_guard():
     tp = assemble_toeplitz(sys_c, u, 16)
     with pytest.raises(ValueError):
         tau_index(tp)
+
+
+@pytest.mark.parametrize("m", [6, 9, 12, -6, -9, -12])
+def test_top_margin_must_hold_the_artifacts(m):
+    # at 8 |m| the top tenth of the modes holds fewer than the |m|
+    # artifact vectors; the least cutoff gives the exact index
+    sys_c = CircleSystem(256)
+    u = sys_c.exponential(m)
+    with pytest.raises(ValueError, match="top margin"):
+        tau_index(assemble_toeplitz(sys_c, u, 8 * abs(m)))
+    fc = least_cutoff(abs(m))
+    assert fc > 8 * abs(m)
+    assert tau_index(assemble_toeplitz(sys_c, u, fc)) == m \
+        == round(dynsys_formula(sys_c, u).real)
 
 
 def test_winding_oracle_values():
