@@ -208,7 +208,8 @@ def _validate_experiment(exp, seen):
             raise ConfigError(
                 f"{where}fourier_cutoff {x['fourier_cutoff']} is below "
                 f"{toeplitz.least_cutoff(band)}, the truncation margin of "
-                f"tau_index: at least 8 x bandwidth = {8 * max(band, 1)}, "
+                f"tau_index: at least 8 x bandwidth = "
+                f"{toeplitz.floor_cutoff(band)}, "
                 f"with the top margin holding the bandwidth")
     if exp["kind"] == "specflow":
         x = _filled(exp)

@@ -19,9 +19,11 @@ merges adjacent group entries by the group law and crosses factors with
 the Koszul sign (-1)^{q p'}.
 
 Over a finite group a block is one dense array with a leading axis of
-length k per slot, so merges are index maps.  Over an infinite group (the
-lattice deck groups of covers) it is a dict keyed by tuple: a dense window
-of the lattice would be mostly zeros (about 270 MB for a four-arc cover),
+length k per slot, so merges are index maps and a product multiplies
+stacks of entries through BLAS.  Over an infinite group (the lattice deck
+groups of covers) it is a dict keyed by tuple, and a product takes one
+pair of entries at a time, broadcast along the grid: a dense window of
+the lattice would be mostly zeros (about 270 MB for a four-arc cover),
 while per-tuple dicts over Z/7 take ten times as long as the dense array.
 """
 
@@ -215,26 +217,41 @@ class JetFunction:
         return JetFunction(self.grid, self.order, np.conj(self.stack))
 
     def partial(self, axis):
-        if self.order < 1:
-            raise ValueError("jet order exhausted; build with higher order")
-        src = _jet_layout(self.grid.ndim, self.order).partials[axis]
-        return JetFunction(self.grid, self.order - 1, self.stack[src])
+        return JetFunction(self.grid, self.order - 1,
+                           _partial(self.stack, axis, self.grid.ndim, 0))
 
     def rsqrt(self):
         """Jets of s^{-1/2}; needs strictly positive values."""
+        lay = _jet_layout(self.grid.ndim, self.order)
         v = self.stack[0]
         if np.any(np.real(v) <= 0):
             raise ValueError("rsqrt needs positive values")
-        # Taylor series about the values; delta^m has no jets of order
-        # below m, so order + 1 terms are exact
-        delta = JetFunction(self.grid, self.order, self.stack.copy())
-        delta.stack[0] = 0
-        out = JetFunction(self.grid, self.order, np.zeros_like(self.stack))
-        term, c = JetFunction.constant(self.grid, 1.0, self.order), v ** -0.5
-        for m in range(self.order + 1):
-            out = out + term.scale(c)
-            term, c = term * delta, c * (-0.5 - m) / ((m + 1) * v)
-        return out
+        ndim = self.grid.ndim
+        out = np.zeros_like(self.stack)
+        out[0] = v ** -0.5
+        if self.order >= 1:
+            for ax in range(ndim):
+                a = tuple(1 if i == ax else 0 for i in range(ndim))
+                p = lay.position[a]
+                out[p] = -0.5 * self.stack[p] * v ** -1.5
+        if self.order >= 2:
+            for alpha in lay.indices:
+                if sum(alpha) != 2:
+                    continue
+                # d2(s^-1/2) = (3/4) s_a s_b s^-5/2 - (1/2) s_ab s^-3/2
+                nz = [i for i, a in enumerate(alpha) if a]
+                if len(nz) == 1:
+                    ea = tuple(1 if i == nz[0] else 0 for i in range(ndim))
+                    sa = sb = self.stack[lay.position[ea]]
+                else:
+                    e0 = tuple(1 if i == nz[0] else 0 for i in range(ndim))
+                    e1 = tuple(1 if i == nz[1] else 0 for i in range(ndim))
+                    sa = self.stack[lay.position[e0]]
+                    sb = self.stack[lay.position[e1]]
+                out[lay.position[alpha]] = (
+                    0.75 * sa * sb * v ** -2.5
+                    - 0.5 * self.stack[lay.position[alpha]] * v ** -1.5)
+        return JetFunction(self.grid, self.order, out)
 
     def max_abs(self):
         return float(np.max(np.abs(self.stack[0]), initial=0.0))
@@ -362,47 +379,49 @@ class ScalarForm:
 # ---------------------------------------------------------------------
 
 
-def _jet_outer(x, y, ndim):
-    """Products x[s] y[t] of every entry of x with every entry of y.
+def _jet_mul(x, y, ndim):
+    """Product of two entries, (n, n, J, G) arrays: a matrix product, by
+    Leibniz in the jets and pointwise on the G grid points, broadcast
+    along the grid."""
+    J = min(x.shape[-2], y.shape[-2])
+    out = np.zeros(x.shape[:-2] + (J, x.shape[-1]), dtype=complex)
+    for o, i, j, c in _jet_layout(ndim, _jet_order(ndim, J)).mul_table:
+        out[:, :, o] += c * np.sum(x[:, :, None, i] * y[None, :, :, j], 1)
+    return out
 
-    Entries are (n, n, J, G) arrays, multiplied as matrices, by Leibniz
-    in the jets and pointwise on the G grid points.  The result has the
-    leading (tuple) axes of x, then those of y, then the entry axes.
-    """
+
+def _jet_outer(x, y, ndim):
+    """Products x[s] y[t] of every entry of x with every entry of y, as
+    in `_jet_mul`, through one BLAS product per grid point with the jets
+    of x contracted into its inner index.  The result has the leading
+    (tuple) axes of x, then those of y, then the entry axes."""
     J = min(x.shape[-2], y.shape[-2])
     lay = _jet_layout(ndim, _jet_order(ndim, J))
     n, G = x.shape[-4], x.shape[-1]
     xs = x[..., :J, :].reshape(-1, n, n, J, G)
     ys = y[..., :J, :].reshape(-1, n, n, J, G)
     L, R = len(xs), len(ys)
-    if L * R * n * n < G:
-        # few pairs on a long grid: broadcast along the grid
-        out = np.zeros((L, R, n, n, J, G), dtype=complex)
-        for o, i, j, c in lay.mul_table:
-            out[:, :, :, :, o] += c * np.sum(
-                xs[:, None, :, :, None, i] * ys[None, :, None, :, :, j], 3)
-    else:
-        # many pairs: one BLAS product per grid point, the jets of x
-        # contracted into its inner index
-        xo = np.einsum("oij,Labig->gLaobj", lay.leibniz, xs)
-        yb = ys.transpose(4, 1, 3, 0, 2).reshape(G, n * J, R * n)
-        out = np.matmul(xo.reshape(G, L * n * J, n * J), yb)
-        out = out.reshape(G, L, n, J, R, n).transpose(1, 4, 2, 5, 3, 0)
+    xo = np.einsum("oij,Labig->gLaobj", lay.leibniz, xs)
+    yb = ys.transpose(4, 1, 3, 0, 2).reshape(G, n * J, R * n)
+    out = np.matmul(xo.reshape(G, L * n * J, n * J), yb)
+    out = out.reshape(G, L, n, J, R, n).transpose(1, 4, 2, 5, 3, 0)
     return out.reshape(x.shape[:-4] + y.shape[:-4] + (n, n, J, G))
 
 
-def _partial(x, axis, ndim):
-    """Jets of the derivative along a grid axis, for (..., J, G) arrays."""
-    partials = _jet_layout(ndim, _jet_order(ndim, x.shape[-2])).partials
+def _partial(x, axis, ndim, jet_axis=-2):
+    """Jets of the derivative along a grid axis, for jets stacked on
+    jet_axis of x."""
+    partials = _jet_layout(ndim, _jet_order(ndim, x.shape[jet_axis])).partials
     if not partials:
         raise ValueError("jet order exhausted; build with higher order")
-    return x[..., partials[axis], :]
+    return np.take(x, partials[axis], axis=jet_axis)
 
 
 class _DenseBlocks:
     """Blocks over a finite group: one array with a leading axis per slot
     over the elements 0..k-1.  The group law enters as index maps:
-    solve[g][m] is the h with g h = m."""
+    solve[g][m] is the h with g h = m.  Products pair whole stacks of
+    entries, so they go through BLAS (`_jet_outer`)."""
 
     def __init__(self, spec, ndim):
         els = spec.elements()
@@ -461,7 +480,8 @@ class _DenseBlocks:
 
 class _TupleBlocks:
     """Blocks over an infinite group: a dict from group tuples to entries,
-    all with one jet order."""
+    all with one jet order.  Products pair single entries on long grids,
+    so they broadcast along the grid (`_jet_mul`)."""
 
     def __init__(self, spec, ndim):
         self.ndim, self.e, self.mul = ndim, spec.identity(), spec.mul
@@ -489,7 +509,7 @@ class _TupleBlocks:
             for t, x in block.items())
 
     def outer(self, a, b, fuse=False):
-        out = self._collect((s + t, _jet_outer(x, y, self.ndim))
+        out = self._collect((s + t, _jet_mul(x, y, self.ndim))
                             for s, x in a.items() for t, y in b.items())
         return self.merge(out, len(next(iter(a))) - 1) if fuse else out
 

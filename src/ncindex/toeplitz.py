@@ -206,29 +206,36 @@ def kernel_rank(sv, eps_k):
     return r
 
 
+def _top_modes(size, margin):
+    """Modes in the top `margin` share of `size` modes, where the finite
+    section leaves its artifact kernel vectors."""
+    return size - int(np.floor(size * (1.0 - margin)))
+
+
 def _mode_mass_top(vecs, d, margin):
     """Share of each column's l2 mass in the top `margin` share of the
     mode range."""
     size = len(vecs) // d
     per_mode = (np.abs(vecs) ** 2).reshape(size, d, -1).sum(axis=1)
-    cut = _margin_cut(size, margin)
-    return per_mode[cut:].sum(axis=0) / per_mode.sum(axis=0)
+    top = per_mode[size - _top_modes(size, margin):]
+    return top.sum(axis=0) / per_mode.sum(axis=0)
 
 
-def _margin_cut(size, margin):
-    """First mode of the top `margin` share of `size` modes."""
-    return int(np.floor(size * (1.0 - margin)))
+def floor_cutoff(bandwidth):
+    """The first guard of `tau_index`: F_c >= 8 x bandwidth (at least 8),
+    checked before any decomposition."""
+    return 8 * max(bandwidth, 1)
 
 
 def least_cutoff(bandwidth):
-    """Smallest mode cutoff F_c at which `tau_index` runs for every symbol
-    of bandwidth w = max(bandwidth, 1) at the default margin: F_c >= 8w,
-    and the top margin of the F_c + 1 modes holds w modes, as many as the
-    finite section can leave artifact kernel vectors there (w for
-    exp(w))."""
+    """Smallest F_c passing both guards of `tau_index` at the default
+    margin when a symbol of bandwidth w = max(bandwidth, 1) has w kernel
+    vectors, as exp(+-w) has: floor_cutoff(w), and w modes in the top
+    margin.  `tau_index` checks the margin against the kernel vectors it
+    finds; the CLI, which knows only the bandwidth, checks this bound."""
     w = max(bandwidth, 1)
-    fc = 8 * w
-    while fc + 1 - _margin_cut(fc + 1, MARGIN) < w:
+    fc = floor_cutoff(w)
+    while _top_modes(fc + 1, MARGIN) < w:
         fc += 1
     return fc
 
@@ -250,10 +257,10 @@ def tau_index(tp, margin=MARGIN):
     Both are SVDs: a Gram matrix would square singular values near eps_k
     down to the rounding level of 1.
     """
-    if tp.fc < 8 * max(tp.bandwidth, 1):
+    if tp.fc < floor_cutoff(tp.bandwidth):
         raise ValueError(
             f"truncation margin violated: F_c = {tp.fc} < 8 x bandwidth "
-            f"= {8 * max(tp.bandwidth, 1)}")
+            f"= {floor_cutoff(tp.bandwidth)}")
     d = tp.system.rep_dim
     mat = tp.blocks[0]
     size = len(mat)
@@ -269,7 +276,7 @@ def tau_index(tp, margin=MARGIN):
             f"kernel threshold {tp.eps_k:g} lies above the singular value "
             f"1 of the interior modes")
     # the artifacts of one side are n vectors at the top of the window
-    top = tp.fc + 1 - _margin_cut(tp.fc + 1, margin)
+    top = _top_modes(tp.fc + 1, margin)
     if n > top * d:
         raise ValueError(
             f"truncation margin violated: {n} kernel vectors, but the top "
