@@ -15,6 +15,7 @@ the winding-cocycle form equal +1 on the standard cover.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -23,8 +24,8 @@ from . import bumps
 from .errors import BadCover, DegreeMismatch, UnsupportedManifold
 from .chern import chern_even
 from .cyclic import GroupCocycle, d_gamma, pair_cochain_form, tau_to_c
-from .group_algebra import GAMatrix, GroupSpec
-from .nc_forms import JetFunction, MixedForm, ScalarForm
+from .group_algebra import GroupSpec
+from .nc_forms import JetFunction, MixedForm, ScalarForm, _jet_mul
 
 TWO_PI_I = 2j * np.pi
 
@@ -225,15 +226,17 @@ class MFProjection:
 
 
 def build_mf_projection(cover, kalg=4):
-    """Assemble P = (chi_i chi_j g_ij) over the deck group algebra."""
-    spec = cover.deck_spec
+    """Assemble P = (chi_i chi_j g_ij) over the deck group algebra: the
+    entry at a deck element g holds the chi_i chi_j with g_ij = g."""
+    chi = np.stack([c.stack for c in cover.chi])[:, None]
+    prods = _jet_mul(chi, chi.swapaxes(0, 1), cover.grid.ndim)
     n = cover.n_arcs
-    form = MixedForm.zero(cover.grid, spec, n, kalg)
-    for i in range(n):
-        for j in range(n):
-            jet = cover.chi[i] * cover.chi[j]
-            mat = GAMatrix.single(spec, n, i, j, cover.deck_element(i, j))
-            form.add_term(ScalarForm.function(jet), (mat,))
+    masks = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        masks.setdefault((cover.deck_element(i, j),),
+                         np.zeros((n, n, 1, 1)))[i, j] = 1.0
+    form = MixedForm.zero(cover.grid, cover.deck_spec, n, kalg)
+    form.add_entries((g, (), prods * mask) for g, mask in masks.items())
     return MFProjection(cover, form)
 
 

@@ -50,4 +50,5 @@ class EndpointDegenerate(DomainError):
 
 
 class CrossingUnresolved(DomainError):
-    """Adaptive refinement budget exhausted before crossings were resolved."""
+    """Adaptive refinement could not resolve the crossings: its budget
+    ran out, or the path jumps."""

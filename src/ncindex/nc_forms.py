@@ -201,17 +201,14 @@ class JetFunction:
         return JetFunction(self.grid, self.order, c * self.stack)
 
     def __mul__(self, other):
+        """Pointwise product, by Leibniz in the jets: `_jet_mul` on the
+        two stacks viewed as 1 x 1 matrices of jets."""
         if not isinstance(other, JetFunction):
             return self.scale(other)
         order, a, b = self._common(other)
-        lay = _jet_layout(self.grid.ndim, order)
-        out = np.zeros_like(a)
-        for o, i, j, coeff in lay.mul_table:
-            if coeff == 1.0:
-                out[o] += a[i] * b[j]
-            else:
-                out[o] += coeff * (a[i] * b[j])
-        return JetFunction(self.grid, order, out)
+        out = _jet_mul(a.reshape(1, 1, len(a), -1),
+                       b.reshape(1, 1, len(b), -1), self.grid.ndim)
+        return JetFunction(self.grid, order, out.reshape(a.shape))
 
     def conj(self):
         return JetFunction(self.grid, self.order, np.conj(self.stack))
@@ -221,37 +218,21 @@ class JetFunction:
                            _partial(self.stack, axis, self.grid.ndim, 0))
 
     def rsqrt(self):
-        """Jets of s^{-1/2}; needs strictly positive values."""
-        lay = _jet_layout(self.grid.ndim, self.order)
+        """Jets of s^{-1/2}; needs strictly positive values.
+
+        Newton's step y -> (3y - s y^3)/2 from the values s^{-1/2} with
+        zero derivatives: the error of y starts at derivative order 1 and
+        its lowest order doubles with each step, so order.bit_length()
+        steps make every jet exact.
+        """
         v = self.stack[0]
         if np.any(np.real(v) <= 0):
             raise ValueError("rsqrt needs positive values")
-        ndim = self.grid.ndim
-        out = np.zeros_like(self.stack)
-        out[0] = v ** -0.5
-        if self.order >= 1:
-            for ax in range(ndim):
-                a = tuple(1 if i == ax else 0 for i in range(ndim))
-                p = lay.position[a]
-                out[p] = -0.5 * self.stack[p] * v ** -1.5
-        if self.order >= 2:
-            for alpha in lay.indices:
-                if sum(alpha) != 2:
-                    continue
-                # d2(s^-1/2) = (3/4) s_a s_b s^-5/2 - (1/2) s_ab s^-3/2
-                nz = [i for i, a in enumerate(alpha) if a]
-                if len(nz) == 1:
-                    ea = tuple(1 if i == nz[0] else 0 for i in range(ndim))
-                    sa = sb = self.stack[lay.position[ea]]
-                else:
-                    e0 = tuple(1 if i == nz[0] else 0 for i in range(ndim))
-                    e1 = tuple(1 if i == nz[1] else 0 for i in range(ndim))
-                    sa = self.stack[lay.position[e0]]
-                    sb = self.stack[lay.position[e1]]
-                out[lay.position[alpha]] = (
-                    0.75 * sa * sb * v ** -2.5
-                    - 0.5 * self.stack[lay.position[alpha]] * v ** -1.5)
-        return JetFunction(self.grid, self.order, out)
+        y = JetFunction(self.grid, self.order, np.zeros_like(self.stack))
+        y.stack[0] = v ** -0.5
+        for _ in range(self.order.bit_length()):
+            y = (y.scale(3.0) + (self * y * y * y).scale(-1.0)).scale(0.5)
+        return y
 
     def max_abs(self):
         return float(np.max(np.abs(self.stack[0]), initial=0.0))
@@ -380,11 +361,11 @@ class ScalarForm:
 
 
 def _jet_mul(x, y, ndim):
-    """Product of two entries, (n, n, J, G) arrays: a matrix product, by
-    Leibniz in the jets and pointwise on the G grid points, broadcast
-    along the grid."""
+    """Product of two matrices of jets, (n, l, J, G) and (l, m, J, G)
+    arrays: a matrix product, by Leibniz in the jets and pointwise on the
+    G grid points, broadcast along the grid."""
     J = min(x.shape[-2], y.shape[-2])
-    out = np.zeros(x.shape[:-2] + (J, x.shape[-1]), dtype=complex)
+    out = np.zeros((len(x), y.shape[1], J, x.shape[-1]), dtype=complex)
     for o, i, j, c in _jet_layout(ndim, _jet_order(ndim, J)).mul_table:
         out[:, :, o] += c * np.sum(x[:, :, None, i] * y[None, :, :, j], 1)
     return out
@@ -487,7 +468,7 @@ class _TupleBlocks:
         self.ndim, self.e, self.mul = ndim, spec.identity(), spec.mul
 
     def block(self, entries, q):
-        return dict(entries)
+        return self._collect(entries)
 
     def stacked(self, block):
         return list(block), np.stack(list(block.values()))
@@ -573,23 +554,30 @@ class MixedForm:
     def add_term(self, sform, word):
         """Add sform x phi(m_0 dm_1 ... dm_q) for a word of GAMatrix: the
         entry at (g_0, ..., g_q) is the product of the coefficient
-        matrices of g_s in m_s, and a tuple with e in a slot >= 1 dies."""
-        q = len(word) - 1
-        if q > self.kalg:
-            self.dropped = True
-            return
-        e = self.spec.identity()
-        slots = [[(g, m) for g, m in mat.parts.items() if s == 0 or g != e]
-                 for s, mat in enumerate(word)]
+        matrices of g_s in m_s."""
         mats = [(tuple(g for g, _ in combo),
                  functools.reduce(np.matmul, [m for _, m in combo]))
-                for combo in itertools.product(*slots)]
-        if not mats:    # e in a slot >= 1 of every tuple
-            return
-        for axes, jet in sform.comps.items():
-            stack = jet.stack.reshape(len(jet.stack), -1)
-            self._add((q, axes), self.layout.block(
-                ((t, m[:, :, None, None] * stack) for t, m in mats), q))
+                for combo in itertools.product(
+                    *(mat.parts.items() for mat in word))]
+        self.add_entries((t, axes, np.multiply.outer(m, jet.stack))
+                         for axes, jet in sform.comps.items()
+                         for t, m in mats)
+
+    def add_entries(self, entries):
+        """Add (group tuple, axes, (n, n, J, *grid) array) entries, the
+        inverse of `entries`.  The algebra degree is the tuple length
+        less one; entries above kalg are dropped (and `dropped` set), and
+        a tuple with e in a slot >= 1 dies."""
+        blocks = {}
+        for tup, axes, x in entries:
+            if len(tup) - 1 > self.kalg:
+                self.dropped = True
+            else:
+                blocks.setdefault((len(tup) - 1, tuple(axes)), []).append(
+                    (tuple(tup), x.reshape(x.shape[:3] + (-1,))))
+        for (q, axes), block in blocks.items():
+            self._add((q, axes),
+                      self.layout.kill(self.layout.block(block, q)))
 
     def _add(self, key, block):
         """Add a block at key, dropping the key if its block is zero."""

@@ -36,7 +36,9 @@ class SelfAdjointPath:
 
     Between consecutive samples no eigenvalue moves by more than
     delta_c / 2 (enforced via the operator-norm bound on the difference);
-    refinement bisects until that holds or the budget is exhausted.
+    refinement bisects until that holds, and raises CrossingUnresolved
+    when the budget is exhausted or the path jumps (the bound still fails
+    on a step shorter than 1e-6).
     """
 
     def __init__(self, ts, mats, delta_c=1e-2, sa_tol=1e-10):
@@ -56,9 +58,13 @@ class SelfAdjointPath:
         while i < len(ts) - 1:
             a, b = ts[i], ts[i + 1]
             gap = np.linalg.norm(mats[a] - mats[b], 2)
-            if gap <= delta_c / 2 or (b - a) < 1e-6:
+            if gap <= delta_c / 2:
                 i += 1
                 continue
+            if b - a < 1e-6:
+                raise CrossingUnresolved(
+                    f"path jumps by {gap:.3g} > delta_c / 2 = "
+                    f"{delta_c / 2:.3g} at t = {a:.9g}")
             if len(ts) >= max_samples:
                 raise CrossingUnresolved(
                     f"refinement budget of {max_samples} samples exhausted")

@@ -2,10 +2,11 @@
 
 Grid-dependent projections and unitaries over C[Z/k] are built through
 the character decomposition: one unitary path per character sector, with
-closed-form derivatives, recombined into finitely supported group-algebra
-coefficients.  Idempotence and unitarity then hold pointwise by
-construction, which keeps residual checks honest about the quantities
-they target.
+closed-form derivatives, held as one (n, n, J, G) array of jets per
+sector.  One inverse DFT over the sectors recombines them into the
+group-algebra coefficients.  Idempotence and unitarity then hold
+pointwise by construction, which keeps residual checks honest about the
+quantities they target.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .cyclic import CyclicCochain, GroupCocycle, signed_orbits
 from .group_algebra import GAMatrix, GroupSpec, gamatrix_from_sectors
-from .nc_forms import JetFunction, MixedForm, ScalarForm
+from .nc_forms import JetFunction, MixedForm, ScalarForm, _jet_mul
 
 TWO_PI = 2.0 * np.pi
 
@@ -96,94 +97,47 @@ def _real_trig(grid, rng, band=1):
     return t, t1, t2
 
 
-def _sector_rotation_jets(grid, rng, n, order=2):
-    """Entries of exp(i t(x) h) for one random hermitian h, as jets."""
+def _rotation_sector(grid, rng, n, order=2):
+    """Jets of exp(i t(x) h) for one random hermitian h, as an
+    (n, n, J, G) array."""
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = 0.5 * (h + h.conj().T)
-    lam, vec = np.linalg.eigh(h)
+    lam, vec = np.linalg.eigh(0.5 * (h + h.conj().T))
     t, t1, t2 = _real_trig(grid, rng)
-    entries = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            val = np.zeros(grid.shape, dtype=complex)
-            d1 = np.zeros(grid.shape, dtype=complex)
-            d2 = np.zeros(grid.shape, dtype=complex)
-            for k in range(n):
-                c = vec[a, k] * np.conj(vec[b, k])
-                ph = np.exp(1j * lam[k] * t)
-                val += c * ph
-                d1 += c * 1j * lam[k] * t1 * ph
-                d2 += c * (1j * lam[k] * t2
-                           - lam[k] ** 2 * t1 ** 2) * ph
-            arrays = {(0,): val, (1,): d1}
-            if order >= 2:
-                arrays[(2,)] = d2
-            entries[a][b] = JetFunction.from_arrays(grid, arrays)
-    return entries
+    lam = lam[:, None]
+    ph = np.exp(1j * lam * t)
+    jets = np.stack([ph, 1j * lam * t1 * ph,
+                     (1j * lam * t2 - lam ** 2 * t1 ** 2) * ph], axis=1)
+    return np.einsum("ak,bk,kjg->abjg", vec, vec.conj(),
+                     jets[:, :min(order, 2) + 1])
 
 
-def _jets_matmul(A, B, conj_b=False):
-    n = len(A)
-    out = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            acc = None
-            for k in range(n):
-                rhs = B[b][k].conj() if conj_b else B[k][b]
-                term = A[a][k] * rhs
-                acc = term if acc is None else acc + term
-            out[a][b] = acc
-    return out
-
-
-def _const_jets(grid, mat, order=2):
-    n = mat.shape[0]
-    return [[JetFunction.constant(grid, mat[a][b], order)
-             for b in range(n)] for a in range(n)]
-
-
-def _assemble_from_sector_jets(grid, spec, sector_entries, n, kalg):
-    """Recombine per-character jet matrices into a mixed form over
-    the cyclic group algebra."""
-    k = spec.order
+def _from_sectors(grid, spec, sectors, n, kalg):
+    """Mixed form over C[Z/k] with the character sectors (k, n, n, J, G):
+    the coefficient of m is the inverse DFT sum_j e^{-2 pi i jm/k} s_j / k."""
+    coeffs = np.fft.fft(sectors, axis=0) / spec.order
     out = MixedForm.zero(grid, spec, n, kalg)
-    for m in range(k):
-        for a in range(n):
-            for b in range(n):
-                acc = None
-                for j in range(k):
-                    w = np.exp(-2j * np.pi * j * m / k) / k
-                    term = sector_entries[j][a][b].scale(w)
-                    acc = term if acc is None else acc + term
-                if acc is None or acc.is_zero():
-                    continue
-                out.add_term(ScalarForm.function(acc),
-                             (GAMatrix.single(spec, n, a, b, m),))
+    out.add_entries(((m,), (), x) for m, x in enumerate(coeffs))
     return out
 
 
 def random_projection_form(grid, spec, n, rng, kalg=5, order=2):
     """Grid-dependent projection-valued mixed form over C[Z/k]."""
-    k = spec.order
     sectors = []
-    for j in range(k):
-        u = _sector_rotation_jets(grid, rng, n, order)
-        r = 1
+    for _ in range(spec.order):
+        u = _rotation_sector(grid, rng, n, order)
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         _, v = np.linalg.eigh(h + h.conj().T)
-        p0 = v[:, :r] @ v[:, :r].conj().T
-        up = _jets_matmul(u, _const_jets(grid, p0, order))
-        pup = _jets_matmul(up, u, conj_b=True)
-        sectors.append(pup)
-    return _assemble_from_sector_jets(grid, spec, sectors, n, kalg)
+        # u p0 u* with the rank-one p0 = v_0 v_0*
+        uv = np.einsum("akjg,k->ajg", u, v[:, 0])[:, None]
+        sectors.append(_jet_mul(uv, uv.conj().swapaxes(0, 1), grid.ndim))
+    return _from_sectors(grid, spec, np.stack(sectors), n, kalg)
 
 
 def random_unitary_form(grid, spec, n, rng, kalg=5, order=2):
     """Grid-dependent unitary-valued mixed form over C[Z/k]."""
-    k = spec.order
-    sectors = [_sector_rotation_jets(grid, rng, n, order)
-               for _ in range(k)]
-    return _assemble_from_sector_jets(grid, spec, sectors, n, kalg)
+    sectors = [_rotation_sector(grid, rng, n, order)
+               for _ in range(spec.order)]
+    return _from_sectors(grid, spec, np.stack(sectors), n, kalg)
 
 
 def random_alternating_cocycle(spec, degree, rng, span=12):

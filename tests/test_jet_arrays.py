@@ -1,0 +1,284 @@
+"""Matrices of jets as (n, n, J, G) arrays, checked against per-entry
+oracles: the JetFunction lists that the random forms and the flat
+projection of a cover were once built from, and the second-order
+formula for s^{-1/2}."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from ncindex.covering import CoverData, build_mf_projection
+from ncindex.group_algebra import GAMatrix, GroupSpec
+from ncindex.nc_forms import (ChartGrid2D, CircleGrid, JetFunction,
+                              MixedForm, ScalarForm, _jet_layout, _jet_mul)
+from ncindex.testing import (_real_trig, random_projection_form,
+                             random_unitary_form)
+
+GRID = CircleGrid(16)
+
+
+# ---------------------------------------------------------------------
+# per-entry oracles
+# ---------------------------------------------------------------------
+
+
+def _rsqrt_oracle(s):
+    """Jets of s^{-1/2} to order 2 from the closed-form derivatives."""
+    ndim = s.grid.ndim
+    lay = _jet_layout(ndim, s.order)
+    v = s.stack[0]
+    out = np.zeros_like(s.stack)
+    out[0] = v ** -0.5
+
+    def unit(ax):
+        return lay.position[tuple(int(i == ax) for i in range(ndim))]
+
+    if s.order >= 1:
+        for ax in range(ndim):
+            out[unit(ax)] = -0.5 * s.stack[unit(ax)] * v ** -1.5
+    if s.order >= 2:
+        for alpha in lay.indices:
+            if sum(alpha) != 2:
+                continue
+            # d2(s^-1/2) = (3/4) s_a s_b s^-5/2 - (1/2) s_ab s^-3/2
+            nz = [i for i, a in enumerate(alpha) if a]
+            sa = s.stack[unit(nz[0])]
+            sb = s.stack[unit(nz[-1])]
+            out[lay.position[alpha]] = (
+                0.75 * sa * sb * v ** -2.5
+                - 0.5 * s.stack[lay.position[alpha]] * v ** -1.5)
+    return out
+
+
+def _sector_rotation_jets(grid, rng, n, order=2):
+    """Entries of exp(i t(x) h) for one random hermitian h, as jets."""
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = 0.5 * (h + h.conj().T)
+    lam, vec = np.linalg.eigh(h)
+    t, t1, t2 = _real_trig(grid, rng)
+    entries = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            val = np.zeros(grid.shape, dtype=complex)
+            d1 = np.zeros(grid.shape, dtype=complex)
+            d2 = np.zeros(grid.shape, dtype=complex)
+            for k in range(n):
+                c = vec[a, k] * np.conj(vec[b, k])
+                ph = np.exp(1j * lam[k] * t)
+                val += c * ph
+                d1 += c * 1j * lam[k] * t1 * ph
+                d2 += c * (1j * lam[k] * t2
+                           - lam[k] ** 2 * t1 ** 2) * ph
+            arrays = {(0,): val, (1,): d1}
+            if order >= 2:
+                arrays[(2,)] = d2
+            entries[a][b] = JetFunction.from_arrays(grid, arrays)
+    return entries
+
+
+def _jets_matmul(A, B, conj_b=False):
+    n = len(A)
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            acc = None
+            for k in range(n):
+                rhs = B[b][k].conj() if conj_b else B[k][b]
+                term = A[a][k] * rhs
+                acc = term if acc is None else acc + term
+            out[a][b] = acc
+    return out
+
+
+def _const_jets(grid, mat, order=2):
+    n = mat.shape[0]
+    return [[JetFunction.constant(grid, mat[a][b], order)
+             for b in range(n)] for a in range(n)]
+
+
+def _assemble_from_sector_jets(grid, spec, sector_entries, n, kalg):
+    """Recombine per-character jet matrices into a mixed form over
+    the cyclic group algebra, one add_term per entry."""
+    k = spec.order
+    out = MixedForm.zero(grid, spec, n, kalg)
+    for m in range(k):
+        for a in range(n):
+            for b in range(n):
+                acc = None
+                for j in range(k):
+                    w = np.exp(-2j * np.pi * j * m / k) / k
+                    term = sector_entries[j][a][b].scale(w)
+                    acc = term if acc is None else acc + term
+                if acc is None or acc.is_zero():
+                    continue
+                out.add_term(ScalarForm.function(acc),
+                             (GAMatrix.single(spec, n, a, b, m),))
+    return out
+
+
+def _projection_form_oracle(grid, spec, n, rng, kalg=5, order=2):
+    sectors = []
+    for _ in range(spec.order):
+        u = _sector_rotation_jets(grid, rng, n, order)
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        _, v = np.linalg.eigh(h + h.conj().T)
+        p0 = v[:, :1] @ v[:, :1].conj().T
+        up = _jets_matmul(u, _const_jets(grid, p0, order))
+        sectors.append(_jets_matmul(up, u, conj_b=True))
+    return _assemble_from_sector_jets(grid, spec, sectors, n, kalg)
+
+
+def _unitary_form_oracle(grid, spec, n, rng, kalg=5, order=2):
+    sectors = [_sector_rotation_jets(grid, rng, n, order)
+               for _ in range(spec.order)]
+    return _assemble_from_sector_jets(grid, spec, sectors, n, kalg)
+
+
+def _mf_projection_oracle(cover, kalg=4):
+    """P = (chi_i chi_j g_ij), one add_term per matrix entry."""
+    spec, n = cover.deck_spec, cover.n_arcs
+    form = MixedForm.zero(cover.grid, spec, n, kalg)
+    for i in range(n):
+        for j in range(n):
+            jet = cover.chi[i] * cover.chi[j]
+            mat = GAMatrix.single(spec, n, i, j, cover.deck_element(i, j))
+            form.add_term(ScalarForm.function(jet), (mat,))
+    return form
+
+
+def _entry_map(form):
+    return {(tup, axes): x for tup, axes, x in form.entries()}
+
+
+def _assert_same_entries(got, want, rel=1e-12):
+    eg, ew = _entry_map(got), _entry_map(want)
+    assert set(eg) == set(ew)
+    scale = max(np.max(np.abs(x)) for x in ew.values())
+    worst = max(np.max(np.abs(eg[key] - ew[key])) for key in ew)
+    assert worst <= rel * scale
+
+
+def _random_positive_jet(grid, order, rng):
+    lay = _jet_layout(grid.ndim, order)
+    stack = rng.standard_normal((len(lay.indices),) + grid.shape)
+    stack[0] = 0.5 + rng.random(grid.shape)
+    return JetFunction(grid, order, stack.astype(complex))
+
+
+# ---------------------------------------------------------------------
+# rsqrt
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("grid", [CircleGrid(16), ChartGrid2D(6)],
+                         ids=["circle", "chart"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_rsqrt_matches_closed_form(grid, order):
+    rng = np.random.default_rng(order)
+    for _ in range(3):
+        s = _random_positive_jet(grid, order, rng)
+        got, want = s.rsqrt().stack, _rsqrt_oracle(s)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid", [CircleGrid(16), ChartGrid2D(6)],
+                         ids=["circle", "chart"])
+def test_rsqrt_squares_to_inverse_at_order_3(grid):
+    s = _random_positive_jet(grid, 3, np.random.default_rng(7))
+    y = s.rsqrt()
+    assert y.order == 3
+    one = JetFunction.constant(grid, 1.0, order=3).stack
+    assert np.max(np.abs((s * y * y).stack - one)) <= 1e-12
+
+
+# ---------------------------------------------------------------------
+# array builders against their per-entry oracles
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_random_forms_match_per_entry_builders(k, seed):
+    spec = GroupSpec.cyclic(k)
+    for build, oracle in ((random_projection_form, _projection_form_oracle),
+                          (random_unitary_form, _unitary_form_oracle)):
+        got = build(GRID, spec, 2, np.random.default_rng(seed), kalg=4)
+        want = oracle(GRID, spec, 2, np.random.default_rng(seed), kalg=4)
+        assert got.kalg == want.kalg == 4
+        _assert_same_entries(got, want)
+
+
+@pytest.mark.parametrize("kw", [dict(n_arcs=4), dict(deck_order=3)],
+                         ids=["lattice", "z3"])
+def test_mf_projection_matches_per_entry_builder(kw):
+    cover = CoverData.standard(CircleGrid(128), **kw)
+    _assert_same_entries(build_mf_projection(cover).form,
+                         _mf_projection_oracle(cover))
+
+
+# ---------------------------------------------------------------------
+# add_entries and the jet product
+# ---------------------------------------------------------------------
+
+
+def _forms():
+    P = random_projection_form(GRID, GroupSpec.cyclic(3), 2,
+                               np.random.default_rng(3))
+    Q = build_mf_projection(CoverData.standard(CircleGrid(64))).form
+    return (P, Q)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["dense-z3", "tuple-lattice"])
+def test_add_entries_inverts_entries(which):
+    P = _forms()[which]
+    R = MixedForm.zero(P.grid, P.spec, P.size, P.kalg)
+    R.add_entries(P.entries())
+    assert not (R - P).terms
+    assert not R.dropped
+
+
+def test_add_entries_drops_above_kalg_and_zeros():
+    spec = GroupSpec.cyclic(3)
+    x = np.ones((2, 2, 3) + GRID.shape, dtype=complex)
+    form = MixedForm.zero(GRID, spec, 2, kalg=1)
+    form.add_entries([((0, 1, 2), (), x)])
+    assert form.dropped and not form.terms
+    form = MixedForm.zero(GRID, spec, 2, kalg=1)
+    form.add_entries([((1,), (0,), np.zeros_like(x))])
+    assert not form.dropped and not form.terms
+    # a tuple with e in a slot >= 1 is zero in Omega C[Gamma]
+    form.add_entries([((1, 0), (), x)])
+    assert not form.terms
+    form.add_entries([((1, 2), (), x)])
+    assert [(t, a) for t, a, _ in form.entries()] == [((1, 2), ())]
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.cyclic(3), GroupSpec.lattice(1)],
+                         ids=["dense-z3", "tuple-lattice"])
+def test_add_entries_sums_repeated_tuples(spec):
+    g = spec.elements()[1] if spec.is_finite else (1,)
+    x = np.ones((1, 1, 3) + GRID.shape, dtype=complex)
+    form = MixedForm.zero(GRID, spec, 1, kalg=2)
+    form.add_entries([((g,), (), x), ((g,), (), x)])
+    [(tup, _axes, y)] = list(form.entries())
+    assert tup == (g,) and np.array_equal(y, 2 * x)
+
+
+@pytest.mark.parametrize("grid", [CircleGrid(8), ChartGrid2D(4)],
+                         ids=["circle", "chart"])
+def test_jet_mul_column_times_row(grid):
+    rng = np.random.default_rng(5)
+    J = len(_jet_layout(grid.ndim, 2).indices)
+    G = int(np.prod(grid.shape))
+    x = rng.standard_normal((3, 1, J, G)) + 1j * rng.standard_normal(
+        (3, 1, J, G))
+    y = rng.standard_normal((1, 4, J, G))
+    out = _jet_mul(x, y, grid.ndim)
+    assert out.shape == (3, 4, J, G)
+    for a, b in itertools.product(range(3), range(4)):
+        jet = (JetFunction.from_stack(grid, x[a, 0].reshape((J,) + grid.shape))
+               * JetFunction.from_stack(grid,
+                                        y[0, b].reshape((J,) + grid.shape)))
+        assert np.array_equal(out[a, b], jet.stack.reshape(J, G))

@@ -79,6 +79,14 @@ def test_refinement_budget_exhaustion():
             delta_c=1e-4, max_samples=16)
 
 
+@pytest.mark.parametrize("after", [3.0, -1.0])
+def test_refinement_rejects_a_jump(after):
+    # bisection cannot close a jump: the sample gap stays 2 > delta_c / 2
+    with pytest.raises(CrossingUnresolved, match=r"jumps by 2 .* t = 0\.333"):
+        SelfAdjointPath.from_callable(
+            lambda t: [[1.0 if t < 1 / 3 else after]], delta_c=0.2)
+
+
 def test_relative_index_equal_projections():
     P = np.diag([1, 1, 0, 0]).astype(complex)
     assert relative_index(P, P) == 0
