@@ -1,7 +1,7 @@
 """Cyclic cochains on group algebras and the group-cohomology dictionary.
 
-Cochains are memoised evaluator callbacks or {tuple: value} tables rather
-than dense tensors, since only finitely many tuples are queried per run.
+Cochains are memoised evaluator callbacks or, over Z/k, dense tables
+on the tuple lattice (k,)*(n+1), which are read many tuples at a time.
 The dictionary between alternating invariant group cochains tau and
 cyclic cochains c supported at the identity conjugacy class follows
 
@@ -71,9 +71,9 @@ class CyclicCochain:
     """Degree-n evaluator on group tuples, extended multilinearly.
 
     A function cochain memoises the values of `fn`.  A table cochain
-    (`from_table`) reads its values from `table`, a {tuple: value} dict
-    that lists every nonzero value, and stores nothing; `table` is None
-    for function cochains.
+    over Z/k (`from_table`) reads its values from `table`, a complex
+    array of shape (k,)*(n+1) indexed by the group tuple, and stores
+    nothing; `table` is None for function cochains.
     """
 
     def __init__(self, spec, degree, fn):
@@ -94,12 +94,22 @@ class CyclicCochain:
         if len(args) != self.degree + 1:
             raise ValueError(f"expected {self.degree + 1} arguments")
         if self.table is not None:
-            return self.table.get(args, 0j)
+            return complex(self.table[args])
         val = self._memo.get(args)
         if val is None:
             val = complex(self._fn(*args))
             self._memo[args] = val
         return val
+
+    def values(self, tuples):
+        """The values on an iterable of group tuples, as a list of complex:
+        one indexing step for a table cochain, one call per tuple
+        otherwise."""
+        if self.table is None:
+            return [self(*t) for t in tuples]
+        index = np.fromiter(itertools.chain.from_iterable(tuples), int)
+        index = index.reshape(-1, self.degree + 1).T
+        return self.table[tuple(index)].tolist()
 
     def cyclic_defect(self, rng, samples=20, radius=2):
         """Deviation from phi(lambda x) = phi(x) with the (-1)^n sign."""
@@ -198,7 +208,8 @@ class CyclicChain:
     def pair(self, phi):
         if phi.degree != self.degree:
             raise ValueError("degree mismatch in chain pairing")
-        return sum(c * phi(*t) for t, c in self.terms.items())
+        return sum(c * v for c, v in zip(self.terms.values(),
+                                          phi.values(self.terms)))
 
 
 def chern_lambda(p, m_max, tol=1e-10):
@@ -246,14 +257,10 @@ def pair_cochain_form(phi, omega):
     result is a scalar grid form of whatever manifold degrees are present.
     """
     traced = omega if omega.size == 1 else omega.graded_trace()
-    values, stacks = {}, {}
-    for tup, axes, x in traced.algebra_component(phi.degree).entries():
-        values.setdefault(axes, []).append(phi(*tup))
-        stacks.setdefault(axes, []).append(x[0, 0])
     return ScalarForm(omega.grid, {
-        axes: JetFunction.from_stack(
-            omega.grid, np.tensordot(values[axes], stacks[axes], 1))
-        for axes in values})
+        axes: JetFunction.from_stack(omega.grid, np.tensordot(
+            phi.values(tuples), arrays[:, 0, 0], 1))
+        for q, axes, tuples, arrays in traced.stacks() if q == phi.degree})
 
 
 # ---------------------------------------------------------------------
@@ -261,90 +268,80 @@ def pair_cochain_form(phi, omega):
 # ---------------------------------------------------------------------
 
 
-def signed_orbits(tuples, degree):
-    """The signed cyclic orbits of `tuples`, in order of first appearance.
+def rotation_orbits(tuples, k):
+    """The signed rotation orbits of an (m, N) array of tuples over Z/k.
 
-    A degree-n cyclic cochain takes the value (-1)^(n s) phi(x) on x
-    rotated by s slots, so each orbit is yielded as {tuple: sign}.  An
-    orbit that meets itself with the opposite sign forces every cyclic
-    cochain to vanish on it; its signs are all 0.
+    Returns two (N,) arrays.  orbit labels a tuple's orbit by its
+    smallest flat index in the lattice (k,)*m, so sorting the labels
+    gives the order of first appearance in lexicographic order.  A
+    degree m-1 cyclic cochain takes the value (-1)^((m-1) s) phi(x) on x
+    rotated by s slots, and sign is that factor relative to the smallest
+    member; it is 0 on an orbit that meets itself with the opposite
+    sign, which forces every cyclic cochain to vanish there.
     """
-    sign_rot = -1.0 if degree % 2 else 1.0
-    seen = set()
-    for tup in tuples:
-        if tup in seen:
-            continue
-        members = {}
-        cur, s, dead = tup, 1.0, False
-        for _ in range(degree + 1):
-            dead = dead or members.get(cur, s) != s
-            members[cur] = s
-            cur = (cur[-1],) + cur[:-1]
-            s *= sign_rot
-        seen.update(members)
-        yield dict.fromkeys(members, 0.0) if dead else members
+    m = len(tuples)
+    rots = np.stack([np.ravel_multi_index(np.roll(tuples, s, axis=0),
+                                          (k,) * m) for s in range(m)])
+    odd = (m - 1) * np.arange(m) % 2 == 1
+    dead = (odd[:, None] & (rots == rots[0])).any(axis=0)
+    sign = np.where(odd[rots.argmin(axis=0)], -1.0, 1.0)
+    sign[dead] = 0.0
+    return rots.min(axis=0), sign
 
 
 def closed_cocycle_basis(spec, degree, tol=1e-10):
     """Basis of b^t-closed normalized invariant cyclic cochains at <e>.
 
-    Enumerates Z/k tensor tuples with all entries != e and product e,
-    groups them into signed cyclic orbits, and solves b^t phi = 0 on all
-    reduced chains by a dense null space.  Returns a list of table
-    cochains spanning the kernel.
+    The variables are the signed rotation orbits of the Z/k tuples with
+    all entries != e and product e that are not forced to zero.  Since
+    b^t maps cyclic cochains to cyclic ones, the rows of b^t phi = 0 at
+    y and at a rotation of y agree up to sign, so one reduced chain per
+    rotation orbit gives all the equations; their dense null space is
+    the basis.  Returns table cochains spanning the kernel.
     """
     if not spec.is_finite:
         raise ValueError("enumeration needs a finite cyclic group")
     k = spec.order
     n = degree
+    shape = (k,) * (n + 1)
 
     # one variable per orbit of support tuples that is not forced to zero
-    support = (((-sum(tail)) % k,) + tail
-               for tail in itertools.product(range(1, k), repeat=n))
-    orbit_of = {}
-    nvar = 0
-    for members in signed_orbits((t for t in support if t[0]), n):
-        if any(members.values()):
-            orbit_of.update((tup, (nvar, s)) for tup, s in members.items())
-            nvar += 1
-    if nvar == 0:
+    nonzero = np.indices((k - 1,) * (n + 1)).reshape(n + 1, -1) + 1
+    tuples = nonzero[:, nonzero.sum(axis=0) % k == 0]
+    orbit, sign = rotation_orbits(tuples, k)
+    live = sign != 0
+    if not live.any():
         return []
+    tuples, sign = tuples[:, live], sign[live]
+    labels, var = np.unique(orbit[live], return_inverse=True)
+    column = np.zeros(shape, dtype=int)
+    column[tuple(tuples)] = var
+    signs = np.zeros(shape)
+    signs[tuple(tuples)] = sign
 
-    rows = []
-    for tail in itertools.product(range(1, k), repeat=n + 1):
-        y0 = (-sum(tail)) % k
-        y = (y0,) + tail
-        row = np.zeros(nvar, dtype=float)
-        hit = False
-        for i in range(n + 2):
-            if i <= n:
-                merged = y[:i] + ((y[i] + y[i + 1]) % k,) + y[i + 2:]
-            else:
-                merged = ((y[n + 1] + y[0]) % k,) + y[1:n + 1]
-            ref = orbit_of.get(merged)
-            if ref is None:
-                continue
-            idx, s = ref
-            row[idx] += s * (1.0 if i % 2 == 0 else -1.0)
-            hit = True
-        if hit:
-            rows.append(row)
-    mat = np.array(rows) if rows else np.zeros((1, nvar))
+    # the reduced chains: nonzero tail, product e; one per rotation orbit.
+    # A merge off the support has sign 0, so it adds nothing to column 0.
+    y = np.vstack([-nonzero.sum(axis=0) % k, nonzero])
+    y = y[:, np.unique(rotation_orbits(y, k)[0], return_index=True)[1]]
+    mat = np.zeros((y.shape[1], len(labels)))
+    rows = np.arange(y.shape[1])
+    for i in range(n + 2):
+        if i <= n:
+            merged = np.vstack([y[:i], (y[i] + y[i + 1]) % k, y[i + 2:]])
+        else:
+            merged = np.vstack([(y[n + 1] + y[0]) % k, y[1:n + 1]])
+        at = tuple(merged)
+        np.add.at(mat, (rows, column[at]), (-1) ** i * signs[at])
     # the null space needs all of V but none of U beyond rank(mat)
     _, svals, vh = np.linalg.svd(mat,
                                  full_matrices=mat.shape[0] < mat.shape[1])
     null_dim = int(np.sum(svals <= tol * max(1.0, svals[0] if len(svals)
                                              else 1.0)))
     null_dim += vh.shape[0] - len(svals)
-    tups = list(orbit_of)
-    cols = [idx for idx, _ in orbit_of.values()]
-    signs = np.array([s for _, s in orbit_of.values()])
-    basis = []
-    for coeffs in vh[vh.shape[0] - null_dim:]:
-        vals = (signs * coeffs[cols]).astype(complex).tolist()
-        basis.append(CyclicCochain.from_table(spec, n, {
-            tup: v for tup, v in zip(tups, vals) if v != 0}))
-    return basis
+    tables = np.zeros((null_dim,) + shape, dtype=complex)
+    tables[(slice(None),) + tuple(tuples)] = \
+        sign * vh[vh.shape[0] - null_dim:, var]
+    return [CyclicCochain.from_table(spec, n, t) for t in tables]
 
 
 def random_closed_cocycle(spec, degree, rng, basis=None):
@@ -360,8 +357,5 @@ def random_closed_cocycle(spec, degree, rng, basis=None):
                          f"{spec}")
     w = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
         len(basis))
-    table = {}
-    for c, b in zip(w.tolist(), basis):
-        for tup, val in b.table.items():
-            table[tup] = table.get(tup, 0) + c * val
-    return CyclicCochain.from_table(spec, degree, table)
+    return CyclicCochain.from_table(spec, degree, np.tensordot(
+        w, np.stack([b.table for b in basis]), 1))

@@ -508,21 +508,14 @@ def cyclic_sectors(m):
     matrices over C[Z/k] becomes per-sector matrix multiplication.
     """
     k = m.spec.order
-    sectors = np.zeros((k, m.n, m.n), dtype=complex)
+    coeffs = np.zeros((k, m.n, m.n), dtype=complex)
     for g, blk in m.parts.items():
-        for j in range(k):
-            sectors[j] += blk * np.exp(2j * np.pi * j * g / k)
-    return sectors
+        coeffs[g] = blk
+    return np.fft.ifft(coeffs, axis=0) * k
 
 
 def gamatrix_from_sectors(spec, sectors):
-    """Inverse DFT of `cyclic_sectors`."""
-    k = spec.order
-    n = sectors.shape[1]
-    parts = {}
-    for g in range(k):
-        blk = np.zeros((n, n), dtype=complex)
-        for j in range(k):
-            blk += sectors[j] * np.exp(-2j * np.pi * j * g / k)
-        parts[g] = blk / k
-    return GAMatrix(spec, n, parts)
+    """Inverse DFT of `cyclic_sectors`: the coefficient of g is
+    sum_j e^{-2 pi i jg/k} sectors[j] / k."""
+    parts = np.fft.fft(sectors, axis=0) / spec.order
+    return GAMatrix(spec, sectors.shape[1], dict(enumerate(parts)))

@@ -567,7 +567,8 @@ class MixedForm:
         """Add (group tuple, axes, (n, n, J, *grid) array) entries, the
         inverse of `entries`.  The algebra degree is the tuple length
         less one; entries above kalg are dropped (and `dropped` set), and
-        a tuple with e in a slot >= 1 dies."""
+        a tuple with e in a slot >= 1 dies.  A block takes the lowest jet
+        order among its entries, as `_add` does."""
         blocks = {}
         for tup, axes, x in entries:
             if len(tup) - 1 > self.kalg:
@@ -576,8 +577,10 @@ class MixedForm:
                 blocks.setdefault((len(tup) - 1, tuple(axes)), []).append(
                     (tuple(tup), x.reshape(x.shape[:3] + (-1,))))
         for (q, axes), block in blocks.items():
-            self._add((q, axes),
-                      self.layout.kill(self.layout.block(block, q)))
+            J = min(x.shape[-2] for _, x in block)
+            block = self.layout.block([(t, x[..., :J, :]) for t, x in block],
+                                      q)
+            self._add((q, axes), self.layout.kill(block))
 
     def _add(self, key, block):
         """Add a block at key, dropping the key if its block is zero."""
@@ -694,12 +697,18 @@ class MixedForm:
             size=1)
 
     # -- inspection ------------------------------------------------------
+    def stacks(self):
+        """Yield (q, axes, group tuples, (N, n, n, J, *grid) array) for
+        every block: the nonzero entries of the block, stacked."""
+        for (q, axes), block in self.terms.items():
+            tuples, arrays = self.layout.stacked(block)
+            yield q, axes, tuples, arrays.reshape(arrays.shape[:-1]
+                                                  + self.grid.shape)
+
     def entries(self):
         """Yield (group tuple, axes, (n, n, J, *grid) array) for every
         nonzero entry."""
-        for (_q, axes), block in self.terms.items():
-            tuples, arrays = self.layout.stacked(block)
-            arrays = arrays.reshape(arrays.shape[:-1] + self.grid.shape)
+        for _q, axes, tuples, arrays in self.stacks():
             yield from ((tup, axes, x) for tup, x in zip(tuples, arrays))
 
     def star(self):

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .cyclic import CyclicCochain, GroupCocycle, signed_orbits
+from .cyclic import CyclicCochain, GroupCocycle, rotation_orbits
 from .group_algebra import GAMatrix, GroupSpec, gamatrix_from_sectors
 from .nc_forms import JetFunction, MixedForm, ScalarForm, _jet_mul
 
@@ -203,10 +203,11 @@ def random_normalized_cochain(spec, degree, rng):
     identity entry, in lexicographic order, also for the orbits that are
     forced to zero.
     """
-    table = {}
-    tuples = itertools.product(range(1, spec.order), repeat=degree + 1)
-    for members in signed_orbits(tuples, degree):
-        val = complex(rng.standard_normal(), rng.standard_normal())
-        table.update((tup, s * val if s else 0j)
-                     for tup, s in members.items())
+    k, m = spec.order, degree + 1
+    tuples = np.indices((k - 1,) * m).reshape(m, -1) + 1
+    orbit, sign = rotation_orbits(tuples, k)
+    labels, which = np.unique(orbit, return_inverse=True)
+    vals = rng.standard_normal((len(labels), 2)).view(complex)[which, 0]
+    table = np.zeros((k,) * m, dtype=complex)
+    table[tuple(tuples)] = np.where(sign == 0, 0j, sign * vals)
     return CyclicCochain.from_table(spec, degree, table)

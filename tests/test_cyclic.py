@@ -414,6 +414,79 @@ def test_closed_cocycle_basis_z7_degree4_is_lean():
             assert abs(bt(*tup)) <= 1e-10
 
 
+def test_closed_cocycle_basis_z7_degree4_peaks_under_32_mb():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        closed_cocycle_basis(GroupSpec.cyclic(7), 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def _basis_by_orbit_walk(k, n, tol=1e-10):
+    """Closed cocycle tables by a per-tuple orbit walk over the support
+    and one b^t row per reduced chain, as (dimension, k^(n+1)) rows."""
+    sign_rot = -1.0 if n % 2 else 1.0
+    orbit_of, nvar = {}, 0
+    for tail in itertools.product(range(1, k), repeat=n):
+        tup = ((-sum(tail)) % k,) + tail
+        if tup[0] == 0 or tup in orbit_of:
+            continue
+        members, cur, s, dead = {}, tup, 1.0, False
+        for _ in range(n + 1):
+            dead = dead or members.get(cur, s) != s
+            members[cur] = s
+            cur = (cur[-1],) + cur[:-1]
+            s *= sign_rot
+        var = -1 if dead else nvar
+        nvar += not dead
+        orbit_of.update((t, (var, s)) for t, s in members.items())
+    rows = []
+    for tail in itertools.product(range(1, k), repeat=n + 1):
+        y = ((-sum(tail)) % k,) + tail
+        row = np.zeros(nvar)
+        for i in range(n + 2):
+            if i <= n:
+                merged = y[:i] + ((y[i] + y[i + 1]) % k,) + y[i + 2:]
+            else:
+                merged = ((y[n + 1] + y[0]) % k,) + y[1:n + 1]
+            idx, s = orbit_of.get(merged, (-1, 0.0))
+            if idx >= 0:
+                row[idx] += s if i % 2 == 0 else -s
+        rows.append(row)
+    _, svals, vh = np.linalg.svd(np.array(rows),
+                                 full_matrices=len(rows) < nvar)
+    null = vh[int(np.sum(svals > tol * max(1.0, svals[0]))):]
+    tables = np.zeros((len(null), k ** (n + 1)))
+    for tup, (idx, s) in orbit_of.items():
+        if idx >= 0:
+            tables[:, np.ravel_multi_index(tup, (k,) * (n + 1))] = \
+                s * null[:, idx]
+    return tables
+
+
+@pytest.mark.parametrize("k,degree", [(3, 2), (3, 3), (5, 1), (5, 2),
+                                      (5, 3), (5, 4), (7, 2), (7, 3),
+                                      (7, 4)])
+def test_closed_cocycle_basis_spans_the_orbit_walk_kernel(k, degree):
+    basis = closed_cocycle_basis(GroupSpec.cyclic(k), degree)
+    ref = _basis_by_orbit_walk(k, degree)
+    assert len(basis) == len(ref)
+    if not basis:
+        return
+    new = np.stack([phi.table.ravel() for phi in basis])
+    cols = np.flatnonzero(new.any(axis=0) | ref.any(axis=0))
+
+    def projector(rows):
+        q = np.linalg.qr(rows[:, cols].T)[0]
+        return q @ q.conj().T
+
+    assert np.max(np.abs(projector(new) - projector(ref))) <= 1e-12
+
+
 # -- table cochains ---------------------------------------------------------
 
 def test_table_cochain_pairing_stores_nothing():
@@ -421,13 +494,13 @@ def test_table_cochain_pairing_stores_nothing():
     rng = np.random.default_rng(70)
     p = random_projection_matrix(z7, 2, rng)
     phi = random_closed_cocycle(z7, 4, rng)
-    table = dict(phi.table)
+    table = phi.table.copy()
     chain = chern_lambda(p, 2)[2]
     assert len(chain.terms) == 7 ** 5
     value = chain.pair(phi)
     assert not phi._memo
-    assert phi.table == table
-    assert value == sum(c * table.get(t, 0j) for t, c in chain.terms.items())
+    assert np.array_equal(phi.table, table)
+    assert value == sum(c * table[t] for t, c in chain.terms.items())
 
 
 def _normalized_table_by_orbit_walk(k, n, rng):
@@ -462,6 +535,9 @@ def test_random_normalized_cochain_matches_orbit_walk(degree):
                                         np.random.default_rng(seed))
         ref = _normalized_table_by_orbit_walk(
             5, degree, np.random.default_rng(seed))
-        assert phi.table == ref
+        table = np.zeros((5,) * (degree + 1), dtype=complex)
+        for tup, val in ref.items():
+            table[tup] = val
+        assert np.array_equal(phi.table, table)
         for tup in itertools.product(range(5), repeat=degree + 1):
             assert phi(*tup) == ref.get(tup, 0j)

@@ -153,6 +153,15 @@ def test_neumann_seminorm_bound():
         assert entry["delta_norm"] <= entry["bound"] + 1e-10
 
 
+def test_cyclic_sectors_of_a_group_element_are_its_characters():
+    k = 5
+    spec = GroupSpec.cyclic(k)
+    for g in range(k):
+        sectors = cyclic_sectors(GAMatrix(spec, 1, {g: [[1.0]]}))
+        chars = np.exp(2j * np.pi * np.arange(k) * g / k)
+        assert np.max(np.abs(sectors[:, 0, 0] - chars)) <= 1e-14
+
+
 def test_cyclic_sector_roundtrip():
     z4 = GroupSpec.cyclic(4)
     rng = np.random.default_rng(0)

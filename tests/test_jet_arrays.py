@@ -266,6 +266,28 @@ def test_add_entries_sums_repeated_tuples(spec):
     assert tup == (g,) and np.array_equal(y, 2 * x)
 
 
+@pytest.mark.parametrize("spec", [GroupSpec.cyclic(3), GroupSpec.lattice(1)],
+                         ids=["dense-z3", "tuple-lattice"])
+def test_add_entries_takes_the_lowest_jet_order(spec):
+    g, h = spec.elements()[1:3] if spec.is_finite else ((1,), (2,))
+    rng = np.random.default_rng(6)
+    x3 = rng.standard_normal((1, 1, 3) + GRID.shape) + 0j
+    x2 = rng.standard_normal((1, 1, 2) + GRID.shape) + 0j
+    form = MixedForm.zero(GRID, spec, 1, kalg=2)
+    form.add_entries([((g,), (), x3), ((h,), (), x2)])
+    # separate calls truncate to the lower order through `_add`
+    ref = MixedForm.zero(GRID, spec, 1, kalg=2)
+    ref.add_entries([((g,), (), x3)])
+    ref.add_entries([((h,), (), x2)])
+    got = sorted(form.entries(), key=lambda e: e[0])
+    want = sorted(ref.entries(), key=lambda e: e[0])
+    assert ([e[:2] for e in got] == [e[:2] for e in want]
+            == [((g,), ()), ((h,), ())])
+    for (_, _, y), (_, _, z) in zip(got, want):
+        assert y.shape[2] == 2 and np.array_equal(y, z)
+    assert np.array_equal(got[0][2], x3[:, :, :2])
+
+
 @pytest.mark.parametrize("grid", [CircleGrid(8), ChartGrid2D(4)],
                          ids=["circle", "chart"])
 def test_jet_mul_column_times_row(grid):
