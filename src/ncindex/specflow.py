@@ -35,10 +35,10 @@ class SelfAdjointPath:
     """Sampled path of self-adjoint matrices with a refinement guarantee.
 
     Between consecutive samples no eigenvalue moves by more than
-    delta_c / 2 (enforced via the operator-norm bound on the difference);
-    refinement bisects until that holds, and raises CrossingUnresolved
-    when the budget is exhausted or the path jumps (the bound still fails
-    on a step shorter than 1e-6).
+    delta_c / 2 (enforced via the operator-norm bound on the difference,
+    see `norm_exceeds`); refinement bisects until that holds, and raises
+    CrossingUnresolved when the budget is exhausted or the path jumps
+    (the bound still fails on a step shorter than 1e-6).
     """
 
     def __init__(self, ts, mats, delta_c=1e-2, sa_tol=1e-10):
@@ -57,11 +57,11 @@ class SelfAdjointPath:
         i = 0
         while i < len(ts) - 1:
             a, b = ts[i], ts[i + 1]
-            gap = np.linalg.norm(mats[a] - mats[b], 2)
-            if gap <= delta_c / 2:
+            if not norm_exceeds(mats[a] - mats[b], delta_c / 2):
                 i += 1
                 continue
             if b - a < 1e-6:
+                gap = np.linalg.norm(mats[a] - mats[b], 2)
                 raise CrossingUnresolved(
                     f"path jumps by {gap:.3g} > delta_c / 2 = "
                     f"{delta_c / 2:.3g} at t = {a:.9g}")
@@ -83,6 +83,30 @@ class SelfAdjointPath:
         return SelfAdjointPath(
             self.ts + [t + shift for t in other.ts[1:]],
             self.mats + other.mats[1:], min(self.delta_c, other.delta_c))
+
+
+#: relative margin by which a cheap bound must clear the threshold to
+#: settle `norm_exceeds`; it covers the rounding of the bounds and of
+#: the singular values, so a settled step is settled as the exact norm
+#: would settle it
+_BOUND_SLACK = 1e-12
+
+
+def norm_exceeds(diff, bound):
+    """Whether the spectral norm of `diff` exceeds `bound`.
+
+    Two O(n^2) bounds settle most steps: the largest column 2-norm is at
+    most the spectral norm, and the Schur test sqrt(||A||_1 ||A||_inf) at
+    least.  Only when the threshold lies between them are the singular
+    values taken.
+    """
+    a = np.abs(diff)
+    if np.sqrt(np.max(np.sum(a * a, axis=0))) > bound * (1 + _BOUND_SLACK):
+        return True
+    schur = np.sqrt(np.max(np.sum(a, axis=0)) * np.max(np.sum(a, axis=1)))
+    if schur <= bound * (1 - _BOUND_SLACK):
+        return False
+    return bool(np.linalg.norm(diff, 2) > bound)
 
 
 def spectral_flow(path, margin_filter=None):
@@ -228,13 +252,21 @@ def default_trivializer(fc, shift=0.5):
 def shift_matrix(fc, m):
     """Window matrix of multiplication by e^{-2 pi i m t}: modes drop
     by m; the clipped rows/columns are the finite-section artifact."""
-    n = 2 * fc + 1
-    mat = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        j = k - m
-        if 0 <= j < n:
-            mat[j, k] = 1.0
-    return mat
+    return np.eye(2 * fc + 1, k=m, dtype=complex)
+
+
+def conjugate_by_shift(mat, m):
+    """U mat U* for U = shift_matrix(fc, m) on the window of `mat`, as an
+    index map: entry (j, l) is mat[j + m, l + m], zero where that index
+    leaves the window.  Equal to the product bit for bit, since every
+    summand of it but one is an exact zero."""
+    mat = np.asarray(mat, dtype=complex)
+    n = mat.shape[0]
+    out = np.zeros_like(mat)
+    lo, hi = max(0, -m), min(n, n - m)
+    if lo < hi:
+        out[lo:hi, lo:hi] = mat[lo + m:hi + m, lo + m:hi + m]
+    return out
 
 
 def edge_width(fc, margin=0.1):
@@ -273,14 +305,13 @@ def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
     pinned orientation.
     """
     start = truncated_dirac(fc) + default_trivializer(fc, shift)
-    U = shift_matrix(fc, m)
     reject = boundary_mass_filter(fc, margin)
-    path = SelfAdjointPath([0.0, 1.0], [start, U @ start @ U.conj().T],
+    path = SelfAdjointPath([0.0, 1.0], [start, conjugate_by_shift(start, m)],
                            delta_c)
     spfl = spectral_flow(path, margin_filter=reject)
 
     P = _nonneg_projection(start)
-    Q = U @ P @ U.conj().T
+    Q = conjugate_by_shift(P, m)
     rel = relative_index(P, Q, spurious=reject)
     adjusted = RELATIVE_INDEX_ORIENTATION * rel
     return {

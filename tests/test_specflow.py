@@ -5,7 +5,8 @@ from ncindex.errors import (CrossingUnresolved, EndpointDegenerate,
                             NotAProjection, NotUnitary)
 from ncindex.specflow import (RELATIVE_INDEX_ORIENTATION, ChiTriple,
                               SelfAdjointPath, boundary_mass_filter,
-                              default_trivializer, pu_idempotence_residual,
+                              conjugate_by_shift, default_trivializer,
+                              norm_exceeds, pu_idempotence_residual,
                               pu_projection, relative_index, shift_matrix,
                               spectral_flow, truncated_dirac,
                               verify_oddind, _nonneg_projection)
@@ -279,3 +280,155 @@ def test_verify_oddind_matches_sampled_path(fc, m):
     assert outcomes[0] == outcomes[1]
     assert (fc, m) == (16, 3) or outcomes[0] == (
         m, RELATIVE_INDEX_ORIENTATION * m)
+
+
+def _refined_ts_by_svd(fn, delta_c=1e-2, initial=9, max_samples=4096,
+                       t0=0.0, t1=1.0):
+    """The refinement loop from_callable used to run: the spectral norm
+    of every sample difference, by singular values."""
+    ts = list(np.linspace(t0, t1, initial))
+    mats = {t: np.asarray(fn(t), dtype=complex) for t in ts}
+    i = 0
+    while i < len(ts) - 1:
+        a, b = ts[i], ts[i + 1]
+        gap = np.linalg.norm(mats[a] - mats[b], 2)
+        if gap <= delta_c / 2:
+            i += 1
+            continue
+        if b - a < 1e-6:
+            raise CrossingUnresolved(f"path jumps by {gap:.3g}")
+        if len(ts) >= max_samples:
+            raise CrossingUnresolved("refinement budget exhausted")
+        mid = 0.5 * (a + b)
+        mats[mid] = np.asarray(fn(mid), dtype=complex)
+        ts.insert(i + 1, mid)
+    return ts
+
+
+def _paths(fc):
+    """Translation, randomly perturbed and banded paths on the window."""
+    D = half_shifted_dirac(fc)
+    n = D.shape[0]
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = 0.01 * (h + h.conj().T)
+    band = np.diag(np.full(n - 1, 0.3 + 0.2j), 1)
+    band = band + band.conj().T
+    return {
+        "translation": lambda t: D + t * np.eye(n),
+        "perturbed": lambda t: (D + t * np.eye(n)
+                                + np.sin(np.pi * t) ** 2 * h),
+        "banded": lambda t: D + t * np.eye(n) + np.sin(3 * t) * band,
+    }
+
+
+def _count_exact_norms(monkeypatch):
+    calls = []
+    real = np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return real(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls
+
+
+def _bound_cases():
+    rng = np.random.default_rng(11)
+    n = 12
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(7)
+    return {
+        "hermitian": g + g.conj().T,
+        "non-hermitian": g,
+        "real-rectangular": rng.standard_normal((5, 9)),
+        "rank-one": np.outer(u, v),
+        "diagonal": np.diag(rng.standard_normal(n)).astype(complex),
+        "zero": np.zeros((4, 4), dtype=complex),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bound_cases()))
+def test_norm_exceeds_matches_the_exact_norm(name, monkeypatch):
+    mat = _bound_cases()[name]
+    exact = np.linalg.norm(mat, 2)
+    calls = _count_exact_norms(monkeypatch)
+    for bound in (exact * (1 - 1e-9), exact, exact * (1 + 1e-9),
+                  0.5 * exact, 2.0 * exact, 1e-3):
+        assert norm_exceeds(mat, bound) == (exact > bound), bound
+    if name in ("rank-one", "hermitian"):
+        # a threshold between the two bounds takes the singular values
+        assert calls
+
+
+def test_norm_exceeds_settles_far_thresholds_without_singular_values(
+        monkeypatch):
+    # the column bound is at least ||A||_2 / sqrt(columns) and the Schur
+    # bound at most (rows * columns)^(1/4) ||A||_2
+    calls = _count_exact_norms(monkeypatch)
+    for mat in _bound_cases().values():
+        exact = np.linalg.norm(mat, 2)
+        calls.clear()
+        assert norm_exceeds(mat, 0.9 * exact / np.sqrt(mat.shape[1])) \
+            == bool(mat.any())
+        assert not norm_exceeds(mat, 1.1 * exact * np.sqrt(max(mat.shape)))
+        assert not calls
+
+
+@pytest.mark.parametrize("fc", [16, 64])
+@pytest.mark.parametrize("kind", ["translation", "perturbed", "banded"])
+def test_refinement_matches_the_svd_loop(fc, kind):
+    fn = _paths(fc)[kind]
+    path = SelfAdjointPath.from_callable(fn, delta_c=0.2)
+    assert path.ts == _refined_ts_by_svd(fn, delta_c=0.2)
+    assert len(path.ts) > 9
+    for t, mat in zip(path.ts, path.mats):
+        assert np.array_equal(mat, fn(t))
+
+
+def test_refinement_takes_exact_norms_only_when_the_bounds_straddle(
+        monkeypatch):
+    calls = _count_exact_norms(monkeypatch)
+    paths = _paths(64)
+    SelfAdjointPath.from_callable(paths["translation"], delta_c=0.2)
+    assert calls == []
+    SelfAdjointPath.from_callable(paths["perturbed"], delta_c=0.2)
+    assert calls
+
+
+def test_jump_message_names_the_exact_norm():
+    # the largest column 2-norm of [[1, 1], [1, 1]] is sqrt(2); the
+    # spectral norm, which the message names, is 2
+    with pytest.raises(CrossingUnresolved, match=r"jumps by 2 > .* t = 0\.5"):
+        SelfAdjointPath.from_callable(
+            lambda t: np.zeros((2, 2)) if t <= 0.5 else np.ones((2, 2)),
+            delta_c=0.2, initial=3)
+
+
+def _shift_matrix_by_loop(fc, m):
+    n = 2 * fc + 1
+    mat = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        j = k - m
+        if 0 <= j < n:
+            mat[j, k] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("fc", [8, 16, 64])
+def test_shift_conjugation_is_an_index_map(fc):
+    n = 2 * fc + 1
+    rng = np.random.default_rng(fc)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for m in range(-(2 * fc + 2), 2 * fc + 3):
+        U = shift_matrix(fc, m)
+        assert np.array_equal(U, _shift_matrix_by_loop(fc, m))
+        assert U.dtype == complex
+        for mat in (X, X + X.conj().T, truncated_dirac(fc)):
+            assert np.array_equal(conjugate_by_shift(mat, m),
+                                  U @ mat @ U.conj().T)
+    # |m| >= 2 fc + 1 leaves an empty window
+    assert not conjugate_by_shift(X, 2 * fc + 1).any()
