@@ -162,18 +162,16 @@ def _sphere_field(grid, r_max=0.42, family="mollifier"):
     return jets
 
 
-def bott_projector(grid, r_max=0.42, family="mollifier", orientation=1):
+def bott_projector(grid, r_max=0.42, family="mollifier"):
     """Rank-one projector field (1 + n.sigma)/2 on the chart grid.
 
-    The default orientation is chosen so that the integrated character
-    equals +1.
+    The orientation (n_2 reversed) is chosen so that the integrated
+    character equals +1.
     """
     if not isinstance(grid, ChartGrid2D):
         raise TypeError("the curvature projector lives on a ChartGrid2D")
     jets = _sphere_field(grid, r_max, family)
-    n1, n2, n3 = jets["n1"], jets["n2"], jets["n3"]
-    if orientation > 0:
-        n2 = n2.scale(-1.0)
+    n1, n2, n3 = jets["n1"], jets["n2"].scale(-1.0), jets["n3"]
     spec = GroupSpec.trivial()
     half = 0.5
     sigma = {

@@ -384,7 +384,7 @@ def _run_cyclic(x, seed):
     for _ in range(x["instances"]):
         p = testing.random_projection_matrix(spec, 2, rng)
         P = nc_forms.MixedForm.zero(grid, spec, 2, kalg=2 * m_max + 2)
-        P.add_term(nc_forms.ScalarForm.one(grid), (p,))
+        P.add_term(nc_forms.ScalarForm.one(grid, order=1), (p,))
         ch = chern.chern_even(P, m_max)
         chains = cyclic.chern_lambda(p, m_max)
         # degree-0 pairing is the canonical trace on both sides

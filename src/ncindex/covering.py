@@ -49,20 +49,16 @@ class CoverData:
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def standard(cls, grid, n_arcs=3, overlap=None, family="mollifier",
-                 deck="lattice", deck_order=0, jet_order=2):
+    def standard(cls, grid, n_arcs=3, family="mollifier", deck_order=0,
+                 jet_order=2):
         """Equal arcs with connected overlaps; deck elements vanish except
         on the wrap-around overlap, where the lift jumps by one."""
         if n_arcs < 1:
             raise BadCover("need at least one arc")
-        if overlap is None:
-            overlap = 0.0 if n_arcs == 1 else 1.0 / (2 * n_arcs)
         if n_arcs == 1:
             arcs = [(-0.25, 1.25)]
         else:
-            if overlap <= 0 or overlap >= 1.0 / n_arcs:
-                raise BadCover("overlap width incompatible with arc count")
-            half = overlap / 2.0
+            half = 1.0 / (4 * n_arcs)
             arcs = [(i / n_arcs - half, (i + 1) / n_arcs + half)
                     for i in range(n_arcs)]
         deck = np.zeros((n_arcs, n_arcs), dtype=int)

@@ -1,9 +1,9 @@
 """Cyclic cochains on group algebras and the group-cohomology dictionary.
 
-Cochains are memoised evaluator callbacks or, over Z/k, dense tables
-on the tuple lattice (k,)*(n+1), which are read many tuples at a time.
-The dictionary between alternating invariant group cochains tau and
-cyclic cochains c supported at the identity conjugacy class follows
+Cochains are memoised evaluator callbacks or, over Z/k, one value per
+rotation orbit (`orbit_index`), read many tuples at a time.  The
+dictionary between alternating invariant group cochains tau and cyclic
+cochains c supported at the identity conjugacy class follows
 
     c_tau(g_0,...,g_n) = tau(e, g_1, g_1 g_2, ..., g_1...g_n)
                          when g_0 g_1 ... g_n = e, else 0,
@@ -15,6 +15,7 @@ with degree 0 excluded (the canonical trace plays that role directly).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -67,49 +68,47 @@ def d_gamma(tau):
 # ---------------------------------------------------------------------
 
 
-class CyclicCochain:
+class CyclicCochain(GroupCocycle):
     """Degree-n evaluator on group tuples, extended multilinearly.
 
-    A function cochain memoises the values of `fn`.  A table cochain
-    over Z/k (`from_table`) reads its values from `table`, a complex
-    array of shape (k,)*(n+1) indexed by the group tuple, and stores
-    nothing; `table` is None for function cochains.
+    A function cochain memoises the values of `fn`.  An orbit cochain
+    over Z/k (`on_orbits`) stores only `orbits`, its values on the
+    orbits of `orbit_index`; `orbits` is None for function cochains.
     """
 
-    def __init__(self, spec, degree, fn):
-        self.spec = spec
-        self.degree = degree
-        self._fn = fn
-        self._memo = {}
-        self.table = None
+    orbits = None
 
     @classmethod
-    def from_table(cls, spec, degree, table):
+    def on_orbits(cls, spec, degree, vec):
         phi = cls(spec, degree, None)
-        phi._memo = None
-        phi.table = table
+        phi.orbits = vec
         return phi
 
+    def _lookup(self, index):
+        _, column, sign = orbit_index(self.spec.order, self.degree)
+        return sign[index] * self.orbits[column[index]]
+
     def __call__(self, *args):
-        if len(args) != self.degree + 1:
-            raise ValueError(f"expected {self.degree + 1} arguments")
-        if self.table is not None:
-            return complex(self.table[args])
-        val = self._memo.get(args)
-        if val is None:
-            val = complex(self._fn(*args))
-            self._memo[args] = val
-        return val
+        if self.orbits is None or len(args) != self.degree + 1:
+            # the memoised evaluator, which also rejects a wrong arity
+            return GroupCocycle.__call__(self, *args)
+        return complex(self._lookup(args))
+
+    @property
+    def table(self):
+        """The values on the lattice (k,)*(n+1), built on each read (None
+        for a function cochain)."""
+        return None if self.orbits is None else self._lookup(...)
 
     def values(self, tuples):
-        """The values on an iterable of group tuples, as a list of complex:
-        one indexing step for a table cochain, one call per tuple
+        """The values on an iterable of group tuples, as a list: one
+        indexing step for an orbit cochain, one call per tuple
         otherwise."""
-        if self.table is None:
+        if self.orbits is None:
             return [self(*t) for t in tuples]
         index = np.fromiter(itertools.chain.from_iterable(tuples), int)
-        index = index.reshape(-1, self.degree + 1).T
-        return self.table[tuple(index)].tolist()
+        return self._lookup(tuple(index.reshape(-1, self.degree + 1).T)
+                            ).tolist()
 
     def cyclic_defect(self, rng, samples=20, radius=2):
         """Deviation from phi(lambda x) = phi(x) with the (-1)^n sign."""
@@ -195,21 +194,29 @@ def c_to_tau(c):
 
 
 class CyclicChain:
-    """Finite combination of group tensor words of a fixed degree."""
+    """The group tensor words over a support, with coefficient
+    coeffs[i_0, ..., i_n] on (support[i_0], ..., support[i_n])."""
 
-    __slots__ = ("spec", "degree", "terms")
-
-    def __init__(self, spec, degree, terms=None):
+    def __init__(self, spec, support, coeffs):
         self.spec = spec
-        self.degree = degree
-        self.terms = {t: complex(c) for t, c in (terms or {}).items()
-                      if c != 0}
+        self.support = support
+        self.coeffs = coeffs
+        self.degree = coeffs.ndim - 1
+
+    def words(self):
+        return itertools.product(self.support, repeat=self.degree + 1)
+
+    @functools.cached_property
+    def terms(self):
+        """{word: coefficient} over the nonzero coefficients."""
+        return {t: c for t, c in zip(self.words(),
+                                     self.coeffs.ravel().tolist()) if c}
 
     def pair(self, phi):
         if phi.degree != self.degree:
             raise ValueError("degree mismatch in chain pairing")
-        return sum(c * v for c, v in zip(self.terms.values(),
-                                          phi.values(self.terms)))
+        return sum(c * v for c, v in zip(self.coeffs.ravel().tolist(),
+                                          phi.values(self.words())))
 
 
 def chern_lambda(p, m_max, tol=1e-10):
@@ -235,12 +242,9 @@ def chern_lambda(p, m_max, tol=1e-10):
         for s in range(slots):
             operands += [E, [s, (s + 1) % slots, slots + s]]
         coeffs = np.einsum(*operands, list(range(slots, 2 * slots)),
-                           optimize=True).ravel()
-        if m % 2:
-            coeffs = -coeffs
-        words = itertools.product(support, repeat=slots)
-        chains.append(CyclicChain(p.spec, 2 * m,
-                                  dict(zip(words, coeffs.tolist()))))
+                           optimize=True)
+        chains.append(CyclicChain(p.spec, support,
+                                  -coeffs if m % 2 else coeffs))
     return chains
 
 
@@ -268,62 +272,69 @@ def pair_cochain_form(phi, omega):
 # ---------------------------------------------------------------------
 
 
-def rotation_orbits(tuples, k):
-    """The signed rotation orbits of an (m, N) array of tuples over Z/k.
-
-    Returns two (N,) arrays.  orbit labels a tuple's orbit by its
-    smallest flat index in the lattice (k,)*m, so sorting the labels
-    gives the order of first appearance in lexicographic order.  A
-    degree m-1 cyclic cochain takes the value (-1)^((m-1) s) phi(x) on x
-    rotated by s slots, and sign is that factor relative to the smallest
-    member; it is 0 on an orbit that meets itself with the opposite
-    sign, which forces every cyclic cochain to vanish there.
-    """
+def _rotations(tuples, k):
+    """Flat lattice indices of the rotations of an (m, N) tuple array
+    over Z/k: row s of the result rolls the tuples by s slots."""
     m = len(tuples)
-    rots = np.stack([np.ravel_multi_index(np.roll(tuples, s, axis=0),
+    return np.stack([np.ravel_multi_index(np.roll(tuples, s, axis=0),
                                           (k,) * m) for s in range(m)])
-    odd = (m - 1) * np.arange(m) % 2 == 1
-    dead = (odd[:, None] & (rots == rots[0])).any(axis=0)
-    sign = np.where(odd[rots.argmin(axis=0)], -1.0, 1.0)
-    sign[dead] = 0.0
-    return rots.min(axis=0), sign
+
+
+@functools.cache
+def orbit_index(k, degree):
+    """(count, column, sign): the coordinates of normalized cyclic
+    cochains over Z/k.  The tuples with no identity entry fall into
+    count rotation orbits, numbered in lexicographic order of their first
+    members.  On the lattice (k,)*(degree+1), column is a tuple's orbit
+    and sign the factor (-1)^(degree s) to its value from the first
+    member, s slots of rotation away; sign is 0 on the other tuples and
+    on orbits that meet themselves with the opposite sign.  The cochain
+    with orbit values vec takes sign[t] * vec[column[t]] at t.
+    """
+    m = degree + 1
+    tuples = np.indices((k - 1,) * m).reshape(m, -1) + 1
+    rots = _rotations(tuples, k)
+    odd = degree * np.arange(m) % 2 == 1
+    rel = np.where(odd[rots.argmin(axis=0)], -1.0, 1.0)
+    rel[(odd[:, None] & (rots == rots[0])).any(axis=0)] = 0.0
+    labels, number = np.unique(rots.min(axis=0), return_inverse=True)
+    column = np.zeros((k,) * m, dtype=int)
+    column[tuple(tuples)] = number
+    sign = np.zeros((k,) * m)
+    sign[tuple(tuples)] = rel
+    column.flags.writeable = sign.flags.writeable = False
+    return len(labels), column, sign
 
 
 def closed_cocycle_basis(spec, degree, tol=1e-10):
     """Basis of b^t-closed normalized invariant cyclic cochains at <e>.
 
-    The variables are the signed rotation orbits of the Z/k tuples with
-    all entries != e and product e that are not forced to zero.  Since
-    b^t maps cyclic cochains to cyclic ones, the rows of b^t phi = 0 at
-    y and at a rotation of y agree up to sign, so one reduced chain per
-    rotation orbit gives all the equations; their dense null space is
-    the basis.  Returns table cochains spanning the kernel.
+    The variables are the orbits of `orbit_index` on the support (product
+    e) that are not forced to zero.  Since b^t maps cyclic cochains to
+    cyclic ones, the rows of b^t phi = 0 at y and at a rotation of y
+    agree up to sign, so one reduced chain per rotation orbit gives all
+    the equations; their dense null space is the basis.  Returns orbit
+    cochains with real values spanning the kernel.
     """
     if not spec.is_finite:
         raise ValueError("enumeration needs a finite cyclic group")
     k = spec.order
     n = degree
-    shape = (k,) * (n + 1)
-
-    # one variable per orbit of support tuples that is not forced to zero
-    nonzero = np.indices((k - 1,) * (n + 1)).reshape(n + 1, -1) + 1
-    tuples = nonzero[:, nonzero.sum(axis=0) % k == 0]
-    orbit, sign = rotation_orbits(tuples, k)
-    live = sign != 0
-    if not live.any():
+    count, column, sign = orbit_index(k, n)
+    on_support = sum(np.indices((k,) * (n + 1), sparse=True)) % k == 0
+    live = np.unique(column[on_support & (sign != 0)])
+    if not len(live):
         return []
-    tuples, sign = tuples[:, live], sign[live]
-    labels, var = np.unique(orbit[live], return_inverse=True)
-    column = np.zeros(shape, dtype=int)
-    column[tuple(tuples)] = var
-    signs = np.zeros(shape)
-    signs[tuple(tuples)] = sign
+    var = np.zeros(count, dtype=int)
+    var[live] = np.arange(len(live))
 
     # the reduced chains: nonzero tail, product e; one per rotation orbit.
-    # A merge off the support has sign 0, so it adds nothing to column 0.
+    # A merge off the support has sign 0, so it adds nothing.
+    nonzero = np.indices((k - 1,) * (n + 1)).reshape(n + 1, -1) + 1
     y = np.vstack([-nonzero.sum(axis=0) % k, nonzero])
-    y = y[:, np.unique(rotation_orbits(y, k)[0], return_index=True)[1]]
-    mat = np.zeros((y.shape[1], len(labels)))
+    y = y[:, np.unique(_rotations(y, k).min(axis=0),
+                       return_index=True)[1]]
+    mat = np.zeros((y.shape[1], len(live)))
     rows = np.arange(y.shape[1])
     for i in range(n + 2):
         if i <= n:
@@ -331,24 +342,21 @@ def closed_cocycle_basis(spec, degree, tol=1e-10):
         else:
             merged = np.vstack([(y[n + 1] + y[0]) % k, y[1:n + 1]])
         at = tuple(merged)
-        np.add.at(mat, (rows, column[at]), (-1) ** i * signs[at])
+        np.add.at(mat, (rows, var[column[at]]), (-1) ** i * sign[at])
     # the null space needs all of V but none of U beyond rank(mat)
     _, svals, vh = np.linalg.svd(mat,
                                  full_matrices=mat.shape[0] < mat.shape[1])
-    null_dim = int(np.sum(svals <= tol * max(1.0, svals[0] if len(svals)
-                                             else 1.0)))
-    null_dim += vh.shape[0] - len(svals)
-    tables = np.zeros((null_dim,) + shape, dtype=complex)
-    tables[(slice(None),) + tuple(tuples)] = \
-        sign * vh[vh.shape[0] - null_dim:, var]
-    return [CyclicCochain.from_table(spec, n, t) for t in tables]
+    rank = int(np.sum(svals > tol * max(1.0, svals[0])))
+    vecs = np.zeros((len(live) - rank, count))
+    vecs[:, live] = vh[rank:]
+    return [CyclicCochain.on_orbits(spec, n, v) for v in vecs]
 
 
 def random_closed_cocycle(spec, degree, rng, basis=None):
     """Seeded random combination of the closed-cocycle basis.
 
-    The basis tables (as from `closed_cocycle_basis`) are combined once
-    into a single table cochain with complex values.
+    The orbit values of the basis (as from `closed_cocycle_basis`) are
+    combined once into a single orbit cochain with complex values.
     """
     if basis is None:
         basis = closed_cocycle_basis(spec, degree)
@@ -357,5 +365,5 @@ def random_closed_cocycle(spec, degree, rng, basis=None):
                          f"{spec}")
     w = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
         len(basis))
-    return CyclicCochain.from_table(spec, degree, np.tensordot(
-        w, np.stack([b.table for b in basis]), 1))
+    return CyclicCochain.on_orbits(spec, degree, np.tensordot(
+        w, np.stack([b.orbits for b in basis]), 1))

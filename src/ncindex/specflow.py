@@ -162,9 +162,9 @@ def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
     return int(np.sum(~spurious(ker)) - np.sum(~spurious(coker)))
 
 
-def _range_basis(P, thresh=0.5):
+def _range_basis(P):
     w, v = np.linalg.eigh(P)
-    return v[:, w > thresh]
+    return v[:, w > 0.5]
 
 
 # ---------------------------------------------------------------------

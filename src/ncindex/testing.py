@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .cyclic import CyclicCochain, GroupCocycle, rotation_orbits
+from .cyclic import CyclicCochain, GroupCocycle, orbit_index
 from .group_algebra import GAMatrix, GroupSpec, gamatrix_from_sectors
 from .nc_forms import JetFunction, MixedForm, ScalarForm, _jet_mul
 
@@ -44,13 +44,10 @@ def random_unitary_matrix(spec, n, rng):
     return gamatrix_from_sectors(spec, sectors)
 
 
-def random_trig_jet(grid, rng, band=2, order=2, real=False):
+def random_trig_jet(grid, rng, band=2, order=2):
     coeffs = {}
     for m in range(-band, band + 1):
         coeffs[m] = complex(rng.standard_normal(), rng.standard_normal())
-    if real:
-        coeffs = {m: 0.5 * (coeffs[m] + np.conj(coeffs[-m]))
-                  for m in coeffs}
     return JetFunction.trig(grid, coeffs, order)
 
 
@@ -197,17 +194,12 @@ def random_odd_winding_cocycle(rng, span=12):
 
 
 def random_normalized_cochain(spec, degree, rng):
-    """Random normalized lambda-invariant table cochain on a finite group.
+    """Random normalized lambda-invariant orbit cochain on a finite group.
 
     One complex value is drawn per signed orbit of the tuples without an
     identity entry, in lexicographic order, also for the orbits that are
     forced to zero.
     """
-    k, m = spec.order, degree + 1
-    tuples = np.indices((k - 1,) * m).reshape(m, -1) + 1
-    orbit, sign = rotation_orbits(tuples, k)
-    labels, which = np.unique(orbit, return_inverse=True)
-    vals = rng.standard_normal((len(labels), 2)).view(complex)[which, 0]
-    table = np.zeros((k,) * m, dtype=complex)
-    table[tuple(tuples)] = np.where(sign == 0, 0j, sign * vals)
-    return CyclicCochain.from_table(spec, degree, table)
+    count, _, _ = orbit_index(spec.order, degree)
+    vals = rng.standard_normal((count, 2)).view(complex)[:, 0]
+    return CyclicCochain.on_orbits(spec, degree, vals)

@@ -541,3 +541,85 @@ def test_random_normalized_cochain_matches_orbit_walk(degree):
         assert np.array_equal(phi.table, table)
         for tup in itertools.product(range(5), repeat=degree + 1):
             assert phi(*tup) == ref.get(tup, 0j)
+
+
+# -- pairings that can fail -------------------------------------------------
+
+def _bridge_errors(k):
+    """Relative errors of the chain against the form pairing for one
+    projection over Z/k, in degrees 2 and 4, with normalized cochains
+    that are not closed."""
+    from ncindex.chern import chern_even
+
+    spec = GroupSpec.cyclic(k)
+    rng = np.random.default_rng(80 + k)
+    p = random_projection_matrix(spec, 2, rng, rank_choices=(1, 2))
+    grid = CircleGrid(4)
+    P = MixedForm.zero(grid, spec, 2, kalg=6)
+    P.add_term(ScalarForm.one(grid, order=1), (p,))
+    ch = chern_even(P, 2)
+    chains = chern_lambda(p, 2)
+    errors = {}
+    for m in (1, 2):
+        psi = random_normalized_cochain(spec, 2 * m, rng)
+        lhs = chains[m].pair(psi)
+        rhs = ((2j * np.pi) ** m * math.factorial(m)
+               * pair_cochain_form(psi, ch).component(()))
+        assert abs(lhs) > 1e-3
+        errors[2 * m] = np.max(np.abs(lhs - rhs)) / abs(lhs)
+    return errors
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_normalization_bridge_with_cochains_that_are_not_closed(k):
+    # a closed basis cocycle over Z/k is a coboundary, so its pairing
+    # with a cycle is zero on both sides; these cochains are not closed
+    errors = _bridge_errors(k)
+    assert max(errors.values()) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_bridge_with_open_cochains_sees_a_wrong_degree_4_coefficient(
+        k, monkeypatch):
+    import types
+
+    from ncindex import chern
+
+    def factorial(j):
+        # the degree-4 (k = 2) coefficient of chern_even, times 3
+        return math.factorial(j) / (3 if j == 2 else 1)
+
+    monkeypatch.setattr(chern, "math", types.SimpleNamespace(
+        factorial=factorial))
+    errors = _bridge_errors(k)
+    assert errors[2] <= 1e-12
+    assert errors[4] > 1.0
+
+
+# -- orbit cochains hold one value per orbit ---------------------------------
+
+def test_closed_cocycle_basis_z9_degree4_holds_under_16_mb():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        basis = closed_cocycle_basis(GroupSpec.cyclic(9), 4)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 100
+    assert held < 16 * 2 ** 20
+
+
+def test_random_closed_cocycle_z7_degree4_peaks_under_4_mb():
+    import tracemalloc
+
+    z7 = GroupSpec.cyclic(7)
+    basis = closed_cocycle_basis(z7, 4)
+    tracemalloc.start()
+    try:
+        random_closed_cocycle(z7, 4, np.random.default_rng(90), basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
