@@ -2,15 +2,14 @@
 
 Every system is a circle action on d x d matrices of Fourier polynomials,
 written as weight decompositions {m: d x d block}; the translation action
-on functions on the circle is the case d = 1.  The compression P a P of
-an acting unitary onto the nonnegative modes of the circle Dirac
-generator is assembled on the mode window [0, F_c] as one block Toeplitz
-matrix T, and its tau-weighted kernel/cokernel defect is read from its
-singular values.  Kernel vectors concentrated near the top of the window
-are truncation artifacts of the finite section and are discarded; the
-genuine Hardy boundary sits at mode 0.
+on functions on the circle is the case d = 1.  The compression T of an
+acting unitary onto the nonnegative modes [0, F_c] of the circle Dirac
+generator is block Toeplitz, and its tau-weighted kernel/cokernel defect
+is read from the singular values of its corners at the two ends of the
+window: the genuine Hardy boundary at mode 0, and the truncation
+artifacts of the finite section at mode F_c.
 
-Only the boundary is decomposed.  Widom's formula for finite sections,
+Widom's formula for finite sections,
 
     T_n(ab) = T_n(a) T_n(b) + P_n H(a) H(b~) P_n + W_n H(a~) H(b) W_n
 
@@ -22,6 +21,10 @@ the identity outside the first and last w modes of the window.  The columns
 (rows) of T off that boundary are therefore orthonormal and orthogonal
 to the boundary columns (rows): every other singular value is exactly 1,
 and the kernel and cokernel lie in the span of the boundary coordinates.
+A boundary column meets only the first or the last 2w rows, so the
+kernel splits into the null vectors of the head corner T[:2w, :w] and
+of the tail corner T[-2w:, -w:]; the cokernel at the head is read from
+the row corner T[:w, :2w].  No matrix whose size depends on F_c is built.
 
 Orientation is pinned once by the translation action with the symbol of
 one negative winding, whose index is +1; the classical winding number of
@@ -30,6 +33,7 @@ the determinant loop therefore enters all comparisons with a minus sign.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +41,7 @@ import numpy as np
 from .errors import IllConditioned, NotUnitary, PhaseJump
 
 TWO_PI_I = 2j * np.pi
-# share of the top modes in which tau_index looks for artifacts
+# share of the top modes that must hold the tail corner's kernel vectors
 MARGIN = 0.1
 
 
@@ -159,39 +163,45 @@ class RotationSystem(WeightBlockSystem):
 
 @dataclass
 class ToeplitzProblem:
-    """Compression of a symbol on modes [0, F_c]: `blocks` holds its one
-    block Toeplitz matrix, `bandwidth` the largest weight of the symbol."""
+    """Compression of a symbol {m: d x d block} on modes [0, F_c];
+    `bandwidth` is the largest weight of the symbol."""
 
     system: WeightBlockSystem
     fc: int
     eps_k: float
-    blocks: list
+    symbol: dict
     bandwidth: int
+
+    def section(self, rows, cols):
+        """The rectangle T[rows, cols] for arrays of modes: block (j, k)
+        is the weight j - k block of the symbol."""
+        d = self.system.rep_dim
+        weight = np.subtract.outer(rows, cols)
+        out = np.zeros((len(rows), d, len(cols), d), dtype=complex)
+        for m, blk in self.symbol.items():
+            j, k = np.nonzero(weight == m)
+            out[j, :, k, :] = blk
+        return out.reshape(len(rows) * d, len(cols) * d)
+
+    @functools.cached_property
+    def blocks(self):
+        """[T] as one dense matrix on all F_c + 1 modes."""
+        modes = np.arange(self.fc + 1)
+        return [self.section(modes, modes)]
 
 
 def assemble_toeplitz(system, u, fc, eps_k=1e-6, tol=1e-8):
     """Block Toeplitz compression of the action of u onto modes 0..F_c.
 
-    Weight m raises the mode index by m, so the (j, k) block is the
-    weight j - k block of u.  For the circle the translate of u by y has
-    the compression diag(e^{2 pi i k y}) T diag(e^{-2 pi i k y}), with
-    the same singular values and mode masses, so one matrix serves every
-    translate.
-    """
-    d = system.rep_dim
+    For the circle the translate of u by y compresses to D_y T D_y* with
+    D_y = diag(e^{2 pi i k y}): one problem serves every translate."""
     uu = system.mul(system.star(u), u)
-    uu[0] = uu.get(0, 0) - np.eye(d)
+    uu[0] = uu.get(0, 0) - np.eye(system.rep_dim)
     res = max(float(np.max(np.abs(b))) for b in uu.values())
     if res > tol:
         raise NotUnitary(f"unitarity residual {res:.3g} > {tol}")
-    size = fc + 1
-    mat = np.zeros((size, d, size, d), dtype=complex)
-    for m, blk in u.items():
-        k = np.arange(max(0, -m), min(size, size - m))
-        mat[k + m, :, k, :] = blk
     band = max((abs(m) for m in u), default=0)
-    return ToeplitzProblem(system, fc, eps_k,
-                           [mat.reshape(size * d, size * d)], band)
+    return ToeplitzProblem(system, fc, eps_k, u, band)
 
 
 def kernel_rank(sv, eps_k):
@@ -243,35 +253,29 @@ def least_cutoff(bandwidth):
 def tau_index(tp, margin=MARGIN):
     """Trace-weighted kernel-minus-cokernel defect of the compression.
 
-    Kernel and cokernel vectors are read from singular values below the
-    threshold; vectors whose mass sits in the top margin of the mode
-    window are finite-section artifacts and are not counted.  The result
-    is normalized by the trace, i.e. divided by the matrix dimension d.
-
-    By Widom's formula (see the module docstring) the kernel and the
-    cokernel of T lie in the span of the boundary coordinates S, the
-    first and last w = max(bandwidth, 1) modes, and all singular values
-    of T but those of T[:, S] equal 1.  So the kernel comes from a thin
-    SVD of T[:, S], the cokernel from one of T[S, :]*, and the threshold
-    guard sees the thin singular values together with the implied ones.
-    Both are SVDs: a Gram matrix would square singular values near eps_k
-    down to the rounding level of 1.
+    Kernel and cokernel are counted by the singular values below the
+    threshold in the head corners of T (see the module docstring); the
+    tail corner holds the finite-section artifacts, which must fit in
+    the top margin of the window.  The threshold guard sees the corner
+    values with one implied value 1 for the interior.  Both are SVDs: a
+    Gram matrix would square singular values near eps_k down to the
+    rounding level of 1.  The result is divided by the matrix dimension d.
     """
     if tp.fc < floor_cutoff(tp.bandwidth):
         raise ValueError(
             f"truncation margin violated: F_c = {tp.fc} < 8 x bandwidth "
             f"= {floor_cutoff(tp.bandwidth)}")
     d = tp.system.rep_dim
-    mat = tp.blocks[0]
-    size = len(mat)
-    edge = max(tp.bandwidth, 1) * d
-    bnd = np.r_[:edge, size - edge:size]
-    _, sv, vh = np.linalg.svd(mat[:, bnd], full_matrices=False)
-    _, _, wh = np.linalg.svd(mat[bnd].conj().T, full_matrices=False)
-    spectrum = np.concatenate([np.ones(size - len(bnd)), sv])
-    r = kernel_rank(np.sort(spectrum)[::-1], tp.eps_k)
-    n = size - r
-    if n > len(bnd):
+    w = max(tp.bandwidth, 1)
+    head = np.arange(2 * w)
+    tail = head + tp.fc + 1 - 2 * w
+    cols = np.linalg.svd(np.stack([tp.section(head, head[:w]),
+                                   tp.section(tail, tail[w:])]),
+                         compute_uv=False)
+    rows = np.linalg.svd(tp.section(head[:w], head), compute_uv=False)
+    spectrum = np.sort(np.r_[1.0, cols.ravel()])[::-1]
+    n = len(spectrum) - kernel_rank(spectrum, tp.eps_k)
+    if n > cols.size:
         raise IllConditioned(
             f"kernel threshold {tp.eps_k:g} lies above the singular value "
             f"1 of the interior modes")
@@ -281,13 +285,7 @@ def tau_index(tp, margin=MARGIN):
         raise ValueError(
             f"truncation margin violated: {n} kernel vectors, but the top "
             f"margin of the {tp.fc + 1} modes holds {top}")
-    ker = np.zeros((size, n), dtype=complex)
-    coker = np.zeros((size, n), dtype=complex)
-    ker[bnd] = vh[len(bnd) - n:].T
-    coker[bnd] = wh[len(bnd) - n:].T
-    nker = np.sum(_mode_mass_top(ker, d, margin) <= 0.5)
-    ncoker = np.sum(_mode_mass_top(coker, d, margin) <= 0.5)
-    return int(nker - ncoker) / d
+    return int(np.sum(cols[0] < tp.eps_k) - np.sum(rows < tp.eps_k)) / d
 
 
 def dynsys_formula(system, u, tol=1e-10):

@@ -41,6 +41,22 @@ def test_valid_toeplitz_config(tmp_path):
     assert all("wall_time_s" in e for e in detail["experiments"])
 
 
+def test_toeplitz_at_a_cutoff_of_one_hundred_thousand(tmp_path):
+    cfg = {"experiments": [
+        {"id": "circle-m3", "kind": "toeplitz", "system": "circle",
+         "u": {"type": "exp", "m": 3}, "fourier_cutoff": 100000},
+        {"id": "rotation-q6", "kind": "toeplitz", "system": "rotation",
+         "p": 1, "q": 6, "u": {"type": "shift-generator"},
+         "fourier_cutoff": 100000}]}
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 0
+    with open(out / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
+    assert all(r["passed"] == "True" for r in rows)
+
+
 def test_malformed_config_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

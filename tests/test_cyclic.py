@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ncindex.cyclic import (CyclicCochain, GroupCocycle,
+from ncindex.cyclic import (CyclicChain, CyclicCochain, GroupCocycle,
                             b_transpose, c_to_tau, chern_lambda,
                             closed_cocycle_basis, d_gamma,
                             pair_cochain_form, random_closed_cocycle,
@@ -594,6 +594,66 @@ def test_bridge_with_open_cochains_sees_a_wrong_degree_4_coefficient(
     errors = _bridge_errors(k)
     assert errors[2] <= 1e-12
     assert errors[4] > 1.0
+
+
+def _odd_bridge_errors(k):
+    """Relative errors of the odd character of a constant unitary U over
+    Z/k against its chain tr (U* (x) U)^{(x) j}, in degrees 1 and 3, with
+    normalized cochains that are not closed."""
+    from ncindex.chern import chern_odd
+
+    spec = GroupSpec.cyclic(k)
+    rng = np.random.default_rng(100 + k)
+    U = random_unitary_matrix(spec, 2, rng)
+    grid = CircleGrid(4)
+    u = MixedForm.zero(grid, spec, 2, kalg=6)
+    u.add_term(ScalarForm.one(grid, order=1), (U,))
+    ch = chern_odd(u, 2)
+    # E[a, b, g]: the coefficient of g in the (a, b) entry
+    factors = []
+    for x in (U.star(), U):
+        E = np.zeros((2, 2, k), dtype=complex)
+        for g, blk in x.parts.items():
+            E[:, :, g] = blk
+        factors.append(E)
+    errors = {}
+    for j in (1, 2):
+        slots = 2 * j
+        operands = []
+        for s in range(slots):
+            operands += [factors[s % 2], [s, (s + 1) % slots, slots + s]]
+        chain = CyclicChain(spec, spec.elements(), np.einsum(
+            *operands, list(range(slots, 2 * slots))))
+        psi = random_normalized_cochain(spec, slots - 1, rng)
+        lhs = ((-1 / (2j * np.pi)) ** j * math.factorial(j - 1)
+               / math.factorial(2 * j - 1) * chain.pair(psi))
+        rhs = pair_cochain_form(psi, ch).component(())
+        assert abs(lhs) > 1e-4
+        errors[slots - 1] = np.max(np.abs(lhs - rhs)) / abs(lhs)
+    return errors
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_odd_bridge_with_cochains_that_are_not_closed(k):
+    errors = _odd_bridge_errors(k)
+    assert max(errors.values()) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_odd_bridge_sees_a_wrong_degree_3_coefficient(k, monkeypatch):
+    import types
+
+    from ncindex import chern
+
+    def factorial(j):
+        # the degree-3 (k = 2) coefficient of chern_odd, divided by 3
+        return math.factorial(j) * (3 if j == 3 else 1)
+
+    monkeypatch.setattr(chern, "math", types.SimpleNamespace(
+        factorial=factorial))
+    errors = _odd_bridge_errors(k)
+    assert errors[1] <= 1e-12
+    assert errors[3] > 0.5
 
 
 # -- orbit cochains hold one value per orbit ---------------------------------

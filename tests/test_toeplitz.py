@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncindex.errors import IllConditioned, NotUnitary, PhaseJump
-from ncindex.toeplitz import (CircleSystem, RotationSystem, ToeplitzProblem,
+from ncindex.toeplitz import (CircleSystem, RotationSystem,
                               WeightBlockSystem, assemble_toeplitz,
                               dynsys_formula, kernel_rank, least_cutoff,
                               tau_index, winding_index, winding_oracle,
@@ -238,11 +238,8 @@ def test_phase_conjugates_share_tau_index():
             shifted = sys_c.element(
                 {k: c * np.exp(2j * np.pi * k * y)
                  for k, c in sys_c.weights(u).items()})
-            assert np.max(np.abs(
-                assemble_toeplitz(sys_c, shifted, 64).blocks[0]
-                - conj)) <= 1e-13
-            tp_y = ToeplitzProblem(sys_c, 64, tp.eps_k, [conj],
-                                   tp.bandwidth)
+            tp_y = assemble_toeplitz(sys_c, shifted, 64)
+            assert np.max(np.abs(tp_y.blocks[0] - conj)) <= 1e-13
             assert tau_index(tp_y) == value
 
 
@@ -263,8 +260,23 @@ def test_tau_index_runs_two_thin_boundary_svds(monkeypatch):
             assert np.shape(args[0])[1] <= width
             full = kwargs.get("full_matrices",
                               args[1] if len(args) > 1 else True)
-            assert full is False
+            assert full is False or kwargs.get("compute_uv") is False
         assert eighs == []
+
+
+def test_tau_index_memory_does_not_grow_with_the_cutoff():
+    import tracemalloc
+
+    # the dense compression at F_c = 10^4 would take 57.6 GB
+    rs = RotationSystem(1, 6)
+    tracemalloc.start()
+    try:
+        value = tau_index(assemble_toeplitz(rs, rs.v(), 10 ** 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == -1.0
+    assert peak < 2 ** 20
 
 
 def test_circle_is_the_one_block_case():
