@@ -2,6 +2,9 @@
 projections, with the compressed-loop projection field used to verify
 the odd pairing on truncations.
 
+Every matrix stays in the field of its entries, so real symmetric
+samples take LAPACK's real routines, at about a third of the cost.
+
 Spectral flow counts signed eigenvalue crossings through zero; on finite
 matrices this is the drop of the negative-eigenvalue count from one end
 of the path to the other, which is automatically additive under
@@ -43,7 +46,7 @@ class SelfAdjointPath:
 
     def __init__(self, ts, mats, delta_c=1e-2, sa_tol=1e-10):
         self.ts = list(ts)
-        self.mats = [np.asarray(m, dtype=complex) for m in mats]
+        self.mats = [_own_field(m) for m in mats]
         self.delta_c = delta_c
         for m in self.mats:
             if np.max(np.abs(m - m.conj().T)) > sa_tol:
@@ -53,7 +56,7 @@ class SelfAdjointPath:
     def from_callable(cls, fn, delta_c=1e-2, initial=9, max_samples=4096,
                       t0=0.0, t1=1.0):
         ts = list(np.linspace(t0, t1, initial))
-        mats = {t: np.asarray(fn(t), dtype=complex) for t in ts}
+        mats = {t: _own_field(fn(t)) for t in ts}
         i = 0
         while i < len(ts) - 1:
             a, b = ts[i], ts[i + 1]
@@ -69,7 +72,7 @@ class SelfAdjointPath:
                 raise CrossingUnresolved(
                     f"refinement budget of {max_samples} samples exhausted")
             mid = 0.5 * (a + b)
-            mats[mid] = np.asarray(fn(mid), dtype=complex)
+            mats[mid] = _own_field(fn(mid))
             ts.insert(i + 1, mid)
         return cls(ts, [mats[t] for t in ts], delta_c)
 
@@ -109,6 +112,11 @@ def norm_exceeds(diff, bound):
     return bool(np.linalg.norm(diff, 2) > bound)
 
 
+def _own_field(x):
+    """`x` as a float64 array, or complex128 if its entries are complex."""
+    return np.asarray(x, dtype=np.result_type(np.asarray(x).dtype, float))
+
+
 def spectral_flow(path, margin_filter=None):
     """Signed count of eigenvalue crossings through zero along the path.
 
@@ -119,12 +127,19 @@ def spectral_flow(path, margin_filter=None):
     eigenvectors and returns one rejection flag per column.  Both
     endpoints must be invertible on the retained subspace.
     """
+    return _endpoint_flow(np.linalg.eigh(path.mats[0]),
+                          np.linalg.eigh(path.mats[-1]), path.delta_c,
+                          margin_filter)
+
+
+def _endpoint_flow(first, last, delta_c, margin_filter):
+    """Spectral flow from the eigendecompositions `(w, v)` of the two
+    endpoints, with `delta_c` and `margin_filter` as in `spectral_flow`."""
     negs = []
-    for label, mat in (("initial", path.mats[0]), ("final", path.mats[-1])):
-        w, v = np.linalg.eigh(mat)
+    for label, (w, v) in (("initial", first), ("final", last)):
         if margin_filter is not None:
             w = w[~margin_filter(v)]
-        if len(w) and np.min(np.abs(w)) < path.delta_c:
+        if len(w) and np.min(np.abs(w)) < delta_c:
             raise EndpointDegenerate(
                 f"{label} endpoint has an eigenvalue at "
                 f"{np.min(np.abs(w)):.3g}, inside the crossing window")
@@ -140,8 +155,8 @@ def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
     (in ambient coordinates, one per column) that are finite-truncation
     artifacts.
     """
-    P = np.asarray(P, dtype=complex)
-    Q = np.asarray(Q, dtype=complex)
+    P = _own_field(P)
+    Q = _own_field(Q)
     for name, M in (("P", P), ("Q", Q)):
         if np.max(np.abs(M @ M - M)) > proj_tol \
                 or np.max(np.abs(M - M.conj().T)) > proj_tol:
@@ -207,25 +222,16 @@ def pu_projection(U, chi, tol=1e-8):
     if np.max(np.abs(U.conj().T @ U - np.eye(d))) > tol:
         raise NotUnitary("U is not unitary at the requested tolerance")
     eye = np.eye(d, dtype=complex)
-    n = len(chi.t)
-    out = np.zeros((n, 2 * d, 2 * d), dtype=complex)
-    for i in range(n):
-        c0, c1, c2 = chi.chi0[i], chi.chi1[i], chi.chi2[i]
-        a = c0 * eye + c2 * U
-        out[i, :d, :d] = c1 * c1 * eye
-        out[i, :d, d:] = c1 * a
-        out[i, d:, :d] = c1 * a.conj().T
-        out[i, d:, d:] = (c0 + c2) ** 2 * eye
-    return out
+    c0, c1, c2 = (c[:, None, None] for c in (chi.chi0, chi.chi1, chi.chi2))
+    a = c0 * eye + c2 * U
+    return np.block([[c1 * c1 * eye, c1 * a],
+                     [c1 * a.conj().swapaxes(1, 2), (c0 + c2) ** 2 * eye]])
 
 
 def pu_idempotence_residual(field):
-    worst = 0.0
-    for mat in field:
-        worst = max(worst,
-                    float(np.max(np.abs(mat @ mat - mat))),
-                    float(np.max(np.abs(mat - mat.conj().T))))
-    return worst
+    herm = field.conj().swapaxes(1, 2)
+    return float(max(np.max(np.abs(field @ field - field), initial=0.0),
+                     np.max(np.abs(field - herm), initial=0.0)))
 
 
 # ---------------------------------------------------------------------
@@ -239,12 +245,12 @@ def mode_window(fc):
 
 
 def truncated_dirac(fc):
-    return np.diag(mode_window(fc)).astype(complex)
+    return np.diag(mode_window(fc)).astype(float)
 
 
 def default_trivializer(fc, shift=0.5):
     """Rank-one perturbation pushing the zero mode to `shift`."""
-    a = np.zeros((2 * fc + 1, 2 * fc + 1), dtype=complex)
+    a = np.zeros((2 * fc + 1, 2 * fc + 1))
     a[fc, fc] = shift
     return a
 
@@ -260,7 +266,7 @@ def conjugate_by_shift(mat, m):
     index map: entry (j, l) is mat[j + m, l + m], zero where that index
     leaves the window.  Equal to the product bit for bit, since every
     summand of it but one is an exact zero."""
-    mat = np.asarray(mat, dtype=complex)
+    mat = _own_field(mat)
     n = mat.shape[0]
     out = np.zeros_like(mat)
     lo, hi = max(0, -m), min(n, n - m)
@@ -300,17 +306,17 @@ def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
     Spectral flow of the path D + A -> (1-t) D + t U D U* -> U (D + A) U*
     (trivialized endpoints) against the relative index of the nonnegative
     spectral projections, for U the winding symbol of degree m.  The flow
-    is read off the two endpoints alone (see `spectral_flow`).  Boundary
-    modes are excluded by the margin; the two sides agree after the
-    pinned orientation.
+    is read off the two endpoints alone (see `spectral_flow`); the one
+    `eigh` of `start` also gives P.  Boundary modes are excluded by the
+    margin; the two sides agree after the pinned orientation.
     """
     start = truncated_dirac(fc) + default_trivializer(fc, shift)
     reject = boundary_mass_filter(fc, margin)
-    path = SelfAdjointPath([0.0, 1.0], [start, conjugate_by_shift(start, m)],
-                           delta_c)
-    spfl = spectral_flow(path, margin_filter=reject)
+    eig = np.linalg.eigh(start)
+    spfl = _endpoint_flow(eig, np.linalg.eigh(conjugate_by_shift(start, m)),
+                          delta_c, reject)
 
-    P = _nonneg_projection(start)
+    P = _nonneg_part(*eig)
     Q = conjugate_by_shift(P, m)
     rel = relative_index(P, Q, spurious=reject)
     adjusted = RELATIVE_INDEX_ORIENTATION * rel
@@ -326,6 +332,10 @@ def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
 
 
 def _nonneg_projection(mat):
-    w, v = np.linalg.eigh(mat)
-    keep = w >= 0.0
-    return (v[:, keep] @ v[:, keep].conj().T).astype(complex)
+    return _nonneg_part(*np.linalg.eigh(mat))
+
+
+def _nonneg_part(w, v):
+    """Projection onto the eigenvectors `v` of eigenvalues `w` >= 0."""
+    keep = v[:, w >= 0.0]
+    return keep @ keep.conj().T

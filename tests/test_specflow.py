@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncindex import specflow
 from ncindex.errors import (CrossingUnresolved, EndpointDegenerate,
                             NotAProjection, NotUnitary)
 from ncindex.specflow import (RELATIVE_INDEX_ORIENTATION, ChiTriple,
@@ -198,8 +199,9 @@ def test_verify_oddind_decomposes_each_matrix_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     rep = verify_oddind(32, 1)
     assert rep["match"]
-    # one eigh per path endpoint, then P, ran P and ran Q
-    assert counts == {"svd": 1, "eigh": 2 + 3}
+    # one eigh per window matrix, where start also gives P, then ran P
+    # and ran Q
+    assert counts == {"svd": 1, "eigh": 1 + 1 + 2}
 
 
 def test_boundary_mass_filter_on_columns():
@@ -432,3 +434,109 @@ def test_shift_conjugation_is_an_index_map(fc):
                                   U @ mat @ U.conj().T)
     # |m| >= 2 fc + 1 leaves an empty window
     assert not conjugate_by_shift(X, 2 * fc + 1).any()
+
+
+def _pu_projection_by_loop(U, chi):
+    """The per-sample loop pu_projection used to run."""
+    d = U.shape[0]
+    eye = np.eye(d, dtype=complex)
+    n = len(chi.t)
+    out = np.zeros((n, 2 * d, 2 * d), dtype=complex)
+    for i in range(n):
+        c0, c1, c2 = chi.chi0[i], chi.chi1[i], chi.chi2[i]
+        a = c0 * eye + c2 * U
+        out[i, :d, :d] = c1 * c1 * eye
+        out[i, :d, d:] = c1 * a
+        out[i, d:, :d] = c1 * a.conj().T
+        out[i, d:, d:] = (c0 + c2) ** 2 * eye
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_pu_projection_matches_the_sample_loop(d):
+    rng = np.random.default_rng(d)
+    U = np.linalg.qr(rng.standard_normal((d, d))
+                     + 1j * rng.standard_normal((d, d)))[0]
+    chi = ChiTriple(101)
+    field = pu_projection(U, chi)
+    assert np.array_equal(field, _pu_projection_by_loop(U, chi))
+    worst = max(max(np.max(np.abs(mat @ mat - mat)),
+                    np.max(np.abs(mat - mat.conj().T))) for mat in field)
+    assert pu_idempotence_residual(field) == pytest.approx(worst, abs=1e-15)
+
+
+def test_window_builders_are_real():
+    fc = 16
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((2 * fc + 1, 2 * fc + 1))
+    assert truncated_dirac(fc).dtype == np.float64
+    assert default_trivializer(fc).dtype == np.float64
+    for m in (-2, 0, 3):
+        assert conjugate_by_shift(X, m).dtype == np.float64
+        assert conjugate_by_shift(X.astype(complex), m).dtype == complex
+
+
+def test_path_samples_keep_their_field():
+    D = half_shifted_dirac()
+    n = D.shape[0]
+    real = SelfAdjointPath.from_callable(lambda t: D + t * np.eye(n),
+                                         delta_c=0.2)
+    band = np.diag(np.full(n - 1, 0.3j), 1)
+    band = band + band.conj().T
+    herm = SelfAdjointPath.from_callable(
+        lambda t: D + t * np.eye(n) + np.sin(3 * t) * band, delta_c=0.2)
+    assert len(real.mats) > 9 and len(herm.mats) > 9
+    assert all(mat.dtype == np.float64 for mat in real.mats)
+    assert all(mat.dtype == complex for mat in herm.mats)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except EndpointDegenerate as err:
+        return str(err)
+
+
+def _both_fields(fc, m):
+    """Integers of the spectral-flow layer on the real window matrices
+    and on the same matrices cast to complex."""
+    start = truncated_dirac(fc) + default_trivializer(fc)
+    reject = boundary_mass_filter(fc)
+    P = _nonneg_projection(start)
+    out = []
+    for cast in (np.asarray, lambda x: np.asarray(x, dtype=complex)):
+        path = SelfAdjointPath(
+            [0.0, 1.0], [cast(start), cast(conjugate_by_shift(start, m))],
+            0.2)
+        out.append((
+            _outcome(spectral_flow, path),
+            _outcome(spectral_flow, path, margin_filter=reject),
+            relative_index(cast(P), cast(conjugate_by_shift(P, m)),
+                           spurious=reject)))
+    return out
+
+
+@pytest.mark.parametrize("fc", [16, 32, 64])
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_real_and_complex_windows_give_the_same_integers(fc, m,
+                                                         monkeypatch):
+    real, cplx = _both_fields(fc, m)
+    assert real == cplx
+    rep = _outcome(verify_oddind, fc, m)
+    real_dirac = specflow.truncated_dirac
+    monkeypatch.setattr(specflow, "truncated_dirac",
+                        lambda fc: real_dirac(fc).astype(complex))
+    assert _outcome(verify_oddind, fc, m) == rep
+
+
+def test_both_fields_reject_the_same_degenerate_endpoint(monkeypatch):
+    # at fc = 16 and m = 3 a clipped mode lies inside the margin
+    messages = []
+    for dirac in (truncated_dirac,
+                  lambda fc: truncated_dirac(fc).astype(complex)):
+        monkeypatch.setattr(specflow, "truncated_dirac", dirac)
+        with pytest.raises(EndpointDegenerate) as err:
+            verify_oddind(16, 3)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("final endpoint has an eigenvalue at 0,")
