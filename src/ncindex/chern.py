@@ -39,10 +39,19 @@ def unitary_residual(u):
 
 
 def chern_even(P, k_max, tol=1e-8):
-    """Even Chern character form of a projection-valued mixed form."""
-    if projection_residual(P) > tol:
-        raise NotAProjection(
-            f"projection residual {projection_residual(P):.3g} > {tol}")
+    """Even Chern character form of a projection.
+
+    P is a projection-valued `MixedForm`, whose residual must be within
+    `tol`, or a `covering.MFProjection`, whose constructor has already
+    checked its form; that form is used unchecked.
+    """
+    if isinstance(P, MixedForm):
+        residual = projection_residual(P)
+        if residual > tol:
+            raise NotAProjection(
+                f"projection residual {residual:.3g} > {tol}")
+    else:
+        P = P.form
     dP = P.dtot()
     dP2 = dP @ dP
     out = P.graded_trace()
@@ -78,7 +87,7 @@ def chern_odd(u, k_max, tol=1e-8):
     return out
 
 
-def closedness_defect(form, cocycles=(), include_literal_q0=True):
+def closedness_defect(form, cocycles=()):
     """Observable defect of d_tot(form) = 0 in the commutator quotient.
 
     The algebra-degree-0 part of the differential must vanish literally
@@ -87,10 +96,7 @@ def closedness_defect(form, cocycles=(), include_literal_q0=True):
     detected by pairing against the supplied closed normalized cochains.
     """
     d = form.dtot()
-    worst = 0.0
-    if include_literal_q0:
-        zero_part = d.algebra_component(0)
-        worst = zero_part.max_abs()
+    worst = d.algebra_component(0).max_abs()
     for phi in cocycles:
         worst = max(worst, cyclic.pair_cochain_form(phi, d).max_abs())
     return worst

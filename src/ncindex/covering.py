@@ -33,8 +33,7 @@ TWO_PI_I = 2j * np.pi
 class CoverData:
     """Arcs, bumps and deck elements of a circle cover."""
 
-    def __init__(self, grid, arcs, family, deck_spec, deck, jet_order=2,
-                 tol=1e-12):
+    def __init__(self, grid, arcs, family, deck_spec, deck):
         self.grid = grid
         self.arcs = [tuple(map(float, a)) for a in arcs]
         self.family = family
@@ -43,14 +42,13 @@ class CoverData:
         self.n_arcs = len(self.arcs)
         if self.deck.shape != (self.n_arcs, self.n_arcs):
             raise BadCover("deck matrix shape does not match the arcs")
-        self.chi = self._build_chi(jet_order)
+        self.chi = self._build_chi()
         self.chi_sq = [c * c for c in self.chi]
-        self.validate(tol)
+        self.validate()
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def standard(cls, grid, n_arcs=3, family="mollifier", deck_order=0,
-                 jet_order=2):
+    def standard(cls, grid, n_arcs=3, family="mollifier", deck_order=0):
         """Equal arcs with connected overlaps; deck elements vanish except
         on the wrap-around overlap, where the lift jumps by one."""
         if n_arcs < 1:
@@ -70,7 +68,7 @@ class CoverData:
             deck = deck % deck_order
         else:
             spec = GroupSpec.lattice(1)
-        return cls(grid, arcs, family, spec, deck, jet_order=jet_order)
+        return cls(grid, arcs, family, spec, deck)
 
     def _lift_points(self, left, right):
         """Representative of each grid point inside [left, right), nan if
@@ -83,9 +81,10 @@ class CoverData:
             out[mask] = shifted[mask]
         return out
 
-    def _build_chi(self, order):
+    def _build_chi(self):
+        """Second-order jets of the normalised bumps chi_i."""
         if self.n_arcs == 1:
-            return [JetFunction.constant(self.grid, 1.0, order)]
+            return [JetFunction.constant(self.grid, 1.0, 2)]
         raw = []
         for left, right in self.arcs:
             if right <= left or right - left >= 1.0:
@@ -95,10 +94,8 @@ class CoverData:
             lifted = self._lift_points(left, right)
             x = np.where(np.isnan(lifted), left - 1.0, lifted)
             val, d1, d2 = bumps.plateau(x, left, right, width, self.family)
-            arrays = {(0,): val, (1,): d1}
-            if order >= 2:
-                arrays[(2,)] = d2
-            raw.append(JetFunction.from_arrays(self.grid, arrays))
+            raw.append(JetFunction.from_arrays(
+                self.grid, {(0,): val, (1,): d1, (2,): d2}))
         total = None
         for jet in raw:
             sq = jet * jet
@@ -251,8 +248,8 @@ def winding_cocycle(spec):
     return GroupCocycle(spec, 1, fn)
 
 
-def zero_cocycle(spec, degree=1):
-    return GroupCocycle(spec, degree, lambda *a: 0j)
+def zero_cocycle(spec):
+    return GroupCocycle(spec, 1, lambda *a: 0j)
 
 
 def vandermonde_cocycle(spec, degree):
@@ -274,21 +271,21 @@ def vandermonde_cocycle(spec, degree):
     return GroupCocycle(spec, degree, fn)
 
 
-def cocycle_closedness_defect(cover, tau, samples=40, seed=0):
-    """Spot-check of d_Gamma tau = 0 on deck tuples."""
-    rng = np.random.default_rng(seed)
+def cocycle_closedness_defect(cover, tau):
+    """Spot-check of d_Gamma tau = 0 on 40 random deck tuples."""
+    rng = np.random.default_rng(0)
     spec = cover.deck_spec
     pool = spec.elements() if spec.is_finite else spec.ball(3)
     worst = 0.0
     dt = d_gamma(tau)
-    for _ in range(samples):
+    for _ in range(40):
         tup = [pool[int(i)] for i in
                rng.integers(0, len(pool), tau.degree + 2)]
         worst = max(worst, abs(dt(*tup)))
     return worst
 
 
-def omega_tau(cover, tau, check_closed=True):
+def omega_tau(cover, tau):
     """Closed form on the base built from translated cutoff derivatives.
 
     Degree one on the circle: sum over deck elements g of
@@ -301,11 +298,9 @@ def omega_tau(cover, tau, check_closed=True):
                 f"degree-{n} cocycle on a {cover.grid.ndim}-manifold")
         raise UnsupportedManifold(
             "only degree-one forms are supported on the circle")
-    if check_closed:
-        defect = cocycle_closedness_defect(cover, tau)
-        if defect > 1e-10:
-            raise ValueError(
-                f"tau is not closed: d_Gamma residual {defect:.3g}")
+    defect = cocycle_closedness_defect(cover, tau)
+    if defect > 1e-10:
+        raise ValueError(f"tau is not closed: d_Gamma residual {defect:.3g}")
     e = cover.deck_spec.identity()
     coeff = None
     for g in cover.deck_support():
@@ -338,8 +333,7 @@ def verify_prop_chern(cover, tau, tol=1e-8, flat_tol=1e-9):
         raise UnsupportedManifold("form-level identity implemented on the "
                                   "circle in degree one")
     mf = build_mf_projection(cover, kalg=4)
-    P = mf.form
-    ch = chern_even(P, 1)
+    ch = chern_even(mf, 1)
     c_tau = tau_to_c(tau)
     lhs = pair_cochain_form(c_tau, ch).component((0,))
 

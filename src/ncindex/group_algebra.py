@@ -5,9 +5,11 @@ of the exponent vector), cyclic groups Z/k (word length = distance to 0 on
 the cycle) and free groups of finite rank (word length = reduced word
 length, computations confined to a ball of configurable radius).
 
-The lattice and cyclic families are exact; free groups enforce the
-truncation radius on every stored element, so products that would leave
-the ball raise ``TruncationOverflow``.
+One ring class, `GAMatrix`, holds matrices over C[Gamma]; an element of
+C[Gamma] (`GroupAlgebraElement`) is the 1 x 1 matrix.  The lattice and
+cyclic families are exact; free groups enforce the truncation radius on
+every stored coefficient, so products that would leave the ball raise
+``TruncationOverflow``.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class GroupSpec:
 
     # -- constructors ------------------------------------------------
     @classmethod
-    def lattice(cls, dim, radius=None):
-        return cls(_LAT, dim=dim, radius=radius)
+    def lattice(cls, dim):
+        return cls(_LAT, dim=dim)
 
     @classmethod
     def cyclic(cls, order):
@@ -155,27 +157,115 @@ class GroupSpec:
         return f"GroupSpec.free({self.rank}, radius={self.radius})"
 
 
-class GroupAlgebraElement:
-    """Finite complex combination of group elements.
+class GAMatrix:
+    """Square matrix over a group algebra, stored by group element.
+
+    parts maps a group element g to the complex (n, n) matrix of
+    coefficients of g, so multiplication is convolution over the group
+    combined with matrix products.  Results keep the class of `self`.
+    """
+
+    __slots__ = ("spec", "n", "parts")
+
+    def __init__(self, spec, n, parts=None):
+        self.spec = spec
+        self.n = n
+        clean = {}
+        for g, m in (parts or {}).items():
+            m = np.asarray(m, dtype=complex)
+            if not np.any(m):
+                continue
+            if spec.radius is not None and spec.length(g) > spec.radius:
+                raise TruncationOverflow(
+                    f"matrix coefficient at word length {spec.length(g)} "
+                    f"exceeds radius {spec.radius}")
+            clean[g] = m
+        self.parts = clean
+
+    def _new(self, parts):
+        out = object.__new__(type(self))
+        GAMatrix.__init__(out, self.spec, self.n, parts)
+        return out
+
+    # -- constructors ------------------------------------------------
+    @classmethod
+    def identity(cls, spec, n):
+        return cls(spec, n, {spec.identity(): np.eye(n, dtype=complex)})
+
+    @classmethod
+    def single(cls, spec, n, i, j, g=None):
+        if g is None:
+            g = spec.identity()
+        m = np.zeros((n, n), dtype=complex)
+        m[i, j] = 1.0
+        return cls(spec, n, {g: m})
+
+    # -- algebra -------------------------------------------------------
+    def _check(self, other):
+        if self.spec != other.spec or self.n != other.n:
+            raise ValueError("incompatible matrix group algebras")
+
+    def __add__(self, other):
+        self._check(other)
+        parts = dict(self.parts)
+        for g, m in other.parts.items():
+            parts[g] = parts[g] + m if g in parts else m
+        return self._new(parts)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({g: -m for g, m in self.parts.items()})
+
+    def __matmul__(self, other):
+        self._check(other)
+        spec = self.spec
+        parts = {}
+        for g, a in self.parts.items():
+            for h, b in other.parts.items():
+                k = spec.mul(g, h)
+                parts[k] = parts[k] + a @ b if k in parts else a @ b
+        return self._new(parts)
+
+    def scale(self, c):
+        return self._new({g: c * m for g, m in self.parts.items()})
+
+    def star(self):
+        """Anti-linear involution: g -> g^{-1}, coefficients m -> m*."""
+        spec = self.spec
+        return self._new({spec.inv(g): m.conj().T
+                          for g, m in self.parts.items()})
+
+    # -- structure -------------------------------------------------------
+    def entry(self, i, j):
+        return GroupAlgebraElement(
+            self.spec, {g: m[i, j] for g, m in self.parts.items()})
+
+    def max_abs(self):
+        return max((float(np.max(np.abs(m))) for m in self.parts.values()),
+                   default=0.0)
+
+    def __repr__(self):
+        return f"GAMatrix(n={self.n}, support={sorted(self.parts)})"
+
+
+class GroupAlgebraElement(GAMatrix):
+    """Finite complex combination of group elements: the 1 x 1 GAMatrix.
 
     Zero coefficients are never stored.  For radius-bounded specs every
     stored element must satisfy length(g) <= radius.
     """
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ()
 
     def __init__(self, spec, terms=None):
-        self.spec = spec
-        clean = {}
-        for g, c in (terms or {}).items():
-            if c == 0:
-                continue
-            if spec.radius is not None and spec.length(g) > spec.radius:
-                raise TruncationOverflow(
-                    f"element of length {spec.length(g)} exceeds radius "
-                    f"{spec.radius}")
-            clean[g] = complex(c)
-        self.terms = clean
+        super().__init__(spec, 1, {g: [[c]] for g, c in
+                                   (terms or {}).items()})
+
+    @property
+    def terms(self):
+        return {g: complex(m[0, 0]) for g, m in self.parts.items()}
 
     # -- constructors ------------------------------------------------
     @classmethod
@@ -183,72 +273,33 @@ class GroupAlgebraElement:
         return cls(spec, {spec.identity(): 1.0})
 
     @classmethod
-    def delta(cls, spec, g, coeff=1.0):
-        return cls(spec, {g: coeff})
+    def delta(cls, spec, g):
+        return cls(spec, {g: 1.0})
 
     @classmethod
-    def random(cls, spec, rng, support=3, radius=2, scale=1.0):
+    def random(cls, spec, rng, support=3, radius=2):
         pool = spec.ball(radius)
         idx = rng.choice(len(pool), size=min(support, len(pool)),
                          replace=False)
-        terms = {}
-        for i in idx:
-            terms[pool[int(i)]] = scale * complex(rng.standard_normal(),
-                                                  rng.standard_normal())
-        return cls(spec, terms)
+        return cls(spec, {pool[int(i)]: complex(rng.standard_normal(),
+                                                rng.standard_normal())
+                          for i in idx})
 
     # -- ring structure ----------------------------------------------
-    def _check(self, other):
-        if self.spec != other.spec:
-            raise ValueError("elements live over different groups")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            terms[g] = terms.get(g, 0) + c
-        return GroupAlgebraElement(self.spec, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GroupAlgebraElement(self.spec,
-                                   {g: -c for g, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, GroupAlgebraElement):
-            self._check(other)
-            spec = self.spec
-            terms = {}
-            for g, a in self.terms.items():
-                for h, b in other.terms.items():
-                    k = spec.mul(g, h)
-                    terms[k] = terms.get(k, 0) + a * b
-            return GroupAlgebraElement(spec, terms)
-        return GroupAlgebraElement(self.spec,
-                                   {g: c * other
-                                    for g, c in self.terms.items()})
+        if isinstance(other, GAMatrix):
+            return self @ other
+        return self.scale(other)
 
-    def __rmul__(self, scalar):
-        return self * scalar
-
-    def star(self):
-        """Anti-linear involution (sum c_g g)* = sum conj(c_g) g^{-1}."""
-        spec = self.spec
-        return GroupAlgebraElement(
-            spec, {spec.inv(g): np.conj(c) for g, c in self.terms.items()})
+    __rmul__ = __mul__
 
     # -- functionals ---------------------------------------------------
     def trace_e(self):
         """Coefficient at the identity (the canonical trace)."""
         return self.terms.get(self.spec.identity(), 0j)
 
-    def max_abs(self):
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     def support_radius(self):
-        return max((self.spec.length(g) for g in self.terms), default=0)
+        return max((self.spec.length(g) for g in self.parts), default=0)
 
     # -- representations -----------------------------------------------
     def regular_rep(self, radius):
@@ -261,8 +312,9 @@ class GroupAlgebraElement:
         basis = self.spec.ball(radius)
         index = {g: i for i, g in enumerate(basis)}
         mat = np.zeros((len(basis), len(basis)), dtype=complex)
+        terms = self.terms
         for h, j in index.items():
-            for g, a in self.terms.items():
+            for g, a in terms.items():
                 gh = self.spec.mul(g, h)
                 i = index.get(gh)
                 if i is not None:
@@ -276,7 +328,7 @@ class GroupAlgebraElement:
         return float(np.linalg.norm(mat, 2))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.parts:
             return "GA<0>"
         bits = [f"({c:.4g})*{g}" for g, c in sorted(
             self.terms.items(), key=lambda t: (self.spec.length(t[0]),
@@ -320,25 +372,17 @@ class TruncatedDerivationRep:
 
 
 def delta_word_length(a, radius):
-    """Commutator with the word-length multiplier on the ball B_radius."""
-    spec = a.spec
+    """Commutator with the word-length multiplier on the ball B_radius.
+
+    Column h of the regular representation holds each a_g once, in row
+    gh, so [D_l, a] is that matrix times l(row) - l(column) entrywise.
+    """
     if a.support_radius() > radius:
         raise TruncationOverflow("support of the element leaves the ball")
-    basis = spec.ball(radius)
-    index = {g: i for i, g in enumerate(basis)}
-    n = len(basis)
-    mat = np.zeros((n, n), dtype=complex)
-    rep = np.zeros((n, n), dtype=complex)
-    for h, j in index.items():
-        lh = spec.length(h)
-        for g, c in a.terms.items():
-            gh = spec.mul(g, h)
-            i = index.get(gh)
-            if i is None:
-                continue
-            rep[i, j] += c
-            mat[i, j] += c * (spec.length(gh) - lh)
-    return TruncatedDerivationRep(spec, radius, basis, mat, rep)
+    basis, rep = a.regular_rep(radius)
+    lengths = np.array([a.spec.length(g) for g in basis])
+    mat = np.subtract.outer(lengths, lengths) * rep
+    return TruncatedDerivationRep(a.spec, radius, basis, mat, rep)
 
 
 def derivation_leibniz_residual(a, b, radius):
@@ -359,23 +403,22 @@ def derivation_leibniz_residual(a, b, radius):
     return float(np.max(np.abs(lhs[sel] - rhs[sel])))
 
 
-def neumann_inverse(x, tol=1e-12, max_terms=400, norm_radius=None,
-                    seminorm_report=None):
+def neumann_inverse(x, tol=1e-12, seminorm_report=None):
     """Inverse via the geometric series sum_n (1-x)^n.
 
     Requires the ball-norm estimate of (1-x) to be < 1; raises
     ``NotInvertibleInBudget`` otherwise or when the residual does not
-    reach `tol` within `max_terms` terms.  When `seminorm_report` is a
-    list, per-term derivation seminorms and the bound
-    n * |1-x|^{n-1} * |delta(1-x)| are appended to it.
+    reach `tol` within 400 terms.  Norms are taken on the ball that
+    covers a finite group, else on one of radius 2 supp(x) + 2 (at least
+    4).  When `seminorm_report` is a list, per-term derivation seminorms
+    and the bound n * |1-x|^{n-1} * |delta(1-x)| are appended to it.
     """
     spec = x.spec
     one = GroupAlgebraElement.one(spec)
-    if norm_radius is None:
-        if spec.is_finite:
-            norm_radius = (spec.order + 1) // 2
-        else:
-            norm_radius = max(2 * x.support_radius() + 2, 4)
+    if spec.is_finite:
+        norm_radius = (spec.order + 1) // 2
+    else:
+        norm_radius = max(2 * x.support_radius() + 2, 4)
     t = one - x
     nt = t.ball_opnorm(norm_radius)
     if nt >= 1.0:
@@ -386,7 +429,7 @@ def neumann_inverse(x, tol=1e-12, max_terms=400, norm_radius=None,
             t, norm_radius + t.support_radius()).opnorm_lower()
     total = one
     term = one
-    for n in range(1, max_terms + 1):
+    for n in range(1, 401):
         term = term * t
         total = total + term
         if seminorm_report is not None:
@@ -399,104 +442,7 @@ def neumann_inverse(x, tol=1e-12, max_terms=400, norm_radius=None,
         if res <= tol:
             return total
     raise NotInvertibleInBudget(
-        f"residual still above {tol} after {max_terms} terms")
-
-
-class GAMatrix:
-    """Square matrix over a group algebra, stored by group element.
-
-    parts maps a group element g to the complex (n, n) matrix of
-    coefficients of g, so multiplication is convolution over the group
-    combined with matrix products.
-    """
-
-    __slots__ = ("spec", "n", "parts")
-
-    def __init__(self, spec, n, parts=None):
-        self.spec = spec
-        self.n = n
-        clean = {}
-        for g, m in (parts or {}).items():
-            m = np.asarray(m, dtype=complex)
-            if not np.any(m):
-                continue
-            if spec.radius is not None and spec.length(g) > spec.radius:
-                raise TruncationOverflow(
-                    f"matrix coefficient at word length {spec.length(g)} "
-                    f"exceeds radius {spec.radius}")
-            clean[g] = m
-        self.parts = clean
-
-    # -- constructors ------------------------------------------------
-    @classmethod
-    def identity(cls, spec, n):
-        return cls(spec, n, {spec.identity(): np.eye(n, dtype=complex)})
-
-    @classmethod
-    def single(cls, spec, n, i, j, g=None, coeff=1.0):
-        if g is None:
-            g = spec.identity()
-        m = np.zeros((n, n), dtype=complex)
-        m[i, j] = coeff
-        return cls(spec, n, {g: m})
-
-    # -- algebra -------------------------------------------------------
-    def _check(self, other):
-        if self.spec != other.spec or self.n != other.n:
-            raise ValueError("incompatible matrix group algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        parts = {g: m.copy() for g, m in self.parts.items()}
-        for g, m in other.parts.items():
-            if g in parts:
-                parts[g] = parts[g] + m
-            else:
-                parts[g] = m
-        return GAMatrix(self.spec, self.n, parts)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GAMatrix(self.spec, self.n,
-                        {g: -m for g, m in self.parts.items()})
-
-    def __matmul__(self, other):
-        self._check(other)
-        spec = self.spec
-        parts = {}
-        for g, a in self.parts.items():
-            for h, b in other.parts.items():
-                k = spec.mul(g, h)
-                ab = a @ b
-                if k in parts:
-                    parts[k] = parts[k] + ab
-                else:
-                    parts[k] = ab
-        return GAMatrix(spec, self.n, parts)
-
-    def scale(self, c):
-        return GAMatrix(self.spec, self.n,
-                        {g: c * m for g, m in self.parts.items()})
-
-    def star(self):
-        spec = self.spec
-        return GAMatrix(spec, self.n,
-                        {spec.inv(g): m.conj().T
-                         for g, m in self.parts.items()})
-
-    # -- structure -------------------------------------------------------
-    def entry(self, i, j):
-        return GroupAlgebraElement(
-            self.spec, {g: m[i, j] for g, m in self.parts.items()})
-
-    def max_abs(self):
-        return max((float(np.max(np.abs(m))) for m in self.parts.values()),
-                   default=0.0)
-
-    def __repr__(self):
-        return f"GAMatrix(n={self.n}, support={sorted(self.parts)})"
+        f"residual still above {tol} after 400 terms")
 
 
 # -- helpers specific to cyclic groups --------------------------------

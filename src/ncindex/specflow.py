@@ -53,9 +53,8 @@ class SelfAdjointPath:
                 raise ValueError("path sample is not self-adjoint")
 
     @classmethod
-    def from_callable(cls, fn, delta_c=1e-2, initial=9, max_samples=4096,
-                      t0=0.0, t1=1.0):
-        ts = list(np.linspace(t0, t1, initial))
+    def from_callable(cls, fn, delta_c=1e-2, initial=9, max_samples=4096):
+        ts = list(np.linspace(0.0, 1.0, initial))
         mats = {t: _own_field(fn(t)) for t in ts}
         i = 0
         while i < len(ts) - 1:

@@ -10,7 +10,7 @@ from ncindex.covering import (CoverData, build_mf_projection,
                               verify_prop_chern, winding_cocycle,
                               zero_cocycle)
 from ncindex.cyclic import GroupCocycle, pair_cochain_form, tau_to_c
-from ncindex.errors import BadCover, UnsupportedManifold
+from ncindex.errors import BadCover, NotAProjection, UnsupportedManifold
 from ncindex.group_algebra import GroupSpec
 from ncindex.nc_forms import CircleGrid
 
@@ -215,3 +215,31 @@ def test_flat_form_is_the_algebra_part_of_the_character(n_arcs, family):
     rep = verify_prop_chern(cover, winding_cocycle(cover.deck_spec))
     assert rep["flat_connection_residual"] \
         == pair_cochain_form(phi, ref).max_abs() == 0.0
+
+
+def test_verify_prop_chern_checks_the_projection_once(monkeypatch):
+    from ncindex import chern
+    calls = []
+    residual = chern.projection_residual
+
+    def counted(P):
+        calls.append(P)
+        return residual(P)
+
+    monkeypatch.setattr(chern, "projection_residual", counted)
+    cover = standard()
+    rep = verify_prop_chern(cover, winding_cocycle(cover.deck_spec))
+    assert rep["passed"]
+    assert calls == []
+    # the MFProjection's own check stands in for the one chern_even skips
+    mf = build_mf_projection(cover)
+    ch = chern_even(mf, 1)
+    assert calls == []
+    assert (ch - chern_even(mf.form, 1)).max_abs() == 0.0
+    assert len(calls) == 1
+
+
+def test_chern_even_still_checks_a_mixed_form():
+    P = build_mf_projection(standard()).form
+    with pytest.raises(NotAProjection):
+        chern_even(P.scale(0.7), 1)

@@ -175,3 +175,82 @@ def test_cyclic_sector_roundtrip():
     s2 = cyclic_sectors(m2)
     s = cyclic_sectors(m)
     assert np.max(np.abs(s2 - np.einsum("kij,kjl->kil", s, s))) <= 1e-10
+
+
+def _is_element(x):
+    return (type(x) is GA and x.n == 1
+            and all(type(c) is complex for c in x.terms.values()))
+
+
+def test_element_operations_stay_elements():
+    assert issubclass(GA, GAMatrix)
+    rng = np.random.default_rng(3)
+    for spec in (GroupSpec.lattice(2), GroupSpec.cyclic(6),
+                 GroupSpec.free(2, radius=5)):
+        a, b = rand_ga(spec, rng), rand_ga(spec, rng)
+        for x in (a + b, a - b, -a, a * b, ga_mul(a, b), a * 2.5,
+                  (0.5 - 1j) * a, a.star(), a @ b, a.scale(3)):
+            assert _is_element(x)
+        assert (a * b).terms == (a @ b).terms
+        assert (-a).terms == {g: -c for g, c in a.terms.items()}
+
+
+def test_element_terms_round_trip():
+    z5 = GroupSpec.cyclic(5)
+    terms = {0: 1.5, 2: -2j, 3: 0.0}
+    x = GA(z5, terms)
+    assert x.terms == {0: 1.5 + 0j, 2: -2j}
+    assert set(x.parts) == {0, 2} and x.parts[2].shape == (1, 1)
+    assert trace_e(x) == 1.5 and trace_e(GA(z5)) == 0j
+    with pytest.raises(TruncationOverflow):
+        GA(GroupSpec.free(1, radius=1), {(1, 1): 1.0})
+
+
+def test_gamatrix_entry_is_the_coefficient_dict():
+    rng = np.random.default_rng(4)
+    z3 = GroupSpec.cyclic(3)
+    parts = {g: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+             for g in range(3)}
+    parts[1][0, 2] = 0.0
+    m = GAMatrix(z3, 3, parts)
+    for i in range(3):
+        for j in range(3):
+            e = m.entry(i, j)
+            assert _is_element(e)
+            assert e.terms == {g: complex(p[i, j]) for g, p in parts.items()
+                               if p[i, j] != 0}
+
+
+def _delta_by_pairs(a, radius):
+    """The per-pair loop delta_word_length ran before it read the regular
+    representation: (matrix, rep_matrix) on the ball."""
+    spec = a.spec
+    basis = spec.ball(radius)
+    index = {g: i for i, g in enumerate(basis)}
+    n = len(basis)
+    mat = np.zeros((n, n), dtype=complex)
+    rep = np.zeros((n, n), dtype=complex)
+    for h, j in index.items():
+        lh = spec.length(h)
+        for g, c in a.terms.items():
+            gh = spec.mul(g, h)
+            i = index.get(gh)
+            if i is None:
+                continue
+            rep[i, j] += c
+            mat[i, j] += c * (spec.length(gh) - lh)
+    return mat, rep
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.lattice(2), GroupSpec.cyclic(6),
+                                  GroupSpec.free(2, radius=5)], ids=repr)
+def test_delta_word_length_matches_the_pair_loop(spec):
+    rng = np.random.default_rng(5)
+    for radius in (2, 3):
+        for support in (1, 3, 6):
+            a = rand_ga(spec, rng, support=support, radius=2)
+            rep = delta_word_length(a, radius)
+            mat, regular = _delta_by_pairs(a, radius)
+            assert np.array_equal(rep.matrix, mat)
+            assert np.array_equal(rep.rep_matrix, regular)
+            assert rep.basis == spec.ball(radius)
