@@ -65,9 +65,9 @@ def chern_even(P, k_max, tol=1e-8):
 
 def chern_odd(u, k_max, tol=1e-8):
     """Odd Chern character form of a unitary-valued mixed form."""
-    if unitary_residual(u) > tol:
-        raise NotUnitary(
-            f"unitarity residual {unitary_residual(u):.3g} > {tol}")
+    residual = unitary_residual(u)
+    if residual > tol:
+        raise NotUnitary(f"unitarity residual {residual:.3g} > {tol}")
     us = u.star()
     du = u.dtot()
     dus = us.dtot()

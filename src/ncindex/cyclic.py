@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotAProjection, UnsupportedDegree
 from .group_algebra import GAMatrix
-from .nc_forms import JetFunction, ScalarForm
+from .nc_forms import ScalarForm
 
 # ---------------------------------------------------------------------
 # group cochains
@@ -261,10 +261,12 @@ def pair_cochain_form(phi, omega):
     result is a scalar grid form of whatever manifold degrees are present.
     """
     traced = omega if omega.size == 1 else omega.graded_trace()
-    return ScalarForm(omega.grid, {
-        axes: JetFunction.from_stack(omega.grid, np.tensordot(
-            phi.values(tuples), arrays[:, 0, 0], 1))
-        for q, axes, tuples, arrays in traced.stacks() if q == phi.degree})
+    out = ScalarForm(omega.grid)
+    out.add_entries((ScalarForm.E, axes,
+                     np.tensordot(phi.values(tuples), arrays, 1))
+                    for q, axes, tuples, arrays in traced.stacks()
+                    if q == phi.degree)
+    return out
 
 
 # ---------------------------------------------------------------------

@@ -16,7 +16,9 @@ tr P (dP)^{2k} in M_n(Omega B).  The total differential of a term of
 manifold degree p is d_tot(s x w) = (d_M s) x w + (-1)^p s x dw, where d
 prepends e to the tuple.  The graded product multiplies entry matrices,
 merges adjacent group entries by the group law and crosses factors with
-the Koszul sign (-1)^{q p'}.
+the Koszul sign (-1)^{q p'}.  A scalar grid form (`ScalarForm`) is the
+1 x 1 mixed form over the trivial group in algebra degree 0, so both
+kinds of form share one storage layout, sum and differential.
 
 Over a finite group a block is one dense array with a leading axis of
 length k per slot, so merges are index maps and a product multiplies
@@ -37,7 +39,9 @@ import types
 
 import numpy as np
 
-from .group_algebra import GAMatrix
+from .group_algebra import GAMatrix, GroupSpec
+
+_TRIVIAL = GroupSpec.trivial()
 
 # ---------------------------------------------------------------------
 # grids
@@ -234,125 +238,8 @@ class JetFunction:
             y = (y.scale(3.0) + (self * y * y * y).scale(-1.0)).scale(0.5)
         return y
 
-    def max_abs(self):
-        return float(np.max(np.abs(self.stack[0]), initial=0.0))
-
     def is_zero(self):
         return not self.stack.any()
-
-
-# ---------------------------------------------------------------------
-# scalar grid forms
-# ---------------------------------------------------------------------
-
-
-def _merge_axes(a, b):
-    """Concatenate strictly increasing axis tuples; parity of the sort."""
-    if set(a) & set(b):
-        return None, 0
-    merged = list(a) + list(b)
-    sign = 1
-    # insertion sort, counting transpositions
-    for i in range(1, len(merged)):
-        j = i
-        while j > 0 and merged[j - 1] > merged[j]:
-            merged[j - 1], merged[j] = merged[j], merged[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(merged), sign
-
-
-class ScalarForm:
-    """Differential form on the grid with JetFunction coefficients.
-
-    comps maps a strictly increasing tuple of axis indices to the
-    coefficient jet of dx_{i_1} ^ ... ^ dx_{i_p}; several degrees may be
-    present at once.
-    """
-
-    __slots__ = ("grid", "comps")
-
-    def __init__(self, grid, comps=None):
-        self.grid = grid
-        self.comps = {}
-        for axes, jet in (comps or {}).items():
-            if jet.is_zero():
-                continue
-            self.comps[axes] = jet
-
-    @classmethod
-    def _raw(cls, grid, comps):
-        # internal fast path: caller guarantees no pruning is needed
-        out = cls.__new__(cls)
-        out.grid = grid
-        out.comps = comps
-        return out
-
-    @classmethod
-    def zero(cls, grid):
-        return cls(grid, {})
-
-    @classmethod
-    def function(cls, jet):
-        return cls(jet.grid, {(): jet})
-
-    @classmethod
-    def one(cls, grid, order=2):
-        return cls(grid, {(): JetFunction.constant(grid, 1.0, order)})
-
-    def __add__(self, other):
-        comps = dict(self.comps)
-        for axes, jet in other.comps.items():
-            if axes in comps:
-                jet = comps[axes] + jet
-                if jet.is_zero():
-                    del comps[axes]
-                    continue
-            comps[axes] = jet
-        return ScalarForm._raw(self.grid, comps)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, c):
-        return ScalarForm._raw(
-            self.grid, {a: j.scale(c) for a, j in self.comps.items()})
-
-    def d(self):
-        comps = {}
-        for axes, jet in self.comps.items():
-            for ax in range(self.grid.ndim):
-                if ax in axes:
-                    continue
-                merged, sign = _merge_axes((ax,), axes)
-                dj = jet.partial(ax) if sign == 1 \
-                    else jet.partial(ax).scale(sign)
-                if merged in comps:
-                    comps[merged] = comps[merged] + dj
-                else:
-                    comps[merged] = dj
-        return ScalarForm._raw(self.grid, comps)
-
-    def component(self, axes):
-        jet = self.comps.get(tuple(axes))
-        if jet is None:
-            return np.zeros(self.grid.shape, dtype=complex)
-        return jet.value()
-
-    def integrate(self):
-        """Integral of the top-degree component over the whole grid."""
-        top = (tuple(range(self.grid.ndim))
-               if self.grid.ndim else ())
-        jet = self.comps.get(top)
-        if jet is None:
-            return 0j
-        return complex(np.mean(jet.value()))
-
-    def max_abs(self):
-        return max((j.max_abs() for j in self.comps.values()), default=0.0)
-
-    def is_zero(self):
-        return not self.comps
 
 
 # ---------------------------------------------------------------------
@@ -519,6 +406,15 @@ def _blocks(spec, ndim):
 # ---------------------------------------------------------------------
 
 
+def _merge_axes(a, b):
+    """Concatenate strictly increasing axis tuples: the sorted axes and
+    the sign of the sort, the parity of the pairs x in a, y in b with
+    x > y; (None, 0) if the tuples share an axis."""
+    if set(a) & set(b):
+        return None, 0
+    return tuple(sorted(a + b)), (-1) ** sum(x > y for x in a for y in b)
+
+
 class MixedForm:
     """Mixed form with values in M_n(Omega C[Gamma]).
 
@@ -559,8 +455,8 @@ class MixedForm:
                  functools.reduce(np.matmul, [m for _, m in combo]))
                 for combo in itertools.product(
                     *(mat.parts.items() for mat in word))]
-        self.add_entries((t, axes, np.multiply.outer(m, jet.stack))
-                         for axes, jet in sform.comps.items()
+        self.add_entries((t, axes, np.multiply.outer(m, x[0, 0]))
+                         for _e, axes, x in sform.entries()
                          for t, m in mats)
 
     def add_entries(self, entries):
@@ -591,8 +487,10 @@ class MixedForm:
             self.terms[key] = block
 
     def _spawn(self, kalg=None, size=None):
-        out = MixedForm(self.grid, self.spec, size or self.size,
-                        self.kalg if kalg is None else kalg)
+        """An empty form of the class of self."""
+        out = object.__new__(type(self))
+        MixedForm.__init__(out, self.grid, self.spec, size or self.size,
+                           self.kalg if kalg is None else kalg)
         out.dropped = self.dropped
         return out
 
@@ -738,10 +636,11 @@ class MixedForm:
         """
         if self.size != 1:
             raise ValueError("scalar_part needs a traced (size-1) form")
-        return ScalarForm(self.grid, {
-            axes: JetFunction.from_stack(self.grid, x[0, 0])
-            for tup, axes, x in self.algebra_component(0).entries()
-            if tup == (self.spec.identity(),)})
+        out = ScalarForm(self.grid)
+        out.add_entries((ScalarForm.E, axes, x)
+                        for tup, axes, x in self.algebra_component(0).entries()
+                        if tup == (self.spec.identity(),))
+        return out
 
     def max_abs(self):
         """Largest value of an entry: faithful, since the group tuples
@@ -749,6 +648,56 @@ class MixedForm:
         arrays = (self.layout.stacked(b)[1] for b in self.terms.values())
         return max((float(np.max(np.abs(x[..., 0, :]))) for x in arrays),
                    default=0.0)
+
+
+class ScalarForm(MixedForm):
+    """Differential form on the grid with JetFunction coefficients: the
+    1 x 1 mixed form over the trivial group in algebra degree 0.
+
+    comps maps a strictly increasing tuple of axis indices to the
+    coefficient jet of dx_{i_1} ^ ... ^ dx_{i_p}; several degrees may be
+    present at once, and zero jets are dropped.
+    """
+
+    __slots__ = ()
+
+    E = (_TRIVIAL.identity(),)  # the group tuple of every entry
+
+    def __init__(self, grid, comps=None):
+        super().__init__(grid, _TRIVIAL, 1, 0)
+        self.add_entries((self.E, axes, jet.stack[None, None])
+                         for axes, jet in (comps or {}).items())
+
+    @classmethod
+    def zero(cls, grid):
+        return cls(grid)
+
+    @classmethod
+    def function(cls, jet):
+        return cls(jet.grid, {(): jet})
+
+    @classmethod
+    def one(cls, grid, order=2):
+        return cls(grid, {(): JetFunction.constant(grid, 1.0, order)})
+
+    d = MixedForm.dtot_manifold
+
+    @property
+    def comps(self):
+        """Read-only {axes: JetFunction} view of the components."""
+        return types.MappingProxyType({
+            axes: JetFunction.from_stack(self.grid, arrays[0, 0, 0])
+            for _q, axes, _tuples, arrays in self.stacks()})
+
+    def component(self, axes):
+        jet = self.comps.get(tuple(axes))
+        if jet is None:
+            return np.zeros(self.grid.shape, dtype=complex)
+        return jet.value()
+
+    def integrate(self):
+        """Integral of the top-degree component over the whole grid."""
+        return complex(np.mean(self.component(range(self.grid.ndim))))
 
 
 def form_dtot(omega):

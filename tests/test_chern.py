@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncindex import chern
 from ncindex.chern import (ProjectionPath, bott_integral, bott_projector,
                            chern_even, chern_homotopy_defect, chern_odd,
                            closedness_defect)
@@ -62,10 +63,22 @@ def test_chern_odd_identity_vanishes():
     assert chern_odd(one, 2).max_abs() <= 1e-13
 
 
-def test_chern_odd_rejects_non_unitary():
+def test_chern_odd_rejects_non_unitary(monkeypatch):
     bad = MixedForm.one(GRID, Z3, 2, 4).scale(1.2)
-    with pytest.raises(NotUnitary):
+    message = f"unitarity residual {chern.unitary_residual(bad):.3g} > 1e-08"
+    real = chern.unitary_residual
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return real(u)
+
+    monkeypatch.setattr(chern, "unitary_residual", counted)
+    with pytest.raises(NotUnitary) as excinfo:
         chern_odd(bad, 1)
+    # the residual is computed once, for the test and for the message
+    assert len(calls) == 1
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("m", [-2, -1, 1, 3])

@@ -340,6 +340,27 @@ def test_table_defaults_pass_their_checks():
         validate_config(json.load(fh))
 
 
+def test_shipped_config_passes_with_every_report_row(tmp_path):
+    config = Path(__file__).parents[1] / "configs" / "checks.json"
+    assert run(str(config), out_dir=tmp_path) == 0
+    with open(tmp_path / "report.csv") as fh:
+        rows = {(r["experiment"], r["check"]) for r in csv.DictReader(fh)}
+    toeplitz = {(exp, f"tau_index_{check}")
+                for exp in ("toeplitz-rotation-2-5", "toeplitz-winding-1",
+                            "toeplitz-winding-neg2")
+                for check in ("integrality", "vs_expected", "vs_formula",
+                              "vs_winding")}
+    assert rows == toeplitz | {
+        ("chern-bott", "bott_normalization"),
+        ("covering-standard", "character_form_identity"),
+        ("covering-standard", "flat_connection_cancellation"),
+        ("covering-standard", "omega_integral_bump_independence"),
+        ("covering-standard", "projection_idempotence"),
+        ("cyclic-bridge", "normalization_bridge"),
+        ("specflow-odd", "oddind_m1"),
+        ("specflow-odd", "oddind_m2")}
+
+
 @pytest.mark.parametrize("u, fc, least", [
     ({"type": "exp", "m": 9}, 64, 72),
     ({"type": "exp", "m": -3}, 23, 24),

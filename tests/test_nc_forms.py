@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ncindex.group_algebra import GAMatrix, GroupSpec
 from ncindex.nc_forms import (ChartGrid2D, CircleGrid, JetFunction,
-                              MixedForm, ScalarForm, form_dtot, form_mul,
+                              MixedForm, ScalarForm, _merge_axes,
+                              _multi_indices, form_dtot, form_mul,
                               graded_trace)
 from ncindex.testing import (random_gamatrix, random_mixed_form,
+                             random_normalized_cochain,
                              random_projection_form, random_trig_jet)
 
 GRID = CircleGrid(16)
@@ -291,10 +295,151 @@ def test_exact_cancellations_are_dropped():
     P = random_projection_form(GRID, SPEC, 2, np.random.default_rng(9))
     cover = CoverData.standard(CircleGrid(64))
     Q = build_mf_projection(cover).form
-    for form in (P, Q):
+    sf = ScalarForm.function(random_trig_jet(GRID,
+                                             np.random.default_rng(10)))
+    for form in (P, Q, sf):
         assert form.terms
         assert len((form - form).terms) == 0
         assert len((form + form.scale(-1.0)).terms) == 0
-    sf = ScalarForm.function(random_trig_jet(GRID,
-                                             np.random.default_rng(10)))
-    assert (sf + sf.scale(-1.0)).is_zero()
+
+
+def _insertion_merge(a, b):
+    """Merge of axis tuples by insertion sort, counting transpositions:
+    the reference for `_merge_axes`."""
+    if set(a) & set(b):
+        return None, 0
+    merged = list(a) + list(b)
+    sign = 1
+    for i in range(1, len(merged)):
+        j = i
+        while j > 0 and merged[j - 1] > merged[j]:
+            merged[j - 1], merged[j] = merged[j], merged[j - 1]
+            sign = -sign
+            j -= 1
+    return tuple(merged), sign
+
+
+def test_merge_axes_matches_insertion_sort():
+    tuples = [t for r in range(4) for t in itertools.combinations(range(3), r)]
+    for a, b in itertools.product(tuples, repeat=2):
+        assert _merge_axes(a, b) == _insertion_merge(a, b), (a, b)
+    assert _merge_axes((0, 2), (1, 2)) == (None, 0)
+
+
+def _jets(grid, rng):
+    """A jet of order 2 with random samples for every multi-index."""
+    return JetFunction.from_arrays(grid, {
+        a: rng.standard_normal(grid.shape) + 1j * rng.standard_normal(
+            grid.shape) for a in _multi_indices(grid.ndim, 2)})
+
+
+def _same_jets(got, want):
+    """{axes: JetFunction} maps equal bitwise, zero jets of want
+    ignored."""
+    want = {axes: jet for axes, jet in want.items() if not jet.is_zero()}
+    assert set(got) == set(want)
+    for axes, jet in want.items():
+        assert got[axes].order == jet.order
+        assert np.array_equal(got[axes].stack, jet.stack), axes
+
+
+def test_scalar_forms_are_closed_under_their_operations():
+    rng = np.random.default_rng(11)
+    grid = ChartGrid2D(8)
+    a = ScalarForm(grid, {(): _jets(grid, rng), (1,): _jets(grid, rng)})
+    b = ScalarForm(grid, {(0,): _jets(grid, rng)})
+    for form in (a + b, a - b, a.scale(0.5j), a.d(), a @ b, b @ a,
+                 ScalarForm.one(grid) @ a):
+        assert type(form) is ScalarForm
+    assert ScalarForm.d is MixedForm.dtot_manifold
+    assert (a @ b).component((0, 1)).any()
+    assert np.array_equal((ScalarForm.one(grid) @ a).component((1,)),
+                          a.component((1,)))
+
+
+def test_scalar_form_round_trips_through_comps():
+    rng = np.random.default_rng(12)
+    f, g = _jets(GRID, rng), _jets(GRID, rng)
+    zero = JetFunction.constant(GRID, 0.0)
+    sf = ScalarForm(GRID, {(): f, (0,): g})
+    _same_jets(sf.comps, {(): f, (0,): g})
+    _same_jets(ScalarForm(GRID, sf.comps).comps, sf.comps)
+    assert not ScalarForm(GRID, {(): zero}).terms
+    assert set(ScalarForm(GRID, {(): zero, (0,): g}).comps) == {(0,)}
+    assert ScalarForm.zero(GRID).integrate() == 0j
+    with pytest.raises(TypeError):
+        sf.comps[(0,)] = f
+
+
+def test_scalar_d_matches_the_per_axis_loop():
+    rng = np.random.default_rng(13)
+    grid = ChartGrid2D(8)
+    sf = ScalarForm(grid, {axes: _jets(grid, rng)
+                           for axes in ((), (0,), (1,))})
+    # the per-axis loop over {axes: JetFunction}, kept as the oracle
+    want = {}
+    for axes, jet in sf.comps.items():
+        for ax in range(grid.ndim):
+            if ax in axes:
+                continue
+            merged, sign = _insertion_merge((ax,), axes)
+            dj = jet.partial(ax) if sign == 1 \
+                else jet.partial(ax).scale(sign)
+            want[merged] = want[merged] + dj if merged in want else dj
+    _same_jets(sf.d().comps, want)
+
+
+def _pair_oracle(phi, omega):
+    """`pair_cochain_form` through JetFunction, as the reference."""
+    traced = omega if omega.size == 1 else omega.graded_trace()
+    return {axes: JetFunction.from_stack(omega.grid, np.tensordot(
+        phi.values(tuples), arrays[:, 0, 0], 1))
+        for q, axes, tuples, arrays in traced.stacks() if q == phi.degree}
+
+
+def _scalar_part_oracle(form):
+    """`MixedForm.scalar_part` through JetFunction, as the reference."""
+    return {axes: JetFunction.from_stack(form.grid, x[0, 0])
+            for tup, axes, x in form.algebra_component(0).entries()
+            if tup == (form.spec.identity(),)}
+
+
+def _z5_character():
+    from ncindex.chern import chern_even
+    from ncindex.cyclic import random_closed_cocycle
+
+    rng = np.random.default_rng(14)
+    spec = GroupSpec.cyclic(5)
+    ch = chern_even(random_projection_form(CircleGrid(8), spec, 2, rng), 1)
+    return ch, [random_closed_cocycle(spec, 2, rng),
+                random_normalized_cochain(spec, 1, rng)]
+
+
+def _cover_character():
+    from ncindex.chern import chern_even
+    from ncindex.covering import (CoverData, build_mf_projection,
+                                  vandermonde_cocycle, winding_cocycle)
+    from ncindex.cyclic import tau_to_c
+
+    cover = CoverData.standard(CircleGrid(64))
+    ch = chern_even(build_mf_projection(cover), 1)
+    return ch, [tau_to_c(winding_cocycle(cover.deck_spec)),
+                tau_to_c(vandermonde_cocycle(cover.deck_spec, 2))]
+
+
+@pytest.mark.parametrize("build", [_z5_character, _cover_character],
+                         ids=["Z5", "lattice-cover"])
+def test_scalar_results_equal_the_jet_construction(build):
+    from ncindex.cyclic import pair_cochain_form
+
+    ch, cochains = build()
+    part = ch.scalar_part()
+    assert type(part) is ScalarForm
+    _same_jets(part.comps, _scalar_part_oracle(ch))
+    # over the cover the second pairing is the flat-connection
+    # cancellation: exactly zero, so it keeps no component
+    paired = [pair_cochain_form(phi, ch) for phi in cochains]
+    assert paired[0].terms
+    for phi, form in zip(cochains, paired):
+        assert type(form) is ScalarForm
+        _same_jets(form.comps, _pair_oracle(phi, ch))
