@@ -149,6 +149,9 @@ def _sphere_field(grid, r_max=0.42, family="mollifier"):
     sig_r = np.pi * s1 / r_max
     cos_s = np.cos(sig)
     sin_s = np.sin(sig)
+    # every step is flat at t = 0, so a grid point at the centre takes
+    # the limits n = (0, 0, 1) and zero derivatives
+    r = np.where(r > 0, r, 1.0)
     w = sin_s / r
     w_r = cos_s * sig_r / r - sin_s / r ** 2
     ux, uy = u / r, v / r

@@ -118,7 +118,7 @@ _SYMBOL = _check(f"an object whose type is one of {sorted(_U_TYPES)}, "
 #: {kind: {key: (check, default)}}; a default of None means none
 _FIELDS = {
     "chern-check": {
-        "chart_grid": (_INTEGER, 64),
+        "chart_grid": (_at_least(1), 64),
         "bott_radius": (_NUMBER, 0.42),
         "bump_family": (_FAMILY, "mollifier"),
         "tolerance": (_TOLERANCE, 2e-3),
@@ -138,15 +138,17 @@ _FIELDS = {
         "system": (_one_of("circle", "rotation"), "circle"),
         "u": (_SYMBOL, {"type": "exp", "m": 1}),
         "fourier_cutoff": (_INTEGER, 64),
-        "grid_size": (_INTEGER, 256),
+        "grid_size": (_at_least(1), 256),
         "eps_k": (_NUMBER, 1e-6),
         "p": (_INTEGER, 1),
-        "q": (_INTEGER, 3),
+        "q": (_at_least(1), 3),
         "tolerance": (_TOLERANCE, 0.05),
     },
     "specflow": {
         "fourier_cutoff": (_INTEGER, 64),
-        "m_values": (_check("a list of integers", _is_int_list), [1, 2]),
+        "m_values": (_check("a non-empty list of integers",
+                            lambda v: _is_int_list(v) and len(v) > 0),
+                     [1, 2]),
         "margin": (_NUMBER, 0.1),
         "shift": (_NUMBER, 0.5),
     },
@@ -198,6 +200,9 @@ def _validate_experiment(exp, seen):
         if need not in (None, x["system"]):
             raise ConfigError(f"{where}{x['u']['type']} symbols need the "
                               f"{need} system")
+        if x["system"] == "rotation" and math.gcd(x["p"], x["q"]) != 1:
+            raise ConfigError(f"{where}p/q = {x['p']}/{x['q']} must be in "
+                              f"lowest terms")
         # a number must be a whole winding; other values reach the runner
         m = x["u"].get("m")
         if isinstance(m, (int, float)) and not _is_int(m):
@@ -281,7 +286,7 @@ def _apply_overrides(cfg, overrides):
 def _run_toeplitz(x, seed):
     tol = x["tolerance"]
     if x["system"] == "circle":
-        system = toeplitz.CircleSystem(grid_n=x["grid_size"])
+        system = toeplitz.CircleSystem()
     else:
         system = toeplitz.RotationSystem(x["p"], x["q"])
     uspec = x["u"]
@@ -301,7 +306,7 @@ def _run_toeplitz(x, seed):
                                     x["eps_k"])
     ti = toeplitz.tau_index(tp)
     formula = toeplitz.dynsys_formula(system, u)
-    wind = toeplitz.winding_index(system, u)
+    wind = toeplitz.winding_index(system, u, x["grid_size"])
     checks = [
         ("tau_index_vs_formula", ti, formula, abs(ti - formula), tol),
         ("tau_index_vs_winding", ti, wind, abs(ti - wind), tol),

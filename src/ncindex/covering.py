@@ -29,6 +29,9 @@ from .nc_forms import JetFunction, MixedForm, ScalarForm, _jet_mul
 
 TWO_PI_I = 2j * np.pi
 
+#: the integer lifts x + m of a base point x in [0, 1) that an arc can hold
+LIFTS = (-1, 0, 1)
+
 
 class CoverData:
     """Arcs, bumps and deck elements of a circle cover."""
@@ -42,6 +45,11 @@ class CoverData:
         self.n_arcs = len(self.arcs)
         if self.deck.shape != (self.n_arcs, self.n_arcs):
             raise BadCover("deck matrix shape does not match the arcs")
+        # the lift table: inside[i, s, p] says that the lift x_p + LIFTS[s]
+        # of the grid point x_p lies in the open arc i
+        self.lifts = grid.points + np.array(LIFTS, dtype=float)[:, None]
+        ends = np.array(self.arcs).reshape(-1, 2, 1, 1)
+        self.inside = (self.lifts > ends[:, 0]) & (self.lifts < ends[:, 1])
         self.chi = self._build_chi()
         self.chi_sq = [c * c for c in self.chi]
         self.validate()
@@ -70,29 +78,18 @@ class CoverData:
             spec = GroupSpec.lattice(1)
         return cls(grid, arcs, family, spec, deck)
 
-    def _lift_points(self, left, right):
-        """Representative of each grid point inside [left, right), nan if
-        the point is not covered by the arc."""
-        x = self.grid.points
-        out = np.full_like(x, np.nan)
-        for t in (-1.0, 0.0, 1.0):
-            shifted = x + t
-            mask = (shifted > left) & (shifted < right)
-            out[mask] = shifted[mask]
-        return out
-
     def _build_chi(self):
         """Second-order jets of the normalised bumps chi_i."""
         if self.n_arcs == 1:
             return [JetFunction.constant(self.grid, 1.0, 2)]
         raw = []
-        for left, right in self.arcs:
+        for (left, right), inside in zip(self.arcs, self.inside):
             if right <= left or right - left >= 1.0:
                 raise BadCover("arcs must be nonempty and shorter than "
                                "the full circle")
             width = 0.3 * (right - left)
-            lifted = self._lift_points(left, right)
-            x = np.where(np.isnan(lifted), left - 1.0, lifted)
+            # an arc shorter than the circle holds at most one lift
+            x = np.select(inside, self.lifts, left - 1.0)
             val, d1, d2 = bumps.plateau(x, left, right, width, self.family)
             raw.append(JetFunction.from_arrays(
                 self.grid, {(0,): val, (1,): d1, (2,): d2}))
@@ -146,54 +143,35 @@ class CoverData:
                             f"cocycle condition fails on ({i},{j},{k})")
 
     def deck_element(self, i, j):
-        g = int(self.deck[i, j])
-        if self.deck_spec.family == "cyclic":
-            return g % self.deck_spec.order
-        return (g,)
+        return self.lift_element(int(self.deck[i, j]))
 
-    def _deck_int(self, g):
+    def lift_element(self, m):
+        """The deck element m times the generator, which labels the lift
+        x + m and the integer entries of the deck matrix."""
         if self.deck_spec.family == "cyclic":
-            return int(g)
-        return int(g[0])
+            return m % self.deck_spec.order
+        return (m,)
 
     # -- the lifted cutoff -----------------------------------------------
     def shifted_cutoff(self, g):
         """Jets of x -> h(R_g(x)) = h(x - g): the lifted partition bump
         translated by the deck element, pushed to the base grid."""
-        c = self._deck_int(g)
-        period = (self.deck_spec.order
-                  if self.deck_spec.family == "cyclic" else None)
-        x = self.grid.points
+        spec = self.deck_spec
+        hits = [s for s, m in enumerate(LIFTS)
+                if spec.mul(g, self.lift_element(m)) == spec.identity()]
+        masks = self.inside[:, hits].any(axis=1).astype(float)
         total = None
-        for (left, right), sq in zip(self.arcs, self.chi_sq):
-            y = x - c
-            if period:
-                y = np.mod(y + 0.5, period) - 0.5
-            mask = np.zeros(self.grid.shape)
-            for t in (-1.0, 0.0, 1.0):
-                tt = t * (period if period else 1.0)
-                if period is None and t:
-                    # lattice lifts are genuine reals; no wrapping
-                    continue
-                mask = np.maximum(mask,
-                                  ((y + tt > left) & (y + tt < right))
-                                  .astype(float))
+        for sq, mask in zip(self.chi_sq, masks):
             masked = JetFunction(self.grid, sq.order, sq.stack * mask)
             total = masked if total is None else total + masked
         return total
 
     def deck_support(self):
-        """Deck elements g with R_g(base lift) meeting the arc lifts."""
-        if self.deck_spec.family == "cyclic":
-            return [g for g in range(self.deck_spec.order)]
-        lo = min(a[0] for a in self.arcs)
-        hi = max(a[1] for a in self.arcs)
-        out = []
-        c = int(np.floor(lo)) - 1
-        while c <= int(np.ceil(hi)) + 1:
-            out.append((c,))
-            c += 1
-        return out
+        """Deck elements g with R_g(base lift) meeting the arc lifts: the
+        inverses of the lifts that lie in some arc, in increasing order."""
+        met = self.inside.any(axis=(0, 2))
+        return sorted({self.deck_spec.inv(self.lift_element(m))
+                       for m, hit in zip(LIFTS, met) if hit})
 
 
 def _circularly_connected(mask):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,24 @@ def test_chern_even_rejects_non_projection():
 def test_bott_normalization():
     assert abs(bott_integral(64) - 1.0) <= 2e-3
     assert abs(bott_integral(128) - 1.0) <= 2e-4
+
+
+@pytest.mark.parametrize("family", ["mollifier", "raised-cosine",
+                                    "poly-spline"])
+@pytest.mark.parametrize("n, even, tol", [(63, 64, 2e-3), (65, 64, 2e-3),
+                                          (127, 128, 2e-4)])
+def test_bott_normalization_on_odd_grids(family, n, even, tol):
+    # an odd chart grid has its centre on a grid point, where the field
+    # takes its limits n = (0, 0, 1) with zero derivatives
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        jets = chern._sphere_field(ChartGrid2D(n), family=family)
+        val = bott_integral(n, family=family)
+    c = n // 2
+    assert [jets[k].stack[:, c, c].tolist() for k in ("n1", "n2", "n3")] \
+        == [[0j, 0j, 0j], [0j, 0j, 0j], [1 + 0j, 0j, 0j]]
+    assert abs(val - 1.0) <= tol
+    assert abs(bott_integral(even, family=family) - 1.0) <= tol
 
 
 def test_bott_projector_is_projection():

@@ -248,7 +248,53 @@ def test_integer_fields_accept_integers_and_arc_lists():
                                                        [0.5, 1.1]],
          "deck": [[0, 1], [-1, 0]], "deck_order": 0, "grid_size": 64},
         {"id": "b", "kind": "chern-check", "chart_grid": 16},
+        # rotations in lowest terms, as the benchmark's batch draws them
+        *({"id": f"r{p}", "kind": "toeplitz", "system": "rotation", "p": p,
+           "q": 5, "u": {"type": "shift-generator"}} for p in range(1, 5)),
     ]})
+
+
+ROTATION_EXP = {"id": "r", "kind": "toeplitz", "system": "rotation",
+                "u": {"type": "shift-generator"}, "fourier_cutoff": 8}
+
+
+@pytest.mark.parametrize("exp, need", [
+    ({"id": "sf", "kind": "specflow", "m_values": []},
+     "m_values must be a non-empty list of integers"),
+    (dict(ROTATION_EXP, p=3, q=3), "p/q = 3/3 must be in lowest terms"),
+    (dict(ROTATION_EXP, p=2, q=4), "p/q = 2/4 must be in lowest terms"),
+    (dict(ROTATION_EXP, p=0, q=5), "p/q = 0/5 must be in lowest terms"),
+    (dict(ROTATION_EXP, p=1, q=0), "q must be an integer >= 1"),
+    ({"id": "b", "kind": "chern-check", "chart_grid": 0},
+     "chart_grid must be an integer >= 1"),
+    ({"id": "b", "kind": "chern-check", "chart_grid": -4},
+     "chart_grid must be an integer >= 1"),
+    ({"id": "t", "kind": "toeplitz", "grid_size": 0},
+     "grid_size must be an integer >= 1"),
+], ids=["m_values-empty", "rotation-3-3", "rotation-2-4", "rotation-0-5",
+        "rotation-q0", "chart_grid-0", "chart_grid-negative",
+        "toeplitz-grid_size-0"])
+def test_config_that_checks_nothing_or_nonsense_exits_one(tmp_path, capsys,
+                                                          exp, need):
+    path = write_config(tmp_path, {"experiments": [exp]})
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 1
+    assert need in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+def test_toeplitz_grid_size_is_the_winding_sample_count(tmp_path):
+    # two samples of e^{-2 pi i x} are 1 and -1: the oracle sees a jump
+    exp = dict(TOEPLITZ_CFG["experiments"][0], grid_size=2)
+    path = write_config(tmp_path, {"experiments": [exp]})
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+    with open(tmp_path / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["check"], r["value"]) for r in rows] == [("PhaseJump",
+                                                         "error")]
+    exp["grid_size"] = 3
+    path = write_config(tmp_path, {"experiments": [exp]})
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
 
 
 def test_mistyped_override_exits_one(tmp_path):

@@ -12,7 +12,7 @@ from ncindex.covering import (CoverData, build_mf_projection,
 from ncindex.cyclic import GroupCocycle, pair_cochain_form, tau_to_c
 from ncindex.errors import BadCover, NotAProjection, UnsupportedManifold
 from ncindex.group_algebra import GroupSpec
-from ncindex.nc_forms import CircleGrid
+from ncindex.nc_forms import CircleGrid, JetFunction
 
 GRID = CircleGrid(256)
 
@@ -243,3 +243,98 @@ def test_chern_even_still_checks_a_mixed_form():
     P = build_mf_projection(standard()).form
     with pytest.raises(NotAProjection):
         chern_even(P.scale(0.7), 1)
+
+
+# -- the lift table against the per-reader rules it replaced ------------
+
+def _walk_cutoff(cover, g):
+    """h(x - g) by the period walk: over Z/k, x - g is wrapped into
+    [-1/2, k - 1/2) and shifted by -k, 0 and k; a lattice lift is x - g."""
+    spec = cover.deck_spec
+    period = spec.order if spec.family == "cyclic" else None
+    c = int(g) if period else int(g[0])
+    x = cover.grid.points
+    total = None
+    for (left, right), sq in zip(cover.arcs, cover.chi_sq):
+        y = x - c
+        if period:
+            y = np.mod(y + 0.5, period) - 0.5
+        mask = np.zeros(cover.grid.shape)
+        for t in ((-1.0, 0.0, 1.0) if period else (0.0,)):
+            tt = t * (period or 1.0)
+            mask = np.maximum(mask, ((y + tt > left) & (y + tt < right))
+                              .astype(float))
+        masked = sq.stack * mask
+        total = masked if total is None else total + masked
+    return total
+
+
+def _window_support(cover):
+    """Every element of Z/k, or the lattice window around the arcs."""
+    spec = cover.deck_spec
+    if spec.family == "cyclic":
+        return list(range(spec.order))
+    lo = min(a[0] for a in cover.arcs)
+    hi = max(a[1] for a in cover.arcs)
+    return [(c,) for c in range(int(np.floor(lo)) - 1,
+                                int(np.ceil(hi)) + 2)]
+
+
+def _walk_omega(cover, tau):
+    e = cover.deck_spec.identity()
+    coeff = None
+    for g in _window_support(cover):
+        t = tau(e, g)
+        if t != 0:
+            jet = JetFunction(cover.grid, cover.chi_sq[0].order,
+                              _walk_cutoff(cover, g)).partial(0).scale(t)
+            coeff = jet if coeff is None else coeff + jet
+    return coeff
+
+
+def _jittered(n, seed, family="poly-spline", grid=CircleGrid(250)):
+    rng = np.random.default_rng(seed)
+    ov = 1.0 / (2 * n)
+    jit = rng.uniform(-0.2, 0.2, size=2 * n) * ov
+    arcs = [(i / n - ov / 2 + jit[2 * i],
+             (i + 1) / n + ov / 2 + jit[2 * i + 1]) for i in range(n)]
+    deck = np.zeros((n, n), dtype=int)
+    deck[-1, 0], deck[0, -1] = 1, -1
+    return CoverData(grid, arcs, family, GroupSpec.lattice(1), deck)
+
+
+ORACLE_COVERS = {
+    **{f"lattice-{n}-{fam}": (lambda n=n, fam=fam: standard(n_arcs=n,
+                                                             family=fam))
+       for n in (1, 3, 4, 5, 6)
+       for fam in ("mollifier", "raised-cosine", "poly-spline")},
+    **{f"cyclic-{k}-{n}": (lambda k=k, n=n: standard(n_arcs=n,
+                                                      deck_order=k))
+       for k in range(1, 6) for n in (1, 3, 4)},
+    **{f"jittered-{n}-{seed}": (lambda n=n, seed=seed: _jittered(n, seed))
+       for n in (3, 4, 5) for seed in (0, 1)},
+    # no arc reaches below 0, so the lift -1 meets none
+    "lattice-above-0": lambda: CoverData(
+        GRID, [(0.0, 0.45), (0.35, 0.8), (0.7, 1.1)], "mollifier",
+        GroupSpec.lattice(1), [[0, 0, -1], [0, 0, 0], [1, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COVERS))
+def test_lift_table_matches_the_period_walk(name):
+    cover = ORACLE_COVERS[name]()
+    spec = cover.deck_spec
+    elements = spec.elements() if spec.is_finite else spec.ball(4)
+    support = cover.deck_support()
+    for g in elements:
+        cut = cover.shifted_cutoff(g).stack
+        assert np.array_equal(cut, _walk_cutoff(cover, g))
+        if np.any(cut):
+            assert g in support
+    assert set(support) <= set(_window_support(cover))
+    if spec.family == "lattice":
+        tau = winding_cocycle(spec)
+        assert np.array_equal(omega_tau(cover, tau).component((0,)),
+                              _walk_omega(cover, tau).value())
+    else:
+        assert omega_tau(cover, zero_cocycle(spec)).terms == {}
