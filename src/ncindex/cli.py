@@ -138,7 +138,7 @@ _FIELDS = {
         "system": (_one_of("circle", "rotation"), "circle"),
         "u": (_SYMBOL, {"type": "exp", "m": 1}),
         "fourier_cutoff": (_INTEGER, 64),
-        "grid_size": (_at_least(1), 256),
+        "grid_size": (_INTEGER, 256),
         "eps_k": (_NUMBER, 1e-6),
         "p": (_INTEGER, 1),
         "q": (_at_least(1), 3),
@@ -306,7 +306,7 @@ def _run_toeplitz(x, seed):
                                     x["eps_k"])
     ti = toeplitz.tau_index(tp)
     formula = toeplitz.dynsys_formula(system, u)
-    wind = toeplitz.winding_index(system, u, x["grid_size"])
+    wind = toeplitz.winding_index(system, u)
     checks = [
         ("tau_index_vs_formula", ti, formula, abs(ti - formula), tol),
         ("tau_index_vs_winding", ti, wind, abs(ti - wind), tol),

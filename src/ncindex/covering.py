@@ -45,12 +45,12 @@ class CoverData:
         self.n_arcs = len(self.arcs)
         if self.deck.shape != (self.n_arcs, self.n_arcs):
             raise BadCover("deck matrix shape does not match the arcs")
-        # the lift table: inside[i, s, p] says that the lift x_p + LIFTS[s]
+        # the lift table: _inside[i, s, p] says that the lift x_p + LIFTS[s]
         # of the grid point x_p lies in the open arc i
-        self.lifts = grid.points + np.array(LIFTS, dtype=float)[:, None]
+        lifts = grid.points + np.array(LIFTS, dtype=float)[:, None]
         ends = np.array(self.arcs).reshape(-1, 2, 1, 1)
-        self.inside = (self.lifts > ends[:, 0]) & (self.lifts < ends[:, 1])
-        self.chi = self._build_chi()
+        self._inside = (lifts > ends[:, 0]) & (lifts < ends[:, 1])
+        self.chi = self._build_chi(lifts)
         self.chi_sq = [c * c for c in self.chi]
         self.validate()
 
@@ -78,18 +78,18 @@ class CoverData:
             spec = GroupSpec.lattice(1)
         return cls(grid, arcs, family, spec, deck)
 
-    def _build_chi(self):
-        """Second-order jets of the normalised bumps chi_i."""
+    def _build_chi(self, lifts):
+        """Second-order jets of the normalised bumps chi_i at the lifts."""
         if self.n_arcs == 1:
             return [JetFunction.constant(self.grid, 1.0, 2)]
         raw = []
-        for (left, right), inside in zip(self.arcs, self.inside):
+        for (left, right), inside in zip(self.arcs, self._inside):
             if right <= left or right - left >= 1.0:
                 raise BadCover("arcs must be nonempty and shorter than "
                                "the full circle")
             width = 0.3 * (right - left)
             # an arc shorter than the circle holds at most one lift
-            x = np.select(inside, self.lifts, left - 1.0)
+            x = np.select(inside, lifts, left - 1.0)
             val, d1, d2 = bumps.plateau(x, left, right, width, self.family)
             raw.append(JetFunction.from_arrays(
                 self.grid, {(0,): val, (1,): d1, (2,): d2}))
@@ -143,9 +143,9 @@ class CoverData:
                             f"cocycle condition fails on ({i},{j},{k})")
 
     def deck_element(self, i, j):
-        return self.lift_element(int(self.deck[i, j]))
+        return self._lift_element(int(self.deck[i, j]))
 
-    def lift_element(self, m):
+    def _lift_element(self, m):
         """The deck element m times the generator, which labels the lift
         x + m and the integer entries of the deck matrix."""
         if self.deck_spec.family == "cyclic":
@@ -158,8 +158,8 @@ class CoverData:
         translated by the deck element, pushed to the base grid."""
         spec = self.deck_spec
         hits = [s for s, m in enumerate(LIFTS)
-                if spec.mul(g, self.lift_element(m)) == spec.identity()]
-        masks = self.inside[:, hits].any(axis=1).astype(float)
+                if spec.mul(g, self._lift_element(m)) == spec.identity()]
+        masks = self._inside[:, hits].any(axis=1).astype(float)
         total = None
         for sq, mask in zip(self.chi_sq, masks):
             masked = JetFunction(self.grid, sq.order, sq.stack * mask)
@@ -169,8 +169,8 @@ class CoverData:
     def deck_support(self):
         """Deck elements g with R_g(base lift) meeting the arc lifts: the
         inverses of the lifts that lie in some arc, in increasing order."""
-        met = self.inside.any(axis=(0, 2))
-        return sorted({self.deck_spec.inv(self.lift_element(m))
+        met = self._inside.any(axis=(0, 2))
+        return sorted({self.deck_spec.inv(self._lift_element(m))
                        for m, hit in zip(LIFTS, met) if hit})
 
 

@@ -325,7 +325,10 @@ def winding_oracle(samples):
     return wind
 
 
-def winding_index(system, u, n_samples=512):
-    """Sign-adjusted oracle prediction for the tau-index of u."""
-    w = winding_oracle(system.samples(u, n_samples))
+def winding_index(system, u):
+    """Sign-adjusted oracle prediction for the tau-index of u.  With 4 x
+    rep_dim x bandwidth samples (at least 512) the determinant's phase
+    moves <= pi / 2 per step (Bernstein), so the oracle cannot alias."""
+    n = max(512, 4 * system.rep_dim * max(map(abs, u), default=0))
+    w = winding_oracle(system.samples(u, n))
     return -w / system.rep_dim

@@ -55,9 +55,8 @@ def test_bott_normalization():
 
 @pytest.mark.parametrize("family", ["mollifier", "raised-cosine",
                                     "poly-spline"])
-@pytest.mark.parametrize("n, even, tol", [(63, 64, 2e-3), (65, 64, 2e-3),
-                                          (127, 128, 2e-4)])
-def test_bott_normalization_on_odd_grids(family, n, even, tol):
+@pytest.mark.parametrize("n, tol", [(63, 2e-3), (65, 2e-3), (127, 2e-4)])
+def test_bott_normalization_on_odd_grids(family, n, tol):
     # an odd chart grid has its centre on a grid point, where the field
     # takes its limits n = (0, 0, 1) with zero derivatives
     with warnings.catch_warnings():
@@ -68,7 +67,6 @@ def test_bott_normalization_on_odd_grids(family, n, even, tol):
     assert [jets[k].stack[:, c, c].tolist() for k in ("n1", "n2", "n3")] \
         == [[0j, 0j, 0j], [0j, 0j, 0j], [1 + 0j, 0j, 0j]]
     assert abs(val - 1.0) <= tol
-    assert abs(bott_integral(even, family=family) - 1.0) <= tol
 
 
 def test_bott_projector_is_projection():

@@ -153,6 +153,16 @@ def test_winding_oracle_coarse_sampling():
         winding_oracle(np.exp(-2j * np.pi * 3 * x))
 
 
+@pytest.mark.parametrize("m", [200, 300, -700])
+def test_winding_index_samples_wide_symbols_finely_enough(m):
+    # at 512 samples e^{-2 pi i 300 x} seems to wind +212 times, with no
+    # PhaseJump; the sample count grows with the bandwidth instead
+    sys_c = CircleSystem()
+    assert winding_index(sys_c, sys_c.exponential(m)) == m
+    rs = RotationSystem(1, 5)
+    assert winding_index(rs, {m // 5: rs.shift}) == -(m // 5)
+
+
 def test_consistency_triangle():
     sys_c = CircleSystem(256)
     rng = np.random.default_rng(3)
