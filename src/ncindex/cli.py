@@ -130,7 +130,7 @@ _FIELDS = {
             v, list) and all(map(_is_int_list, v))), None),
         "bump_family": (_FAMILY, "mollifier"),
         "deck_order": (_INTEGER, 0),
-        "grid_size": (_INTEGER, 1024),
+        "grid_size": (_at_least(1), 1024),
         "flat_tolerance": (_NUMBER, 1e-9),
         "tolerance": (_TOLERANCE, 1e-8),
     },
@@ -203,9 +203,7 @@ def _validate_experiment(exp, seen):
         if x["system"] == "rotation" and math.gcd(x["p"], x["q"]) != 1:
             raise ConfigError(f"{where}p/q = {x['p']}/{x['q']} must be in "
                               f"lowest terms")
-        # a number must be a whole winding; other values reach the runner
-        m = x["u"].get("m")
-        if isinstance(m, (int, float)) and not _is_int(m):
+        if not _is_int(x["u"].get("m", 1)):
             raise ConfigError(f"{where}u.m must be an integer")
         band = _bandwidth(x["u"])
         if band is not None \
@@ -232,12 +230,11 @@ def _validate_experiment(exp, seen):
 
 def _bandwidth(u):
     """Largest |weight| of a toeplitz symbol spec; None when a malformed
-    winding or coefficient key leaves the rejection to the runner."""
+    coefficient key leaves the rejection to the runner."""
     if u["type"] == "shift-generator":
         return 1
     if u["type"] == "exp":
-        m = u.get("m", 1)
-        return abs(m) if _is_int(m) else None
+        return abs(u.get("m", 1))
     try:
         return max((abs(int(k)) for k in u["coeffs"]), default=0)
     except ValueError:

@@ -93,10 +93,8 @@ class CoverData:
             val, d1, d2 = bumps.plateau(x, left, right, width, self.family)
             raw.append(JetFunction.from_arrays(
                 self.grid, {(0,): val, (1,): d1, (2,): d2}))
-        total = None
-        for jet in raw:
-            sq = jet * jet
-            total = sq if total is None else total + sq
+        squares = [jet * jet for jet in raw]
+        total = sum(squares[1:], squares[0])
         if np.any(np.real(total.value()) <= 0):
             raise BadCover("arcs do not cover the circle: the squared "
                            "bumps vanish somewhere")
@@ -105,9 +103,7 @@ class CoverData:
 
     # -- validation ------------------------------------------------------
     def partition_residual(self):
-        total = None
-        for sq in self.chi_sq:
-            total = sq if total is None else total + sq
+        total = sum(self.chi_sq[1:], self.chi_sq[0])
         return float(np.max(np.abs(total.value() - 1.0)))
 
     def validate(self, tol=1e-12):
@@ -160,11 +156,8 @@ class CoverData:
         hits = [s for s, m in enumerate(LIFTS)
                 if spec.mul(g, self._lift_element(m)) == spec.identity()]
         masks = self._inside[:, hits].any(axis=1).astype(float)
-        total = None
-        for sq, mask in zip(self.chi_sq, masks):
-            masked = JetFunction(self.grid, sq.order, sq.stack * mask)
-            total = masked if total is None else total + masked
-        return total
+        stack = sum(sq.stack * mask for sq, mask in zip(self.chi_sq, masks))
+        return JetFunction(self.grid, self.chi_sq[0].order, stack)
 
     def deck_support(self):
         """Deck elements g with R_g(base lift) meeting the arc lifts: the

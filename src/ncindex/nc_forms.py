@@ -27,6 +27,12 @@ groups of covers) it is a dict keyed by tuple, and a product takes one
 pair of entries at a time, broadcast along the grid: a dense window of
 the lattice would be mostly zeros (about 270 MB for a four-arc cover),
 while per-tuple dicts over Z/7 take ten times as long as the dense array.
+
+Every array takes the field of its inputs.  Real jets and real entries
+stay float64 through sums, products, differentials and traces, so the
+flat projection of a circle cover runs real arithmetic; complex numbers
+enter with complex data: trig jets, words over GAMatrix (whose parts are
+complex), complex scale factors and cochain values.
 """
 
 from __future__ import annotations
@@ -152,8 +158,9 @@ class JetFunction:
     @classmethod
     def constant(cls, grid, value, order=2):
         lay = _jet_layout(grid.ndim, order)
-        stack = np.zeros((len(lay.indices),) + grid.shape, dtype=complex)
-        stack[0] = complex(value)
+        stack = np.zeros((len(lay.indices),) + grid.shape,
+                         dtype=np.result_type(float, value))
+        stack[0] = value
         return cls(grid, order, stack)
 
     @classmethod
@@ -162,10 +169,10 @@ class JetFunction:
         up to the largest supplied order."""
         order = max(sum(a) for a in arrays)
         lay = _jet_layout(grid.ndim, order)
-        stack = np.zeros((len(lay.indices),) + grid.shape, dtype=complex)
+        stack = np.zeros((len(lay.indices),) + grid.shape,
+                         dtype=np.result_type(float, *arrays.values()))
         for alpha, arr in arrays.items():
-            stack[lay.position[alpha]] = np.asarray(
-                arr, dtype=complex).reshape(grid.shape)
+            stack[lay.position[alpha]] = np.reshape(arr, grid.shape)
         return cls(grid, order, stack)
 
     @classmethod
@@ -252,7 +259,8 @@ def _jet_mul(x, y, ndim):
     arrays: a matrix product, by Leibniz in the jets and pointwise on the
     G grid points, broadcast along the grid."""
     J = min(x.shape[-2], y.shape[-2])
-    out = np.zeros((len(x), y.shape[1], J, x.shape[-1]), dtype=complex)
+    out = np.zeros((len(x), y.shape[1], J, x.shape[-1]),
+                   dtype=np.result_type(x, y))
     for o, i, j, c in _jet_layout(ndim, _jet_order(ndim, J)).mul_table:
         out[:, :, o] += c * np.sum(x[:, :, None, i] * y[None, :, :, j], 1)
     return out
@@ -299,7 +307,7 @@ class _DenseBlocks:
     def block(self, entries, q):
         entries = list(entries)
         out = np.zeros((self.k,) * (q + 1) + entries[0][1].shape,
-                       dtype=complex)
+                       dtype=np.result_type(*{x.dtype for _, x in entries}))
         for tup, x in entries:
             out[tup] += x
         return out
@@ -336,7 +344,7 @@ class _DenseBlocks:
             for g, solve in enumerate(self.solve) if a[head + (g,)].any()))
 
     def prepend_e(self, block):
-        out = np.zeros((self.k,) + block.shape, dtype=complex)
+        out = np.zeros((self.k,) + block.shape, dtype=block.dtype)
         out[self.e] = block
         return out
 

@@ -163,9 +163,14 @@ def test_bad_toeplitz_system_or_symbol_exits_one(tmp_path, exp):
     assert not (out / "report.csv").exists()
 
 
-def test_unexpected_exception_becomes_error_row(tmp_path):
+def test_unexpected_exception_becomes_error_row(tmp_path, monkeypatch):
+    def broken(x, seed):
+        raise TypeError("a fault of the runner")
+
+    # a broken runner stands in for a fault of the program
+    monkeypatch.setitem(cli._RUNNERS, "toeplitz", broken)
     cfg = {"experiments": [
-        {"id": "bad-m", "kind": "toeplitz", "u": {"type": "exp", "m": [1]}},
+        {"id": "broken", "kind": "toeplitz"},
         {"id": "sf", "kind": "specflow", "fourier_cutoff": 32,
          "m_values": [1]},
     ]}
@@ -174,13 +179,13 @@ def test_unexpected_exception_becomes_error_row(tmp_path):
     assert main(["--config", str(path), "--out", str(out)]) == 2
     with open(out / "report.csv") as fh:
         rows = {r["experiment"]: r for r in csv.DictReader(fh)}
-    assert rows["bad-m"]["check"] == "TypeError"
-    assert rows["bad-m"]["passed"] == "False"
+    assert rows["broken"]["check"] == "TypeError"
+    assert rows["broken"]["passed"] == "False"
     assert rows["sf"]["passed"] == "True"
     detail = json.loads((out / "report.json").read_text())
     err = {e["experiment"]: e["error"] for e in detail["experiments"]}
-    assert err["bad-m"].startswith("TypeError: ") and len(err["bad-m"]) > 11
-    assert "Traceback" in err["bad-m"]
+    assert err["broken"].startswith("TypeError: ") and len(err["broken"]) > 11
+    assert "Traceback" in err["broken"]
     assert err["sf"] is None
 
 
@@ -227,6 +232,10 @@ def test_override_goes_only_to_kinds_that_take_it(tmp_path):
     {"kind": "chern-check", "chart_grid": 64.5},
     {"kind": "covering-check", "arcs": "3"},
     {"kind": "covering-check", "deck_order": False},
+    {"kind": "covering-check", "grid_size": 0},
+    {"kind": "toeplitz", "u": {"type": "exp", "m": "2"}},
+    {"kind": "toeplitz", "u": {"type": "exp", "m": "200"}},
+    {"kind": "toeplitz", "u": {"type": "exp", "m": [1]}},
 ])
 def test_mistyped_integer_field_exits_one(tmp_path, exp):
     cfg = {"experiments": [dict({"id": "x"}, **exp)]}
@@ -269,8 +278,13 @@ ROTATION_EXP = {"id": "r", "kind": "toeplitz", "system": "rotation",
      "chart_grid must be an integer >= 1"),
     ({"id": "b", "kind": "chern-check", "chart_grid": -4},
      "chart_grid must be an integer >= 1"),
+    ({"id": "v", "kind": "covering-check", "grid_size": 0},
+     "grid_size must be an integer >= 1"),
+    ({"id": "t", "kind": "toeplitz", "u": {"type": "exp", "m": "2"}},
+     "u.m must be an integer"),
 ], ids=["m_values-empty", "rotation-3-3", "rotation-2-4", "rotation-0-5",
-        "rotation-q0", "chart_grid-0", "chart_grid-negative"])
+        "rotation-q0", "chart_grid-0", "chart_grid-negative",
+        "covering-grid_size-0", "u-m-string"])
 def test_config_that_checks_nothing_or_nonsense_exits_one(tmp_path, capsys,
                                                           exp, need):
     path = write_config(tmp_path, {"experiments": [exp]})

@@ -338,3 +338,40 @@ def test_lift_table_matches_the_period_walk(name):
                               _walk_omega(cover, tau).value())
     else:
         assert omega_tau(cover, zero_cocycle(spec)).terms == {}
+
+
+def _dtypes(form):
+    return {arrays.dtype for *_, arrays in form.stacks()}
+
+
+@pytest.mark.parametrize("deck_order", [0, 3], ids=["lattice", "Z3"])
+def test_a_cover_stays_real_until_the_character_coefficients(deck_order):
+    cover = standard(CircleGrid(64), deck_order=deck_order)
+    real = {np.dtype(float)}
+    assert {c.stack.dtype for c in cover.chi} == real
+    P = build_mf_projection(cover).form
+    dP = P.dtot()
+    dP2 = dP @ dP
+    for form in (P, dP, dP2, (P @ dP2).graded_trace()):
+        assert form.terms and _dtypes(form) == real
+    # tr P keeps its field; the (2 pi i)^-1 coefficient makes the rest
+    # of the character complex
+    ch = chern_even(P, 1)
+    assert _dtypes(ch) == real | {np.dtype(complex)}
+    rest = ch - P.graded_trace()
+    assert rest.terms and _dtypes(rest) == {np.dtype(complex)}
+
+
+def test_verify_prop_chern_on_4096_points_is_lean():
+    import tracemalloc
+
+    cover = standard(CircleGrid(4096))
+    tau = winding_cocycle(cover.deck_spec)
+    tracemalloc.start()
+    try:
+        rep = verify_prop_chern(cover, tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["passed"]
+    assert peak < 32 * 2 ** 20

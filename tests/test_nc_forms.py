@@ -443,3 +443,57 @@ def test_scalar_results_equal_the_jet_construction(build):
     for phi, form in zip(cochains, paired):
         assert type(form) is ScalarForm
         _same_jets(form.comps, _pair_oracle(phi, ch))
+
+
+# -- the field of the inputs decides the dtype ------------------------------
+
+REAL, COMPLEX = np.dtype(float), np.dtype(complex)
+
+
+def _dtypes(form):
+    return {arrays.dtype for *_, arrays in form.stacks()}
+
+
+def test_jets_keep_the_field_of_their_values():
+    x = GRID.points
+    assert JetFunction.constant(GRID, 1.0).stack.dtype == REAL
+    assert JetFunction.constant(GRID, 2).stack.dtype == REAL
+    assert JetFunction.constant(GRID, 1j).stack.dtype == COMPLEX
+    real = JetFunction.from_arrays(GRID, {(0,): 1 + x, (1,): np.ones_like(x)})
+    assert real.stack.dtype == REAL
+    assert (real * real).stack.dtype == REAL
+    assert real.rsqrt().stack.dtype == REAL
+    wave = random_trig_jet(GRID, np.random.default_rng(12))
+    assert wave.stack.dtype == COMPLEX
+    assert (real * wave).stack.dtype == COMPLEX
+
+
+def test_complex_data_makes_complex_forms():
+    from ncindex.chern import bott_projector
+
+    P = random_projection_form(GRID, SPEC, 2, np.random.default_rng(13))
+    for form in (P, P.dtot(), bott_projector(ChartGrid2D(8))):
+        assert form.terms and _dtypes(form) == {COMPLEX}
+
+
+def _real_part(form):
+    out = form._spawn()
+    out.add_entries((tup, axes, x.real) for tup, axes, x in form.entries())
+    return out
+
+
+@pytest.mark.parametrize("spec", [SPEC, GroupSpec.lattice(1)],
+                         ids=["Z3", "Z"])
+def test_real_and_complex_forms_combine_into_complex_forms(spec):
+    grid = CircleGrid(8)
+    rng = np.random.default_rng(14)
+    r = _real_part(random_mixed_form(grid, spec, 2, 0, 1, rng, kalg=6))
+    c = random_mixed_form(grid, spec, 2, 0, 1, rng, kalg=6)
+    assert _dtypes(r) == {REAL} and _dtypes(r.dtot()) == {REAL}
+    # the same entries in complex arrays: no imaginary part may be lost
+    rc = r.scale(1 + 0j)
+    assert _dtypes(rc) == {COMPLEX}
+    for got, want in ((r + c, rc + c), (c + r, c + rc), (r @ c, rc @ c),
+                      (c @ r, c @ rc), (r.dtot() @ c, rc.dtot() @ c)):
+        assert got.terms and _dtypes(got) == {COMPLEX}
+        assert (got - want).max_abs() <= 1e-14
