@@ -11,7 +11,8 @@ the odd character of a unitary u is
 
 Both are closed up to the algebra-degree cutoff; exactness along paths of
 projections is observed through vanishing pairings with closed cocycles
-rather than by constructing a transgression form.
+rather than by constructing a transgression form.  The last product of
+a character is formed only as its trace (`MixedForm.traced_product`).
 """
 
 from __future__ import annotations
@@ -53,13 +54,10 @@ def chern_even(P, k_max, tol=1e-8):
     else:
         P = P.form
     dP = P.dtot()
-    dP2 = dP @ dP
     out = P.graded_trace()
-    power = P
-    for k in range(1, k_max + 1):
-        power = power @ dP2
+    for k, traced in enumerate(_prefix_traces([P] + [dP @ dP] * k_max), 1):
         coeff = (-1.0) ** k / (TWO_PI_I ** k * math.factorial(k))
-        out = out + power.graded_trace().scale(coeff)
+        out = out + traced.scale(coeff)
     return out
 
 
@@ -70,21 +68,26 @@ def chern_odd(u, k_max, tol=1e-8):
         raise NotUnitary(f"unitarity residual {residual:.3g} > {tol}")
     us = u.star()
     du = u.dtot()
-    dus = us.dtot()
-    base = us @ du
-    loop = dus @ du
-    out = None
-    power = base
-    for k in range(1, k_max + 1):
-        if k > 1:
-            power = power @ loop
+    factors = [us, du]
+    if k_max > 1:
+        factors += [us.dtot() @ du] * (k_max - 1)
+    out = MixedForm.zero(u.grid, u.spec, 1, u.kalg)
+    for k, traced in zip(range(1, k_max + 1), _prefix_traces(factors)):
         coeff = ((-1.0 / TWO_PI_I) ** k * math.factorial(k - 1)
                  / math.factorial(2 * k - 1))
-        term = power.graded_trace().scale(coeff)
-        out = term if out is None else out + term
-    if out is None:
-        out = MixedForm.zero(u.grid, u.spec, 1, u.kalg)
+        out = out + traced.scale(coeff)
     return out
+
+
+def _prefix_traces(factors):
+    """Yield tr f_0 f_1 ... f_k for k = 1, ..., len(factors) - 1, the
+    last product formed only as its trace."""
+    power = factors[0]
+    for f in factors[1:-1]:
+        power = power @ f
+        yield power.graded_trace()
+    if len(factors) > 1:
+        yield power.traced_product(factors[-1])
 
 
 def closedness_defect(form, cocycles=()):

@@ -215,8 +215,14 @@ class CyclicChain:
     def pair(self, phi):
         if phi.degree != self.degree:
             raise ValueError("degree mismatch in chain pairing")
+        if phi.orbits is None:
+            values = phi.values(self.words())
+        else:
+            # coeffs[i] is the coefficient of the word support[i]
+            index = np.asarray(self.support)[np.indices(self.coeffs.shape)]
+            values = phi._lookup(tuple(index)).ravel().tolist()
         return sum(c * v for c, v in zip(self.coeffs.ravel().tolist(),
-                                          phi.values(self.words())))
+                                          values))
 
 
 def chern_lambda(p, m_max, tol=1e-10):

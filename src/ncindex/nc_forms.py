@@ -27,6 +27,8 @@ groups of covers) it is a dict keyed by tuple, and a product takes one
 pair of entries at a time, broadcast along the grid: a dense window of
 the lattice would be mostly zeros (about 270 MB for a four-arc cover),
 while per-tuple dicts over Z/7 take ten times as long as the dense array.
+The characters read only the trace of their last product, so
+`MixedForm.traced_product` forms just that, with n^2 times fewer entries.
 
 Every array takes the field of its inputs.  Real jets and real entries
 stay float64 through sums, products, differentials and traces, so the
@@ -267,21 +269,21 @@ def _jet_mul(x, y, ndim):
 
 
 def _jet_outer(x, y, ndim):
-    """Products x[s] y[t] of every entry of x with every entry of y, as
-    in `_jet_mul`, through one BLAS product per grid point with the jets
-    of x contracted into its inner index.  The result has the leading
-    (tuple) axes of x, then those of y, then the entry axes."""
+    """Products x[s] y[t] of every (n, l) entry of x with every (l, m)
+    entry of y, as in `_jet_mul`, through one BLAS product per grid point
+    with the jets of x contracted into its inner index.  The result has
+    the leading (tuple) axes of x, then those of y, then the entry axes."""
     J = min(x.shape[-2], y.shape[-2])
     lay = _jet_layout(ndim, _jet_order(ndim, J))
-    n, G = x.shape[-4], x.shape[-1]
-    xs = x[..., :J, :].reshape(-1, n, n, J, G)
-    ys = y[..., :J, :].reshape(-1, n, n, J, G)
+    (n, l), m, G = x.shape[-4:-2], y.shape[-3], x.shape[-1]
+    xs = x[..., :J, :].reshape(-1, n, l, J, G)
+    ys = y[..., :J, :].reshape(-1, l, m, J, G)
     L, R = len(xs), len(ys)
     xo = np.einsum("oij,Labig->gLaobj", lay.leibniz, xs)
-    yb = ys.transpose(4, 1, 3, 0, 2).reshape(G, n * J, R * n)
-    out = np.matmul(xo.reshape(G, L * n * J, n * J), yb)
-    out = out.reshape(G, L, n, J, R, n).transpose(1, 4, 2, 5, 3, 0)
-    return out.reshape(x.shape[:-4] + y.shape[:-4] + (n, n, J, G))
+    yb = ys.transpose(4, 1, 3, 0, 2).reshape(G, l * J, R * m)
+    out = np.matmul(xo.reshape(G, L * n * J, l * J), yb)
+    out = out.reshape(G, L, n, J, R, m).transpose(1, 4, 2, 5, 3, 0)
+    return out.reshape(x.shape[:-4] + y.shape[:-4] + (n, m, J, G))
 
 
 def _partial(x, axis, ndim, jet_axis=-2):
@@ -543,18 +545,36 @@ class MixedForm:
         with g_{a+1} = h_0, and a grid form of degree p' crosses a word
         of degree a with the Koszul sign (-1)^(a p').
         """
+        return self._product(other, traced=False)
+
+    def traced_product(self, other):
+        """(self @ other).graded_trace(), forming only the trace."""
+        return self._product(other, traced=True)
+
+    def _product(self, other, traced):
+        """The graded product or its trace: tr(x y) is the 1 x 1 product
+        of x as a row of n*n entries with the transposed y as a column."""
         self._check(other)
-        out = self._spawn(min(self.kalg, other.kalg))
+        out = self._spawn(min(self.kalg, other.kalg), 1 if traced else None)
         out.dropped = self.dropped or other.dropped
         lay = self.layout
-        for (qa, ax_a), a in self.terms.items():
+        left, right = self.terms, other.terms
+        if traced:
+            n2 = self.size ** 2
+            left = {key: lay.apply(a, lambda x: x.reshape(
+                x.shape[:-4] + (1, n2) + x.shape[-2:]))
+                for key, a in left.items()}
+            right = {key: lay.apply(b, lambda y: y.swapaxes(-4, -3).reshape(
+                y.shape[:-4] + (n2, 1) + y.shape[-2:]))
+                for key, b in right.items()}
+        for (qa, ax_a), a in left.items():
             # the terms i < a merge slots of the left word only
             folded = None
             for i in range(qa):
                 sign = (-1) ** (qa - i)
                 part = lay.apply(lay.merge(a, i), lambda x: sign * x)
                 folded = part if folded is None else lay.add(folded, part)
-            for (qb, ax_b), b in other.terms.items():
+            for (qb, ax_b), b in right.items():
                 axes, sign = _merge_axes(ax_a, ax_b)
                 if qa + qb > out.kalg:
                     out.dropped = True

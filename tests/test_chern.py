@@ -198,3 +198,59 @@ def test_conjugation_invariant_pairings():
         a = pair_cochain_form(phi, chP).integrate()
         b = pair_cochain_form(phi, chQ).integrate()
         assert abs(a - b) <= 1e-8
+
+
+def _count_products(monkeypatch):
+    """The list that grows by one at every full graded product."""
+    calls = []
+    matmul = MixedForm.__matmul__
+
+    def counted(self, other):
+        calls.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(MixedForm, "__matmul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+def test_characters_form_only_the_trace_of_the_last_product(monkeypatch,
+                                                           k_max):
+    from ncindex.covering import CoverData, build_mf_projection
+
+    rng = np.random.default_rng(6)
+    P = random_projection_form(GRID, Z3, 2, rng, kalg=2 * k_max)
+    mf = build_mf_projection(CoverData.standard(CircleGrid(32)),
+                             kalg=2 * k_max)
+    u = random_unitary_form(GRID, Z3, 2, rng, kalg=2 * k_max - 1)
+    calls = _count_products(monkeypatch)
+    # the residual P @ P, dP @ dP and the powers below the last one
+    chern_even(P, k_max)
+    assert len(calls) == k_max + 1
+    calls.clear()
+    chern_even(mf, k_max)
+    assert len(calls) == k_max
+    calls.clear()
+    # the residual's two, u* du and (du*)(du) below the last one
+    chern_odd(u, k_max)
+    assert len(calls) == (2 if k_max == 1 else k_max + 2)
+
+
+def test_z7_bridge_character_is_lean():
+    import tracemalloc
+
+    from ncindex.testing import random_projection_matrix
+
+    z7 = GroupSpec.cyclic(7)
+    grid = CircleGrid(4)
+    p = random_projection_matrix(z7, 2, np.random.default_rng(7))
+    P = MixedForm.zero(grid, z7, 2, kalg=6)
+    P.add_term(ScalarForm.one(grid), (p,))
+    tracemalloc.start()
+    try:
+        ch = chern_even(P, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ch.components() == [(0, 0), (0, 2), (0, 4)]
+    assert peak < 20 * 2 ** 20

@@ -497,3 +497,71 @@ def test_real_and_complex_forms_combine_into_complex_forms(spec):
                       (c @ r, c @ rc), (r.dtot() @ c, rc.dtot() @ c)):
         assert got.terms and _dtypes(got) == {COMPLEX}
         assert (got - want).max_abs() <= 1e-14
+
+
+def _check_traced_product(a, b):
+    """a.traced_product(b) is (a @ b).graded_trace(): the same keys, the
+    same drop flag and entries within 1e-14 of its largest."""
+    ref = (a @ b).graded_trace()
+    got = a.traced_product(b)
+    assert got.size == 1 and ref.terms
+    assert list(got.terms) == list(ref.terms)
+    assert got.dropped == ref.dropped
+    assert (got - ref).max_abs() <= 1e-14 * ref.max_abs()
+    return got
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_traced_product_is_the_trace_of_the_product(k):
+    spec = GroupSpec.cyclic(k)
+    rng = np.random.default_rng(40 + k)
+    a = random_mixed_form(GRID, spec, 2, 0, 1, rng, kalg=6)
+    b = random_mixed_form(GRID, spec, 2, 1, 2, rng, kalg=6)
+    for x, y in ((a, b), (b, a), (a, a.dtot()), (a.dtot(), b)):
+        _check_traced_product(x, y)
+    P = random_projection_form(GRID, spec, 2, rng)
+    dP = P.dtot()
+    _check_traced_product(P, dP @ dP)
+
+
+def test_traced_product_over_a_lattice_cover_stays_real():
+    from ncindex.covering import CoverData, build_mf_projection
+
+    cover = CoverData.standard(CircleGrid(64))
+    P = build_mf_projection(cover).form
+    assert not cover.deck_spec.is_finite
+    dP = P.dtot()
+    got = _check_traced_product(P, dP @ dP)
+    assert _dtypes(got) == {REAL}
+
+
+def test_traced_product_of_the_bott_projector():
+    from ncindex.chern import bott_projector
+
+    P = bott_projector(ChartGrid2D(12))
+    dP = P.dtot()
+    _check_traced_product(P, dP @ dP)
+    _check_traced_product(dP, P @ dP)
+
+
+def test_traced_product_of_a_unitary_reads_every_jet():
+    from ncindex.testing import random_unitary_form
+
+    u = random_unitary_form(GRID, SPEC, 3, np.random.default_rng(41),
+                            kalg=4)
+    us, du = u.star(), u.dtot()
+    # not Hermitian, and with nonzero jets of every order
+    assert (us - u).max_abs() > 0.1
+    assert all(x[..., 1:, :].any() for *_, x in u.entries())
+    _check_traced_product(us, du)
+    _check_traced_product(us.dtot(), du)
+    _check_traced_product(us @ du, us.dtot() @ du)
+
+
+def test_traced_product_drops_past_the_cutoff():
+    rng = np.random.default_rng(42)
+    a = (random_mixed_form(GRID, SPEC, 2, 0, 1, rng, kalg=3)
+         + random_mixed_form(GRID, SPEC, 2, 0, 2, rng, kalg=3))
+    b = random_mixed_form(GRID, SPEC, 2, 1, 2, rng, kalg=3)
+    got = _check_traced_product(a, b)
+    assert got.dropped and got.components() == [(1, 3)]
