@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .errors import NotAProjection, UnsupportedDegree
+from .errors import IllConditioned, NotAProjection, UnsupportedDegree
 from .group_algebra import GAMatrix
 from .nc_forms import ScalarForm
 
@@ -321,7 +321,11 @@ def closed_cocycle_basis(spec, degree, tol=1e-10):
     e) that are not forced to zero.  Since b^t maps cyclic cochains to
     cyclic ones, the rows of b^t phi = 0 at y and at a rotation of y
     agree up to sign, so one reduced chain per rotation orbit gives all
-    the equations; their dense null space is the basis.  Returns orbit
+    the equations, a matrix B of n + 2 entries +-1 per row.  B is never
+    formed: its kernel is that of the integer normal matrix G = B^T B,
+    spanned by the eigenvectors of G with eigenvalues at most tol times
+    max(1, largest).  An eigenvalue above that but below sqrt(tol) times
+    it leaves no clear gap and raises IllConditioned.  Returns orbit
     cochains with real values spanning the kernel.
     """
     if not spec.is_finite:
@@ -342,21 +346,28 @@ def closed_cocycle_basis(spec, degree, tol=1e-10):
     y = np.vstack([-nonzero.sum(axis=0) % k, nonzero])
     y = y[:, np.unique(_rotations(y, k).min(axis=0),
                        return_index=True)[1]]
-    mat = np.zeros((y.shape[1], len(live)))
-    rows = np.arange(y.shape[1])
+    cols = np.empty((n + 2, y.shape[1]), dtype=int)
+    vals = np.empty((n + 2, y.shape[1]))
     for i in range(n + 2):
         if i <= n:
             merged = np.vstack([y[:i], (y[i] + y[i + 1]) % k, y[i + 2:]])
         else:
             merged = np.vstack([(y[n + 1] + y[0]) % k, y[1:n + 1]])
         at = tuple(merged)
-        np.add.at(mat, (rows, var[column[at]]), (-1) ** i * sign[at])
-    # the null space needs all of V but none of U beyond rank(mat)
-    _, svals, vh = np.linalg.svd(mat,
-                                 full_matrices=mat.shape[0] < mat.shape[1])
-    rank = int(np.sum(svals > tol * max(1.0, svals[0])))
-    vecs = np.zeros((len(live) - rank, count))
-    vecs[:, live] = vh[rank:]
+        cols[i] = var[column[at]]
+        vals[i] = (-1) ** i * sign[at]
+    # G[a, b] sums vals[i] vals[j] over the rows with cols (a, b) at (i, j)
+    size = len(live)
+    gram = np.bincount((cols[:, None] * size + cols[None]).ravel(),
+                       (vals[:, None] * vals[None]).ravel(),
+                       minlength=size * size).reshape(size, size)
+    evals, evecs = np.linalg.eigh(gram)
+    scale = max(1.0, evals[-1])
+    if np.any((evals > tol * scale) & (evals < np.sqrt(tol) * scale)):
+        raise IllConditioned("an eigenvalue of the b^t normal matrix lies "
+                             "between tol and sqrt(tol) of its scale")
+    vecs = np.zeros((int(np.sum(evals <= tol * scale)), count))
+    vecs[:, live] = evecs[:, :len(vecs)].T
     return [CyclicCochain.on_orbits(spec, n, v) for v in vecs]
 
 

@@ -57,6 +57,22 @@ def test_toeplitz_at_a_cutoff_of_one_hundred_thousand(tmp_path):
     assert all(r["passed"] == "True" for r in rows)
 
 
+def test_cyclic_check_over_z9_peaks_under_48_mb(tmp_path):
+    import tracemalloc
+
+    cfg = {"experiments": [{"id": "c9", "kind": "cyclic-check", "k": 9,
+                            "m_max": 2, "instances": 1}]}
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        code = run(str(path), out_dir=str(tmp_path / "out"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 48 * 2 ** 20
+
+
 def test_malformed_config_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from ncindex.cyclic import (CyclicChain, CyclicCochain, GroupCocycle,
-                            b_transpose, c_to_tau, chern_lambda,
-                            closed_cocycle_basis, d_gamma,
-                            pair_cochain_form, random_closed_cocycle,
-                            tau_to_c)
-from ncindex.errors import NotAProjection, UnsupportedDegree
+                            _rotations, b_transpose, c_to_tau,
+                            chern_lambda, closed_cocycle_basis, d_gamma,
+                            orbit_index, pair_cochain_form,
+                            random_closed_cocycle, tau_to_c)
+from ncindex.errors import (IllConditioned, NotAProjection,
+                           UnsupportedDegree)
 from ncindex.group_algebra import GAMatrix, GroupSpec
 from ncindex.nc_forms import CircleGrid, JetFunction, MixedForm, ScalarForm
 from ncindex.testing import (random_mixed_form, random_normalized_cochain,
@@ -426,6 +427,30 @@ def test_closed_cocycle_basis_z7_degree4_peaks_under_32_mb():
     assert peak < 32 * 2 ** 20
 
 
+@pytest.mark.parametrize("level,lost", [(5e-11, 0), (1e-4, 1), (1e-8, None)])
+def test_closed_cocycle_basis_needs_a_clear_gap(monkeypatch, level, lost):
+    clean = closed_cocycle_basis(Z5, 4)
+    eigh = np.linalg.eigh
+
+    def spectrum(gram):
+        # the last null eigenvalue moved to level times the scale
+        evals, evecs = eigh(gram)
+        evals = evals.copy()
+        evals[len(clean) - 1] = level * max(1.0, evals[-1])
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", spectrum)
+    if lost is None:
+        # between tol and sqrt(tol) of the scale: no clear gap
+        with pytest.raises(IllConditioned):
+            closed_cocycle_basis(Z5, 4)
+        return
+    basis = closed_cocycle_basis(Z5, 4)
+    assert len(basis) == len(clean) - lost
+    for phi, ref in zip(basis, clean):
+        assert np.array_equal(phi.orbits, ref.orbits)
+
+
 def _basis_by_orbit_walk(k, n, tol=1e-10):
     """Closed cocycle tables by a per-tuple orbit walk over the support
     and one b^t row per reduced chain, as (dimension, k^(n+1)) rows."""
@@ -483,6 +508,49 @@ def test_closed_cocycle_basis_spans_the_orbit_walk_kernel(k, degree):
     def projector(rows):
         q = np.linalg.qr(rows[:, cols].T)[0]
         return q @ q.conj().T
+
+    assert np.max(np.abs(projector(new) - projector(ref))) <= 1e-12
+
+
+def _orbit_basis_by_dense_svd(k, n, tol=1e-10):
+    """Closed cocycles as orbit values, (dimension, count) rows, from the
+    dense b^t matrix with one row per reduced chain and its thin SVD."""
+    count, column, sign = orbit_index(k, n)
+    on_support = sum(np.indices((k,) * (n + 1), sparse=True)) % k == 0
+    live = np.unique(column[on_support & (sign != 0)])
+    var = np.zeros(count, dtype=int)
+    var[live] = np.arange(len(live))
+    nonzero = np.indices((k - 1,) * (n + 1)).reshape(n + 1, -1) + 1
+    y = np.vstack([-nonzero.sum(axis=0) % k, nonzero])
+    y = y[:, np.unique(_rotations(y, k).min(axis=0),
+                       return_index=True)[1]]
+    mat = np.zeros((y.shape[1], len(live)))
+    rows = np.arange(y.shape[1])
+    for i in range(n + 2):
+        if i <= n:
+            merged = np.vstack([y[:i], (y[i] + y[i + 1]) % k, y[i + 2:]])
+        else:
+            merged = np.vstack([(y[n + 1] + y[0]) % k, y[1:n + 1]])
+        at = tuple(merged)
+        np.add.at(mat, (rows, var[column[at]]), (-1) ** i * sign[at])
+    _, svals, vh = np.linalg.svd(mat,
+                                 full_matrices=mat.shape[0] < mat.shape[1])
+    rank = int(np.sum(svals > tol * max(1.0, svals[0])))
+    vecs = np.zeros((len(live) - rank, count))
+    vecs[:, live] = vh[rank:]
+    return vecs
+
+
+def test_closed_cocycle_basis_z9_degree4_spans_the_dense_svd_kernel():
+    basis = closed_cocycle_basis(GroupSpec.cyclic(9), 4)
+    ref = _orbit_basis_by_dense_svd(9, 4)
+    assert len(basis) == len(ref) == 100
+    new = np.stack([phi.orbits for phi in basis])
+    cols = np.flatnonzero(new.any(axis=0) | ref.any(axis=0))
+
+    def projector(rows):
+        q = np.linalg.qr(rows[:, cols].T)[0]
+        return q @ q.T
 
     assert np.max(np.abs(projector(new) - projector(ref))) <= 1e-12
 
@@ -669,6 +737,26 @@ def test_closed_cocycle_basis_z9_degree4_holds_under_16_mb():
         tracemalloc.stop()
     assert len(basis) == 100
     assert held < 16 * 2 ** 20
+
+
+def test_closed_cocycle_basis_z11_degree4_peaks_under_128_mb():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        basis = closed_cocycle_basis(GroupSpec.cyclic(11), 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20
+    assert len(basis) == 205
+    rng = np.random.default_rng(61)
+    for phi in basis:
+        bt = b_transpose(phi)
+        for _ in range(40):
+            tail = rng.integers(1, 11, 5)
+            tup = (int(-tail.sum() % 11),) + tuple(int(g) for g in tail)
+            assert abs(bt(*tup)) <= 1e-10
 
 
 def test_random_closed_cocycle_z7_degree4_peaks_under_4_mb():
