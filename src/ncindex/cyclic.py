@@ -1,9 +1,10 @@
 """Cyclic cochains on group algebras and the group-cohomology dictionary.
 
 Cochains are memoised evaluator callbacks or, over Z/k, one value per
-rotation orbit (`orbit_index`), read many tuples at a time.  The
-dictionary between alternating invariant group cochains tau and cyclic
-cochains c supported at the identity conjugacy class follows
+rotation orbit (`orbit_index`), read on whole arrays of tuples: a chain
+pairs in one contraction, a dense form block through its mask of live
+tuples.  The dictionary between alternating invariant group cochains tau
+and cyclic cochains c supported at the identity conjugacy class follows
 
     c_tau(g_0,...,g_n) = tau(e, g_1, g_1 g_2, ..., g_1...g_n)
                          when g_0 g_1 ... g_n = e, else 0,
@@ -101,14 +102,17 @@ class CyclicCochain(GroupCocycle):
         return None if self.orbits is None else self._lookup(...)
 
     def values(self, tuples):
-        """The values on an iterable of group tuples, as a list: one
-        indexing step for an orbit cochain, one call per tuple
-        otherwise."""
+        """The values, as an array, on an iterable of group tuples or on
+        the tuples of a boolean lattice mask (in C order): one indexing
+        step for an orbit cochain, one call per tuple otherwise."""
         if self.orbits is None:
-            return [self(*t) for t in tuples]
-        index = np.fromiter(itertools.chain.from_iterable(tuples), int)
-        return self._lookup(tuple(index.reshape(-1, self.degree + 1).T)
-                            ).tolist()
+            if isinstance(tuples, np.ndarray):
+                tuples = zip(*(idx.tolist() for idx in np.nonzero(tuples)))
+            return np.array([self(*t) for t in tuples])
+        if not isinstance(tuples, np.ndarray):
+            index = np.fromiter(itertools.chain.from_iterable(tuples), int)
+            tuples = tuple(index.reshape(-1, self.degree + 1).T)
+        return self._lookup(tuples)
 
     def cyclic_defect(self, rng, samples=20, radius=2):
         """Deviation from phi(lambda x) = phi(x) with the (-1)^n sign."""
@@ -220,9 +224,8 @@ class CyclicChain:
         else:
             # coeffs[i] is the coefficient of the word support[i]
             index = np.asarray(self.support)[np.indices(self.coeffs.shape)]
-            values = phi._lookup(tuple(index)).ravel().tolist()
-        return sum(c * v for c, v in zip(self.coeffs.ravel().tolist(),
-                                          values))
+            values = phi._lookup(tuple(index))
+        return complex(np.dot(self.coeffs.ravel(), np.ravel(values)))
 
 
 def chern_lambda(p, m_max, tol=1e-10):
@@ -263,14 +266,15 @@ def pair_cochain_form(phi, omega):
     """Pair a cyclic cochain with the matching algebra-degree component.
 
     The matrix indices are traced out first; then each entry of algebra
-    degree phi.degree contributes phi(g_0, ..., g_n) times its jets.  The
-    result is a scalar grid form of whatever manifold degrees are present.
+    degree phi.degree contributes phi(g_0, ..., g_n) times its jets, one
+    contraction per block (over Z/k, of the values at its live mask).
+    The result is a scalar grid form of the manifold degrees present.
     """
     traced = omega if omega.size == 1 else omega.graded_trace()
     out = ScalarForm(omega.grid)
-    out.add_entries((ScalarForm.E, axes,
-                     np.tensordot(phi.values(tuples), arrays, 1))
-                    for q, axes, tuples, arrays in traced.stacks()
+    lay = traced.layout
+    out.add_entries((ScalarForm.E, axes, lay.pair(block, phi.values))
+                    for (q, axes), block in traced.terms.items()
                     if q == phi.degree)
     return out
 

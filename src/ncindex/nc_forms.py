@@ -21,12 +21,12 @@ the Koszul sign (-1)^{q p'}.  A scalar grid form (`ScalarForm`) is the
 kinds of form share one storage layout, sum and differential.
 
 Over a finite group a block is one dense array with a leading axis of
-length k per slot, so merges are index maps and a product multiplies
-stacks of entries through BLAS.  Over an infinite group (the lattice deck
-groups of covers) it is a dict keyed by tuple, and a product takes one
-pair of entries at a time, broadcast along the grid: a dense window of
-the lattice would be mostly zeros (about 270 MB for a four-arc cover),
-while per-tuple dicts over Z/7 take ten times as long as the dense array.
+length k per slot: merges are index maps, and a product is one BLAS
+product per grid point that also sums the slot the group law fuses.
+Over an infinite group (the lattice deck groups of covers) it is a dict
+keyed by tuple, and a product takes one pair of entries at a time along
+the grid: a dense window of the lattice would be mostly zeros (270 MB
+for a four-arc cover), while tuple dicts over Z/7 take ten times as long.
 The characters read only the trace of their last product, so
 `MixedForm.traced_product` forms just that, with n^2 times fewer entries.
 
@@ -268,22 +268,27 @@ def _jet_mul(x, y, ndim):
     return out
 
 
-def _jet_outer(x, y, ndim):
+def _jet_outer(x, y, ndim, solve):
     """Products x[s] y[t] of every (n, l) entry of x with every (l, m)
     entry of y, as in `_jet_mul`, through one BLAS product per grid point
     with the jets of x contracted into its inner index.  The result has
-    the leading (tuple) axes of x, then those of y, then the entry axes."""
+    the leading (tuple) axes of x, then those of y, then the entry axes.
+    Unless solve is None, x's last slot g meets y's first slot solve[g][f]
+    at the slot f, summed over g in the inner index (see `_DenseBlocks`)."""
     J = min(x.shape[-2], y.shape[-2])
     lay = _jet_layout(ndim, _jet_order(ndim, J))
     (n, l), m, G = x.shape[-4:-2], y.shape[-3], x.shape[-1]
-    xs = x[..., :J, :].reshape(-1, n, l, J, G)
-    ys = y[..., :J, :].reshape(-1, l, m, J, G)
-    L, R = len(xs), len(ys)
-    xo = np.einsum("oij,Labig->gLaobj", lay.leibniz, xs)
-    yb = ys.transpose(4, 1, 3, 0, 2).reshape(G, l * J, R * m)
-    out = np.matmul(xo.reshape(G, L * n * J, l * J), yb)
-    out = out.reshape(G, L, n, J, R, m).transpose(1, 4, 2, 5, 3, 0)
-    return out.reshape(x.shape[:-4] + y.shape[:-4] + (n, m, J, G))
+    c = 1 if solve is None else len(solve)
+    xs = x[..., :J, :].reshape(-1, c, n, l, J, G)
+    xo = np.einsum("oij,Lcabig->gLaobjc", lay.leibniz, xs)
+    # y as a (G, l, J, slots..., m) view, so the gather is its one copy
+    yt = np.moveaxis(y[..., :J, :], (-1, -4, -2), (0, 1, 2))
+    if solve is not None:
+        yt = np.take(yt, solve, axis=3)
+    out = xo.reshape(G, -1, l * J * c) @ yt.reshape(G, l * J * c, -1)
+    out = out.reshape(G, len(xs), n, J, -1, m).transpose(1, 4, 2, 5, 3, 0)
+    lead = x.shape[:x.ndim - 4 - (solve is not None)]
+    return out.reshape(lead + y.shape[:-4] + (n, m, J, G))
 
 
 def _partial(x, axis, ndim, jet_axis=-2):
@@ -298,13 +303,14 @@ def _partial(x, axis, ndim, jet_axis=-2):
 class _DenseBlocks:
     """Blocks over a finite group: one array with a leading axis per slot
     over the elements 0..k-1.  The group law enters as index maps:
-    solve[g][m] is the h with g h = m.  Products pair whole stacks of
-    entries, so they go through BLAS (`_jet_outer`)."""
+    solve[g][m] is the h with g h = m.  A product is one BLAS product per
+    grid point (`_jet_outer`), and a fused slot is summed inside it."""
 
     def __init__(self, spec, ndim):
         els = spec.elements()
         self.ndim, self.e, self.k = ndim, spec.identity(), len(els)
-        self.solve = [np.argsort([spec.mul(g, h) for h in els]) for g in els]
+        self.solve = np.array([np.argsort([spec.mul(g, h) for h in els])
+                               for g in els])
 
     def block(self, entries, q):
         entries = list(entries)
@@ -318,6 +324,14 @@ class _DenseBlocks:
         live = block.any(axis=(-4, -3, -2, -1))
         tuples = zip(*(idx.tolist() for idx in np.nonzero(live)))
         return list(tuples), block[live]
+
+    def pair(self, block, values):
+        """The sum of values(t) block[t] over live t, given as a mask."""
+        live = block.any(axis=(-4, -3, -2, -1))
+        return np.tensordot(values(live), block[live], 1)
+
+    def arrays(self, block):
+        return (block,)
 
     def apply(self, block, fn):
         return fn(block)
@@ -337,13 +351,8 @@ class _DenseBlocks:
             for g, solve in enumerate(self.solve)))
 
     def outer(self, a, b, fuse=False):
-        if not fuse:
-            return _jet_outer(a, b, self.ndim)
-        # a's last slot g meets b's first slot g^-1 m at the fused slot m
-        head = (slice(None),) * (a.ndim - 5)
-        return functools.reduce(operator.iadd, (
-            _jet_outer(a[head + (g,)], b[solve], self.ndim)
-            for g, solve in enumerate(self.solve) if a[head + (g,)].any()))
+        # fused: a's last slot g meets b's first slot g^-1 f at the slot f
+        return _jet_outer(a, b, self.ndim, self.solve if fuse else None)
 
     def prepend_e(self, block):
         out = np.zeros((self.k,) + block.shape, dtype=block.dtype)
@@ -369,6 +378,12 @@ class _TupleBlocks:
 
     def stacked(self, block):
         return list(block), np.stack(list(block.values()))
+
+    def pair(self, block, values):
+        return np.tensordot(values(list(block)), self.stacked(block)[1], 1)
+
+    def arrays(self, block):
+        return block.values()
 
     def apply(self, block, fn):
         return {t: fn(x) for t, x in block.items()}
@@ -673,7 +688,8 @@ class MixedForm:
     def max_abs(self):
         """Largest value of an entry: faithful, since the group tuples
         and matrix positions form a basis."""
-        arrays = (self.layout.stacked(b)[1] for b in self.terms.values())
+        arrays = (x for b in self.terms.values()
+                  for x in self.layout.arrays(b))
         return max((float(np.max(np.abs(x[..., 0, :]))) for x in arrays),
                    default=0.0)
 

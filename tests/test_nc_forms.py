@@ -1,13 +1,15 @@
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
 
 from ncindex.group_algebra import GAMatrix, GroupSpec
 from ncindex.nc_forms import (ChartGrid2D, CircleGrid, JetFunction,
-                              MixedForm, ScalarForm, _merge_axes,
-                              _multi_indices, form_dtot, form_mul,
-                              graded_trace)
+                              MixedForm, ScalarForm, _blocks, _DenseBlocks,
+                              _jet_outer, _merge_axes, _multi_indices,
+                              form_dtot, form_mul, graded_trace)
 from ncindex.testing import (random_gamatrix, random_mixed_form,
                              random_normalized_cochain,
                              random_projection_form, random_trig_jet)
@@ -443,6 +445,99 @@ def test_scalar_results_equal_the_jet_construction(build):
     for phi, form in zip(cochains, paired):
         assert type(form) is ScalarForm
         _same_jets(form.comps, _pair_oracle(phi, ch))
+
+
+def _refuse(*_args):
+    raise AssertionError("stacked a dense block")
+
+
+def test_dense_pairing_reads_the_block_without_stacking(monkeypatch):
+    from ncindex.cyclic import pair_cochain_form
+
+    ch, (phi, _) = _z5_character()
+    assert phi.orbits is not None
+    want = _pair_oracle(phi, ch)
+    with monkeypatch.context() as m:
+        m.setattr(_DenseBlocks, "stacked", _refuse)
+        paired = pair_cochain_form(phi, ch)
+    _same_jets(paired.comps, want)
+
+
+def test_function_cochain_pairing_reads_each_live_tuple_once(monkeypatch):
+    from ncindex.chern import chern_even
+    from ncindex.covering import (CoverData, build_mf_projection,
+                                  vandermonde_cocycle)
+    from ncindex.cyclic import (CyclicCochain, GroupCocycle,
+                                pair_cochain_form, tau_to_c)
+
+    cover = CoverData.standard(CircleGrid(64), deck_order=3)
+    spec = cover.deck_spec
+    ch = chern_even(build_mf_projection(cover), 1)
+    call = CyclicCochain.__call__
+    for tau in (GroupCocycle(spec, 1, lambda a, b: complex((b - a) % 3)),
+                vandermonde_cocycle(spec, 2)):
+        c = tau_to_c(tau)
+        want = _pair_oracle(c, ch)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(CyclicCochain, "__call__",
+                      lambda phi, *t: calls.append(t) or call(phi, *t))
+            paired = pair_cochain_form(c, ch)
+        # the tuples that `stacks` lists, in its order
+        assert calls == [t for q, _axes, tuples, _x in ch.stacks()
+                         if q == c.degree for t in tuples]
+        assert calls
+        _same_jets(paired.comps, want)
+
+
+def _stacked_max(form):
+    return max((float(np.max(np.abs(arrays[:, :, :, 0])))
+                for *_, arrays in form.stacks()), default=0.0)
+
+
+@pytest.mark.parametrize("build", [_z5_character, _cover_character],
+                         ids=["Z5", "lattice-cover"])
+def test_max_abs_is_the_maximum_over_the_stacked_entries(build):
+    ch, _ = build()
+    P = random_projection_form(GRID, SPEC, 2, np.random.default_rng(15))
+    for form in (ch, ch.algebra_component(1), P, P.dtot() @ P,
+                 MixedForm.zero(GRID, SPEC, 2)):
+        assert form.max_abs() == _stacked_max(form)
+
+
+# -- the fused product over Z/k: one BLAS product --------------------------
+
+def _fused_outer_loop(lay, a, b):
+    """The fused product as one `_jet_outer` per slot g of a, summed: a's
+    last slot g meets b's first slot g^-1 f at the slot f."""
+    head = (slice(None),) * (a.ndim - 5)
+    return functools.reduce(operator.iadd, (
+        _jet_outer(a[head + (g,)], b[solve], lay.ndim, None)
+        for g, solve in enumerate(lay.solve) if a[head + (g,)].any()))
+
+
+@pytest.mark.parametrize("jets", [(3, 2), (2, 3)], ids=["J32", "J23"])
+@pytest.mark.parametrize("field", [float, complex])
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_fused_product_matches_the_per_slot_loop(k, field, jets):
+    rng = np.random.default_rng(10 * k + jets[0])
+    lay = _blocks(GroupSpec.cyclic(k), 1)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field is complex else x
+
+    # a degree-1 block of 2 x 3 entries times a degree-2 block of 3 x 1
+    # entries, with different jet orders, on 4 grid points; one slot of
+    # a is empty, which the loop skips
+    a = draw((k, k, 2, 3, jets[0], 4))
+    b = draw((k, k, k, 3, 1, jets[1], 4))
+    a[:, 1] = 0
+    got = lay.outer(a, b, fuse=True)
+    want = _fused_outer_loop(lay, a, b)
+    assert got.shape == want.shape == (k,) * 4 + (2, 1, 2, 4)
+    assert got.dtype == want.dtype == np.dtype(field)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # -- the field of the inputs decides the dtype ------------------------------
