@@ -1,7 +1,7 @@
 """Smooth step and plateau families with closed-form derivatives.
 
-Every family provides the step S and its first two derivatives as
-vectorized callables; S rises from 0 at t<=0 to 1 at t>=1.  Partition
+Every family provides the step S and its first derivative as vectorized
+callables; S rises from 0 at t<=0 to 1 at t>=1.  Partition
 construction, covering data and the curvature cutoff all differentiate
 these analytically, so no finite differences enter any residual.
 """
@@ -18,7 +18,6 @@ def _mollifier(t):
     mid = ~(lo | hi)
     s = np.zeros_like(t)
     d1 = np.zeros_like(t)
-    d2 = np.zeros_like(t)
     s[hi] = 1.0
     tm = t[mid]
     a = np.exp(-1.0 / tm)
@@ -26,14 +25,8 @@ def _mollifier(t):
     den = a + b
     s[mid] = a / den
     # a' = a/t^2, b' = -b/(1-t)^2
-    q = 1.0 / tm ** 2 + 1.0 / (1.0 - tm) ** 2
-    d1[mid] = a * b * q / den ** 2
-    ab1 = a * b * (1.0 / tm ** 2 - 1.0 / (1.0 - tm) ** 2)
-    q1 = -2.0 / tm ** 3 + 2.0 / (1.0 - tm) ** 3
-    den1 = a / tm ** 2 - b / (1.0 - tm) ** 2
-    d2[mid] = ((ab1 * q + a * b * q1) / den ** 2
-               - 2.0 * a * b * q * den1 / den ** 3)
-    return s, d1, d2
+    d1[mid] = a * b * (1.0 / tm ** 2 + 1.0 / (1.0 - tm) ** 2) / den ** 2
+    return s, d1
 
 
 def _cos3(t):
@@ -46,10 +39,8 @@ def _cos3(t):
          - 1.0 / (60.0 * np.pi) * np.sin(3.0 * w))
     inside = (t > 0.0) & (t < 1.0)
     d1 = np.where(inside, 0.4 * (1.0 - np.cos(w)) ** 3, 0.0)
-    d2 = np.where(inside,
-                  2.4 * np.pi * (1.0 - np.cos(w)) ** 2 * np.sin(w), 0.0)
     s = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, s))
-    return s, d1, d2
+    return s, d1
 
 
 def _poly7(t):
@@ -61,11 +52,8 @@ def _poly7(t):
     d1 = np.where(inside,
                   140.0 * tc ** 3 - 420.0 * tc ** 4 + 420.0 * tc ** 5
                   - 140.0 * tc ** 6, 0.0)
-    d2 = np.where(inside,
-                  420.0 * tc ** 2 - 1680.0 * tc ** 3 + 2100.0 * tc ** 4
-                  - 840.0 * tc ** 5, 0.0)
     s = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, s))
-    return s, d1, d2
+    return s, d1
 
 
 FAMILIES = {
@@ -76,7 +64,8 @@ FAMILIES = {
 
 
 def step(t, family="mollifier"):
-    """Step jets (S, S', S'') of the named family at the points t."""
+    """Step jets (S, S') of the named family at the points t: the value
+    and the first derivative."""
     try:
         fn = FAMILIES[family]
     except KeyError:
@@ -89,15 +78,10 @@ def plateau(x, left, right, width, family="mollifier"):
     """Jets of a plateau equal to 1 on [left+width, right-width].
 
     Rises over [left, left+width], falls over [right-width, right]; the
-    value and the first two derivatives are returned.
+    value and the first derivative are returned.
     """
     if right - left < 2 * width:
         raise ValueError("plateau narrower than twice the rise width")
-    su, du, ddu = step((np.asarray(x, dtype=float) - left) / width, family)
-    sv, dv, ddv = step((right - np.asarray(x, dtype=float)) / width, family)
-    du, ddu = du / width, ddu / width ** 2
-    dv, ddv = -dv / width, ddv / width ** 2
-    val = su * sv
-    d1 = du * sv + su * dv
-    d2 = ddu * sv + 2.0 * du * dv + su * ddv
-    return val, d1, d2
+    su, du = step((np.asarray(x, dtype=float) - left) / width, family)
+    sv, dv = step((right - np.asarray(x, dtype=float)) / width, family)
+    return su * sv, (du * sv - su * dv) / width

@@ -147,7 +147,7 @@ def _sphere_field(grid, r_max=0.42, family="mollifier"):
     v = grid.ys - 0.5
     r = np.sqrt(u * u + v * v)
     t = r / r_max
-    s, s1, _ = bumps.step(t, family)
+    s, s1 = bumps.step(t, family)
     sig = np.pi * s
     sig_r = np.pi * s1 / r_max
     cos_s = np.cos(sig)

@@ -79,9 +79,10 @@ class CoverData:
         return cls(grid, arcs, family, spec, deck)
 
     def _build_chi(self, lifts):
-        """Second-order jets of the normalised bumps chi_i at the lifts."""
+        """First-order jets of the normalised bumps chi_i at the lifts:
+        the character identity and omega_tau read no higher derivative."""
         if self.n_arcs == 1:
-            return [JetFunction.constant(self.grid, 1.0, 2)]
+            return [JetFunction.constant(self.grid, 1.0, 1)]
         raw = []
         for (left, right), inside in zip(self.arcs, self._inside):
             if right <= left or right - left >= 1.0:
@@ -90,9 +91,9 @@ class CoverData:
             width = 0.3 * (right - left)
             # an arc shorter than the circle holds at most one lift
             x = np.select(inside, lifts, left - 1.0)
-            val, d1, d2 = bumps.plateau(x, left, right, width, self.family)
+            val, d1 = bumps.plateau(x, left, right, width, self.family)
             raw.append(JetFunction.from_arrays(
-                self.grid, {(0,): val, (1,): d1, (2,): d2}))
+                self.grid, {(0,): val, (1,): d1}))
         squares = [jet * jet for jet in raw]
         total = sum(squares[1:], squares[0])
         if np.any(np.real(total.value()) <= 0):

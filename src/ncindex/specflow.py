@@ -192,8 +192,8 @@ class ChiTriple:
 
     def __init__(self, n=257, family="mollifier"):
         self.t = np.linspace(0.0, 1.0, n)
-        s0, _, _ = bumps.step((0.5 - self.t) / (0.5 - 1.0 / 3.0), family)
-        s2, _, _ = bumps.step((self.t - 0.5) / (2.0 / 3.0 - 0.5), family)
+        s0, _ = bumps.step((0.5 - self.t) / (0.5 - 1.0 / 3.0), family)
+        s2, _ = bumps.step((self.t - 0.5) / (2.0 / 3.0 - 0.5), family)
         self.chi0 = s0
         self.chi2 = s2
         s = self.chi0 + self.chi2

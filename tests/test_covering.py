@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ncindex.chern import chern_even
+from ncindex.chern import chern_even, closedness_defect
 from ncindex.covering import (CoverData, build_mf_projection,
                               cocycle_closedness_defect, higher_index_rhs,
                               omega_integral, omega_tau, vandermonde_cocycle,
@@ -163,7 +163,7 @@ def test_prop_chern_irregular_cover():
 def test_coboundary_pairing_vanishes():
     # pairing the character with a transpose-boundary cochain gives zero
     from ncindex.cyclic import b_transpose, pair_cochain_form, CyclicCochain
-    from ncindex.chern import chern_even
+    from ncindex.chern import chern_even, closedness_defect
 
     cover = standard(CircleGrid(256))
     P = build_mf_projection(cover).form
@@ -375,3 +375,47 @@ def test_verify_prop_chern_on_4096_points_is_lean():
         tracemalloc.stop()
     assert rep["passed"]
     assert peak < 32 * 2 ** 20
+
+
+# ---------------------------------------------------------------------
+# covers at jet order 1: the character identity and omega_tau read no
+# derivative past the first
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kw", [{}, {"deck_order": 3}, {"n_arcs": 1}],
+                         ids=["lattice", "Z3", "one-arc"])
+def test_a_cover_carries_first_order_jets(kw):
+    cover = standard(CircleGrid(128), **kw)
+    cutoffs = [cover.shifted_cutoff(g) for g in cover.deck_support()]
+    assert cutoffs
+    for jet in cover.chi + cover.chi_sq + cutoffs:
+        assert jet.order == 1
+    P = build_mf_projection(cover).form
+    entries = list(P.entries())
+    assert entries
+    for _tup, _axes, x in entries:
+        # the (n, n, J, *grid) array holds one jet order for all entries
+        assert JetFunction.from_stack(cover.grid, x[0, 0]).order == 1
+    for jet in cutoffs:
+        with pytest.raises(ValueError, match="jet order exhausted"):
+            jet.partial(0).partial(0)
+    # no check is lost: the character of P is still closed
+    assert closedness_defect(chern_even(P, 1)) <= 1e-12
+
+
+def test_verify_prop_chern_on_4096_points_peaks_under_20_mb():
+    # first-order jets: 2 jets per entry and 3 Leibniz terms per product
+    # (3 and 6 at second order, which peaked at 23.4 MB)
+    import tracemalloc
+
+    cover = standard(CircleGrid(4096))
+    tau = winding_cocycle(cover.deck_spec)
+    tracemalloc.start()
+    try:
+        rep = verify_prop_chern(cover, tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["passed"]
+    assert peak < 20 * 2 ** 20

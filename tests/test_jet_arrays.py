@@ -193,6 +193,20 @@ def test_rsqrt_squares_to_inverse_at_order_3(grid):
     assert np.max(np.abs((s * y * y).stack - one)) <= 1e-12
 
 
+def test_rsqrt_at_order_1_is_the_analytic_first_jet():
+    # the order of a cover's jets: one Newton step from (s^-1/2, 0)
+    grid = CircleGrid(64)
+    x = grid.points
+    s = JetFunction.from_arrays(grid, {
+        (0,): 1.5 + np.cos(2 * np.pi * x),
+        (1,): -2 * np.pi * np.sin(2 * np.pi * x)})
+    y = s.rsqrt()
+    assert y.order == 1 and y.stack.dtype == np.float64
+    v, v1 = s.stack
+    for got, want in zip(y.stack, (v ** -0.5, -v1 / (2 * v ** 1.5))):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------
 # array builders against their per-entry oracles
 # ---------------------------------------------------------------------

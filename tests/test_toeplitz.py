@@ -332,6 +332,67 @@ def _dense_tau_index(tp, margin=0.1):
     return int(ker - coker) / d
 
 
+def _components(mask):
+    """Labels of the rows and of the columns of a boolean matrix by the
+    connected components of the bipartite graph of its nonzeros: every
+    node takes the least label over its edges until none changes."""
+    n = len(mask)
+    rows, cols = np.nonzero(mask)
+    ends = np.stack([rows, cols + n])
+    label = np.arange(n + mask.shape[1])
+    while True:
+        low = label[ends].min(axis=0)
+        new = label.copy()
+        np.minimum.at(new, ends[0], low)
+        np.minimum.at(new, ends[1], low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label[:n], label[n:]
+        label = new
+
+
+def _full_svd(a):
+    """Full SVD that also takes a matrix with no rows or no columns."""
+    if not a.size:
+        return np.eye(len(a)), np.zeros(0), np.eye(a.shape[1])
+    return np.linalg.svd(a)
+
+
+def _component_tau_index(tp, margin=0.1):
+    """tau_index as one dense SVD per connected component of the
+    compression.  After a permutation of its rows and columns the matrix
+    is block diagonal, so its singular pairs are those of its blocks; the
+    singular vectors a rectangular block has beyond its singular values
+    have singular value 0.  The threshold and the top-mode rule are those
+    of `_dense_tau_index`."""
+    if tp.fc < 8 * max(tp.bandwidth, 1):
+        raise ValueError("truncation margin violated")
+    d = tp.system.rep_dim
+    a = tp.blocks[0]
+    row_label, col_label = _components(a != 0)
+    sv, ker, coker = [], [], []
+    for lab in np.union1d(row_label, col_label):
+        rows = np.flatnonzero(row_label == lab)
+        cols = np.flatnonzero(col_label == lab)
+        uu, s, vh = _full_svd(a[np.ix_(rows, cols)])
+        sv.append(s)
+        r = int(np.sum(s >= tp.eps_k))
+        ker += [(cols, v) for v in vh[r:]]
+        coker += [(rows, u) for u in uu[:, r:].T]
+    sv = np.sort(np.concatenate(sv))[::-1]
+    kernel_rank(np.r_[sv, np.zeros(min(a.shape) - len(sv))], tp.eps_k)
+
+    def embed(vecs, size):
+        out = np.zeros((size, len(vecs)), dtype=a.dtype)
+        for j, (idx, v) in enumerate(vecs):
+            out[idx, j] = v
+        return out
+
+    n_ker = np.sum(_mode_mass_top(embed(ker, a.shape[1]), d, margin) <= 0.5)
+    n_coker = np.sum(_mode_mass_top(embed(coker, len(a)), d, margin) <= 0.5)
+    return int(n_ker - n_coker) / d
+
+
 _ROTATION_SYMBOLS = {
     "v": lambda rs: rs.v(),
     "v*": lambda rs: rs.star(rs.v()),
@@ -356,7 +417,11 @@ def test_tau_index_matches_dense_oracle_circle(m, fc):
 def test_tau_index_matches_dense_oracle_rotation(p, q, symbol, fc):
     rs = RotationSystem(p, q)
     tp = assemble_toeplitz(rs, _ROTATION_SYMBOLS[symbol](rs), fc)
-    assert tau_index(tp) == _dense_tau_index(tp)
+    assert tau_index(tp) == _component_tau_index(tp)
+    if fc == 64:
+        # the component basis of a degenerate kernel differs from
+        # LAPACK's; both must count the same index
+        assert _component_tau_index(tp) == _dense_tau_index(tp)
 
 
 def _unitarity_residual(system, u):
