@@ -226,6 +226,14 @@ def _validate_experiment(exp, seen):
                 f"{where}m_values {over} exceed the edge width {edge} = "
                 f"ceil((2 fourier_cutoff + 1) margin / 2) of the boundary "
                 f"filter")
+        fc = x["fourier_cutoff"]
+        swallowed = [m for m in x["m_values"] if edge > fc - abs(m)]
+        if swallowed and edge != math.inf:
+            raise ConfigError(
+                f"{where}m_values {swallowed} need the edge width {edge} = "
+                f"ceil((2 fourier_cutoff + 1) margin / 2) to be at most "
+                f"fourier_cutoff - |m|, or the boundary filter rejects the "
+                f"crossing modes")
 
 
 def _bandwidth(u):

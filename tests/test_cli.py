@@ -521,3 +521,31 @@ def test_specflow_margin_that_is_not_finite_is_an_error_row(tmp_path,
     detail = json.loads((tmp_path / "report.json").read_text())
     err = detail["experiments"][0]["error"]
     assert err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("margin, m_values, edge", [
+    (1.0, [1, 2], 17), (2.0, [1, 2], 33), (0.8, [3], 14), (0.9, [2], 15)])
+def test_specflow_margin_that_swallows_the_crossing_modes_exits_one(
+        tmp_path, capsys, margin, m_values, edge):
+    # each of these read equal, wrong counts on both sides: 0/0 for
+    # margins 1 and 2, 2/2 for m = 3 and 1/1 for m = 2
+    cfg = {"experiments": [dict(SPECFLOW_EXP, fourier_cutoff=16,
+                                m_values=m_values, margin=margin)]}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"m_values {m_values} need the edge width {edge}" in err
+    assert "at most fourier_cutoff - |m|" in err
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("margin, m", [(0.75, 3), (0.8, 2), (0.9, 1)])
+def test_specflow_margin_at_the_crossing_bound_runs(tmp_path, margin, m):
+    cfg = {"experiments": [dict(SPECFLOW_EXP, fourier_cutoff=16,
+                                m_values=[m, -m], margin=margin)]}
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(float(r["value"]) for r in rows) == [-m, m]
