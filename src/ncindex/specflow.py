@@ -4,11 +4,10 @@ the odd pairing on truncations.
 
 Every matrix stays in the field of its entries, so real symmetric
 samples take LAPACK's real routines, at about a third of the cost.
-Every eigen- and singular value decomposition goes by the connected
-components of the matrix's nonzero pattern (`_eigh`, `_svd`): the
-blocks of one size go to LAPACK in one batched call, so a diagonal
-mode window costs one call on 1 x 1 blocks, while a dense or banded
-matrix, one component, goes to LAPACK whole.
+Every `eigh` goes through `_eigh`, which sends a diagonal matrix (each
+mode window of `verify_oddind`, and the projections built from it) to
+LAPACK as its 1 x 1 blocks in one batched call, and any other matrix
+whole.
 
 Spectral flow counts signed eigenvalue crossings through zero; on finite
 matrices this is the drop of the negative-eigenvalue count from one end
@@ -172,10 +171,15 @@ def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
             raise NotAProjection(f"{name} fails the projection residuals")
     bp = _range_basis(P)
     bq = _range_basis(Q)
-    uu, sv, vh = _svd(bq.conj().T @ bp)
-    r = kernel_rank(sv, eps_k)
-    ker = bp @ vh[r:].conj().T
-    coker = bq @ uu[:, r:]
+    comp = bq.conj().T @ bp
+    if comp.size == 0:
+        # an empty range: all of ran P is kernel, all of ran Q cokernel
+        ker, coker = bp, bq
+    else:
+        uu, sv, vh = np.linalg.svd(comp)
+        r = kernel_rank(sv, eps_k)
+        ker = bp @ vh[r:].conj().T
+        coker = bq @ uu[:, r:]
     if spurious is None:
         return ker.shape[1] - coker.shape[1]
     return int(np.sum(~spurious(ker)) - np.sum(~spurious(coker)))
@@ -186,152 +190,22 @@ def _range_basis(P):
     return v[:, w > 0.5]
 
 
-# ---------------------------------------------------------------------
-# decompositions by the connected components of the nonzero pattern
-# ---------------------------------------------------------------------
-
-
-def _to_roots(label):
-    """Pointers `label` (each node to a lesser node of its component, a
-    root to itself) followed to their roots; every pass doubles the reach
-    of each pointer."""
-    while True:
-        up = label[label]
-        if np.array_equal(up, label):
-            return label
-        label = up
-
-
-def _labels(rows, cols, label):
-    """Least node of the component of every node of the graph with edges
-    `(rows[k], cols[k])`, from pointers `label` as in `_to_roots`.
-
-    Each round hooks the roots of the two ends of every edge to the
-    lesser of them, O(nnz), then jumps the pointers to their roots, so a
-    path settles in O(log n) rounds where min-propagation alone takes
-    its length.
-    """
-    label = _to_roots(label)
-    while True:
-        lr, lc = label[rows], label[cols]
-        if np.array_equal(lr, lc):
-            return label
-        low = np.minimum(lr, lc)
-        np.minimum.at(label, lr, low)
-        np.minimum.at(label, lc, low)
-        label = _to_roots(label)
-
-
-def _edges(mask):
-    """Row and column of every entry set in the boolean matrix `mask`."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
-
-
-def _components(label):
-    """Number of components and the component of every node, from the
-    labels of `_labels`; components are numbered by their least node."""
-    roots = label == np.arange(len(label))
-    return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[label]
-
-
-def _members(comp, count):
-    """Sizes of the `count` components of `comp` and their gather:
-    `members(picked, s)` has one row per component in `picked`, all of
-    size `s`, holding its nodes in ascending order."""
-    order = np.argsort(comp, kind="stable")
-    size = np.bincount(comp, minlength=count)
-    start = np.cumsum(size) - size
-    return size, lambda picked, s: order[start[picked, None] + np.arange(s)]
-
-
 def _eigh(mat):
-    """`np.linalg.eigh(mat)` through the connected components of the
-    nonzero pattern of `mat`.
+    """`np.linalg.eigh(mat)`, where a diagonal `mat` goes to LAPACK as
+    its 1 x 1 blocks in one batched call, so every decomposition stays
+    one `eigh` call, as the tracer and the call-count tests count them.
 
-    The blocks of each size are stacked and decomposed in one batched
-    LAPACK call and their eigenvectors embedded back; eigenvalues come
-    out ascending.  A matrix of one component goes to LAPACK whole.
+    Eigenvalues come out ascending; a diagonal matrix keeps its ties in
+    diagonal order and has the unit coordinate vectors as eigenvectors.
     """
-    n = len(mat)
-    mask = mat != 0
-    mask |= mask.T
-    np.fill_diagonal(mask, True)
-    # a first round on the dense pattern, O(n) for dense rows: each node
-    # points at its least neighbour, which joins a dense or banded matrix
-    label = _to_roots(mask.argmax(axis=1))
-    if label.any():
-        label = _labels(*_edges(mask), label)
-    count, comp = _components(label)
-    if count <= 1:
+    d = np.diagonal(mat)
+    if np.count_nonzero(mat) != np.count_nonzero(d):
         return np.linalg.eigh(mat)
-    size, members = _members(comp, count)
-    blocks = []
-    for s in np.unique(size):
-        idx = members(np.flatnonzero(size == s), s)
-        blocks.append(
-            (idx, *np.linalg.eigh(mat[idx[:, :, None], idx[:, None, :]])))
-    w = np.concatenate([wb.ravel() for _, wb, _ in blocks])
-    order = np.argsort(w, kind="stable")
-    rank = np.argsort(order)
-    v = np.zeros((n, n), dtype=blocks[0][2].dtype)
-    at = 0
-    for idx, wb, vb in blocks:
-        col = rank[at:at + wb.size].reshape(wb.shape)
-        v[idx[:, :, None], col[:, None, :]] = vb
-        at += wb.size
-    return w[order], v
-
-
-def _svd(a):
-    """`np.linalg.svd(a)` (full matrices) through the connected
-    components of the bipartite graph of the nonzeros of `a`.
-
-    The blocks of each shape are decomposed in one batched LAPACK call;
-    a row (column) with no nonzero is an identity cokernel (kernel)
-    vector.  Singular values come out descending, padded with zeros to
-    min(a.shape), and the singular vectors of a block beyond its
-    singular values follow as kernel and cokernel vectors.  A matrix of
-    one component goes to LAPACK whole.
-    """
-    m, n = a.shape
-    rows, cols = _edges(a != 0)
-    count, comp = _components(_labels(rows, cols + m, np.arange(m + n)))
-    if count <= 1:
-        return np.linalg.svd(a)
-    rsize, rmembers = _members(comp[:m], count)
-    csize, cmembers = _members(comp[m:], count)
-    dtype = np.result_type(a.dtype, float)
-    blocks = []
-    for r, c in np.unique(np.c_[rsize, csize], axis=0):
-        picked = np.flatnonzero((rsize == r) & (csize == c))
-        ridx, cidx = rmembers(picked, r), cmembers(picked, c)
-        if r and c:
-            u, s, vh = np.linalg.svd(a[ridx[:, :, None], cidx[:, None, :]])
-        else:
-            # a lone row or column: r + c == 1
-            u = np.ones((len(picked), r, r), dtype=dtype)
-            vh = np.ones((len(picked), c, c), dtype=dtype)
-            s = np.zeros((len(picked), 0))
-        blocks.append((ridx, cidx, u, s, vh))
-    sv = np.concatenate([s.ravel() for *_, s, _ in blocks])
-    k = len(sv)
-    order = np.argsort(-sv, kind="stable")
-    rank = np.argsort(order)
-    uu = np.zeros((m, m), dtype=dtype)
-    vv = np.zeros((n, n), dtype=dtype)
-    at, u_next, v_next = 0, k, k
-    for ridx, cidx, u, s, vh in blocks:
-        g, kb = s.shape
-        pos = rank[at:at + s.size].reshape(g, kb)
-        at += s.size
-        ru, rv = u.shape[1] - kb, vh.shape[1] - kb
-        ucol = np.hstack([pos, u_next + np.arange(g * ru).reshape(g, ru)])
-        vrow = np.hstack([pos, v_next + np.arange(g * rv).reshape(g, rv)])
-        u_next += g * ru
-        v_next += g * rv
-        uu[ridx[:, :, None], ucol[:, None, :]] = u
-        vv[vrow[:, :, None], cidx[:, None, :]] = vh
-    return uu, np.r_[sv[order], np.zeros(min(m, n) - k)], vv
+    w, unit = np.linalg.eigh(d[:, None, None])
+    order = np.argsort(w[:, 0], kind="stable")
+    v = np.zeros(mat.shape, dtype=unit.dtype)
+    v[order, np.arange(len(d))] = unit[order, 0, 0]
+    return w[order, 0], v
 
 
 # ---------------------------------------------------------------------
@@ -429,9 +303,11 @@ def conjugate_by_shift(mat, m):
 
 def edge_width(fc, margin=0.1):
     """Modes at each end of the window that `boundary_mass_filter`
-    treats as its outer margin.  A shift by more than this many modes
-    clips window modes the filter does not reject, so `verify_oddind`
-    needs |m| <= edge_width(fc, margin)."""
+    treats as its outer margin.  `verify_oddind` needs
+    |m| <= edge_width(fc, margin) <= fc - |m|: a shift by more modes
+    clips window modes the filter does not reject, and a wider margin
+    rejects the modes that cross zero, so both sides read the same
+    wrong count."""
     return int(np.ceil((2 * fc + 1) * margin / 2.0))
 
 
@@ -460,7 +336,9 @@ def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
     spectral projections, for U the winding symbol of degree m.  The flow
     is read off the two endpoints alone (see `spectral_flow`); the one
     `eigh` of `start` also gives P.  Boundary modes are excluded by the
-    margin; the two sides agree after the pinned orientation.
+    margin; the two sides agree after the pinned orientation.  The
+    count is only right when |m| <= edge_width(fc, margin) <= fc - |m|
+    (see `edge_width`); outside it the two sides may still match.
     """
     start = truncated_dirac(fc) + default_trivializer(fc, shift)
     reject = boundary_mass_filter(fc, margin)

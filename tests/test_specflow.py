@@ -543,7 +543,7 @@ def test_both_fields_reject_the_same_degenerate_endpoint(monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# decompositions by connected components against LAPACK
+# _eigh against LAPACK
 # ---------------------------------------------------------------------
 
 
@@ -577,6 +577,8 @@ def _eigh_cases():
         "clipped-projection": conjugate_by_shift(_nonneg_projection(start),
                                                  -2),
         "complex-hermitian": _block_diagonal([2, 4, 1, 2, 4], rng, complex),
+        "complex-diagonal": diag.astype(complex),
+        "tied-diagonal": np.diag(np.round(rng.standard_normal(n))),
         "zero": np.zeros((6, 6)),
     }
 
@@ -588,7 +590,7 @@ def _clusters(w, tol):
 
 
 @pytest.mark.parametrize("name", sorted(_eigh_cases()))
-def test_component_eigh_matches_lapack(name):
+def test_eigh_matches_lapack(name):
     a = _eigh_cases()[name]
     w, v = specflow._eigh(a)
     w0, v0 = np.linalg.eigh(a)
@@ -602,48 +604,6 @@ def test_component_eigh_matches_lapack(name):
         ours, lapack = v[:, idx], v0[:, idx]
         assert np.max(np.abs(ours @ ours.conj().T
                              - lapack @ lapack.conj().T)) <= 1e-10
-
-
-def _svd_cases():
-    rng = np.random.default_rng(4)
-    sparse = rng.standard_normal((9, 13)) * (rng.random((9, 13)) < 0.15)
-    sparse[2] = 0.0
-    sparse[:, [4, 7]] = 0.0
-    perm = np.zeros((7, 9))
-    perm[[0, 2, 3, 6], [1, 2, 5, 8]] = 1.0
-    g = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    return {
-        "sparse-wide": sparse,
-        "sparse-tall": sparse.T,
-        "partial-permutation": perm,
-        "dense-complex": g,
-        "zero": np.zeros((3, 5)),
-        "no-columns": np.zeros((4, 0)),
-        "no-rows": np.zeros((0, 3)),
-    }
-
-
-@pytest.mark.parametrize("name", sorted(_svd_cases()))
-def test_component_svd_matches_lapack(name):
-    a = _svd_cases()[name]
-    m, n = a.shape
-    uu, sv, vh = specflow._svd(a)
-    sv0 = np.linalg.svd(a, compute_uv=False)
-    assert uu.shape == (m, m) and vh.shape == (n, n)
-    assert sv.shape == sv0.shape and np.all(np.diff(sv) <= 0)
-    scale = max(np.max(sv0, initial=0.0), 1.0)
-    assert np.max(np.abs(sv - sv0), initial=0.0) <= 1e-12 * scale
-    assert np.max(np.abs(uu.conj().T @ uu - np.eye(m)), initial=0.0) <= 1e-12
-    assert np.max(np.abs(vh @ vh.conj().T - np.eye(n)), initial=0.0) <= 1e-12
-    p = min(m, n)
-    assert np.max(np.abs(uu[:, :p] * sv @ vh[:p] - a), initial=0.0) \
-        <= 1e-12 * scale
-    # kernel and cokernel: the singular vectors past the rank
-    r = int(np.sum(sv0 > 1e-10 * scale))
-    assert int(np.sum(sv > 1e-10 * scale)) == r
-    assert np.max(np.abs(a @ vh[r:].conj().T), initial=0.0) <= 1e-12 * scale
-    assert np.max(np.abs(uu[:, r:].conj().T @ a), initial=0.0) \
-        <= 1e-12 * scale
 
 
 def test_verify_oddind_projections_are_exactly_diagonal():
@@ -673,35 +633,12 @@ def test_diagonal_window_takes_one_call_on_unit_blocks(monkeypatch):
     assert shapes == [(n, 1, 1), (n, 1, 1)]
 
 
-def test_one_component_goes_to_lapack_whole(monkeypatch):
+def test_other_matrices_go_to_lapack_whole(monkeypatch):
     shapes = _count_shapes(monkeypatch, "eigh")
     n = 257
-    g = np.random.default_rng(6).standard_normal((n, n))
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((n, n))
     for a in (g + g.T, half_shifted_dirac(128) + np.eye(n, k=1)
-              + np.eye(n, k=-1)):
+              + np.eye(n, k=-1), _block_diagonal([1, 2] * 85 + [2], rng)):
         specflow._eigh(a)
-    assert shapes == [(n, n), (n, n)]
-
-
-@pytest.mark.parametrize("permuted", [False, True])
-def test_labelling_a_long_path_takes_logarithmic_rounds(monkeypatch,
-                                                        permuted):
-    # the tridiagonal pattern of a 4097-mode window: a path whose
-    # min-propagation alone would need 4096 rounds
-    n = 4097
-    node = np.arange(n)
-    if permuted:
-        node = np.random.default_rng(7).permutation(n)
-    rows = np.r_[node[:-1], node, node[1:]]
-    cols = np.r_[node[1:], node, node[:-1]]
-    rounds = []
-    real = specflow._to_roots
-
-    def counted(label):
-        rounds.append(1)
-        return real(label)
-
-    monkeypatch.setattr(specflow, "_to_roots", counted)
-    label = specflow._labels(rows, cols, np.arange(n))
-    assert not label.any()
-    assert len(rounds) <= 2 + np.log2(n)
+    assert shapes == [(n, n)] * 3
