@@ -71,6 +71,10 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v):
+    return _is_number(v) and math.isfinite(v)
+
+
 def _is_int_list(v):
     return isinstance(v, list) and all(map(_is_int, v))
 
@@ -108,8 +112,9 @@ def _is_arcs(v):
 
 
 _INTEGER = _check("an integer", _is_int)
-_NUMBER = _check("a number", _is_number)
-_TOLERANCE = _check("a positive number", lambda v: _is_number(v) and v > 0)
+_NUMBER = _check("a finite number", _is_finite)
+_TOLERANCE = _check("a finite positive number",
+                    lambda v: _is_finite(v) and v > 0)
 _STRING = _check("a string", lambda v: isinstance(v, str))
 _FAMILY = _one_of(*bumps.FAMILIES)
 _SYMBOL = _check(f"an object whose type is one of {sorted(_U_TYPES)}, "
@@ -219,7 +224,7 @@ def _validate_experiment(exp, seen):
         try:
             edge = specflow.edge_width(x["fourier_cutoff"], x["margin"])
         except (OverflowError, ValueError):
-            edge = math.inf     # a margin or window that is not finite
+            edge = math.inf     # a margin too large for a finite width
         over = [m for m in x["m_values"] if abs(m) > edge]
         if over:
             raise ConfigError(

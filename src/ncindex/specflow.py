@@ -4,10 +4,16 @@ the odd pairing on truncations.
 
 Every matrix stays in the field of its entries, so real symmetric
 samples take LAPACK's real routines, at about a third of the cost.
-Every `eigh` goes through `_eigh`, which sends a diagonal matrix (each
-mode window of `verify_oddind`, and the projections built from it) to
-LAPACK as its 1 x 1 blocks in one batched call, and any other matrix
-whole.
+One structural test, `_diagonal`, finds the matrices with no nonzero
+entry off the diagonal: each mode window of `verify_oddind`, the
+projections built from them and the samples of a translation path.
+`_eigh` sends such a matrix to LAPACK as its 1 x 1 blocks in one
+batched call; `relative_index` reads the spectrum and range of a
+diagonal projection off its diagonal, and for two of them the kernel
+and cokernel of the compression are the modes in one range only, with
+no SVD; a refinement step between two diagonal samples compares their
+diagonals.  Any other matrix takes the dense route, at the cost of the
+one test.
 
 Spectral flow counts signed eigenvalue crossings through zero; on finite
 matrices this is the drop of the negative-eigenvalue count from one end
@@ -45,29 +51,54 @@ class SelfAdjointPath:
     delta_c / 2 (enforced via the operator-norm bound on the difference,
     see `norm_exceeds`); refinement bisects until that holds, and raises
     CrossingUnresolved when the budget is exhausted or the path jumps
-    (the bound still fails on a step shorter than 1e-6).
+    (the bound still fails on a step shorter than 1e-6).  Each sample is
+    checked self-adjoint as it is taken, and its diagonal (see
+    `_diagonal`) is kept, so a step between two diagonal samples is
+    compared on their diagonals alone.
     """
 
     def __init__(self, ts, mats, delta_c=1e-2, sa_tol=1e-10):
-        self.ts = list(ts)
-        self.mats = [_own_field(m) for m in mats]
+        self.ts, self.mats, self._diags = [], [], []
         self.delta_c = delta_c
-        for m in self.mats:
-            if np.max(np.abs(m - _adjoint(m))) > sa_tol:
-                raise ValueError("path sample is not self-adjoint")
+        self._sa_tol = sa_tol
+        for t, m in zip(ts, mats):
+            self._insert(len(self.ts), t, m)
+
+    def _insert(self, i, t, mat):
+        """Check the sample `mat` at `t` and put it in place `i`."""
+        mat = _own_field(mat)
+        diag = _diagonal(mat)
+        if not _sa_residual(mat, diag) <= self._sa_tol:
+            raise ValueError("path sample is not self-adjoint")
+        self.ts.insert(i, t)
+        self.mats.insert(i, mat)
+        self._diags.insert(i, diag)
+
+    def _step(self, i):
+        """Sample i minus sample i + 1: its diagonal when both samples
+        are diagonal, else the matrix."""
+        da, db = self._diags[i:i + 2]
+        if da is not None and db is not None:
+            return da - db
+        return self.mats[i] - self.mats[i + 1]
 
     @classmethod
     def from_callable(cls, fn, delta_c=1e-2, initial=9, max_samples=4096):
-        ts = list(np.linspace(0.0, 1.0, initial))
-        mats = {t: _own_field(fn(t)) for t in ts}
+        path = cls([], [], delta_c)
+        for t in np.linspace(0.0, 1.0, initial):
+            path._insert(len(path.ts), t, fn(t))
+        ts = path.ts
         i = 0
         while i < len(ts) - 1:
             a, b = ts[i], ts[i + 1]
-            if not norm_exceeds(mats[a] - mats[b], delta_c / 2):
+            diff = path._step(i)
+            if not (_max_abs_exceeds(diff, delta_c / 2) if diff.ndim == 1
+                    else norm_exceeds(diff, delta_c / 2)):
                 i += 1
                 continue
             if b - a < 1e-6:
-                gap = np.linalg.norm(mats[a] - mats[b], 2)
+                gap = np.max(np.abs(diff)) if diff.ndim == 1 \
+                    else np.linalg.norm(diff, 2)
                 raise CrossingUnresolved(
                     f"path jumps by {gap:.3g} > delta_c / 2 = "
                     f"{delta_c / 2:.3g} at t = {a:.9g}")
@@ -75,9 +106,8 @@ class SelfAdjointPath:
                 raise CrossingUnresolved(
                     f"refinement budget of {max_samples} samples exhausted")
             mid = 0.5 * (a + b)
-            mats[mid] = _own_field(fn(mid))
-            ts.insert(i + 1, mid)
-        return cls(ts, [mats[t] for t in ts], delta_c)
+            path._insert(i + 1, mid, fn(mid))
+        return path
 
     def reversed(self):
         return SelfAdjointPath(
@@ -101,11 +131,15 @@ _BOUND_SLACK = 1e-12
 def norm_exceeds(diff, bound):
     """Whether the spectral norm of `diff` exceeds `bound`.
 
-    Two O(n^2) bounds settle most steps: the largest column 2-norm is at
-    most the spectral norm, and the Schur test sqrt(||A||_1 ||A||_inf) at
-    least.  Only when the threshold lies between them are the singular
-    values taken.
+    A diagonal `diff` has the largest |entry| as its norm, compared
+    exactly.  Otherwise two O(n^2) bounds settle most steps: the largest
+    column 2-norm is at most the spectral norm, and the Schur test
+    sqrt(||A||_1 ||A||_inf) at least.  Only when the threshold lies
+    between them are the singular values taken.
     """
+    d = _diagonal(diff)
+    if d is not None:
+        return _max_abs_exceeds(d, bound)
     a = np.abs(diff)
     if np.sqrt(np.max(np.einsum("ij,ij->j", a, a))) \
             > bound * (1 + _BOUND_SLACK):
@@ -114,6 +148,33 @@ def norm_exceeds(diff, bound):
     if schur <= bound * (1 - _BOUND_SLACK):
         return False
     return bool(np.linalg.norm(diff, 2) > bound)
+
+
+def _max_abs_exceeds(d, bound):
+    """Whether max |d| exceeds `bound`; an entry that is NaN does."""
+    return not np.max(np.abs(d), initial=0.0) <= bound
+
+
+def _diagonal(mat):
+    """The diagonal of `mat` when `mat` is square with every entry off
+    the diagonal zero, else None.  The off-diagonal entries are read as
+    the strided view that skips the diagonal; a NaN there counts as
+    nonzero."""
+    n = len(mat)
+    if mat.shape != (n, n):
+        return None
+    if n > 1 and mat.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+        return None
+    return np.diagonal(mat)
+
+
+def _sa_residual(mat, diag):
+    """max |mat - mat*|, read off the diagonal `diag` of `mat` when it
+    is not None (every other entry of the difference is zero).  NaN
+    when an entry is NaN, so a guard `not (residual <= tol)` fails."""
+    if diag is not None:
+        return np.max(np.abs(diag - diag.conj()), initial=0.0)
+    return np.max(np.abs(mat - _adjoint(mat)), initial=0.0)
 
 
 def _own_field(x):
@@ -145,6 +206,9 @@ def _endpoint_flow(first, last, delta_c, margin_filter):
     endpoints, with `delta_c` and `margin_filter` as in `spectral_flow`."""
     negs = []
     for label, (w, v) in (("initial", first), ("final", last)):
+        if not np.all(np.isfinite(w)):
+            raise EndpointDegenerate(
+                f"{label} endpoint has an eigenvalue that is not finite")
         if margin_filter is not None:
             w = w[~margin_filter(v)]
         if len(w) and np.min(np.abs(w)) < delta_c:
@@ -158,36 +222,59 @@ def _endpoint_flow(first, last, delta_c, margin_filter):
 def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
     """Fredholm index of the compression Q P : ran P -> ran Q.
 
-    Kernel and cokernel dimensions come from singular values of the
-    compression below `eps_k`; a `spurious` callback may reject vectors
-    (in ambient coordinates, one per column) that are finite-truncation
-    artifacts.
+    P and Q must be self-adjoint within `proj_tol`, with every
+    eigenvalue within `proj_tol` of 0 or 1.  Kernel and cokernel
+    dimensions come from singular values of the compression below
+    `eps_k`; a `spurious` callback may reject vectors (in ambient
+    coordinates, one per column) that are finite-truncation artifacts.
+    When both are diagonal, ran P and ran Q are spanned by unit vectors,
+    and the kernel and cokernel are those of the modes in one range and
+    not in the other, with no compression to decompose.
     """
-    P = _own_field(P)
-    Q = _own_field(Q)
-    for name, M in (("P", P), ("Q", Q)):
-        if np.max(np.abs(M @ M - M)) > proj_tol \
-                or np.max(np.abs(M - _adjoint(M))) > proj_tol:
-            raise NotAProjection(f"{name} fails the projection residuals")
-    bp = _range_basis(P)
-    bq = _range_basis(Q)
-    comp = bq.conj().T @ bp
-    if comp.size == 0:
-        # an empty range: all of ran P is kernel, all of ran Q cokernel
-        ker, coker = bp, bq
+    inp, bp = _projection_range(_own_field(P), "P", proj_tol)
+    inq, bq = _projection_range(_own_field(Q), "Q", proj_tol)
+    if bp is None and bq is None:
+        ker, coker = inp & ~inq, inq & ~inp
+        if spurious is None:
+            return int(np.sum(ker) - np.sum(coker))
+        ker, coker = _unit_vectors(ker), _unit_vectors(coker)
     else:
-        uu, sv, vh = np.linalg.svd(comp)
-        r = kernel_rank(sv, eps_k)
-        ker = bp @ vh[r:].conj().T
-        coker = bq @ uu[:, r:]
+        bp = _unit_vectors(inp) if bp is None else bp
+        bq = _unit_vectors(inq) if bq is None else bq
+        comp = bq.conj().T @ bp
+        if comp.size == 0:
+            # an empty range: all of ran P is kernel, all of ran Q cokernel
+            ker, coker = bp, bq
+        else:
+            uu, sv, vh = np.linalg.svd(comp)
+            r = kernel_rank(sv, eps_k)
+            ker = bp @ vh[r:].conj().T
+            coker = bq @ uu[:, r:]
     if spurious is None:
         return ker.shape[1] - coker.shape[1]
     return int(np.sum(~spurious(ker)) - np.sum(~spurious(coker)))
 
 
-def _range_basis(P):
-    w, v = _eigh(P)
-    return v[:, w > 0.5]
+def _projection_range(M, name, tol):
+    """Check that `M` is a projection, as `relative_index` states, and
+    return `(mask, basis)`: for a diagonal M, the mask of the modes that
+    span its range and no basis; else no mask and an orthonormal basis
+    of the range, from one `eigh`.  The spectral residual
+    max |w^2 - w| bounds every entry of M^2 - M."""
+    d = _diagonal(M)
+    if not _sa_residual(M, d) <= tol:
+        raise NotAProjection(f"{name} is not self-adjoint")
+    w, v = (d.real, None) if d is not None else np.linalg.eigh(M)
+    if not np.max(np.abs(w * w - w), initial=0.0) <= tol:
+        raise NotAProjection(f"{name} has an eigenvalue away from 0 and 1")
+    if v is None:
+        return w > 0.5, None
+    return None, v[:, w > 0.5]
+
+
+def _unit_vectors(mask):
+    """The unit coordinate vectors of the modes in `mask`, as columns."""
+    return np.eye(len(mask))[:, mask]
 
 
 def _eigh(mat):
@@ -198,8 +285,8 @@ def _eigh(mat):
     Eigenvalues come out ascending; a diagonal matrix keeps its ties in
     diagonal order and has the unit coordinate vectors as eigenvectors.
     """
-    d = np.diagonal(mat)
-    if np.count_nonzero(mat) != np.count_nonzero(d):
+    d = _diagonal(mat)
+    if d is None:
         return np.linalg.eigh(mat)
     w, unit = np.linalg.eigh(d[:, None, None])
     order = np.argsort(w[:, 0], kind="stable")

@@ -4,6 +4,7 @@ import pytest
 from ncindex import specflow
 from ncindex.errors import (CrossingUnresolved, EndpointDegenerate,
                             NotAProjection, NotUnitary)
+from ncindex.toeplitz import kernel_rank
 from ncindex.specflow import (RELATIVE_INDEX_ORIENTATION, ChiTriple,
                               SelfAdjointPath, boundary_mass_filter,
                               conjugate_by_shift, default_trivializer,
@@ -107,6 +108,19 @@ def test_relative_index_rejects_non_projection():
         relative_index(P, P)
 
 
+def test_relative_index_rejects_entries_that_are_not_finite():
+    P = np.diag([1.0, 0.0, 1.0])
+    dense = np.full((3, 3), 1.0 / 3)
+    for M in (P, dense):
+        for at in ((1, 1), (0, 2)):
+            bad = M.copy()
+            bad[at] = np.nan
+            with pytest.raises(NotAProjection):
+                relative_index(bad, M)
+            with pytest.raises(NotAProjection):
+                relative_index(M, bad)
+
+
 def test_relative_index_ill_conditioned_guard():
     from ncindex.errors import IllConditioned
 
@@ -181,6 +195,12 @@ def test_oddind_matches(m):
     assert rep["spfl"] == m
 
 
+@pytest.mark.parametrize("shift", [float("nan"), float("inf")])
+def test_verify_oddind_rejects_a_shift_that_is_not_finite(shift):
+    with pytest.raises(EndpointDegenerate, match="not finite"):
+        verify_oddind(16, 1, shift=shift)
+
+
 def test_oddind_magnitude_two():
     rep = verify_oddind(64, 2)
     assert abs(rep["spfl"]) == 2
@@ -199,9 +219,15 @@ def test_verify_oddind_decomposes_each_matrix_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     rep = verify_oddind(32, 1)
     assert rep["match"]
-    # one eigh per window matrix, where start also gives P, then ran P
-    # and ran Q
-    assert counts == {"svd": 1, "eigh": 1 + 1 + 2}
+    # one eigh per window matrix, where start also gives P; P and Q are
+    # diagonal, so their ranges and the compression need no decomposition
+    assert counts == {"svd": 0, "eigh": 2}
+    P, Q = (_rotated(M, 32) for M in _window_projections(32, 1))
+    counts.update(svd=0, eigh=0)
+    relative_index(P, Q)
+    # a pair with entries off the diagonal: one eigh per range, one SVD
+    # of the compression
+    assert counts == {"svd": 1, "eigh": 2}
 
 
 def test_boundary_mass_filter_on_columns():
@@ -241,6 +267,79 @@ def test_relative_index_filters_an_empty_range():
     assert relative_index(proj(), proj(0)) == -1
     assert relative_index(proj(5), proj(5, 16), spurious=reject) == 0
     assert relative_index(proj(8), proj(), spurious=reject) == 1
+
+
+def _relative_index_by_svd(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
+    """The dense relative index relative_index used to compute: the
+    residuals of M @ M - M and M - M*, an eigh basis of each range and
+    one SVD of the compression."""
+    bases = []
+    for M in (P, Q):
+        M = np.asarray(M)
+        if np.max(np.abs(M @ M - M)) > proj_tol \
+                or np.max(np.abs(M - M.conj().T)) > proj_tol:
+            raise NotAProjection("not a projection")
+        w, v = np.linalg.eigh(M)
+        bases.append(v[:, w > 0.5])
+    bp, bq = bases
+    comp = bq.conj().T @ bp
+    if comp.size == 0:
+        ker, coker = bp, bq
+    else:
+        uu, sv, vh = np.linalg.svd(comp)
+        r = kernel_rank(sv, eps_k)
+        ker = bp @ vh[r:].conj().T
+        coker = bq @ uu[:, r:]
+    if spurious is None:
+        return ker.shape[1] - coker.shape[1]
+    return int(np.sum(~spurious(ker)) - np.sum(~spurious(coker)))
+
+
+def _window_projections(fc, m):
+    """The P, Q pair verify_oddind builds."""
+    P = _nonneg_projection(truncated_dirac(fc) + default_trivializer(fc))
+    return P, conjugate_by_shift(P, m)
+
+
+def _rotated(M, seed):
+    """O M O^T for a random orthogonal O: entries off the diagonal."""
+    n = len(M)
+    O = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    out = O @ M @ O.T
+    return 0.5 * (out + out.T)
+
+
+@pytest.mark.parametrize("fc", [16, 32, 64])
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_diagonal_relative_index_matches_the_dense_one(fc, m):
+    P, Q = _window_projections(fc, m)
+    for reject in (None, boundary_mass_filter(fc)):
+        assert relative_index(P, Q, spurious=reject) \
+            == _relative_index_by_svd(P, Q, spurious=reject)
+
+
+def _random_diagonal_projections(seed, n):
+    rng = np.random.default_rng(seed)
+    return [np.diag(rng.random(n) < p).astype(float)
+            for p in rng.random(2)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_relative_index_of_random_projections_matches_the_dense_one(seed):
+    fc = 1 + 3 * seed
+    P, Q = _random_diagonal_projections(seed, 2 * fc + 1)
+    want = _relative_index_by_svd(P, Q)
+    assert relative_index(P, Q) == want
+    assert relative_index(Q, P) == -want
+    assert relative_index(P.astype(complex), Q) == want
+    reject = boundary_mass_filter(fc, 0.3)
+    assert relative_index(P, Q, spurious=reject) \
+        == _relative_index_by_svd(P, Q, spurious=reject)
+    # the same pair with entries off the diagonal takes the dense route
+    rP, rQ = _rotated(P, seed), _rotated(Q, seed)
+    assert specflow._diagonal(rP) is None or not P.any()
+    assert relative_index(rP, rQ) == _relative_index_by_svd(rP, rQ) == want
+    assert relative_index(P, rQ) == relative_index(rP, Q) == want
 
 
 def _oddind_by_samples(fc, m, margin=0.1, delta_c=0.2, shift=0.5,
@@ -353,17 +452,38 @@ def _bound_cases():
     }
 
 
-@pytest.mark.parametrize("name", sorted(_bound_cases()))
+def _diagonal_cases():
+    rng = np.random.default_rng(12)
+    d = rng.standard_normal(257)
+    return {
+        "real-diagonal": np.diag(d),
+        "complex-diagonal": np.diag(d + 1j * rng.standard_normal(257)),
+        "zero-diagonal": np.zeros((257, 257)),
+        "nan-diagonal": np.diag(np.where(np.arange(257) == 7, np.nan, d)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bound_cases())
+                         + sorted(_diagonal_cases()))
 def test_norm_exceeds_matches_the_exact_norm(name, monkeypatch):
-    mat = _bound_cases()[name]
-    exact = np.linalg.norm(mat, 2)
+    mat = {**_bound_cases(), **_diagonal_cases()}[name]
+    exact = np.linalg.norm(mat, 2) if np.isfinite(mat).all() else np.nan
+    if name in _diagonal_cases():
+        # the norm of a diagonal is its largest |entry|, which the SVD
+        # gives up to rounding; no bound settles a NaN entry as within it
+        assert abs(np.max(np.abs(mat)) - exact) <= 1e-15 * exact \
+            or np.isnan(exact)
+        exact = np.max(np.abs(mat))
     calls = _count_exact_norms(monkeypatch)
     for bound in (exact * (1 - 1e-9), exact, exact * (1 + 1e-9),
-                  0.5 * exact, 2.0 * exact, 1e-3):
-        assert norm_exceeds(mat, bound) == (exact > bound), bound
+                  0.5 * exact, 2.0 * exact, 1e-3, 1e3):
+        assert norm_exceeds(mat, bound) == (not exact <= bound), bound
     if name in ("rank-one", "hermitian"):
         # a threshold between the two bounds takes the singular values
         assert calls
+    if name in _diagonal_cases():
+        # a diagonal is compared exactly, with no singular values
+        assert not calls
 
 
 def test_norm_exceeds_settles_far_thresholds_without_singular_values(
@@ -399,6 +519,26 @@ def test_refinement_takes_exact_norms_only_when_the_bounds_straddle(
     assert calls == []
     SelfAdjointPath.from_callable(paths["perturbed"], delta_c=0.2)
     assert calls
+
+
+@pytest.mark.parametrize("route", ["diagonal", "dense"])
+def test_refinement_rejects_a_sample_that_is_not_finite(route):
+    D = half_shifted_dirac()
+    n = D.shape[0]
+    band = 0.0 if route == "diagonal" else np.eye(n, k=1) + np.eye(n, k=-1)
+    bad = 0.5625        # a midpoint, sampled once the bisection gets there
+    taken = []
+
+    def fn(t):
+        taken.append(t)
+        out = D + t * np.eye(n) + band
+        if t == bad:
+            out[(3, 3) if route == "diagonal" else (0, 1)] = np.nan
+        return out
+
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        SelfAdjointPath.from_callable(fn, delta_c=0.2, max_samples=64)
+    assert taken[-1] == bad and len(taken) == 14
 
 
 def test_jump_message_names_the_exact_norm():
