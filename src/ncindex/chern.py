@@ -23,8 +23,8 @@ import numpy as np
 
 from . import bumps, cyclic
 from .errors import NotAProjection, NotUnitary
-from .group_algebra import GAMatrix, GroupSpec
-from .nc_forms import ChartGrid2D, JetFunction, MixedForm, ScalarForm
+from .group_algebra import GroupSpec
+from .nc_forms import ChartGrid2D, JetFunction, MixedForm
 
 TWO_PI_I = 2j * np.pi
 
@@ -174,6 +174,11 @@ def _sphere_field(grid, r_max=0.42, family="mollifier"):
     return jets
 
 
+#: the identity and the Pauli matrices sigma_x, sigma_y, sigma_z
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                  [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
 def bott_projector(grid, r_max=0.42, family="mollifier"):
     """Rank-one projector field (1 + n.sigma)/2 on the chart grid.
 
@@ -182,24 +187,15 @@ def bott_projector(grid, r_max=0.42, family="mollifier"):
     """
     if not isinstance(grid, ChartGrid2D):
         raise TypeError("the curvature projector lives on a ChartGrid2D")
-    jets = _sphere_field(grid, r_max, family)
-    n1, n2, n3 = jets["n1"], jets["n2"].scale(-1.0), jets["n3"]
+    field = _sphere_field(grid, r_max, family)
+    # the coefficient jets of sigma_0 = id, sigma_x, sigma_y and sigma_z
+    jets = np.stack([JetFunction.constant(grid, 1.0, order=1).stack,
+                     field["n1"].stack, -field["n2"].stack,
+                     field["n3"].stack])
     spec = GroupSpec.trivial()
-    half = 0.5
-    sigma = {
-        "id": np.eye(2, dtype=complex),
-        "x": np.array([[0, 1], [1, 0]], dtype=complex),
-        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    e = spec.identity()
     P = MixedForm.zero(grid, spec, 2, kalg=2)
-    P.add_term(ScalarForm.function(
-        JetFunction.constant(grid, half, order=1)),
-        (GAMatrix(spec, 2, {e: sigma["id"]}),))
-    for jet, key in ((n1, "x"), (n2, "y"), (n3, "z")):
-        P.add_term(ScalarForm.function(jet.scale(half)),
-                   (GAMatrix(spec, 2, {e: sigma[key]}),))
+    P.add_entries([((spec.identity(),), (),
+                    np.einsum("kij,kJ...->ijJ...", PAULI / 2, jets))])
     return P
 
 

@@ -355,7 +355,7 @@ def _run_covering(x, seed):
                                      flat_tol=x["flat_tolerance"])
     other = covering.CoverData.standard(grid, n_arcs=cover.n_arcs,
                                         family="poly-spline")
-    w1 = covering.omega_integral(cover, tau)
+    w1 = rep["omega_integral"]
     w2 = covering.omega_integral(other, covering.winding_cocycle(
         other.deck_spec))
     return [

@@ -119,19 +119,16 @@ class CoverData:
                 if spec.mul(self.deck_element(i, j),
                             self.deck_element(j, i)) != spec.identity():
                     raise BadCover("deck matrix is not antisymmetric")
-        chi = [c.value().real for c in self.chi]
+        support = [np.abs(c.value().real) > 1e-9 for c in self.chi]
         for i in range(self.n_arcs):
             for j in range(self.n_arcs):
                 if i != j and not _circularly_connected(
-                        (np.abs(chi[i]) > 1e-9) & (np.abs(chi[j]) > 1e-9)):
+                        support[i] & support[j]):
                     raise BadCover(
                         f"overlap of arcs {i} and {j} is not connected; "
                         f"a single deck element cannot describe it")
                 for k in range(self.n_arcs):
-                    support = (np.abs(chi[i]) > 1e-9) \
-                        & (np.abs(chi[j]) > 1e-9) \
-                        & (np.abs(chi[k]) > 1e-9)
-                    if not np.any(support):
+                    if not np.any(support[i] & support[j] & support[k]):
                         continue
                     lhs = spec.mul(self.deck_element(i, j),
                                    self.deck_element(j, k))
@@ -298,7 +295,8 @@ def verify_prop_chern(cover, tau, tol=1e-8, flat_tol=1e-9):
 
     at form level (n = 1 here), together with the flat-connection
     cancellation: the purely algebraic curvature terms pair to zero
-    against alternating cochains.
+    against alternating cochains.  The report also holds the integral of
+    omega_tau (`omega_integral`).
     """
     n = tau.degree
     if n != 1:
@@ -311,7 +309,8 @@ def verify_prop_chern(cover, tau, tol=1e-8, flat_tol=1e-9):
 
     paper_sign = (-1.0) ** ((n - 1) * n // 2)
     coeff = paper_sign / (TWO_PI_I ** n * math.factorial(n))
-    rhs = coeff * omega_tau(cover, tau).component((0,))
+    omega = omega_tau(cover, tau)
+    rhs = coeff * omega.component((0,))
 
     res_paper = float(np.max(np.abs(lhs - rhs)))
     res_flip = float(np.max(np.abs(lhs + rhs)))
@@ -337,6 +336,7 @@ def verify_prop_chern(cover, tau, tol=1e-8, flat_tol=1e-9):
         "selfadjoint": mf.selfadjoint,
         "lhs_integral": complex(np.mean(lhs)),
         "rhs_integral": complex(np.mean(rhs)),
+        "omega_integral": omega.integrate(),
         "passed": res_paper <= tol and flat2 <= flat_tol,
         "grid": cover.grid.n,
     }

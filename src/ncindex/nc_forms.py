@@ -25,8 +25,9 @@ length k per slot: merges are index maps, and a product is one BLAS
 product per grid point that also sums the slot the group law fuses.
 Over an infinite group (the lattice deck groups of covers) it is a dict
 keyed by tuple, and a product takes one pair of entries at a time along
-the grid: a dense window of the lattice would be mostly zeros (270 MB
-for a four-arc cover), while tuple dicts over Z/7 take ten times as long.
+the grid, over their live rows and columns only: a dense window of the
+lattice would be mostly zeros (270 MB for a four-arc cover), while tuple
+dicts over Z/7 take ten times as long.
 The characters read only the trace of their last product, so
 `MixedForm.traced_product` forms just that, with n^2 times fewer entries.
 
@@ -259,12 +260,35 @@ class JetFunction:
 def _jet_mul(x, y, ndim):
     """Product of two matrices of jets, (n, l, J, G) and (l, m, J, G)
     arrays: a matrix product, by Leibniz in the jets and pointwise on the
-    G grid points, broadcast along the grid."""
+    G grid points, one `einsum` per Leibniz term."""
     J = min(x.shape[-2], y.shape[-2])
     out = np.zeros((len(x), y.shape[1], J, x.shape[-1]),
                    dtype=np.result_type(x, y))
     for o, i, j, c in _jet_layout(ndim, _jet_order(ndim, J)).mul_table:
-        out[:, :, o] += c * np.sum(x[:, :, None, i] * y[None, :, :, j], 1)
+        term = np.einsum("nlg,lmg->nmg", x[:, :, i], y[:, :, j])
+        if c != 1:
+            term *= c
+        out[:, :, o] += term
+    return out
+
+
+def _live(x):
+    """The live rows and columns of a matrix of jets: those with a
+    nonzero jet at some grid point."""
+    nonzero = x.any(axis=(2, 3))
+    return nonzero.any(1), nonzero.any(0)
+
+
+def _live_mul(x, rows, inner, y, cols, ndim):
+    """`_jet_mul(x, y)` over the masked rows of x, inner indices and
+    columns of y only, written into a full (n, m, J, G) array: exact
+    when the masks hold every live row, inner index and column."""
+    if rows.all() and inner.all() and cols.all():
+        return _jet_mul(x, y, ndim)
+    r, k, c = map(np.flatnonzero, (rows, inner, cols))
+    part = _jet_mul(x[np.ix_(r, k)], y[np.ix_(k, c)], ndim)
+    out = np.zeros((len(x), y.shape[1]) + part.shape[2:], dtype=part.dtype)
+    out[np.ix_(r, c)] = part
     return out
 
 
@@ -367,8 +391,10 @@ class _DenseBlocks:
 
 class _TupleBlocks:
     """Blocks over an infinite group: a dict from group tuples to entries,
-    all with one jet order.  Products pair single entries on long grids,
-    so they broadcast along the grid (`_jet_mul`)."""
+    all with one jet order.  Products pair single entries on long grids
+    (`_jet_mul`), each over its live rows and columns only: the entries
+    of a flat projection are sparse matrices of jets.  A block may be
+    empty."""
 
     def __init__(self, spec, ndim):
         self.ndim, self.e, self.mul = ndim, spec.identity(), spec.mul
@@ -389,7 +415,8 @@ class _TupleBlocks:
         return {t: fn(x) for t, x in block.items()}
 
     def add(self, a, b):
-        J = min(next(iter(c.values())).shape[-2] for c in (a, b))
+        J = min((next(iter(c.values())).shape[-2] for c in (a, b) if c),
+                default=None)
         return self._collect((t, x[..., :J, :]) for c in (a, b)
                              for t, x in c.items())
 
@@ -402,8 +429,21 @@ class _TupleBlocks:
             for t, x in block.items())
 
     def outer(self, a, b, fuse=False):
-        out = self._collect((s + t, _jet_mul(x, y, self.ndim))
-                            for s, x in a.items() for t, y in b.items())
+        left = [(s, x, *_live(x)) for s, x in a.items()]
+        right = [(t, y, *_live(y)) for t, y in b.items()]
+
+        def products():
+            # x y over the live rows of x, the indices live in both x's
+            # columns and y's rows, and the live columns of y; with no
+            # such index the product is exactly zero and gives no entry
+            for s, x, rows, x_cols in left:
+                for t, y, y_rows, cols in right:
+                    inner = x_cols & y_rows
+                    if inner.any():
+                        yield s + t, _live_mul(x, rows, inner, y, cols,
+                                               self.ndim)
+
+        out = self._collect(products())
         return self.merge(out, len(next(iter(a))) - 1) if fuse else out
 
     def prepend_e(self, block):
@@ -414,9 +454,17 @@ class _TupleBlocks:
 
     @staticmethod
     def _collect(pairs):
-        out = {}
+        """Sum the entries of equal tuples.  A sum accumulates in place
+        only in an array allocated here, never in an input."""
+        out, own = {}, set()
         for t, x in pairs:
-            out[t] = out[t] + x if t in out else x
+            if t not in out:
+                out[t] = x
+            elif t in own and out[t].dtype == np.result_type(out[t], x):
+                out[t] += x
+            else:
+                out[t] = out[t] + x
+                own.add(t)
         return out
 
 
@@ -438,6 +486,11 @@ def _merge_axes(a, b):
     if set(a) & set(b):
         return None, 0
     return tuple(sorted(a + b)), (-1) ** sum(x > y for x in a for y in b)
+
+
+def _signed(lay, block, sign):
+    """The block times a sign of +-1; at +1 the block itself."""
+    return block if sign == 1 else lay.apply(block, lambda x: sign * x)
 
 
 class MixedForm:
@@ -586,8 +639,7 @@ class MixedForm:
             # the terms i < a merge slots of the left word only
             folded = None
             for i in range(qa):
-                sign = (-1) ** (qa - i)
-                part = lay.apply(lay.merge(a, i), lambda x: sign * x)
+                part = _signed(lay, lay.merge(a, i), (-1) ** (qa - i))
                 folded = part if folded is None else lay.add(folded, part)
             for (qb, ax_b), b in right.items():
                 axes, sign = _merge_axes(ax_a, ax_b)
@@ -599,7 +651,7 @@ class MixedForm:
                         block = lay.add(block, lay.outer(folded, b))
                     sign *= (-1) ** (qa * len(ax_b))
                     out._add((qa + qb, axes),
-                             lay.kill(lay.apply(block, lambda x: sign * x)))
+                             lay.kill(_signed(lay, block, sign)))
         return out
 
     # -- differential -------------------------------------------------

@@ -76,6 +76,31 @@ def test_bott_projector_is_projection():
     assert (P.star() - P).max_abs() <= 1e-12
 
 
+def _bott_projector_by_words(grid):
+    """(1 + n.sigma)/2 as four `add_term` calls, one word per matrix."""
+    jets = chern._sphere_field(grid)
+    spec = GroupSpec.trivial()
+    P = MixedForm.zero(grid, spec, 2, kalg=2)
+    P.add_term(ScalarForm.function(JetFunction.constant(grid, 0.5, order=1)),
+               (GAMatrix(spec, 2, {spec.identity(): np.eye(2)}),))
+    for jet, sigma in ((jets["n1"], [[0, 1], [1, 0]]),
+                       (jets["n2"].scale(-1.0), [[0, -1j], [1j, 0]]),
+                       (jets["n3"], [[1, 0], [0, -1]])):
+        P.add_term(ScalarForm.function(jet.scale(0.5)),
+                   (GAMatrix(spec, 2, {spec.identity(): np.array(sigma)}),))
+    return P
+
+
+@pytest.mark.parametrize("n", [7, 32])
+def test_bott_projector_entries_are_the_word_sum(n):
+    grid = ChartGrid2D(n)
+    (got,), (want,) = (list(P.entries()) for P in (
+        bott_projector(grid), _bott_projector_by_words(grid)))
+    assert got[:2] == want[:2]
+    assert got[2].dtype == want[2].dtype and got[2].shape == want[2].shape
+    assert np.array_equal(got[2], want[2])
+
+
 def test_chern_odd_identity_vanishes():
     one = MixedForm.one(GRID, Z3, 2, 4)
     assert chern_odd(one, 2).max_abs() <= 1e-13

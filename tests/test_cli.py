@@ -413,6 +413,33 @@ def test_experiments_run_serially_with_real_wall_times(tmp_path,
     assert sum(e["wall_time_s"] for e in detail["experiments"]) <= elapsed
 
 
+def test_covering_check_builds_each_omega_once(monkeypatch):
+    """The bump-independence row reads the first cover's omega integral
+    from the `verify_prop_chern` report, so each cover builds omega_tau
+    once."""
+    from ncindex import covering
+    built = []
+    omega_tau = covering.omega_tau
+
+    def counted(cover, tau):
+        built.append(cover)
+        return omega_tau(cover, tau)
+
+    monkeypatch.setattr(covering, "omega_tau", counted)
+    rows, _wall, err = cli.run_experiment(
+        {"id": "c", "kind": "covering-check", "arcs": 3, "grid_size": 256},
+        0)
+    assert err is None and all(r["passed"] for r in rows)
+    assert len(built) == 2 and built[0] is not built[1]
+    row = next(r for r in rows
+               if r["check"] == "omega_integral_bump_independence")
+    monkeypatch.undo()
+    cover = built[0]
+    w1 = covering.omega_integral(cover, covering.winding_cocycle(
+        cover.deck_spec))
+    assert row["value"] == cli._fmt(w1)
+
+
 def test_table_defaults_pass_their_checks():
     for kind, fields in cli._FIELDS.items():
         for key, (check, default) in fields.items():

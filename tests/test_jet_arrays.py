@@ -8,10 +8,14 @@ import itertools
 import numpy as np
 import pytest
 
-from ncindex.covering import CoverData, build_mf_projection
+from ncindex import nc_forms
+from ncindex.chern import chern_even
+from ncindex.covering import (CoverData, build_mf_projection,
+                              verify_prop_chern, winding_cocycle)
 from ncindex.group_algebra import GAMatrix, GroupSpec
 from ncindex.nc_forms import (ChartGrid2D, CircleGrid, JetFunction,
-                              MixedForm, ScalarForm, _jet_layout, _jet_mul)
+                              MixedForm, ScalarForm, _blocks, _jet_layout,
+                              _jet_mul, _jet_order)
 from ncindex.testing import (_real_trig, random_projection_form,
                              random_unitary_form)
 
@@ -318,3 +322,166 @@ def test_jet_mul_column_times_row(grid):
                * JetFunction.from_stack(grid,
                                         y[0, b].reshape((J,) + grid.shape)))
         assert np.array_equal(out[a, b], jet.stack.reshape(J, G))
+
+
+# ---------------------------------------------------------------------
+# the lattice-cover product: one einsum per Leibniz term, over live rows
+# and columns only
+# ---------------------------------------------------------------------
+
+
+def _jet_mul_broadcast(x, y, ndim):
+    """The product as a full (n, l, m, G) broadcast per Leibniz term,
+    summed over l: the kernel `_jet_mul` replaced."""
+    J = min(x.shape[-2], y.shape[-2])
+    out = np.zeros((len(x), y.shape[1], J, x.shape[-1]),
+                   dtype=np.result_type(x, y))
+    for o, i, j, c in _jet_layout(ndim, _jet_order(ndim, J)).mul_table:
+        out[:, :, o] += c * np.sum(x[:, :, None, i] * y[None, :, :, j], 1)
+    return out
+
+
+def _outer_all_pairs(lay, a, b, fuse=False):
+    """`_TupleBlocks.outer` as it was: every pair of entries, whole."""
+    out = lay._collect((s + t, _jet_mul_broadcast(x, y, lay.ndim))
+                       for s, x in a.items() for t, y in b.items())
+    return lay.merge(out, len(next(iter(a))) - 1) if fuse else out
+
+
+@pytest.mark.parametrize("field", [float, complex])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_jet_mul_matches_the_broadcast_kernel(ndim, field):
+    """Real products are bitwise the broadcast ones.  A complex product
+    may round differently, since numpy's complex multiply can fuse a
+    multiply and an add where einsum does not: within 16 eps of the
+    product of the magnitudes."""
+    rng = np.random.default_rng(60 + ndim)
+    eps = np.finfo(float).eps
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field is complex else x
+
+    for (n, l, m), (ox, oy) in itertools.product(
+            itertools.product(range(1, 5), repeat=3),
+            itertools.product(range(3), repeat=2)):
+        jx, jy = (len(_jet_layout(ndim, o).indices) for o in (ox, oy))
+        x, y = draw((n, l, jx, 5)), draw((l, m, jy, 5))
+        got = _jet_mul(x, y, ndim)
+        want = _jet_mul_broadcast(x, y, ndim)
+        assert got.shape == want.shape == (n, m, min(jx, jy), 5)
+        assert got.dtype == want.dtype == np.dtype(field)
+        if field is float:
+            assert np.array_equal(got, want)
+        else:
+            size = _jet_mul_broadcast(np.abs(x), np.abs(y), ndim)
+            assert np.all(np.abs(got - want) <= 16 * eps * size)
+
+
+def _assert_same_block(got, want):
+    """Entry by entry: every entry of got is bitwise the oracle's, and an
+    oracle entry that got lacks is exactly zero."""
+    assert set(got) <= set(want)
+    for t, x in want.items():
+        if t in got:
+            assert got[t].dtype == x.dtype and np.array_equal(got[t], x)
+        else:
+            assert not x.any()
+
+
+def _cover_blocks(n_arcs):
+    cover = CoverData.standard(CircleGrid(128), n_arcs=n_arcs)
+    P = build_mf_projection(cover).form
+    dP = P.dtot()
+    return P.layout, [b for form in (P, dP, dP @ dP)
+                      for b in form.terms.values()]
+
+
+def _as_row(x):
+    return x.reshape(x.shape[:-4] + (1, -1) + x.shape[-2:])
+
+
+def _as_column(y):
+    y = y.swapaxes(-4, -3)
+    return y.reshape(y.shape[:-4] + (-1, 1) + y.shape[-2:])
+
+
+@pytest.mark.parametrize("n_arcs", [3, 4])
+def test_outer_matches_all_pairs_on_covers(n_arcs):
+    """Products of the blocks of P, dP and dP dP of a cover, fused and
+    not, and traced as `MixedForm.traced_product` views them."""
+    lay, blocks = _cover_blocks(n_arcs)
+    zero_pairs = 0
+    for a, b in itertools.product(blocks, repeat=2):
+        for fuse in (False, True):
+            want = _outer_all_pairs(lay, a, b, fuse)
+            _assert_same_block(lay.outer(a, b, fuse), want)
+            zero_pairs += sum(not x.any() for x in want.values())
+        rows = lay.apply(a, _as_row)
+        cols = lay.apply(b, _as_column)
+        _assert_same_block(lay.outer(rows, cols, True),
+                           _outer_all_pairs(lay, rows, cols, True))
+    assert zero_pairs > 0
+
+
+@pytest.mark.parametrize("n_arcs", [3, 4])
+def test_cover_character_matches_all_pair_products(monkeypatch, n_arcs):
+    cover = CoverData.standard(CircleGrid(128), n_arcs=n_arcs)
+    mf = build_mf_projection(cover)
+    got = chern_even(mf, 1)
+    monkeypatch.setattr(nc_forms._TupleBlocks, "outer", _outer_all_pairs)
+    want = chern_even(mf, 1)
+    assert list(got.terms) == list(want.terms)
+    for key, block in want.terms.items():
+        _assert_same_block(got.terms[key], block)
+        assert set(got.terms[key]) == set(block)
+
+
+def test_pair_with_an_exactly_zero_product_gives_no_entry():
+    lay = _blocks(GroupSpec.lattice(1), 1)
+    rng = np.random.default_rng(61)
+    x = np.zeros((3, 3, 2, 8))
+    y = np.zeros((3, 3, 2, 8))
+    x[0, 1] = rng.standard_normal((2, 8))   # column 1 of x is live
+    y[2] = rng.standard_normal((3, 2, 8))   # only row 2 of y is live
+    a, b = {((0,),): x}, {((1,),): y}
+    assert lay.outer(a, b) == {}
+    assert list(_outer_all_pairs(lay, a, b)) == [((0,), (1,))]
+    # an empty block passes through the block operations
+    c = {((2,),): y}
+    for got in (lay.add(lay.outer(a, b), c), lay.add(c, {})):
+        assert list(got) == list(c) and np.array_equal(got[((2,),)], y)
+    assert lay.add({}, {}) == {} and lay.merge({}, 0) == {}
+    assert lay.kill({}) == {} and lay.apply({}, np.negative) == {}
+    assert lay.prune({}) is None
+
+
+def test_standard_cover_makes_one_untrimmed_pair_product(monkeypatch):
+    """Of the pair products of one 3-arc `verify_prop_chern`, only P_e P_e
+    in the idempotence check has every row, inner index and column
+    live; every other one is trimmed or skipped."""
+    full = []
+    live_mul = nc_forms._live_mul
+
+    def counted(x, rows, inner, y, cols, ndim):
+        full.append(rows.all() and inner.all() and cols.all())
+        return live_mul(x, rows, inner, y, cols, ndim)
+
+    monkeypatch.setattr(nc_forms, "_live_mul", counted)
+    cover = CoverData.standard(CircleGrid(256))
+    assert verify_prop_chern(cover, winding_cocycle(cover.deck_spec))[
+        "passed"]
+    assert sum(full) == 1 and len(full) > 1
+
+
+def test_collect_writes_into_no_input():
+    lay = _blocks(GroupSpec.lattice(1), 1)
+    rng = np.random.default_rng(62)
+    xs = [rng.standard_normal((2, 2, 2, 4)) for _ in range(3)]
+    xs.append(1j * rng.standard_normal((2, 2, 2, 4)))
+    copies = [x.copy() for x in xs]
+    t = ((0,),)
+    got = lay._collect((t, x) for x in xs)
+    assert np.array_equal(got[t], ((xs[0] + xs[1]) + xs[2]) + xs[3])
+    assert all(np.array_equal(x, c) for x, c in zip(xs, copies))
+    assert all(got[t] is not x for x in xs)

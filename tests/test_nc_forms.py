@@ -291,6 +291,36 @@ def test_products_merge_exactly(spec):
     assert len(_entry_map(P @ P - P)) <= len(_entry_map(P))
 
 
+def _snapshot(form):
+    return {key: x.copy() for key, x in _entry_map(form).items()}
+
+
+def _unchanged(form, snap):
+    got = _entry_map(form)
+    return set(got) == set(snap) and all(
+        np.array_equal(x, snap[key]) for key, x in got.items())
+
+
+@pytest.mark.parametrize("spec", [SPEC, GroupSpec.lattice(1),
+                                  GroupSpec.trivial()],
+                         ids=["Z3", "Z", "trivial"])
+def test_operations_leave_their_operands_unchanged(spec):
+    """`@`, `traced_product` and `+` write into no array of an operand,
+    also where a block passes through with the sign +1 unscaled."""
+    rng = np.random.default_rng(16)
+    # over the trivial group every word of algebra degree >= 1 dies
+    q = 0 if spec == GroupSpec.trivial() else 1
+    a = random_mixed_form(GRID, spec, 2, 0, q, rng, kalg=6)
+    b = random_mixed_form(GRID, spec, 2, 1, q, rng, kalg=6)
+    forms = [a, b, a.dtot(), b + a.dtot()]
+    assert all(f.terms for f in forms)
+    snaps = [_snapshot(f) for f in forms]
+    for x, y in itertools.product(forms, repeat=2):
+        results = [x @ y, x.traced_product(y), (x + y) + x]
+        assert results[2].terms
+        assert all(_unchanged(f, snap) for f, snap in zip(forms, snaps))
+
+
 def test_exact_cancellations_are_dropped():
     from ncindex.covering import CoverData, build_mf_projection
 
