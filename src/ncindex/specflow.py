@@ -4,16 +4,12 @@ the odd pairing on truncations.
 
 Every matrix stays in the field of its entries, so real symmetric
 samples take LAPACK's real routines, at about a third of the cost.
-One structural test, `_diagonal`, finds the matrices with no nonzero
-entry off the diagonal: each mode window of `verify_oddind`, the
-projections built from them and the samples of a translation path.
-`_eigh` sends such a matrix to LAPACK as its 1 x 1 blocks in one
-batched call; `relative_index` reads the spectrum and range of a
-diagonal projection off its diagonal, and for two of them the kernel
-and cokernel of the compression are the modes in one range only, with
-no SVD; a refinement step between two diagonal samples compares their
-diagonals.  Any other matrix takes the dense route, at the cost of the
-one test.
+A matrix is tested for diagonality once, where it enters the module
+(`_compact`); a diagonal one then travels as the 1-D array of its
+diagonal, which every helper takes.  The mode windows of
+`verify_oddind`, their projections and the samples of a translation
+path are diagonal: `_eigh` sends one to LAPACK as 1 x 1 blocks in one
+batched call, and the relative index of two needs no SVD.
 
 Spectral flow counts signed eigenvalue crossings through zero; on finite
 matrices this is the drop of the negative-eigenvalue count from one end
@@ -51,57 +47,48 @@ class SelfAdjointPath:
     delta_c / 2 (enforced via the operator-norm bound on the difference,
     see `norm_exceeds`); refinement bisects until that holds, and raises
     CrossingUnresolved when the budget is exhausted or the path jumps
-    (the bound still fails on a step shorter than 1e-6).  Each sample is
-    checked self-adjoint as it is taken, and its diagonal (see
-    `_diagonal`) is kept, so a step between two diagonal samples is
-    compared on their diagonals alone.
+    (the bound still fails on a step shorter than 1e-6).  A path has at
+    least one sample and one time per sample.  `mats` keeps the samples
+    as given; each is checked self-adjoint as it is taken and kept in
+    compact form too, which the refinement and the endpoint flow read.
     """
 
-    def __init__(self, ts, mats, delta_c=1e-2, sa_tol=1e-10):
-        self.ts, self.mats, self._diags = [], [], []
+    def __init__(self, ts, mats, delta_c=1e-2):
+        ts, mats = list(ts), list(mats)
+        if not 0 < len(ts) == len(mats):
+            raise ValueError(f"path needs one time per sample, and a sample;"
+                             f" got {len(ts)} times, {len(mats)} samples")
+        self.ts, self.mats, self._samples = [], [], []
         self.delta_c = delta_c
-        self._sa_tol = sa_tol
         for t, m in zip(ts, mats):
             self._insert(len(self.ts), t, m)
 
     def _insert(self, i, t, mat):
         """Check the sample `mat` at `t` and put it in place `i`."""
         mat = _own_field(mat)
-        diag = _diagonal(mat)
-        if not _sa_residual(mat, diag) <= self._sa_tol:
+        x = _compact(mat)
+        if not _sa_residual(x) <= 1e-10:
             raise ValueError("path sample is not self-adjoint")
         self.ts.insert(i, t)
         self.mats.insert(i, mat)
-        self._diags.insert(i, diag)
-
-    def _step(self, i):
-        """Sample i minus sample i + 1: its diagonal when both samples
-        are diagonal, else the matrix."""
-        da, db = self._diags[i:i + 2]
-        if da is not None and db is not None:
-            return da - db
-        return self.mats[i] - self.mats[i + 1]
+        self._samples.insert(i, x)
 
     @classmethod
     def from_callable(cls, fn, delta_c=1e-2, initial=9, max_samples=4096):
-        path = cls([], [], delta_c)
-        for t in np.linspace(0.0, 1.0, initial):
-            path._insert(len(path.ts), t, fn(t))
+        ts = np.linspace(0.0, 1.0, initial)
+        path = cls(ts, [fn(t) for t in ts], delta_c)
         ts = path.ts
         i = 0
         while i < len(ts) - 1:
             a, b = ts[i], ts[i + 1]
-            diff = path._step(i)
-            if not (_max_abs_exceeds(diff, delta_c / 2) if diff.ndim == 1
-                    else norm_exceeds(diff, delta_c / 2)):
+            diff = _difference(*path._samples[i:i + 2])
+            if not norm_exceeds(diff, delta_c / 2):
                 i += 1
                 continue
             if b - a < 1e-6:
-                gap = np.max(np.abs(diff)) if diff.ndim == 1 \
-                    else np.linalg.norm(diff, 2)
                 raise CrossingUnresolved(
-                    f"path jumps by {gap:.3g} > delta_c / 2 = "
-                    f"{delta_c / 2:.3g} at t = {a:.9g}")
+                    f"path jumps by {np.linalg.norm(_dense(diff), 2):.3g} "
+                    f"> delta_c / 2 = {delta_c / 2:.3g} at t = {a:.9g}")
             if len(ts) >= max_samples:
                 raise CrossingUnresolved(
                     f"refinement budget of {max_samples} samples exhausted")
@@ -131,50 +118,55 @@ _BOUND_SLACK = 1e-12
 def norm_exceeds(diff, bound):
     """Whether the spectral norm of `diff` exceeds `bound`.
 
-    A diagonal `diff` has the largest |entry| as its norm, compared
-    exactly.  Otherwise two O(n^2) bounds settle most steps: the largest
+    `diff` is a matrix or the 1-D array of a diagonal one, whose norm is
+    its largest |entry|, compared exactly (a NaN entry exceeds every
+    bound).  Otherwise two O(n^2) bounds settle most steps: the largest
     column 2-norm is at most the spectral norm, and the Schur test
     sqrt(||A||_1 ||A||_inf) at least.  Only when the threshold lies
     between them are the singular values taken.
     """
-    d = _diagonal(diff)
-    if d is not None:
-        return _max_abs_exceeds(d, bound)
-    a = np.abs(diff)
+    x = _compact(diff)
+    if x.ndim == 1:
+        return not np.max(np.abs(x), initial=0.0) <= bound
+    a = np.abs(x)
     if np.sqrt(np.max(np.einsum("ij,ij->j", a, a))) \
             > bound * (1 + _BOUND_SLACK):
         return True
     schur = np.sqrt(np.max(np.sum(a, axis=0)) * np.max(np.sum(a, axis=1)))
     if schur <= bound * (1 - _BOUND_SLACK):
         return False
-    return bool(np.linalg.norm(diff, 2) > bound)
+    return bool(np.linalg.norm(x, 2) > bound)
 
 
-def _max_abs_exceeds(d, bound):
-    """Whether max |d| exceeds `bound`; an entry that is NaN does."""
-    return not np.max(np.abs(d), initial=0.0) <= bound
-
-
-def _diagonal(mat):
-    """The diagonal of `mat` when `mat` is square with every entry off
-    the diagonal zero, else None.  The off-diagonal entries are read as
-    the strided view that skips the diagonal; a NaN there counts as
-    nonzero."""
+def _compact(mat):
+    """`mat` in compact form: the 1-D array of its diagonal when `mat`
+    is square with every entry off the diagonal zero, else `mat` itself
+    (so a 1-D array is compact already).  The off-diagonal entries are
+    read as the strided view that skips the diagonal; a NaN there counts
+    as nonzero.  The module's one diagonality scan."""
     n = len(mat)
     if mat.shape != (n, n):
-        return None
+        return mat
     if n > 1 and mat.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
-        return None
+        return mat
     return np.diagonal(mat)
 
 
-def _sa_residual(mat, diag):
-    """max |mat - mat*|, read off the diagonal `diag` of `mat` when it
-    is not None (every other entry of the difference is zero).  NaN
-    when an entry is NaN, so a guard `not (residual <= tol)` fails."""
-    if diag is not None:
-        return np.max(np.abs(diag - diag.conj()), initial=0.0)
-    return np.max(np.abs(mat - _adjoint(mat)), initial=0.0)
+def _dense(x):
+    """The matrix that the compact `x` stands for."""
+    return np.diag(x) if x.ndim == 1 else x
+
+
+def _difference(x, y):
+    """x - y of two compact samples, a 1-D one against a matrix expanded."""
+    return x - y if x.ndim == y.ndim else _dense(x) - _dense(y)
+
+
+def _sa_residual(x):
+    """max |x - x*| of the compact `x`, where a 1-D `x` is its own
+    transpose.  NaN when an entry is NaN, so a guard
+    `not (residual <= tol)` fails."""
+    return np.max(np.abs(x - _adjoint(x)), initial=0.0)
 
 
 def _own_field(x):
@@ -197,7 +189,7 @@ def spectral_flow(path, margin_filter=None):
     eigenvectors and returns one rejection flag per column.  Both
     endpoints must be invertible on the retained subspace.
     """
-    return _endpoint_flow(_eigh(path.mats[0]), _eigh(path.mats[-1]),
+    return _endpoint_flow(_eigh(path._samples[0]), _eigh(path._samples[-1]),
                           path.delta_c, margin_filter)
 
 
@@ -222,25 +214,25 @@ def _endpoint_flow(first, last, delta_c, margin_filter):
 def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
     """Fredholm index of the compression Q P : ran P -> ran Q.
 
-    P and Q must be self-adjoint within `proj_tol`, with every
-    eigenvalue within `proj_tol` of 0 or 1.  Kernel and cokernel
-    dimensions come from singular values of the compression below
-    `eps_k`; a `spurious` callback may reject vectors (in ambient
-    coordinates, one per column) that are finite-truncation artifacts.
-    When both are diagonal, ran P and ran Q are spanned by unit vectors,
-    and the kernel and cokernel are those of the modes in one range and
-    not in the other, with no compression to decompose.
+    P and Q, matrices or the 1-D arrays of diagonal ones, must be
+    self-adjoint within `proj_tol`, with every eigenvalue within
+    `proj_tol` of 0 or 1.  Kernel and cokernel dimensions come from
+    singular values of the compression below `eps_k`; a `spurious`
+    callback may reject vectors (in ambient coordinates, one per column)
+    that are finite-truncation artifacts.  When both are diagonal, ran P
+    and ran Q are spanned by unit vectors, and the kernel and cokernel
+    are those of the modes in one range and not in the other, with no
+    compression to decompose.
     """
-    inp, bp = _projection_range(_own_field(P), "P", proj_tol)
-    inq, bq = _projection_range(_own_field(Q), "Q", proj_tol)
-    if bp is None and bq is None:
-        ker, coker = inp & ~inq, inq & ~inp
-        if spurious is None:
-            return int(np.sum(ker) - np.sum(coker))
-        ker, coker = _unit_vectors(ker), _unit_vectors(coker)
+    if len(P) != len(Q):
+        raise ValueError(f"P of shape {np.shape(P)} and Q of shape "
+                         f"{np.shape(Q)} act on spaces of different sizes")
+    p = _projection_range(_compact(_own_field(P)), "P", proj_tol)
+    q = _projection_range(_compact(_own_field(Q)), "Q", proj_tol)
+    if p.ndim == q.ndim == 1:
+        ker, coker = _range_basis(p & ~q), _range_basis(q & ~p)
     else:
-        bp = _unit_vectors(inp) if bp is None else bp
-        bq = _unit_vectors(inq) if bq is None else bq
+        bp, bq = _range_basis(p), _range_basis(q)
         comp = bq.conj().T @ bp
         if comp.size == 0:
             # an empty range: all of ran P is kernel, all of ran Q cokernel
@@ -255,43 +247,42 @@ def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
     return int(np.sum(~spurious(ker)) - np.sum(~spurious(coker)))
 
 
-def _projection_range(M, name, tol):
-    """Check that `M` is a projection, as `relative_index` states, and
-    return `(mask, basis)`: for a diagonal M, the mask of the modes that
-    span its range and no basis; else no mask and an orthonormal basis
-    of the range, from one `eigh`.  The spectral residual
-    max |w^2 - w| bounds every entry of M^2 - M."""
-    d = _diagonal(M)
-    if not _sa_residual(M, d) <= tol:
+def _projection_range(x, name, tol):
+    """Check that the compact `x` is a projection, as `relative_index`
+    states, and return its range: for a 1-D diagonal, the mask of the
+    modes that span it; else an orthonormal basis, from one `eigh`.
+    The spectral residual max |w^2 - w| bounds every entry of x^2 - x."""
+    if not _sa_residual(x) <= tol:
         raise NotAProjection(f"{name} is not self-adjoint")
-    w, v = (d.real, None) if d is not None else np.linalg.eigh(M)
+    w, v = (x.real, None) if x.ndim == 1 else np.linalg.eigh(x)
     if not np.max(np.abs(w * w - w), initial=0.0) <= tol:
         raise NotAProjection(f"{name} has an eigenvalue away from 0 and 1")
-    if v is None:
-        return w > 0.5, None
-    return None, v[:, w > 0.5]
+    return w > 0.5 if v is None else v[:, w > 0.5]
 
 
-def _unit_vectors(mask):
-    """The unit coordinate vectors of the modes in `mask`, as columns."""
-    return np.eye(len(mask))[:, mask]
+def _range_basis(r):
+    """A range from `_projection_range` as orthonormal columns: the unit
+    coordinate vectors of the modes in a 1-D mask, or the basis itself."""
+    return np.eye(len(r))[:, r] if r.ndim == 1 else r
 
 
 def _eigh(mat):
-    """`np.linalg.eigh(mat)`, where a diagonal `mat` goes to LAPACK as
-    its 1 x 1 blocks in one batched call, so every decomposition stays
-    one `eigh` call, as the tracer and the call-count tests count them.
+    """`np.linalg.eigh(mat)`, where a diagonal `mat`, or the 1-D array
+    of its diagonal, goes to LAPACK as its 1 x 1 blocks in one batched
+    call, so every decomposition stays one `eigh` call, as the tracer
+    and the call-count tests count them.
 
     Eigenvalues come out ascending; a diagonal matrix keeps its ties in
     diagonal order and has the unit coordinate vectors as eigenvectors.
     """
-    d = _diagonal(mat)
-    if d is None:
-        return np.linalg.eigh(mat)
-    w, unit = np.linalg.eigh(d[:, None, None])
+    x = _compact(mat)
+    if x.ndim == 2:
+        return np.linalg.eigh(x)
+    n = len(x)
+    w, unit = np.linalg.eigh(x[:, None, None])
     order = np.argsort(w[:, 0], kind="stable")
-    v = np.zeros(mat.shape, dtype=unit.dtype)
-    v[order, np.arange(len(d))] = unit[order, 0, 0]
+    v = np.zeros((n, n), dtype=unit.dtype)
+    v[order, np.arange(n)] = unit[order, 0, 0]
     return w[order, 0], v
 
 
@@ -378,13 +369,14 @@ def conjugate_by_shift(mat, m):
     """U mat U* for U = shift_matrix(fc, m) on the window of `mat`, as an
     index map: entry (j, l) is mat[j + m, l + m], zero where that index
     leaves the window.  Equal to the product bit for bit, since every
-    summand of it but one is an exact zero."""
-    mat = _own_field(mat)
-    n = mat.shape[0]
-    out = np.zeros_like(mat)
+    summand of it but one is an exact zero.  A 1-D `mat` stands for a
+    diagonal matrix and gives the 1-D diagonal of the product."""
+    x = _own_field(mat)
+    n = len(x)
+    out = np.zeros_like(x)
     lo, hi = max(0, -m), min(n, n - m)
     if lo < hi:
-        out[lo:hi, lo:hi] = mat[lo + m:hi + m, lo + m:hi + m]
+        out[(slice(lo, hi),) * x.ndim] = x[(slice(lo + m, hi + m),) * x.ndim]
     return out
 
 
@@ -421,19 +413,19 @@ def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
     Spectral flow of the path D + A -> (1-t) D + t U D U* -> U (D + A) U*
     (trivialized endpoints) against the relative index of the nonnegative
     spectral projections, for U the winding symbol of degree m.  The flow
-    is read off the two endpoints alone (see `spectral_flow`); the one
-    `eigh` of `start` also gives P.  Boundary modes are excluded by the
+    is read off the two endpoints alone (see `spectral_flow`), and P off
+    the diagonal of `start`.  Boundary modes are excluded by the
     margin; the two sides agree after the pinned orientation.  The
     count is only right when |m| <= edge_width(fc, margin) <= fc - |m|
     (see `edge_width`); outside it the two sides may still match.
     """
-    start = truncated_dirac(fc) + default_trivializer(fc, shift)
+    start = _compact(truncated_dirac(fc) + default_trivializer(fc, shift))
     reject = boundary_mass_filter(fc, margin)
     eig = _eigh(start)
     spfl = _endpoint_flow(eig, _eigh(conjugate_by_shift(start, m)),
                           delta_c, reject)
 
-    P = _nonneg_part(*eig)
+    P = _nonneg_part(start, *eig)
     Q = conjugate_by_shift(P, m)
     rel = relative_index(P, Q, spurious=reject)
     adjusted = RELATIVE_INDEX_ORIENTATION * rel
@@ -449,10 +441,14 @@ def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
 
 
 def _nonneg_projection(mat):
-    return _nonneg_part(*_eigh(mat))
+    return _dense(_nonneg_part(_compact(mat), *_eigh(mat)))
 
 
-def _nonneg_part(w, v):
-    """Projection onto the eigenvectors `v` of eigenvalues `w` >= 0."""
+def _nonneg_part(x, w, v):
+    """Projection onto the eigenvectors `v` of eigenvalues `w` >= 0 of
+    the compact `x`; for a 1-D diagonal, whose eigenvectors are unit
+    vectors, the 1-D diagonal x >= 0."""
+    if x.ndim == 1:
+        return (x.real >= 0.0).astype(float)
     keep = v[:, w >= 0.0]
     return keep @ keep.conj().T

@@ -21,6 +21,9 @@ from .nc_forms import JetFunction, MixedForm, ScalarForm, _jet_mul
 
 TWO_PI = 2.0 * np.pi
 
+#: random lattice cochains vanish past this step (alternating ones: twice it)
+_LATTICE_SPAN = 12
+
 
 def random_projection_matrix(spec, n, rng, rank_choices=(1,)):
     """Random self-adjoint idempotent in M_n(C[Z/k])."""
@@ -137,7 +140,7 @@ def random_unitary_form(grid, spec, n, rng, kalg=5, order=2):
     return _from_sectors(grid, spec, np.stack(sectors), n, kalg)
 
 
-def random_alternating_cocycle(spec, degree, rng, span=12):
+def random_alternating_cocycle(spec, degree, rng):
     """Random alternating invariant group cochain (not closed).
 
     Built by antisymmetrizing an invariant table over all argument
@@ -151,7 +154,7 @@ def random_alternating_cocycle(spec, degree, rng, span=12):
     else:
         def diff(a, b):
             return b[0] - a[0]
-        keys = range(-2 * span, 2 * span + 1)
+        keys = range(-2 * _LATTICE_SPAN, 2 * _LATTICE_SPAN + 1)
     table = {}
     for tup in itertools.product(keys, repeat=degree):
         table[tup] = complex(rng.standard_normal(), rng.standard_normal())
@@ -179,12 +182,12 @@ def random_alternating_cocycle(spec, degree, rng, span=12):
     return GroupCocycle(spec, degree, fn)
 
 
-def random_odd_winding_cocycle(rng, span=12):
+def random_odd_winding_cocycle(rng):
     """Random degree-one alternating invariant cochain on the lattice."""
     table = {d: complex(rng.standard_normal(), rng.standard_normal())
-             for d in range(1, span + 1)}
+             for d in range(1, _LATTICE_SPAN + 1)}
     table[0] = 0j
-    for d in range(1, span + 1):
+    for d in range(1, _LATTICE_SPAN + 1):
         table[-d] = -table[d]
 
     def fn(a, b):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,38 @@ def test_refinement_rejects_a_jump(after):
     with pytest.raises(CrossingUnresolved, match=r"jumps by 2 .* t = 0\.333"):
         SelfAdjointPath.from_callable(
             lambda t: [[1.0 if t < 1 / 3 else after]], delta_c=0.2)
+
+
+def test_path_needs_one_time_per_sample():
+    D = half_shifted_dirac()
+    with pytest.raises(ValueError, match="3 times, 2 samples"):
+        SelfAdjointPath([0.0, 0.5, 1.0], [D, D + 0.1])
+    with pytest.raises(ValueError, match="2 times, 3 samples"):
+        SelfAdjointPath([0.0, 1.0], [D, D, D])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SelfAdjointPath([], []),
+    lambda: SelfAdjointPath.from_callable(lambda t: np.eye(2), initial=0)])
+def test_empty_path_is_rejected_at_construction(build):
+    with pytest.raises(ValueError, match="0 times, 0 samples"):
+        build()
+
+
+@pytest.mark.parametrize("route", ["diagonal", "dense", "1-D", "mixed"])
+def test_relative_index_rejects_projections_of_different_sizes(route):
+    P, Q = np.diag([1.0, 0.0]), np.diag([1.0, 0.0, 1.0])
+    if route == "dense":
+        P, Q = np.full((2, 2), 0.5), np.full((3, 3), 1.0 / 3)
+    elif route == "1-D":
+        P, Q = np.diagonal(P), np.diagonal(Q)
+    elif route == "mixed":
+        P = np.diagonal(P)
+    for a, b in ((P, Q), (Q, P)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"P of shape {np.shape(a)} and Q of shape {np.shape(b)} "
+                f"act on spaces of different sizes")):
+            relative_index(a, b)
 
 
 def test_relative_index_equal_projections():
@@ -230,6 +264,24 @@ def test_verify_oddind_decomposes_each_matrix_once(monkeypatch):
     assert counts == {"svd": 1, "eigh": 2}
 
 
+def test_verify_oddind_scans_one_matrix_for_diagonality(monkeypatch):
+    # the start window is scanned once; its shift, P and Q are built as
+    # 1-D diagonals and need no scan
+    scans = []
+    real = specflow._compact
+
+    def counted(mat):
+        if np.ndim(mat) == 2:
+            scans.append(np.shape(mat))
+        return real(mat)
+
+    monkeypatch.setattr(specflow, "_compact", counted)
+    for m in (-2, 0, 3):
+        scans.clear()
+        assert verify_oddind(32, m)["match"]
+        assert scans == [(65, 65)]
+
+
 def test_boundary_mass_filter_on_columns():
     fc = 16
     n = 2 * fc + 1
@@ -337,9 +389,16 @@ def test_relative_index_of_random_projections_matches_the_dense_one(seed):
         == _relative_index_by_svd(P, Q, spurious=reject)
     # the same pair with entries off the diagonal takes the dense route
     rP, rQ = _rotated(P, seed), _rotated(Q, seed)
-    assert specflow._diagonal(rP) is None or not P.any()
+    assert specflow._compact(rP).ndim == 2 or not P.any()
     assert relative_index(rP, rQ) == _relative_index_by_svd(rP, rQ) == want
     assert relative_index(P, rQ) == relative_index(rP, Q) == want
+    # the 1-D diagonals that stand for P and Q, alone and against matrices
+    p, q = np.diagonal(P), np.diagonal(Q)
+    assert relative_index(p, q) == relative_index(p, Q) \
+        == relative_index(P, q) == want
+    assert relative_index(p, rQ) == relative_index(rP, q) == want
+    assert relative_index(p, q, spurious=reject) \
+        == relative_index(P, Q, spurious=reject)
 
 
 def _oddind_by_samples(fc, m, margin=0.1, delta_c=0.2, shift=0.5,
@@ -455,19 +514,23 @@ def _bound_cases():
 def _diagonal_cases():
     rng = np.random.default_rng(12)
     d = rng.standard_normal(257)
-    return {
+    cases = {
         "real-diagonal": np.diag(d),
         "complex-diagonal": np.diag(d + 1j * rng.standard_normal(257)),
         "zero-diagonal": np.zeros((257, 257)),
         "nan-diagonal": np.diag(np.where(np.arange(257) == 7, np.nan, d)),
     }
+    # each also as the 1-D array of its diagonal, which stands for it
+    return {**cases, **{f"{name}-1d": np.diagonal(mat)
+                        for name, mat in cases.items()}}
 
 
 @pytest.mark.parametrize("name", sorted(_bound_cases())
                          + sorted(_diagonal_cases()))
 def test_norm_exceeds_matches_the_exact_norm(name, monkeypatch):
     mat = {**_bound_cases(), **_diagonal_cases()}[name]
-    exact = np.linalg.norm(mat, 2) if np.isfinite(mat).all() else np.nan
+    dense = np.diag(mat) if mat.ndim == 1 else mat
+    exact = np.linalg.norm(dense, 2) if np.isfinite(mat).all() else np.nan
     if name in _diagonal_cases():
         # the norm of a diagonal is its largest |entry|, which the SVD
         # gives up to rounding; no bound settles a NaN entry as within it
@@ -572,6 +635,10 @@ def test_shift_conjugation_is_an_index_map(fc):
         for mat in (X, X + X.conj().T, truncated_dirac(fc)):
             assert np.array_equal(conjugate_by_shift(mat, m),
                                   U @ mat @ U.conj().T)
+        # a 1-D diagonal gives the diagonal of the product
+        D = truncated_dirac(fc)
+        assert np.array_equal(conjugate_by_shift(np.diagonal(D), m),
+                              np.diagonal(U @ D @ U.conj().T))
     # |m| >= 2 fc + 1 leaves an empty window
     assert not conjugate_by_shift(X, 2 * fc + 1).any()
 
