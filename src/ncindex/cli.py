@@ -134,7 +134,7 @@ _FIELDS = {
         "deck": (_check("a list of integer lists", lambda v: isinstance(
             v, list) and all(map(_is_int_list, v))), None),
         "bump_family": (_FAMILY, "mollifier"),
-        "deck_order": (_INTEGER, 0),
+        "deck_order": (_at_least(0), 0),
         "grid_size": (_at_least(1), 1024),
         "flat_tolerance": (_NUMBER, 1e-9),
         "tolerance": (_TOLERANCE, 1e-8),
@@ -144,7 +144,7 @@ _FIELDS = {
         "u": (_SYMBOL, {"type": "exp", "m": 1}),
         "fourier_cutoff": (_INTEGER, 64),
         "grid_size": (_INTEGER, 256),
-        "eps_k": (_NUMBER, 1e-6),
+        "eps_k": (_TOLERANCE, 1e-6),
         "p": (_INTEGER, 1),
         "q": (_at_least(1), 3),
         "tolerance": (_TOLERANCE, 0.05),

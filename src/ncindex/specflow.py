@@ -6,10 +6,10 @@ Every matrix stays in the field of its entries, so real symmetric
 samples take LAPACK's real routines, at about a third of the cost.
 A matrix is tested for diagonality once, where it enters the module
 (`_compact`); a diagonal one then travels as the 1-D array of its
-diagonal, which every helper takes.  The mode windows of
-`verify_oddind`, their projections and the samples of a translation
-path are diagonal: `_eigh` sends one to LAPACK as 1 x 1 blocks in one
-batched call, and the relative index of two needs no SVD.
+diagonal, which every helper takes, and its unit eigenvectors as their
+mode indices, which the boundary filter tests by index.  The windows of
+`verify_oddind` and their projections are diagonal and built 1-D, so it
+holds no n x n array and its time and memory grow as n.
 
 Spectral flow counts signed eigenvalue crossings through zero; on finite
 matrices this is the drop of the negative-eigenvalue count from one end
@@ -74,6 +74,14 @@ class SelfAdjointPath:
         self._samples.insert(i, x)
 
     @classmethod
+    def _of_checked(cls, ts, mats, samples, delta_c):
+        """A path of samples that another path has checked already."""
+        path = cls.__new__(cls)
+        path.ts, path.mats, path._samples = ts, mats, samples
+        path.delta_c = delta_c
+        return path
+
+    @classmethod
     def from_callable(cls, fn, delta_c=1e-2, initial=9, max_samples=4096):
         ts = np.linspace(0.0, 1.0, initial)
         path = cls(ts, [fn(t) for t in ts], delta_c)
@@ -97,15 +105,16 @@ class SelfAdjointPath:
         return path
 
     def reversed(self):
-        return SelfAdjointPath(
+        return SelfAdjointPath._of_checked(
             [self.ts[-1] - t + self.ts[0] for t in reversed(self.ts)],
-            list(reversed(self.mats)), self.delta_c)
+            self.mats[::-1], self._samples[::-1], self.delta_c)
 
     def concatenate(self, other):
         shift = self.ts[-1] - other.ts[0]
-        return SelfAdjointPath(
+        return SelfAdjointPath._of_checked(
             self.ts + [t + shift for t in other.ts[1:]],
-            self.mats + other.mats[1:], min(self.delta_c, other.delta_c))
+            self.mats + other.mats[1:], self._samples + other._samples[1:],
+            min(self.delta_c, other.delta_c))
 
 
 #: relative margin by which a cheap bound must clear the threshold to
@@ -201,8 +210,7 @@ def _endpoint_flow(first, last, delta_c, margin_filter):
         if not np.all(np.isfinite(w)):
             raise EndpointDegenerate(
                 f"{label} endpoint has an eigenvalue that is not finite")
-        if margin_filter is not None:
-            w = w[~margin_filter(v)]
+        w = w[~_rejected(margin_filter, v, len(w))]
         if len(w) and np.min(np.abs(w)) < delta_c:
             raise EndpointDegenerate(
                 f"{label} endpoint has an eigenvalue at "
@@ -230,9 +238,9 @@ def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
     p = _projection_range(_compact(_own_field(P)), "P", proj_tol)
     q = _projection_range(_compact(_own_field(Q)), "Q", proj_tol)
     if p.ndim == q.ndim == 1:
-        ker, coker = _range_basis(p & ~q), _range_basis(q & ~p)
+        ker, coker = np.flatnonzero(p & ~q), np.flatnonzero(q & ~p)
     else:
-        bp, bq = _range_basis(p), _range_basis(q)
+        bp, bq = (np.eye(len(r))[:, r] if r.ndim == 1 else r for r in (p, q))
         comp = bq.conj().T @ bp
         if comp.size == 0:
             # an empty range: all of ran P is kernel, all of ran Q cokernel
@@ -242,9 +250,8 @@ def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
             r = kernel_rank(sv, eps_k)
             ker = bp @ vh[r:].conj().T
             coker = bq @ uu[:, r:]
-    if spurious is None:
-        return ker.shape[1] - coker.shape[1]
-    return int(np.sum(~spurious(ker)) - np.sum(~spurious(coker)))
+    return int(np.sum(~_rejected(spurious, ker, len(p)))
+               - np.sum(~_rejected(spurious, coker, len(p))))
 
 
 def _projection_range(x, name, tol):
@@ -260,10 +267,15 @@ def _projection_range(x, name, tol):
     return w > 0.5 if v is None else v[:, w > 0.5]
 
 
-def _range_basis(r):
-    """A range from `_projection_range` as orthonormal columns: the unit
-    coordinate vectors of the modes in a 1-D mask, or the basis itself."""
-    return np.eye(len(r))[:, r] if r.ndim == 1 else r
+def _rejected(reject, vecs, n):
+    """Flags of `reject` (None rejects nothing) on the columns of `vecs`,
+    or on the unit vectors e_j of an n-space for its 1-D modes j: by index
+    where `reject` has a `modes` test (`boundary_mass_filter`)."""
+    if reject is None:
+        return np.zeros(vecs.shape[-1], dtype=bool)
+    if vecs.ndim == 1 and hasattr(reject, "modes"):
+        return reject.modes(vecs, n)
+    return reject(np.eye(n)[:, vecs] if vecs.ndim == 1 else vecs)
 
 
 def _eigh(mat):
@@ -273,17 +285,14 @@ def _eigh(mat):
     and the call-count tests count them.
 
     Eigenvalues come out ascending; a diagonal matrix keeps its ties in
-    diagonal order and has the unit coordinate vectors as eigenvectors.
+    diagonal order, and gives its unit eigenvectors e_v[k] as modes v.
     """
     x = _compact(mat)
     if x.ndim == 2:
         return np.linalg.eigh(x)
-    n = len(x)
-    w, unit = np.linalg.eigh(x[:, None, None])
-    order = np.argsort(w[:, 0], kind="stable")
-    v = np.zeros((n, n), dtype=unit.dtype)
-    v[order, np.arange(n)] = unit[order, 0, 0]
-    return w[order, 0], v
+    w = np.linalg.eigh(x[:, None, None])[0][:, 0]
+    order = np.argsort(w, kind="stable")
+    return w[order], order
 
 
 # ---------------------------------------------------------------------
@@ -394,7 +403,7 @@ def boundary_mass_filter(fc, margin=0.1):
     """Rejects vectors concentrated in the outer margin of the window.
 
     The returned test takes one vector, or a matrix of column vectors and
-    then gives one flag per column.
+    then gives one flag per column; `modes(j, n)` flags e_j in C^n.
     """
     n = 2 * fc + 1
     edge = edge_width(fc, margin)
@@ -404,6 +413,11 @@ def boundary_mass_filter(fc, margin=0.1):
         v = np.abs(np.asarray(vecs)) ** 2
         return v[lo:hi].sum(axis=0) < 0.5 * v.sum(axis=0)
 
+    def modes(j, size):     # e_j has all its mass in [lo:hi] iff j does
+        inner = range(size)[lo:hi]
+        return (j < inner.start) | (j >= inner.stop)
+
+    reject.modes = modes
     return reject
 
 
@@ -419,7 +433,8 @@ def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
     count is only right when |m| <= edge_width(fc, margin) <= fc - |m|
     (see `edge_width`); outside it the two sides may still match.
     """
-    start = _compact(truncated_dirac(fc) + default_trivializer(fc, shift))
+    start = _own_field(mode_window(fc))     # D + A as its 1-D diagonal
+    start[fc] += shift
     reject = boundary_mass_filter(fc, margin)
     eig = _eigh(start)
     spfl = _endpoint_flow(eig, _eigh(conjugate_by_shift(start, m)),

@@ -298,9 +298,18 @@ ROTATION_EXP = {"id": "r", "kind": "toeplitz", "system": "rotation",
      "grid_size must be an integer >= 1"),
     ({"id": "t", "kind": "toeplitz", "u": {"type": "exp", "m": "2"}},
      "u.m must be an integer"),
+    ({"id": "v", "kind": "covering-check", "deck_order": -1},
+     "deck_order must be an integer >= 0"),
+    ({"id": "t", "kind": "toeplitz", "eps_k": 0},
+     "eps_k must be a finite positive number"),
+    ({"id": "t", "kind": "toeplitz", "eps_k": -1},
+     "eps_k must be a finite positive number"),
+    ({"id": "t", "kind": "toeplitz", "eps_k": float("inf")},
+     "eps_k must be a finite positive number"),
 ], ids=["m_values-empty", "rotation-3-3", "rotation-2-4", "rotation-0-5",
         "rotation-q0", "chart_grid-0", "chart_grid-negative",
-        "covering-grid_size-0", "u-m-string"])
+        "covering-grid_size-0", "u-m-string", "deck_order-negative",
+        "eps_k-0", "eps_k-negative", "eps_k-inf"])
 def test_config_that_checks_nothing_or_nonsense_exits_one(tmp_path, capsys,
                                                           exp, need):
     path = write_config(tmp_path, {"experiments": [exp]})
@@ -308,6 +317,37 @@ def test_config_that_checks_nothing_or_nonsense_exits_one(tmp_path, capsys,
     assert main(["--config", str(path), "--out", str(out)]) == 1
     assert need in capsys.readouterr().err
     assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("exp", [
+    {"id": "v", "kind": "covering-check", "deck_order": 0},
+    {"id": "v", "kind": "covering-check", "deck_order": 3},
+    {"id": "t", "kind": "toeplitz", "eps_k": 1e-9},
+], ids=["deck_order-0", "deck_order-3", "eps_k-small"])
+def test_least_accepted_deck_order_and_eps_k_run(tmp_path, exp):
+    path = write_config(tmp_path, {"experiments": [exp]})
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+def test_specflow_at_a_cutoff_of_4096_peaks_under_50_mb(tmp_path):
+    import tracemalloc
+
+    cfg = {"experiments": [{"id": "sf", "kind": "specflow",
+                            "fourier_cutoff": 4096,
+                            "m_values": [-3, -1, 1, 2, 3]}]}
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        code = run(str(path), out_dir=str(tmp_path / "out"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    with open(tmp_path / "out" / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5 and all(r["passed"] == "True" for r in rows)
+    # one dense 8193 x 8193 float64 window alone would be 537 MB
+    assert peak < 50 * 2 ** 20
 
 
 def test_toeplitz_grid_size_changes_nothing(tmp_path):

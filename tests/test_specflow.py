@@ -44,6 +44,43 @@ def test_reversed_path_negates():
     assert spectral_flow(path.reversed()) == -1
 
 
+def test_reversed_and_concatenated_paths_reuse_the_checked_samples(
+        monkeypatch):
+    # the reversed translation path of demos/demo_specflow.py, and a
+    # concatenation with a dense path
+    D = half_shifted_dirac(32)
+    n = D.shape[0]
+    band = np.diag(np.full(n - 1, 0.3), 1)
+    band = band + band.T
+    p1 = SelfAdjointPath.from_callable(lambda t: D + t * np.eye(n),
+                                       delta_c=0.2)
+    p2 = SelfAdjointPath.from_callable(
+        lambda t: D + (1 + t) * np.eye(n) + np.sin(3 * t) * band,
+        delta_c=0.2)
+    scans = []
+    real = specflow._compact
+
+    def counted(mat):
+        if np.ndim(mat) == 2:
+            scans.append(np.shape(mat))
+        return real(mat)
+
+    monkeypatch.setattr(specflow, "_compact", counted)
+    made = [p1.reversed(), p1.concatenate(p2), p2.concatenate(p1),
+            p1.concatenate(p2).reversed()]
+    assert scans == []
+    monkeypatch.undo()
+    # the same paths built and checked from their samples
+    rebuilt = [SelfAdjointPath(p.ts, p.mats, p.delta_c) for p in made]
+    for path, again in zip(made, rebuilt):
+        assert path.ts == again.ts and path.delta_c == again.delta_c
+        assert all(a is b for a, b in zip(path.mats, again.mats))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(path._samples, again._samples))
+    assert [spectral_flow(p) for p in made] \
+        == [spectral_flow(p) for p in rebuilt] == [-1, 2, 0, -2]
+
+
 def test_concatenation_additivity():
     D = half_shifted_dirac()
     n = D.shape[0]
@@ -264,9 +301,9 @@ def test_verify_oddind_decomposes_each_matrix_once(monkeypatch):
     assert counts == {"svd": 1, "eigh": 2}
 
 
-def test_verify_oddind_scans_one_matrix_for_diagonality(monkeypatch):
-    # the start window is scanned once; its shift, P and Q are built as
-    # 1-D diagonals and need no scan
+def test_verify_oddind_scans_no_matrix_for_diagonality(monkeypatch):
+    # the start window, its shift, P and Q are built as 1-D diagonals and
+    # need no scan
     scans = []
     real = specflow._compact
 
@@ -279,7 +316,7 @@ def test_verify_oddind_scans_one_matrix_for_diagonality(monkeypatch):
     for m in (-2, 0, 3):
         scans.clear()
         assert verify_oddind(32, m)["match"]
-        assert scans == [(65, 65)]
+        assert scans == []
 
 
 def test_boundary_mass_filter_on_columns():
@@ -440,6 +477,107 @@ def test_verify_oddind_matches_sampled_path(fc, m):
     assert outcomes[0] == outcomes[1]
     assert (fc, m) == (16, 3) or outcomes[0] == (
         m, RELATIVE_INDEX_ORIENTATION * m)
+
+
+def _oddind_by_dense_eigh(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
+    """Both sides of verify_oddind from the dense n x n window matrices:
+    LAPACK eigh of each endpoint, with the boundary filter on the columns
+    of its eigenvectors, and the relative index of the dense projections
+    by eigh and SVD."""
+    U = shift_matrix(fc, m)
+    start = truncated_dirac(fc) + default_trivializer(fc, shift)
+    reject = boundary_mass_filter(fc, margin)
+    negs = []
+    for label, mat in (("initial", start),
+                       ("final", U @ start @ U.conj().T)):
+        w, v = np.linalg.eigh(mat)
+        if not np.all(np.isfinite(w)):
+            raise EndpointDegenerate(
+                f"{label} endpoint has an eigenvalue that is not finite")
+        w = w[~reject(v)]
+        if len(w) and np.min(np.abs(w)) < delta_c:
+            raise EndpointDegenerate(
+                f"{label} endpoint has an eigenvalue at "
+                f"{np.min(np.abs(w)):.3g}, inside the crossing window")
+        negs.append(int(np.sum(w < 0.0)))
+    w, v = np.linalg.eigh(start)
+    keep = v[:, w >= 0.0]
+    P = keep @ keep.conj().T
+    return negs[0] - negs[1], _relative_index_by_svd(P, U @ P @ U.conj().T,
+                                                     spurious=reject)
+
+
+@pytest.mark.parametrize("fc", [16, 32, 64, 128])
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_verify_oddind_matches_the_dense_route(fc, m):
+    # fc = 16, m = +-3 reject the final endpoint on both routes
+    assert _outcome(_spfl_and_index, fc, m) \
+        == _outcome(_oddind_by_dense_eigh, fc, m)
+
+
+@pytest.mark.parametrize("m", [-3, 1, 2])
+def test_verify_oddind_at_4096_modes_under_20_mb_and_50_ms(m):
+    import time
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rep = verify_oddind(4096, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["match"] and rep["spfl"] == m
+    # one dense 8193 x 8193 float64 array alone is 537 MB
+    assert peak < 20 * 2 ** 20
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        verify_oddind(4096, m)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.05
+
+
+def test_plain_filters_still_receive_columns():
+    # a filter with no mode test gets the unit vectors as columns, and
+    # flags them as the boundary filter flags their modes
+    fc = 16
+    n = 2 * fc + 1
+    reject = boundary_mass_filter(fc)
+    seen = []
+
+    def plain(vecs):
+        seen.append(np.shape(vecs))
+        return reject(vecs)
+
+    start = truncated_dirac(fc) + default_trivializer(fc)
+    for m in (-2, 1, 2):
+        path = SelfAdjointPath([0.0, 1.0],
+                               [start, conjugate_by_shift(start, m)], 0.2)
+        P, Q = _window_projections(fc, m)
+        seen.clear()
+        assert spectral_flow(path, margin_filter=plain) \
+            == spectral_flow(path, margin_filter=reject) == m
+        assert seen == [(n, n), (n, n)]
+        seen.clear()
+        assert relative_index(P, Q, spurious=plain) \
+            == relative_index(P, Q, spurious=reject) \
+            == RELATIVE_INDEX_ORIENTATION * m
+        assert len(seen) == 2 and all(len(s) == 2 and s[0] == n
+                                      for s in seen)
+
+
+@pytest.mark.parametrize("fc, margin", [(16, 0.1), (16, 0.0), (16, 0.6),
+                                        (16, 1.0), (16, 3.0), (8, -0.5),
+                                        (40, 0.25)])
+def test_boundary_filter_on_modes_is_the_mass_test(fc, margin):
+    reject = boundary_mass_filter(fc, margin)
+    for n in (2 * fc + 1, fc + 1, 3 * fc):
+        modes = np.arange(n)
+        assert np.array_equal(reject.modes(modes, n),
+                              reject(np.eye(n)))
+        perm = np.random.default_rng(n).permutation(n)
+        assert np.array_equal(reject.modes(perm, n),
+                              reject(np.eye(n)[:, perm]))
 
 
 def _refined_ts_by_svd(fn, delta_c=1e-2, initial=9, max_samples=4096,
@@ -730,23 +868,37 @@ def test_real_and_complex_windows_give_the_same_integers(fc, m,
     real, cplx = _both_fields(fc, m)
     assert real == cplx
     rep = _outcome(verify_oddind, fc, m)
-    real_dirac = specflow.truncated_dirac
-    monkeypatch.setattr(specflow, "truncated_dirac",
-                        lambda fc: real_dirac(fc).astype(complex))
+    fields = _complex_modes(monkeypatch)
     assert _outcome(verify_oddind, fc, m) == rep
+    assert fields == [complex, complex]
+
+
+def _complex_modes(monkeypatch):
+    """Make verify_oddind build its window from complex modes, and list
+    the dtype of each window it decomposes."""
+    real_modes, real_eigh = specflow.mode_window, specflow._eigh
+    fields = []
+
+    def eigh(mat):
+        fields.append(np.asarray(mat).dtype)
+        return real_eigh(mat)
+
+    monkeypatch.setattr(specflow, "mode_window",
+                        lambda fc: real_modes(fc).astype(complex))
+    monkeypatch.setattr(specflow, "_eigh", eigh)
+    return fields
 
 
 def test_both_fields_reject_the_same_degenerate_endpoint(monkeypatch):
     # at fc = 16 and m = 3 a clipped mode lies inside the margin
-    messages = []
-    for dirac in (truncated_dirac,
-                  lambda fc: truncated_dirac(fc).astype(complex)):
-        monkeypatch.setattr(specflow, "truncated_dirac", dirac)
-        with pytest.raises(EndpointDegenerate) as err:
-            verify_oddind(16, 3)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
-    assert messages[0].startswith("final endpoint has an eigenvalue at 0,")
+    with pytest.raises(EndpointDegenerate) as real:
+        verify_oddind(16, 3)
+    fields = _complex_modes(monkeypatch)
+    with pytest.raises(EndpointDegenerate) as cplx:
+        verify_oddind(16, 3)
+    assert fields == [complex, complex]
+    assert str(cplx.value) == str(real.value)
+    assert str(real.value).startswith("final endpoint has an eigenvalue at 0,")
 
 
 # ---------------------------------------------------------------------
@@ -805,6 +957,11 @@ def test_eigh_matches_lapack(name):
     assert np.all(np.diff(w) >= 0)
     assert np.max(np.abs(w - w0)) <= 1e-12 * scale
     n = len(a)
+    assert v.ndim == specflow._compact(a).ndim
+    if v.ndim == 1:
+        # a diagonal gives its unit eigenvectors as their modes
+        assert np.array_equal(np.sort(v), np.arange(n))
+        v = np.eye(n)[:, v]
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
     assert np.max(np.abs(a @ v - v * w)) <= 1e-12 * scale
     for idx in _clusters(w0, 1e-8 * scale):
