@@ -272,6 +272,8 @@ def test_integer_fields_accept_integers_and_arc_lists():
         {"id": "v", "kind": "covering-check", "arcs": [[0.0, 0.6],
                                                        [0.5, 1.1]],
          "deck": [[0, 1], [-1, 0]], "deck_order": 0, "grid_size": 64},
+        {"id": "v3", "kind": "covering-check", "deck_order": 3},
+        {"id": "t-eps", "kind": "toeplitz", "eps_k": 1e-12},
         {"id": "b", "kind": "chern-check", "chart_grid": 16},
         # rotations in lowest terms, as the benchmark's batch draws them
         *({"id": f"r{p}", "kind": "toeplitz", "system": "rotation", "p": p,
@@ -317,16 +319,6 @@ def test_config_that_checks_nothing_or_nonsense_exits_one(tmp_path, capsys,
     assert main(["--config", str(path), "--out", str(out)]) == 1
     assert need in capsys.readouterr().err
     assert not (out / "report.csv").exists()
-
-
-@pytest.mark.parametrize("exp", [
-    {"id": "v", "kind": "covering-check", "deck_order": 0},
-    {"id": "v", "kind": "covering-check", "deck_order": 3},
-    {"id": "t", "kind": "toeplitz", "eps_k": 1e-9},
-], ids=["deck_order-0", "deck_order-3", "eps_k-small"])
-def test_least_accepted_deck_order_and_eps_k_run(tmp_path, exp):
-    path = write_config(tmp_path, {"experiments": [exp]})
-    assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
 
 
 def test_specflow_at_a_cutoff_of_4096_peaks_under_50_mb(tmp_path):
