@@ -29,14 +29,24 @@ from .nc_forms import ChartGrid2D, JetFunction, MixedForm
 TWO_PI_I = 2j * np.pi
 
 
+def projection_defects(P):
+    """max |P P - P| and max |P* - P| over the entries, from the value
+    jets of P alone (`MixedForm._values`): `max_abs` reads only values."""
+    V = P._values()
+    return (V @ V - V).max_abs(), (V.star() - V).max_abs()
+
+
 def projection_residual(P):
-    return max((P @ P - P).max_abs(), (P.star() - P).max_abs())
+    """The larger projection defect of P; reads the values of P only."""
+    return max(projection_defects(P))
 
 
 def unitary_residual(u):
-    one = MixedForm.one(u.grid, u.spec, u.size, u.kalg)
-    return max((u.star() @ u - one).max_abs(),
-               (u @ u.star() - one).max_abs())
+    """max |u* u - 1| and max |u u* - 1|; reads the values of u only."""
+    v = u._values()
+    one = MixedForm.one(u.grid, u.spec, u.size, u.kalg, order=0)
+    return max((v.star() @ v - one).max_abs(),
+               (v @ v.star() - one).max_abs())
 
 
 def chern_even(P, k_max, tol=1e-8):

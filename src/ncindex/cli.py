@@ -124,7 +124,10 @@ _SYMBOL = _check(f"an object whose type is one of {sorted(_U_TYPES)}, "
 _FIELDS = {
     "chern-check": {
         "chart_grid": (_at_least(1), 64),
-        "bott_radius": (_NUMBER, 0.42),
+        # the field is constant outside this radius, so near the chart
+        # boundary only when it is at most 0.5
+        "bott_radius": (_check("a number in (0, 0.5]", lambda v: (
+            _is_finite(v) and 0 < v <= 0.5)), 0.42),
         "bump_family": (_FAMILY, "mollifier"),
         "tolerance": (_TOLERANCE, 2e-3),
     },
@@ -192,6 +195,9 @@ def _validate_experiment(exp, seen):
     for key, value in exp.items():
         check = _COMMON[key] if key in _COMMON else fields[key][0]
         _require(where, key, check, value)
+    if _is_int(exp.get("arcs", 3)) and "deck" in exp:
+        raise ConfigError(f"{where}deck goes with explicit arcs only; an "
+                          f"integer arcs builds the standard cover's deck")
     if isinstance(exp.get("arcs"), list):
         n = len(exp["arcs"])
         deck = exp.get("deck")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bumps
 from .errors import BadCover, DegreeMismatch, UnsupportedManifold
-from .chern import chern_even
+from .chern import chern_even, projection_defects
 from .cyclic import GroupCocycle, d_gamma, pair_cochain_form, tau_to_c
 from .group_algebra import GroupSpec
 from .nc_forms import JetFunction, MixedForm, ScalarForm, _jet_mul
@@ -180,8 +180,7 @@ class MFProjection:
     def __init__(self, cover, form, tol=1e-12):
         self.cover = cover
         self.form = form
-        self.idempotence = (form @ form - form).max_abs()
-        self.selfadjoint = (form.star() - form).max_abs()
+        self.idempotence, self.selfadjoint = projection_defects(form)
         if max(self.idempotence, self.selfadjoint) > tol:
             raise BadCover(
                 f"projection residual {self.idempotence:.3g} above {tol}")
@@ -245,13 +244,10 @@ def cocycle_closedness_defect(cover, tau):
     rng = np.random.default_rng(0)
     spec = cover.deck_spec
     pool = spec.elements() if spec.is_finite else spec.ball(3)
-    worst = 0.0
     dt = d_gamma(tau)
-    for _ in range(40):
-        tup = [pool[int(i)] for i in
-               rng.integers(0, len(pool), tau.degree + 2)]
-        worst = max(worst, abs(dt(*tup)))
-    return worst
+    # one draw of all 40 tuples: the stream of 40 draws of one tuple each
+    draws = rng.integers(0, len(pool), (40, tau.degree + 2)).tolist()
+    return max(abs(dt(*(pool[i] for i in row))) for row in draws)
 
 
 def omega_tau(cover, tau):

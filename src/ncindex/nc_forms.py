@@ -24,10 +24,12 @@ Over a finite group a block is one dense array with a leading axis of
 length k per slot: merges are index maps, and a product is one BLAS
 product per grid point that also sums the slot the group law fuses.
 Over an infinite group (the lattice deck groups of covers) it is a dict
-keyed by tuple, and a product takes one pair of entries at a time along
-the grid, over their live rows and columns only: a dense window of the
-lattice would be mostly zeros (270 MB for a four-arc cover), while tuple
-dicts over Z/7 take ten times as long.
+keyed by tuple whose entries are held as their live submatrices (`_Sub`),
+and a product takes one pair of entries at a time along the grid, over
+their rows and columns only: a dense window of the lattice would be
+mostly zeros (270 MB for a four-arc cover), while tuple dicts over Z/7
+take ten times as long.  Full (n, n, J, G) arrays are built only where a
+caller reads them.
 The characters read only the trace of their last product, so
 `MixedForm.traced_product` forms just that, with n^2 times fewer entries.
 
@@ -272,24 +274,118 @@ def _jet_mul(x, y, ndim):
     return out
 
 
-def _live(x):
-    """The live rows and columns of a matrix of jets: those with a
-    nonzero jet at some grid point."""
-    nonzero = x.any(axis=(2, 3))
-    return nonzero.any(1), nonzero.any(0)
+def _positions(a, b):
+    """Positions in a and in b of the indices both index tuples hold."""
+    common = sorted(set(a) & set(b))
+    return [a.index(k) for k in common], [b.index(k) for k in common]
 
 
-def _live_mul(x, rows, inner, y, cols, ndim):
-    """`_jet_mul(x, y)` over the masked rows of x, inner indices and
-    columns of y only, written into a full (n, m, J, G) array: exact
-    when the masks hold every live row, inner index and column."""
-    if rows.all() and inner.all() and cols.all():
-        return _jet_mul(x, y, ndim)
-    r, k, c = map(np.flatnonzero, (rows, inner, cols))
-    part = _jet_mul(x[np.ix_(r, k)], y[np.ix_(k, c)], ndim)
-    out = np.zeros((len(x), y.shape[1]) + part.shape[2:], dtype=part.dtype)
-    out[np.ix_(r, c)] = part
-    return out
+def _union(a, b):
+    """The sorted union of two index tuples and the positions of a's and
+    of b's indices in it."""
+    u = tuple(sorted(set(a) | set(b)))
+    return u, [u.index(k) for k in a], [u.index(k) for k in b]
+
+
+class _Sub:
+    """A matrix of jets held on its live submatrix: the (r, c, J, G)
+    array part at the rows x cols of an (n, m, J, G) array that is zero
+    elsewhere; rows and cols are increasing index tuples."""
+
+    __slots__ = ("shape", "rows", "cols", "part")
+
+    def __init__(self, shape, rows, cols, part):
+        self.shape, self.rows, self.cols, self.part = shape, rows, cols, part
+
+    @classmethod
+    def whole(cls, x):
+        n, m = x.shape[:2]
+        return cls((n, m), tuple(range(n)), tuple(range(m)), x)
+
+    def is_whole(self):
+        return (len(self.rows), len(self.cols)) == self.shape
+
+    def map(self, fn):
+        """fn applied to the part: exact for maps that keep zeros and act
+        on the jet and grid axes only."""
+        return _Sub(self.shape, self.rows, self.cols, fn(self.part))
+
+    def full(self):
+        if self.is_whole():
+            return self.part
+        out = np.zeros(self.shape + self.part.shape[2:], self.part.dtype)
+        out[np.ix_(self.rows, self.cols)] = self.part
+        return out
+
+    def tight(self):
+        """The entry on its live rows and columns only; None when it is
+        zero."""
+        live = self.part.any(axis=(2, 3))
+        rows, cols = live.any(1), live.any(0)
+        if rows.all() and cols.all():
+            return self
+        if not rows.any():
+            return None
+        return _Sub(self.shape,
+                    tuple(itertools.compress(self.rows, rows.tolist())),
+                    tuple(itertools.compress(self.cols, cols.tolist())),
+                    self.part[np.ix_(rows, cols)])
+
+    def trace(self):
+        """The 1 x 1 entry of the trace, summed over the diagonal
+        positions the entry holds; None when it holds none."""
+        i, j = _positions(self.rows, self.cols)
+        if not i:
+            return None
+        return _Sub((1, 1), (0,), (0,), self.part[i, j].sum(0)[None, None])
+
+    def flat(self, column):
+        """The entry as a row of its n*m positions (row-major), or its
+        transpose as a column, so that a row times a column is tr(x y)."""
+        n, m = self.shape
+        if column:
+            part = self.part.swapaxes(0, 1)
+            return _Sub((n * m, 1), tuple(c * n + r for c in self.cols
+                                          for r in self.rows), (0,),
+                        part.reshape((-1, 1) + part.shape[2:]))
+        return _Sub((1, n * m), (0,), tuple(r * m + c for r in self.rows
+                                            for c in self.cols),
+                    self.part.reshape((1, -1) + self.part.shape[2:]))
+
+
+def _sub_mul(x, y, ndim):
+    """The product x y of two entries over x's rows, the indices in both
+    x's columns and y's rows, and y's columns; None when no index is in
+    both, as the product is then exactly zero."""
+    xp, yp = x.part, y.part
+    if x.cols != y.rows:
+        i, j = _positions(x.cols, y.rows)
+        if not i:
+            return None
+        if len(i) < len(x.cols):
+            xp = xp[:, i]
+        if len(j) < len(y.rows):
+            yp = yp[j]
+    return _Sub((x.shape[0], y.shape[1]), x.rows, y.cols,
+                _jet_mul(xp, yp, ndim))
+
+
+def _sub_add(a, b, own):
+    """a + b, over the union of their rows and columns; on equal ones in
+    place into a's part if own (allocated for this sum) and of b's
+    field."""
+    dtype = np.result_type(a.part, b.part)
+    if (a.rows, a.cols) == (b.rows, b.cols):
+        if own and a.part.dtype == dtype:
+            a.part += b.part
+            return a
+        return a.map(lambda p: p + b.part)
+    rows, ra, rb = _union(a.rows, b.rows)
+    cols, ca, cb = _union(a.cols, b.cols)
+    part = np.zeros((len(rows), len(cols)) + a.part.shape[2:], dtype)
+    part[np.ix_(ra, ca)] = a.part
+    part[np.ix_(rb, cb)] += b.part
+    return _Sub(a.shape, rows, cols, part)
 
 
 def _jet_outer(x, y, ndim, solve):
@@ -360,6 +456,17 @@ class _DenseBlocks:
     def apply(self, block, fn):
         return fn(block)
 
+    def trace(self, block):
+        return np.trace(block, axis1=-4, axis2=-3)[..., None, None, :, :]
+
+    def flat(self, block, column):
+        n, m = block.shape[-4:-2]
+        if column:
+            block = block.swapaxes(-4, -3)
+        return block.reshape(block.shape[:-4] + ((n * m, 1) if column
+                                                 else (1, n * m))
+                             + block.shape[-2:])
+
     def add(self, a, b):
         J = min(a.shape[-2], b.shape[-2])
         return a[..., :J, :] + b[..., :J, :]
@@ -390,38 +497,49 @@ class _DenseBlocks:
 
 
 class _TupleBlocks:
-    """Blocks over an infinite group: a dict from group tuples to entries,
-    all with one jet order.  Products pair single entries on long grids
-    (`_jet_mul`), each over its live rows and columns only: the entries
-    of a flat projection are sparse matrices of jets.  A block may be
-    empty."""
+    """Blocks over an infinite group: a dict from group tuples to entries
+    (`_Sub`), each held as its live submatrix, all with one jet order.
+    Products pair single entries on long grids (`_sub_mul`) and sums
+    combine submatrices (`_sub_add`): the entries of a flat projection
+    are sparse matrices of jets.  Full arrays are built only where a
+    caller reads them (`stacked`, `pair`).  A block may be empty."""
 
     def __init__(self, spec, ndim):
         self.ndim, self.e, self.mul = ndim, spec.identity(), spec.mul
 
     def block(self, entries, q):
-        return self._collect(entries)
+        return self._collect((t, _Sub.whole(x)) for t, x in entries)
 
     def stacked(self, block):
-        return list(block), np.stack(list(block.values()))
+        return list(block), np.stack([x.full() for x in block.values()])
 
     def pair(self, block, values):
         return np.tensordot(values(list(block)), self.stacked(block)[1], 1)
 
     def arrays(self, block):
-        return block.values()
+        return (x.part for x in block.values())
 
     def apply(self, block, fn):
-        return {t: fn(x) for t, x in block.items()}
+        return {t: x.map(fn) for t, x in block.items()}
+
+    def trace(self, block):
+        return {t: tr for t, x in block.items()
+                if (tr := x.trace()) is not None}
+
+    def flat(self, block, column):
+        return {t: x.flat(column) for t, x in block.items()}
 
     def add(self, a, b):
-        J = min((next(iter(c.values())).shape[-2] for c in (a, b) if c),
+        J = min((next(iter(c.values())).part.shape[-2] for c in (a, b) if c),
                 default=None)
-        return self._collect((t, x[..., :J, :]) for c in (a, b)
-                             for t, x in c.items())
+        return self._collect(
+            (t, x if x.part.shape[-2] == J
+             else x.map(lambda p: p[..., :J, :]))
+            for c in (a, b) for t, x in c.items())
 
     def prune(self, block):
-        return {t: x for t, x in block.items() if x.any()} or None
+        return {t: y for t, x in block.items()
+                if (y := x.tight()) is not None} or None
 
     def merge(self, block, i):
         return self._collect(
@@ -429,21 +547,9 @@ class _TupleBlocks:
             for t, x in block.items())
 
     def outer(self, a, b, fuse=False):
-        left = [(s, x, *_live(x)) for s, x in a.items()]
-        right = [(t, y, *_live(y)) for t, y in b.items()]
-
-        def products():
-            # x y over the live rows of x, the indices live in both x's
-            # columns and y's rows, and the live columns of y; with no
-            # such index the product is exactly zero and gives no entry
-            for s, x, rows, x_cols in left:
-                for t, y, y_rows, cols in right:
-                    inner = x_cols & y_rows
-                    if inner.any():
-                        yield s + t, _live_mul(x, rows, inner, y, cols,
-                                               self.ndim)
-
-        out = self._collect(products())
+        out = self._collect((s + t, xy) for s, x in a.items()
+                            for t, y in b.items()
+                            if (xy := _sub_mul(x, y, self.ndim)) is not None)
         return self.merge(out, len(next(iter(a))) - 1) if fuse else out
 
     def prepend_e(self, block):
@@ -460,10 +566,8 @@ class _TupleBlocks:
         for t, x in pairs:
             if t not in out:
                 out[t] = x
-            elif t in own and out[t].dtype == np.result_type(out[t], x):
-                out[t] += x
             else:
-                out[t] = out[t] + x
+                out[t] = _sub_add(out[t], x, t in own)
                 own.add(t)
         return out
 
@@ -488,9 +592,14 @@ def _merge_axes(a, b):
     return tuple(sorted(a + b)), (-1) ** sum(x > y for x in a for y in b)
 
 
-def _signed(lay, block, sign):
-    """The block times a sign of +-1; at +1 the block itself."""
-    return block if sign == 1 else lay.apply(block, lambda x: sign * x)
+def _signed(lay, block, sign, fresh):
+    """The block times a sign of +-1; at +1 the block itself.  A fresh
+    block, whose arrays no one else holds, is signed in place."""
+    if sign == 1:
+        return block
+    if fresh:
+        return lay.apply(block, lambda x: np.multiply(x, sign, out=x))
+    return lay.apply(block, lambda x: sign * x)
 
 
 class MixedForm:
@@ -578,10 +687,19 @@ class MixedForm:
             raise ValueError("incompatible mixed forms")
 
     def _mapped(self, fn, size=None):
-        """The form with fn applied to every block array."""
+        """The form with fn applied to every block."""
         out = self._spawn(size=size)
         for key, block in self.terms.items():
-            out._add(key, self.layout.apply(block, fn))
+            out._add(key, fn(block))
+        return out
+
+    def _values(self):
+        """The form of the value jets alone, as views: the value jet of a
+        sum, product or adjoint reads only the value jets of its inputs,
+        so a residual read by `max_abs` needs no other jet."""
+        out = self._spawn()
+        out.terms = {key: self.layout.apply(b, lambda x: x[..., :1, :])
+                     for key, b in self.terms.items()}
         return out
 
     # -- linear structure -------------------------------------------------
@@ -600,7 +718,7 @@ class MixedForm:
         return self + other.scale(-1.0)
 
     def scale(self, c):
-        return self._mapped(lambda x: c * x)
+        return self._mapped(lambda b: self.layout.apply(b, lambda x: c * x))
 
     # -- graded product ---------------------------------------------------
     def __matmul__(self, other):
@@ -628,18 +746,13 @@ class MixedForm:
         lay = self.layout
         left, right = self.terms, other.terms
         if traced:
-            n2 = self.size ** 2
-            left = {key: lay.apply(a, lambda x: x.reshape(
-                x.shape[:-4] + (1, n2) + x.shape[-2:]))
-                for key, a in left.items()}
-            right = {key: lay.apply(b, lambda y: y.swapaxes(-4, -3).reshape(
-                y.shape[:-4] + (n2, 1) + y.shape[-2:]))
-                for key, b in right.items()}
+            left = {key: lay.flat(a, False) for key, a in left.items()}
+            right = {key: lay.flat(b, True) for key, b in right.items()}
         for (qa, ax_a), a in left.items():
             # the terms i < a merge slots of the left word only
             folded = None
             for i in range(qa):
-                part = _signed(lay, lay.merge(a, i), (-1) ** (qa - i))
+                part = _signed(lay, lay.merge(a, i), (-1) ** (qa - i), False)
                 folded = part if folded is None else lay.add(folded, part)
             for (qb, ax_b), b in right.items():
                 axes, sign = _merge_axes(ax_a, ax_b)
@@ -649,9 +762,10 @@ class MixedForm:
                     block = lay.outer(a, b, fuse=True)
                     if folded is not None:
                         block = lay.add(block, lay.outer(folded, b))
+                    # the product allocated every array of block
                     sign *= (-1) ** (qa * len(ax_b))
                     out._add((qa + qb, axes),
-                             lay.kill(_signed(lay, block, sign)))
+                             _signed(lay, lay.kill(block), sign, True))
         return out
 
     # -- differential -------------------------------------------------
@@ -661,13 +775,14 @@ class MixedForm:
 
     def dtot_manifold(self):
         out = self._spawn()
-        ndim = self.grid.ndim
+        ndim, lay = self.grid.ndim, self.layout
         for (q, axes), block in self.terms.items():
             for ax in range(ndim):
                 if ax not in axes:
                     merged, sign = _merge_axes((ax,), axes)
-                    out._add((q, merged), self.layout.apply(
-                        block, lambda x: sign * _partial(x, ax, ndim)))
+                    # np.take gives every partial a fresh array
+                    part = lay.apply(block, lambda x: _partial(x, ax, ndim))
+                    out._add((q, merged), _signed(lay, part, sign, True))
         return out
 
     def dtot_algebra(self):
@@ -677,17 +792,14 @@ class MixedForm:
             if q + 1 > self.kalg:
                 out.dropped = True
                 continue
-            sign = (-1) ** len(axes)
-            out._add((q + 1, axes), lay.kill(lay.apply(
-                lay.prepend_e(block), lambda x: sign * x)))
+            out._add((q + 1, axes), _signed(
+                lay, lay.kill(lay.prepend_e(block)), (-1) ** len(axes), False))
         return out
 
     # -- trace ---------------------------------------------------------
     def graded_trace(self):
         """Matrix trace into forms over the scalar algebra (size 1)."""
-        return self._mapped(
-            lambda x: np.trace(x, axis1=-4, axis2=-3)[..., None, None, :, :],
-            size=1)
+        return self._mapped(self.layout.trace, size=1)
 
     # -- inspection ------------------------------------------------------
     def stacks(self):

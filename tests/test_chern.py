@@ -7,6 +7,7 @@ from ncindex import chern
 from ncindex.chern import (ProjectionPath, bott_integral, bott_projector,
                            chern_even, chern_homotopy_defect, chern_odd,
                            closedness_defect)
+from ncindex.covering import CoverData, build_mf_projection
 from ncindex.cyclic import closed_cocycle_basis, pair_cochain_form
 from ncindex.errors import NotAProjection, NotUnitary
 from ncindex.group_algebra import GAMatrix, GroupSpec
@@ -241,8 +242,6 @@ def _count_products(monkeypatch):
 @pytest.mark.parametrize("k_max", [1, 2, 3])
 def test_characters_form_only_the_trace_of_the_last_product(monkeypatch,
                                                            k_max):
-    from ncindex.covering import CoverData, build_mf_projection
-
     rng = np.random.default_rng(6)
     P = random_projection_form(GRID, Z3, 2, rng, kalg=2 * k_max)
     mf = build_mf_projection(CoverData.standard(CircleGrid(32)),
@@ -279,3 +278,56 @@ def test_z7_bridge_character_is_lean():
         tracemalloc.stop()
     assert ch.components() == [(0, 0), (0, 2), (0, 4)]
     assert peak < 20 * 2 ** 20
+
+
+# ---------------------------------------------------------------------
+# residuals at jet order 0: max_abs reads values only, and the value jet
+# of a product, sum or adjoint reads only the value jets of its inputs
+# ---------------------------------------------------------------------
+
+
+def _full_order_defects(P):
+    return (P @ P - P).max_abs(), (P.star() - P).max_abs()
+
+
+def _projections():
+    for n_arcs in (3, 4, 5):
+        cover = CoverData.standard(CircleGrid(256), n_arcs=n_arcs)
+        yield f"cover-{n_arcs}", build_mf_projection(cover).form
+    for n in (32, 64):
+        yield f"bott-{n}", bott_projector(ChartGrid2D(n))
+    for seed in range(3):
+        yield f"z3-{seed}", random_projection_form(
+            GRID, Z3, 2, np.random.default_rng(seed), kalg=4)
+
+
+@pytest.mark.parametrize("name, P", list(_projections()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_projection_defects_at_jet_order_0_are_the_full_order_ones(name, P):
+    got = chern.projection_defects(P)
+    assert got == _full_order_defects(P)
+    assert chern.projection_residual(P) == max(got) <= 1e-12
+    # far from a projection, where the defects do not round to 0
+    Q = (P + P.scale(0.25)) @ P
+    got = chern.projection_defects(Q)
+    assert got == _full_order_defects(Q) and max(got) > 1e-3
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unitary_residual_at_jet_order_0_is_the_full_order_one(seed):
+    u = random_unitary_form(GRID, Z3, 2, np.random.default_rng(seed),
+                            kalg=3)
+    one = MixedForm.one(u.grid, u.spec, u.size, u.kalg)
+    for v in (u, u.scale(1.5)):
+        want = max((v.star() @ v - one).max_abs(),
+                   (v @ v.star() - one).max_abs())
+        assert chern.unitary_residual(v) == want
+    assert chern.unitary_residual(u) <= 1e-12 < chern.unitary_residual(
+        u.scale(1.5))
+
+
+@pytest.mark.parametrize("n_arcs", [3, 4, 5])
+def test_flat_projection_records_the_full_order_defects(n_arcs):
+    mf = build_mf_projection(CoverData.standard(CircleGrid(256),
+                                                n_arcs=n_arcs))
+    assert (mf.idempotence, mf.selfadjoint) == _full_order_defects(mf.form)

@@ -275,6 +275,9 @@ def test_integer_fields_accept_integers_and_arc_lists():
         {"id": "v3", "kind": "covering-check", "deck_order": 3},
         {"id": "t-eps", "kind": "toeplitz", "eps_k": 1e-12},
         {"id": "b", "kind": "chern-check", "chart_grid": 16},
+        # the bounds of bott_radius, (0, 0.5]
+        {"id": "b-half", "kind": "chern-check", "bott_radius": 0.5},
+        {"id": "b-small", "kind": "chern-check", "bott_radius": 1e-3},
         # rotations in lowest terms, as the benchmark's batch draws them
         *({"id": f"r{p}", "kind": "toeplitz", "system": "rotation", "p": p,
            "q": 5, "u": {"type": "shift-generator"}} for p in range(1, 5)),
@@ -406,12 +409,26 @@ ARCS = [[0.0, 0.6], [0.5, 1.1]]
                       "bott_radius": float("nan")}]},
     {"experiments": [{"id": "b", "kind": "chern-check", "chart_grid": 16,
                       "tolerance": float("inf")}]},
+    {"experiments": [{"id": "b", "kind": "chern-check", "chart_grid": 16,
+                      "bott_radius": 0}]},
+    {"experiments": [{"id": "b", "kind": "chern-check", "chart_grid": 16,
+                      "bott_radius": -1}]},
+    {"experiments": [{"id": "b", "kind": "chern-check", "chart_grid": 16,
+                      "bott_radius": 0.5000001}]},
+    {"experiments": [{"id": "b", "kind": "chern-check", "chart_grid": 16,
+                      "bott_radius": 10}]},
+    {"experiments": [{"id": "v", "kind": "covering-check", "grid_size": 64,
+                      "arcs": 2, "deck": [[0, 1], [-1, 0]]}]},
+    {"experiments": [{"id": "v", "kind": "covering-check", "grid_size": 64,
+                      "deck": [[0, 1, 2]]}]},
 ], ids=["margin-string", "m_values-strings", "bott_radius-string",
         "bump_family-unknown", "experiment-seed-float", "config-seed-float",
         "tolerance-bool", "specflow-tolerance-tiny", "specflow-tolerance",
         "ids-int-and-string", "id-list", "out-int", "u-type-list",
         "arc-string", "deck-float", "u-m-float", "u-m-bool", "shift-nan",
-        "margin-nan", "margin-inf", "bott_radius-nan", "tolerance-inf"])
+        "margin-nan", "margin-inf", "bott_radius-nan", "tolerance-inf",
+        "bott_radius-zero", "bott_radius-negative", "bott_radius-above-half",
+        "bott_radius-ten", "deck-with-integer-arcs", "deck-with-default-arcs"])
 def test_mistyped_field_exits_one(tmp_path, monkeypatch, capsys, cfg):
     # no --out: a config's own "out" decides where the report would go
     monkeypatch.chdir(tmp_path)

@@ -15,7 +15,7 @@ from ncindex.covering import (CoverData, build_mf_projection,
 from ncindex.group_algebra import GAMatrix, GroupSpec
 from ncindex.nc_forms import (ChartGrid2D, CircleGrid, JetFunction,
                               MixedForm, ScalarForm, _blocks, _jet_layout,
-                              _jet_mul, _jet_order)
+                              _jet_mul, _jet_order, _Sub)
 from ncindex.testing import (_real_trig, random_projection_form,
                              random_unitary_form)
 
@@ -341,11 +341,32 @@ def _jet_mul_broadcast(x, y, ndim):
     return out
 
 
+def _dense(block):
+    """A tuple block as a dict of full (n, m, J, G) arrays."""
+    return {t: x.full() for t, x in block.items()}
+
+
+def _sum_by_tuple(pairs):
+    """Full arrays summed per tuple, left to right."""
+    out = {}
+    for t, x in pairs:
+        out[t] = out[t] + x if t in out else x
+    return out
+
+
 def _outer_all_pairs(lay, a, b, fuse=False):
-    """`_TupleBlocks.outer` as it was: every pair of entries, whole."""
-    out = lay._collect((s + t, _jet_mul_broadcast(x, y, lay.ndim))
-                       for s, x in a.items() for t, y in b.items())
-    return lay.merge(out, len(next(iter(a))) - 1) if fuse else out
+    """`_TupleBlocks.outer` as it once was: every pair of entries, as
+    full arrays, through the broadcast kernel; the result as whole
+    entries."""
+    out = _sum_by_tuple((s + t, _jet_mul_broadcast(x, y, lay.ndim))
+                        for s, x in _dense(a).items()
+                        for t, y in _dense(b).items())
+    if fuse:
+        i = len(next(iter(a))) - 1
+        out = _sum_by_tuple(
+            (t[:i] + (lay.mul(t[i], t[i + 1]),) + t[i + 2:], x)
+            for t, x in out.items())
+    return {t: _Sub.whole(x) for t, x in out.items()}
 
 
 @pytest.mark.parametrize("field", [float, complex])
@@ -379,8 +400,9 @@ def test_jet_mul_matches_the_broadcast_kernel(ndim, field):
 
 
 def _assert_same_block(got, want):
-    """Entry by entry: every entry of got is bitwise the oracle's, and an
-    oracle entry that got lacks is exactly zero."""
+    """Entry by entry, as full arrays: every entry of got is bitwise the
+    oracle's, and an oracle entry that got lacks is exactly zero."""
+    got, want = _dense(got), _dense(want)
     assert set(got) <= set(want)
     for t, x in want.items():
         if t in got:
@@ -406,25 +428,49 @@ def _as_column(y):
     return y.reshape(y.shape[:-4] + (-1, 1) + y.shape[-2:])
 
 
-@pytest.mark.parametrize("n_arcs", [3, 4])
+@pytest.mark.parametrize("n_arcs", [3, 4, 5, 6])
 def test_outer_matches_all_pairs_on_covers(n_arcs):
     """Products of the blocks of P, dP and dP dP of a cover, fused and
-    not, and traced as `MixedForm.traced_product` views them."""
+    not, and traced as `MixedForm.traced_product` views them: the rows
+    and columns of `_TupleBlocks.flat` against full arrays reshaped."""
     lay, blocks = _cover_blocks(n_arcs)
     zero_pairs = 0
     for a, b in itertools.product(blocks, repeat=2):
         for fuse in (False, True):
             want = _outer_all_pairs(lay, a, b, fuse)
             _assert_same_block(lay.outer(a, b, fuse), want)
-            zero_pairs += sum(not x.any() for x in want.values())
-        rows = lay.apply(a, _as_row)
-        cols = lay.apply(b, _as_column)
-        _assert_same_block(lay.outer(rows, cols, True),
+            zero_pairs += sum(not x.part.any() for x in want.values())
+        rows = {t: _Sub.whole(_as_row(x)) for t, x in _dense(a).items()}
+        cols = {t: _Sub.whole(_as_column(y)) for t, y in _dense(b).items()}
+        flat_a, flat_b = lay.flat(a, False), lay.flat(b, True)
+        _assert_same_block(rows, flat_a)
+        _assert_same_block(cols, flat_b)
+        _assert_same_block(lay.outer(flat_a, flat_b, True),
                            _outer_all_pairs(lay, rows, cols, True))
     assert zero_pairs > 0
 
 
-@pytest.mark.parametrize("n_arcs", [3, 4])
+@pytest.mark.parametrize("n_arcs", [3, 4, 5, 6])
+def test_trace_and_sums_match_full_arrays_on_covers(n_arcs):
+    """The trace of every block entry is np.trace of its full array, and
+    a sum of two blocks the sum of their full arrays, bitwise."""
+    lay, blocks = _cover_blocks(n_arcs)
+    for a in blocks:
+        want = {t: np.trace(x, axis1=0, axis2=1)[None, None]
+                for t, x in _dense(a).items()}
+        got = _dense(lay.trace(a))
+        assert set(got) <= set(want)
+        for t, x in want.items():
+            assert np.array_equal(got[t], x) if t in got else not x.any()
+    for a, b in itertools.product(blocks, repeat=2):
+        entries = [*_dense(a).items(), *_dense(b).items()]
+        J = min(x.shape[2] for _, x in entries)
+        want = _sum_by_tuple((t, x[:, :, :J]) for t, x in entries)
+        _assert_same_block(lay.add(a, b),
+                           {t: _Sub.whole(x) for t, x in want.items()})
+
+
+@pytest.mark.parametrize("n_arcs", [3, 4, 5, 6])
 def test_cover_character_matches_all_pair_products(monkeypatch, n_arcs):
     cover = CoverData.standard(CircleGrid(128), n_arcs=n_arcs)
     mf = build_mf_projection(cover)
@@ -444,15 +490,20 @@ def test_pair_with_an_exactly_zero_product_gives_no_entry():
     y = np.zeros((3, 3, 2, 8))
     x[0, 1] = rng.standard_normal((2, 8))   # column 1 of x is live
     y[2] = rng.standard_normal((3, 2, 8))   # only row 2 of y is live
-    a, b = {((0,),): x}, {((1,),): y}
+    a = lay.prune(lay.block([(((0,),), x)], 0))
+    b = lay.prune(lay.block([(((1,),), y)], 0))
+    assert (a[((0,),)].rows, a[((0,),)].cols) == ((0,), (1,))
+    assert (b[((1,),)].rows, b[((1,),)].cols) == ((2,), (0, 1, 2))
     assert lay.outer(a, b) == {}
     assert list(_outer_all_pairs(lay, a, b)) == [((0,), (1,))]
     # an empty block passes through the block operations
-    c = {((2,),): y}
+    c = lay.block([(((2,),), y)], 0)
     for got in (lay.add(lay.outer(a, b), c), lay.add(c, {})):
-        assert list(got) == list(c) and np.array_equal(got[((2,),)], y)
+        assert list(got) == list(c) and np.array_equal(_dense(got)[((2,),)],
+                                                       y)
     assert lay.add({}, {}) == {} and lay.merge({}, 0) == {}
     assert lay.kill({}) == {} and lay.apply({}, np.negative) == {}
+    assert lay.trace({}) == {} and lay.flat({}, False) == {}
     assert lay.prune({}) is None
 
 
@@ -461,13 +512,13 @@ def test_standard_cover_makes_one_untrimmed_pair_product(monkeypatch):
     in the idempotence check has every row, inner index and column
     live; every other one is trimmed or skipped."""
     full = []
-    live_mul = nc_forms._live_mul
+    sub_mul = nc_forms._sub_mul
 
-    def counted(x, rows, inner, y, cols, ndim):
-        full.append(rows.all() and inner.all() and cols.all())
-        return live_mul(x, rows, inner, y, cols, ndim)
+    def counted(x, y, ndim):
+        full.append(x.is_whole() and y.is_whole())
+        return sub_mul(x, y, ndim)
 
-    monkeypatch.setattr(nc_forms, "_live_mul", counted)
+    monkeypatch.setattr(nc_forms, "_sub_mul", counted)
     cover = CoverData.standard(CircleGrid(256))
     assert verify_prop_chern(cover, winding_cocycle(cover.deck_spec))[
         "passed"]
@@ -481,7 +532,16 @@ def test_collect_writes_into_no_input():
     xs.append(1j * rng.standard_normal((2, 2, 2, 4)))
     copies = [x.copy() for x in xs]
     t = ((0,),)
-    got = lay._collect((t, x) for x in xs)
-    assert np.array_equal(got[t], ((xs[0] + xs[1]) + xs[2]) + xs[3])
+    got = lay._collect((t, _Sub.whole(x)) for x in xs)
+    assert np.array_equal(got[t].full(), ((xs[0] + xs[1]) + xs[2]) + xs[3])
     assert all(np.array_equal(x, c) for x, c in zip(xs, copies))
-    assert all(got[t] is not x for x in xs)
+    assert all(got[t].part is not x for x in xs)
+    # submatrices on different rows and columns sum into their union
+    subs = [_Sub((3, 3), (0, 2), (1,), xs[0][:, :1]),
+            _Sub((3, 3), (1,), (0, 1), xs[1][:1]),
+            _Sub((3, 3), (0, 1), (0, 1), xs[2])]
+    got = lay._collect((t, x) for x in subs)[t]
+    assert (got.rows, got.cols) == ((0, 1, 2), (0, 1))
+    assert np.array_equal(got.full(), (subs[0].full() + subs[1].full())
+                          + subs[2].full())
+    assert all(np.array_equal(x, c) for x, c in zip(xs, copies))
