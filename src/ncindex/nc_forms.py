@@ -5,7 +5,15 @@ and increasing tuple of grid axes, a block of entries keyed by exact group
 tuples (g_0, ..., g_q).  The entry at a tuple is the (n, n) matrix of jets
 of the coefficient of g_0 dg_1 ... dg_q dx_axes.  As d e = 0, the tuples
 with g_i != e for i >= 1 are a basis of Omega^q C[Gamma], so equal forms
-have equal entries.  Words over B = M_n(C Gamma) enter through the map
+have equal entries.  An entry is an (n, n, J, G) array over the G grid
+points; a coefficient that is constant on the grid (the same jets at every
+point) has G = 1.  `ScalarForm.one` and `MixedForm.one` store the
+constant 1 at one point, and every block operation broadcasts a length-1
+grid axis, so the character of a projection that is constant on the
+manifold is formed at one grid point.  What a caller reads (`stacks`,
+`entries` and the scalar views built on them) is broadcast to the grid.
+
+Words over B = M_n(C Gamma) enter through the map
 
     phi(m_0 dm_1 ... dm_q)[i, j]
         = sum over i_1..i_q of m_0[i, i_1] dm_1[i_1, i_2] ... dm_q[i_q, j]
@@ -262,9 +270,10 @@ class JetFunction:
 def _jet_mul(x, y, ndim):
     """Product of two matrices of jets, (n, l, J, G) and (l, m, J, G)
     arrays: a matrix product, by Leibniz in the jets and pointwise on the
-    G grid points, one `einsum` per Leibniz term."""
+    G grid points, one `einsum` per Leibniz term.  A grid axis of length
+    1 broadcasts."""
     J = min(x.shape[-2], y.shape[-2])
-    out = np.zeros((len(x), y.shape[1], J, x.shape[-1]),
+    out = np.zeros((len(x), y.shape[1], J, max(x.shape[-1], y.shape[-1])),
                    dtype=np.result_type(x, y))
     for o, i, j, c in _jet_layout(ndim, _jet_order(ndim, J)).mul_table:
         term = np.einsum("nlg,lmg->nmg", x[:, :, i], y[:, :, j])
@@ -372,17 +381,19 @@ def _sub_mul(x, y, ndim):
 
 def _sub_add(a, b, own):
     """a + b, over the union of their rows and columns; on equal ones in
-    place into a's part if own (allocated for this sum) and of b's
-    field."""
+    place into a's part if own (allocated for this sum), of b's field
+    and of the broadcast grid length."""
     dtype = np.result_type(a.part, b.part)
+    G = max(a.part.shape[-1], b.part.shape[-1])
     if (a.rows, a.cols) == (b.rows, b.cols):
-        if own and a.part.dtype == dtype:
+        if own and a.part.dtype == dtype and a.part.shape[-1] == G:
             a.part += b.part
             return a
         return a.map(lambda p: p + b.part)
     rows, ra, rb = _union(a.rows, b.rows)
     cols, ca, cb = _union(a.cols, b.cols)
-    part = np.zeros((len(rows), len(cols)) + a.part.shape[2:], dtype)
+    part = np.zeros((len(rows), len(cols)) + a.part.shape[2:-1] + (G,),
+                    dtype)
     part[np.ix_(ra, ca)] = a.part
     part[np.ix_(rb, cb)] += b.part
     return _Sub(a.shape, rows, cols, part)
@@ -394,18 +405,21 @@ def _jet_outer(x, y, ndim, solve):
     with the jets of x contracted into its inner index.  The result has
     the leading (tuple) axes of x, then those of y, then the entry axes.
     Unless solve is None, x's last slot g meets y's first slot solve[g][f]
-    at the slot f, summed over g in the inner index (see `_DenseBlocks`)."""
+    at the slot f, summed over g in the inner index (see `_DenseBlocks`).
+    A grid axis of length 1 broadcasts in the batched product."""
     J = min(x.shape[-2], y.shape[-2])
     lay = _jet_layout(ndim, _jet_order(ndim, J))
-    (n, l), m, G = x.shape[-4:-2], y.shape[-3], x.shape[-1]
+    (n, l), m = x.shape[-4:-2], y.shape[-3]
+    gx, gy = x.shape[-1], y.shape[-1]
+    G = max(gx, gy)
     c = 1 if solve is None else len(solve)
-    xs = x[..., :J, :].reshape(-1, c, n, l, J, G)
+    xs = x[..., :J, :].reshape(-1, c, n, l, J, gx)
     xo = np.einsum("oij,Lcabig->gLaobjc", lay.leibniz, xs)
     # y as a (G, l, J, slots..., m) view, so the gather is its one copy
     yt = np.moveaxis(y[..., :J, :], (-1, -4, -2), (0, 1, 2))
     if solve is not None:
         yt = np.take(yt, solve, axis=3)
-    out = xo.reshape(G, -1, l * J * c) @ yt.reshape(G, l * J * c, -1)
+    out = xo.reshape(gx, -1, l * J * c) @ yt.reshape(gy, l * J * c, -1)
     out = out.reshape(G, len(xs), n, J, -1, m).transpose(1, 4, 2, 5, 3, 0)
     lead = x.shape[:x.ndim - 4 - (solve is not None)]
     return out.reshape(lead + y.shape[:-4] + (n, m, J, G))
@@ -434,7 +448,8 @@ class _DenseBlocks:
 
     def block(self, entries, q):
         entries = list(entries)
-        out = np.zeros((self.k,) * (q + 1) + entries[0][1].shape,
+        shape = np.broadcast_shapes(*(x.shape for _, x in entries))
+        out = np.zeros((self.k,) * (q + 1) + shape,
                        dtype=np.result_type(*{x.dtype for _, x in entries}))
         for tup, x in entries:
             out[tup] += x
@@ -490,6 +505,12 @@ class _DenseBlocks:
         out[self.e] = block
         return out
 
+    def fold_in(self, block, folded):
+        # a copy: block's last slot e, which kill zeroed, takes folded
+        out = block.copy()
+        out[(slice(None),) * (block.ndim - 5) + (self.e,)] += folded
+        return out
+
     def kill(self, block):
         for i in range(1, block.ndim - 4):
             block[(slice(None),) * i + (self.e,)] = 0
@@ -511,7 +532,8 @@ class _TupleBlocks:
         return self._collect((t, _Sub.whole(x)) for t, x in entries)
 
     def stacked(self, block):
-        return list(block), np.stack([x.full() for x in block.values()])
+        return list(block), np.stack(np.broadcast_arrays(
+            *(x.full() for x in block.values())))
 
     def pair(self, block, values):
         return np.tensordot(values(list(block)), self.stacked(block)[1], 1)
@@ -554,6 +576,10 @@ class _TupleBlocks:
 
     def prepend_e(self, block):
         return {(self.e,) + t: x for t, x in block.items()}
+
+    def fold_in(self, block, folded):
+        return self._collect([*block.items(), *(
+            (t + (self.e,), x) for t, x in folded.items())])
 
     def kill(self, block):
         return {t: x for t, x in block.items() if self.e not in t[1:]}
@@ -607,7 +633,8 @@ class MixedForm:
 
     terms maps (algebra degree q, manifold axes) to a block whose entry
     at the group tuple (g_0, ..., g_q) is the (n, n, J, G) jet array of
-    the coefficient of g_0 dg_1 ... dg_q dx_axes.
+    the coefficient of g_0 dg_1 ... dg_q dx_axes; G is the number of grid
+    points, or 1 for a grid-constant coefficient, broadcast on reading.
     """
 
     __slots__ = ("grid", "spec", "size", "kalg", "terms", "dropped",
@@ -642,16 +669,20 @@ class MixedForm:
                  functools.reduce(np.matmul, [m for _, m in combo]))
                 for combo in itertools.product(
                     *(mat.parts.items() for mat in word))]
+        # the blocks, not `entries`, keep a grid-constant coefficient at
+        # one grid point
         self.add_entries((t, axes, np.multiply.outer(m, x[0, 0]))
-                         for _e, axes, x in sform.entries()
+                         for (_q, axes), block in sform.terms.items()
+                         for x in sform.layout.stacked(block)[1]
                          for t, m in mats)
 
     def add_entries(self, entries):
         """Add (group tuple, axes, (n, n, J, *grid) array) entries, the
-        inverse of `entries`.  The algebra degree is the tuple length
-        less one; entries above kalg are dropped (and `dropped` set), and
-        a tuple with e in a slot >= 1 dies.  A block takes the lowest jet
-        order among its entries, as `_add` does."""
+        inverse of `entries`; an (n, n, J, 1) array is a grid-constant
+        entry, kept at one grid point.  The algebra degree is the tuple
+        length less one; entries above kalg are dropped (and `dropped`
+        set), and a tuple with e in a slot >= 1 dies.  A block takes the
+        lowest jet order among its entries, as `_add` does."""
         blocks = {}
         for tup, axes, x in entries:
             if len(tup) - 1 > self.kalg:
@@ -749,19 +780,21 @@ class MixedForm:
             left = {key: lay.flat(a, False) for key, a in left.items()}
             right = {key: lay.flat(b, True) for key, b in right.items()}
         for (qa, ax_a), a in left.items():
-            # the terms i < a merge slots of the left word only
+            # the terms i < a merge slots of the left word only; their sum
+            # sits at a's last slot e, where the fused product's e h = h
+            # appends it to the right word: one product for all terms
             folded = None
             for i in range(qa):
                 part = _signed(lay, lay.merge(a, i), (-1) ** (qa - i), False)
                 folded = part if folded is None else lay.add(folded, part)
+            if folded is not None:
+                a = lay.fold_in(a, folded)
             for (qb, ax_b), b in right.items():
                 axes, sign = _merge_axes(ax_a, ax_b)
                 if qa + qb > out.kalg:
                     out.dropped = True
                 elif axes is not None:
                     block = lay.outer(a, b, fuse=True)
-                    if folded is not None:
-                        block = lay.add(block, lay.outer(folded, b))
                     # the product allocated every array of block
                     sign *= (-1) ** (qa * len(ax_b))
                     out._add((qa + qb, axes),
@@ -804,11 +837,14 @@ class MixedForm:
     # -- inspection ------------------------------------------------------
     def stacks(self):
         """Yield (q, axes, group tuples, (N, n, n, J, *grid) array) for
-        every block: the nonzero entries of the block, stacked."""
+        every block: the nonzero entries of the block, stacked, and
+        broadcast to the grid from a grid-constant block."""
+        size = math.prod(self.grid.shape)
         for (q, axes), block in self.terms.items():
             tuples, arrays = self.layout.stacked(block)
-            yield q, axes, tuples, arrays.reshape(arrays.shape[:-1]
-                                                  + self.grid.shape)
+            lead = arrays.shape[:-1]
+            yield q, axes, tuples, np.broadcast_to(
+                arrays, lead + (size,)).reshape(lead + self.grid.shape)
 
     def entries(self):
         """Yield (group tuple, axes, (n, n, J, *grid) array) for every
@@ -886,7 +922,12 @@ class ScalarForm(MixedForm):
 
     @classmethod
     def one(cls, grid, order=2):
-        return cls(grid, {(): JetFunction.constant(grid, 1.0, order)})
+        """The constant 1, stored at one grid point."""
+        out = cls(grid)
+        one = np.zeros((1, 1, len(_jet_layout(grid.ndim, order).indices), 1))
+        one[:, :, 0] = 1.0
+        out.add_entries([(cls.E, (), one)])
+        return out
 
     d = MixedForm.dtot_manifold
 
