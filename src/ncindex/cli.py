@@ -72,7 +72,8 @@ def _is_number(v):
 
 
 def _is_finite(v):
-    return _is_number(v) and math.isfinite(v)
+    # exact for an int too large for a float, where math.isfinite raises
+    return _is_number(v) and abs(v) <= sys.float_info.max
 
 
 def _is_int_list(v):
@@ -101,8 +102,24 @@ _U_TYPES = {"exp": "circle", "fourier": None, "shift-generator": "rotation"}
 def _is_symbol(u):
     return (isinstance(u, dict) and isinstance(u.get("type"), str)
             and u["type"] in _U_TYPES
-            and (u["type"] != "fourier"
-                 or isinstance(u.get("coeffs"), dict)))
+            and (u["type"] != "fourier" or _is_coeffs(u.get("coeffs"))))
+
+
+def _is_coeffs(v):
+    """Fourier coefficients: every key a string that int() parses, every
+    value a finite number or a list [re, im] of two."""
+    return isinstance(v, dict) and all(
+        _is_weight(k) and (_is_finite(c) or (
+            isinstance(c, list) and len(c) == 2 and all(map(_is_finite, c))))
+        for k, c in v.items())
+
+
+def _is_weight(k):
+    try:
+        int(k)
+    except (TypeError, ValueError):
+        return False
+    return isinstance(k, str)
 
 
 def _is_arcs(v):
@@ -117,8 +134,9 @@ _TOLERANCE = _check("a finite positive number",
                     lambda v: _is_finite(v) and v > 0)
 _STRING = _check("a string", lambda v: isinstance(v, str))
 _FAMILY = _one_of(*bumps.FAMILIES)
-_SYMBOL = _check(f"an object whose type is one of {sorted(_U_TYPES)}, "
-                 f"with a coeffs object for fourier", _is_symbol)
+_SYMBOL = _check(f"an object whose type is one of {sorted(_U_TYPES)}; "
+                 f"fourier takes coeffs, an object of integer keys with "
+                 f"finite number or [re, im] values", _is_symbol)
 
 #: {kind: {key: (check, default)}}; a default of None means none
 _FIELDS = {
@@ -217,8 +235,7 @@ def _validate_experiment(exp, seen):
         if not _is_int(x["u"].get("m", 1)):
             raise ConfigError(f"{where}u.m must be an integer")
         band = _bandwidth(x["u"])
-        if band is not None \
-                and x["fourier_cutoff"] < toeplitz.least_cutoff(band):
+        if x["fourier_cutoff"] < toeplitz.least_cutoff(band):
             raise ConfigError(
                 f"{where}fourier_cutoff {x['fourier_cutoff']} is below "
                 f"{toeplitz.least_cutoff(band)}, the truncation margin of "
@@ -248,16 +265,12 @@ def _validate_experiment(exp, seen):
 
 
 def _bandwidth(u):
-    """Largest |weight| of a toeplitz symbol spec; None when a malformed
-    coefficient key leaves the rejection to the runner."""
+    """Largest |weight| of a toeplitz symbol spec."""
     if u["type"] == "shift-generator":
         return 1
     if u["type"] == "exp":
         return abs(u.get("m", 1))
-    try:
-        return max((abs(int(k)) for k in u["coeffs"]), default=0)
-    except ValueError:
-        return None
+    return max((abs(int(k)) for k in u["coeffs"]), default=0)
 
 
 def _filled(exp):

@@ -247,14 +247,27 @@ def chern_lambda(p, m_max, tol=1e-10):
     chains = []
     for m in range(m_max + 1):
         slots = 2 * m + 1
-        operands = []
-        for s in range(slots):
-            operands += [E, [s, (s + 1) % slots, slots + s]]
-        coeffs = np.einsum(*operands, list(range(slots, 2 * slots)),
-                           optimize=True)
+        coeffs = np.einsum(*_cyclic_operands(E, slots),
+                           optimize=_cyclic_path(slots, E.shape))
         chains.append(CyclicChain(p.spec, support,
                                   -coeffs if m % 2 else coeffs))
     return chains
+
+
+def _cyclic_operands(E, slots):
+    """Interleaved einsum operands of the chain of `slots` copies of E."""
+    operands = []
+    for s in range(slots):
+        operands += [E, [s, (s + 1) % slots, slots + s]]
+    return operands + [list(range(slots, 2 * slots))]
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclic_path(slots, shape):
+    """The path `optimize=True` finds for `_cyclic_operands` on an E of
+    `shape`, searched once per chain and shape."""
+    E = np.broadcast_to(0.0, shape)
+    return np.einsum_path(*_cyclic_operands(E, slots), optimize=True)[0]
 
 
 # ---------------------------------------------------------------------

@@ -6,10 +6,12 @@ Every matrix stays in the field of its entries, so real symmetric
 samples take LAPACK's real routines, at about a third of the cost.
 A matrix is tested for diagonality once, where it enters the module
 (`_compact`); a diagonal one then travels as the 1-D array of its
-diagonal, which every helper takes, and its unit eigenvectors as their
-mode indices, which the boundary filter tests by index.  The windows of
-`verify_oddind` and their projections are diagonal and built 1-D, so it
-holds no n x n array and its time and memory grow as n.
+diagonal, which every helper takes and a path keeps as its sample.  Its
+eigen-decomposition is a stable sort of that diagonal, and its unit
+eigenvectors travel as their mode indices, which the boundary filter
+tests by index.  The windows of `verify_oddind` and their projections
+are diagonal and built 1-D, so it holds no n x n array and its time and
+memory grow as n.
 
 Spectral flow counts signed eigenvalue crossings through zero; on finite
 matrices this is the drop of the negative-eigenvalue count from one end
@@ -48,9 +50,9 @@ class SelfAdjointPath:
     see `norm_exceeds`); refinement bisects until that holds, and raises
     CrossingUnresolved when the budget is exhausted or the path jumps
     (the bound still fails on a step shorter than 1e-6).  A path has at
-    least one sample and one time per sample.  `mats` keeps the samples
-    as given; each is checked self-adjoint as it is taken and kept in
-    compact form too, which the refinement and the endpoint flow read.
+    least one sample and one time per sample.  `mats` holds each sample
+    in compact form (a diagonal one as its 1-D diagonal, see `_compact`),
+    checked self-adjoint as it is taken.
     """
 
     def __init__(self, ts, mats, delta_c=1e-2):
@@ -58,27 +60,23 @@ class SelfAdjointPath:
         if not 0 < len(ts) == len(mats):
             raise ValueError(f"path needs one time per sample, and a sample;"
                              f" got {len(ts)} times, {len(mats)} samples")
-        self.ts, self.mats, self._samples = [], [], []
-        self.delta_c = delta_c
+        self.ts, self.mats, self.delta_c = [], [], delta_c
         for t, m in zip(ts, mats):
             self._insert(len(self.ts), t, m)
 
     def _insert(self, i, t, mat):
         """Check the sample `mat` at `t` and put it in place `i`."""
-        mat = _own_field(mat)
-        x = _compact(mat)
+        x = _compact(_own_field(mat))
         if not _sa_residual(x) <= 1e-10:
             raise ValueError("path sample is not self-adjoint")
         self.ts.insert(i, t)
-        self.mats.insert(i, mat)
-        self._samples.insert(i, x)
+        self.mats.insert(i, x)
 
     @classmethod
-    def _of_checked(cls, ts, mats, samples, delta_c):
+    def _of_checked(cls, ts, mats, delta_c):
         """A path of samples that another path has checked already."""
         path = cls.__new__(cls)
-        path.ts, path.mats, path._samples = ts, mats, samples
-        path.delta_c = delta_c
+        path.ts, path.mats, path.delta_c = ts, mats, delta_c
         return path
 
     @classmethod
@@ -89,7 +87,7 @@ class SelfAdjointPath:
         i = 0
         while i < len(ts) - 1:
             a, b = ts[i], ts[i + 1]
-            diff = _difference(*path._samples[i:i + 2])
+            diff = _difference(*path.mats[i:i + 2])
             if not norm_exceeds(diff, delta_c / 2):
                 i += 1
                 continue
@@ -107,14 +105,13 @@ class SelfAdjointPath:
     def reversed(self):
         return SelfAdjointPath._of_checked(
             [self.ts[-1] - t + self.ts[0] for t in reversed(self.ts)],
-            self.mats[::-1], self._samples[::-1], self.delta_c)
+            self.mats[::-1], self.delta_c)
 
     def concatenate(self, other):
         shift = self.ts[-1] - other.ts[0]
         return SelfAdjointPath._of_checked(
             self.ts + [t + shift for t in other.ts[1:]],
-            self.mats + other.mats[1:], self._samples + other._samples[1:],
-            min(self.delta_c, other.delta_c))
+            self.mats + other.mats[1:], min(self.delta_c, other.delta_c))
 
 
 #: relative margin by which a cheap bound must clear the threshold to
@@ -152,13 +149,14 @@ def _compact(mat):
     is square with every entry off the diagonal zero, else `mat` itself
     (so a 1-D array is compact already).  The off-diagonal entries are
     read as the strided view that skips the diagonal; a NaN there counts
-    as nonzero.  The module's one diagonality scan."""
+    as nonzero.  A diagonal comes out as a copy, so it holds no reference
+    to `mat`.  The module's one diagonality scan."""
     n = len(mat)
     if mat.shape != (n, n):
         return mat
     if n > 1 and mat.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
         return mat
-    return np.diagonal(mat)
+    return np.diagonal(mat).copy()
 
 
 def _dense(x):
@@ -198,7 +196,7 @@ def spectral_flow(path, margin_filter=None):
     eigenvectors and returns one rejection flag per column.  Both
     endpoints must be invertible on the retained subspace.
     """
-    return _endpoint_flow(_eigh(path._samples[0]), _eigh(path._samples[-1]),
+    return _endpoint_flow(_eigh(path.mats[0]), _eigh(path.mats[-1]),
                           path.delta_c, margin_filter)
 
 
@@ -261,7 +259,7 @@ def _projection_range(x, name, tol):
     The spectral residual max |w^2 - w| bounds every entry of x^2 - x."""
     if not _sa_residual(x) <= tol:
         raise NotAProjection(f"{name} is not self-adjoint")
-    w, v = (x.real, None) if x.ndim == 1 else np.linalg.eigh(x)
+    w, v = (x.real, None) if x.ndim == 1 else _eigh(x)
     if not np.max(np.abs(w * w - w), initial=0.0) <= tol:
         raise NotAProjection(f"{name} has an eigenvalue away from 0 and 1")
     return w > 0.5 if v is None else v[:, w > 0.5]
@@ -279,20 +277,18 @@ def _rejected(reject, vecs, n):
 
 
 def _eigh(mat):
-    """`np.linalg.eigh(mat)`, where a diagonal `mat`, or the 1-D array
-    of its diagonal, goes to LAPACK as its 1 x 1 blocks in one batched
-    call, so every decomposition stays one `eigh` call, as the tracer
-    and the call-count tests count them.
+    """Eigenvalues, ascending, and eigenvectors of the self-adjoint `mat`.
 
-    Eigenvalues come out ascending; a diagonal matrix keeps its ties in
-    diagonal order, and gives its unit eigenvectors e_v[k] as modes v.
-    """
+    A diagonal `mat`, or the 1-D array of its diagonal, takes no LAPACK
+    call: its eigenvalues are the diagonal's real part in a stable sort,
+    so ties keep their diagonal order (a NaN sorts last and stays), and
+    its unit eigenvectors e_v[k] come back as the modes v.  Any other
+    matrix goes to LAPACK whole."""
     x = _compact(mat)
     if x.ndim == 2:
         return np.linalg.eigh(x)
-    w = np.linalg.eigh(x[:, None, None])[0][:, 0]
-    order = np.argsort(w, kind="stable")
-    return w[order], order
+    order = np.argsort(x.real, kind="stable")
+    return x.real[order], order
 
 
 # ---------------------------------------------------------------------
@@ -436,11 +432,10 @@ def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
     start = _own_field(mode_window(fc))     # D + A as its 1-D diagonal
     start[fc] += shift
     reject = boundary_mass_filter(fc, margin)
-    eig = _eigh(start)
-    spfl = _endpoint_flow(eig, _eigh(conjugate_by_shift(start, m)),
+    spfl = _endpoint_flow(_eigh(start), _eigh(conjugate_by_shift(start, m)),
                           delta_c, reject)
 
-    P = _nonneg_part(start, *eig)
+    P = (start.real >= 0.0).astype(float)   # the nonnegative projection
     Q = conjugate_by_shift(P, m)
     rel = relative_index(P, Q, spurious=reject)
     adjusted = RELATIVE_INDEX_ORIENTATION * rel
@@ -454,16 +449,3 @@ def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
         "margin": margin,
     }
 
-
-def _nonneg_projection(mat):
-    return _dense(_nonneg_part(_compact(mat), *_eigh(mat)))
-
-
-def _nonneg_part(x, w, v):
-    """Projection onto the eigenvectors `v` of eigenvalues `w` >= 0 of
-    the compact `x`; for a 1-D diagonal, whose eigenvectors are unit
-    vectors, the 1-D diagonal x >= 0."""
-    if x.ndim == 1:
-        return (x.real >= 0.0).astype(float)
-    keep = v[:, w >= 0.0]
-    return keep @ keep.conj().T

@@ -222,15 +222,6 @@ def _top_modes(size, margin):
     return size - int(np.floor(size * (1.0 - margin)))
 
 
-def _mode_mass_top(vecs, d, margin):
-    """Share of each column's l2 mass in the top `margin` share of the
-    mode range."""
-    size = len(vecs) // d
-    per_mode = (np.abs(vecs) ** 2).reshape(size, d, -1).sum(axis=1)
-    top = per_mode[size - _top_modes(size, margin):]
-    return top.sum(axis=0) / per_mode.sum(axis=0)
-
-
 def floor_cutoff(bandwidth):
     """The first guard of `tau_index`: F_c >= 8 x bandwidth (at least 8),
     checked before any decomposition."""

@@ -168,6 +168,10 @@ def test_flag_overrides(tmp_path):
     {"u": {"type": "shift-generator"}},
     {"system": "rotation", "u": {"type": "exp", "m": 1}},
     {"u": {"type": "fourier"}},
+    {"u": {"type": "fourier", "coeffs": {"1": [1]}}},
+    {"u": {"type": "fourier", "coeffs": {"1": None}}},
+    {"u": {"type": "fourier", "coeffs": {"1": [1, 2, 3]}}},
+    {"u": {"type": "fourier", "coeffs": {"x": 1.0}}},
 ])
 def test_bad_toeplitz_system_or_symbol_exits_one(tmp_path, exp):
     cfg = {"experiments": [dict({"id": "t", "kind": "toeplitz"}, **exp)]}
@@ -405,6 +409,7 @@ ARCS = [[0.0, 0.6], [0.5, 1.1]]
     {"experiments": [dict(SPECFLOW_EXP, shift=float("nan"))]},
     {"experiments": [dict(SPECFLOW_EXP, margin=float("nan"))]},
     {"experiments": [dict(SPECFLOW_EXP, margin=float("inf"))]},
+    {"experiments": [dict(SPECFLOW_EXP, margin=10 ** 400)]},
     {"experiments": [{"id": "b", "kind": "chern-check", "chart_grid": 16,
                       "bott_radius": float("nan")}]},
     {"experiments": [{"id": "b", "kind": "chern-check", "chart_grid": 16,
@@ -426,9 +431,10 @@ ARCS = [[0.0, 0.6], [0.5, 1.1]]
         "tolerance-bool", "specflow-tolerance-tiny", "specflow-tolerance",
         "ids-int-and-string", "id-list", "out-int", "u-type-list",
         "arc-string", "deck-float", "u-m-float", "u-m-bool", "shift-nan",
-        "margin-nan", "margin-inf", "bott_radius-nan", "tolerance-inf",
-        "bott_radius-zero", "bott_radius-negative", "bott_radius-above-half",
-        "bott_radius-ten", "deck-with-integer-arcs", "deck-with-default-arcs"])
+        "margin-nan", "margin-inf", "margin-huge-int", "bott_radius-nan",
+        "tolerance-inf", "bott_radius-zero", "bott_radius-negative",
+        "bott_radius-above-half", "bott_radius-ten", "deck-with-integer-arcs",
+        "deck-with-default-arcs"])
 def test_mistyped_field_exits_one(tmp_path, monkeypatch, capsys, cfg):
     # no --out: a config's own "out" decides where the report would go
     monkeypatch.chdir(tmp_path)

@@ -13,13 +13,21 @@ from ncindex.specflow import (RELATIVE_INDEX_ORIENTATION, ChiTriple,
                               norm_exceeds, pu_idempotence_residual,
                               pu_projection, relative_index, shift_matrix,
                               spectral_flow, truncated_dirac,
-                              verify_oddind, _nonneg_projection)
+                              verify_oddind)
 
 FC = 16
 
 
 def half_shifted_dirac(fc=FC):
     return truncated_dirac(fc) + 0.5 * np.eye(2 * fc + 1)
+
+
+def _nonneg_projection(mat):
+    """Projection onto the eigenvectors of eigenvalue >= 0 of the dense
+    self-adjoint `mat`, by LAPACK."""
+    w, v = np.linalg.eigh(mat)
+    keep = v[:, w >= 0.0]
+    return keep @ keep.conj().T
 
 
 def test_constant_invertible_path():
@@ -75,8 +83,6 @@ def test_reversed_and_concatenated_paths_reuse_the_checked_samples(
     for path, again in zip(made, rebuilt):
         assert path.ts == again.ts and path.delta_c == again.delta_c
         assert all(a is b for a, b in zip(path.mats, again.mats))
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(path._samples, again._samples))
     assert [spectral_flow(p) for p in made] \
         == [spectral_flow(p) for p in rebuilt] == [-1, 2, 0, -2]
 
@@ -279,26 +285,28 @@ def test_oddind_magnitude_two():
 
 
 def test_verify_oddind_decomposes_each_matrix_once(monkeypatch):
-    counts = {"svd": 0, "eigh": 0}
-    for name in counts:
-        real = getattr(np.linalg, name)
+    counts = {"svd": 0, "eigh": 0, "_eigh": 0}
+    for owner, name in ((np.linalg, "svd"), (np.linalg, "eigh"),
+                        (specflow, "_eigh")):
+        real = getattr(owner, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     rep = verify_oddind(32, 1)
     assert rep["match"]
-    # one eigh per window matrix, where start also gives P; P and Q are
-    # diagonal, so their ranges and the compression need no decomposition
-    assert counts == {"svd": 0, "eigh": 2}
+    # one decomposition per window matrix; the windows are diagonal, so
+    # neither reaches LAPACK, and P and Q are diagonal, so their ranges
+    # and the compression need no decomposition
+    assert counts == {"svd": 0, "eigh": 0, "_eigh": 2}
     P, Q = (_rotated(M, 32) for M in _window_projections(32, 1))
-    counts.update(svd=0, eigh=0)
+    counts.update(svd=0, eigh=0, _eigh=0)
     relative_index(P, Q)
-    # a pair with entries off the diagonal: one eigh per range, one SVD
-    # of the compression
-    assert counts == {"svd": 1, "eigh": 2}
+    # a pair with entries off the diagonal: one LAPACK eigh per range,
+    # one SVD of the compression
+    assert counts == {"svd": 1, "eigh": 2, "_eigh": 2}
 
 
 def test_verify_oddind_scans_no_matrix_for_diagonality(monkeypatch):
@@ -709,7 +717,7 @@ def test_refinement_matches_the_svd_loop(fc, kind):
     assert path.ts == _refined_ts_by_svd(fn, delta_c=0.2)
     assert len(path.ts) > 9
     for t, mat in zip(path.ts, path.mats):
-        assert np.array_equal(mat, fn(t))
+        assert np.array_equal(specflow._dense(mat), fn(t))
 
 
 def test_refinement_takes_exact_norms_only_when_the_bounds_straddle(
@@ -819,6 +827,24 @@ def test_window_builders_are_real():
     for m in (-2, 0, 3):
         assert conjugate_by_shift(X, m).dtype == np.float64
         assert conjugate_by_shift(X.astype(complex), m).dtype == complex
+
+
+def test_path_flow_path_holds_no_dense_sample():
+    # the path of perfbench's path-flow-128 call: 17 samples, which as
+    # dense 257 x 257 arrays would hold 8.99 MB
+    import tracemalloc
+
+    n = 2 * 128 + 1
+    D = truncated_dirac(128) + 0.5 * np.eye(n)
+    tracemalloc.start()
+    try:
+        path = SelfAdjointPath.from_callable(lambda t: D + t * np.eye(n),
+                                             delta_c=0.2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(path.mats) == 17 and spectral_flow(path) == 1
+    assert held < 0.5 * 2 ** 20
 
 
 def test_path_samples_keep_their_field():
@@ -970,11 +996,22 @@ def test_eigh_matches_lapack(name):
                              - lapack @ lapack.conj().T)) <= 1e-10
 
 
-def test_verify_oddind_projections_are_exactly_diagonal():
-    start = truncated_dirac(64) + default_trivializer(64)
-    P = _nonneg_projection(start)
-    assert np.array_equal(P, np.diag(np.diag(P)))
-    assert set(np.diag(P)) == {0.0, 1.0}
+def test_verify_oddind_projections_are_exactly_diagonal(monkeypatch):
+    # P and Q as verify_oddind builds them, 1-D diagonals of the start
+    # window's nonnegative modes, are the LAPACK projections bit for bit
+    seen = []
+    real = specflow.relative_index
+
+    def spied(P, Q, **kwargs):
+        seen.append((P, Q))
+        return real(P, Q, **kwargs)
+
+    monkeypatch.setattr(specflow, "relative_index", spied)
+    assert verify_oddind(64, 2)["match"]
+    [(p, q)] = seen
+    P, Q = _window_projections(64, 2)
+    assert np.array_equal(np.diag(p), P) and np.array_equal(np.diag(q), Q)
+    assert set(p) == {0.0, 1.0}
 
 
 def _count_shapes(monkeypatch, name):
@@ -989,12 +1026,20 @@ def _count_shapes(monkeypatch, name):
     return shapes
 
 
-def test_diagonal_window_takes_one_call_on_unit_blocks(monkeypatch):
+def test_diagonal_window_is_a_stable_sort_with_no_lapack_call(monkeypatch):
     shapes = _count_shapes(monkeypatch, "eigh")
-    n = 2 * 128 + 1
-    specflow._eigh(truncated_dirac(128) + default_trivializer(128))
-    specflow._eigh(conjugate_by_shift(truncated_dirac(128), 3))
-    assert shapes == [(n, 1, 1), (n, 1, 1)]
+    rng = np.random.default_rng(5)
+    tied = np.round(rng.standard_normal(257))
+    for a in (truncated_dirac(128) + default_trivializer(128),
+              conjugate_by_shift(truncated_dirac(128), 3),
+              np.diag(tied), tied.astype(complex)):
+        w, v = specflow._eigh(a)
+        d = np.diagonal(a) if a.ndim == 2 else a
+        # ties, as the clipped zeros of the shifted window, keep their
+        # diagonal order
+        assert np.array_equal(v, np.argsort(d.real, kind="stable"))
+        assert np.array_equal(w, d.real[v]) and w.dtype == np.float64
+    assert shapes == []
 
 
 def test_other_matrices_go_to_lapack_whole(monkeypatch):
