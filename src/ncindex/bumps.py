@@ -78,10 +78,13 @@ def plateau(x, left, right, width, family="mollifier"):
     """Jets of a plateau equal to 1 on [left+width, right-width].
 
     Rises over [left, left+width], falls over [right-width, right]; the
-    value and the first derivative are returned.
+    value and the first derivative are returned.  The bounds may be
+    arrays that broadcast against x, one plateau each, such as an
+    (n, 1) column of bounds for n rows of points.
     """
-    if right - left < 2 * width:
+    if np.any(np.subtract(right, left) < np.multiply(2, width)):
         raise ValueError("plateau narrower than twice the rise width")
-    su, du = step((np.asarray(x, dtype=float) - left) / width, family)
-    sv, dv = step((right - np.asarray(x, dtype=float)) / width, family)
+    x = np.asarray(x, dtype=float)
+    su, du = step((x - left) / width, family)
+    sv, dv = step((right - x) / width, family)
     return su * sv, (du * sv - su * dv) / width

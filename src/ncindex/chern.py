@@ -24,16 +24,17 @@ import numpy as np
 from . import bumps, cyclic
 from .errors import NotAProjection, NotUnitary
 from .group_algebra import GroupSpec
-from .nc_forms import ChartGrid2D, JetFunction, MixedForm
+from .nc_forms import ChartGrid2D, JetFunction, MixedForm, _jet_layout
 
 TWO_PI_I = 2j * np.pi
 
 
 def projection_defects(P):
     """max |P P - P| and max |P* - P| over the entries, from the value
-    jets of P alone (`MixedForm._values`): `max_abs` reads only values."""
+    jets of P alone (`MixedForm._values`), with no difference formed
+    (`MixedForm.max_abs_diff` reads only values)."""
     V = P._values()
-    return (V @ V - V).max_abs(), (V.star() - V).max_abs()
+    return (V @ V).max_abs_diff(V), V.star().max_abs_diff(V)
 
 
 def projection_residual(P):
@@ -44,9 +45,9 @@ def projection_residual(P):
 def unitary_residual(u):
     """max |u* u - 1| and max |u u* - 1|; reads the values of u only."""
     v = u._values()
+    vs = v.star()
     one = MixedForm.one(u.grid, u.spec, u.size, u.kalg, order=0)
-    return max((v.star() @ v - one).max_abs(),
-               (v @ v.star() - one).max_abs())
+    return max((vs @ v).max_abs_diff(one), (v @ vs).max_abs_diff(one))
 
 
 def chern_even(P, k_max, tol=1e-8):
@@ -64,8 +65,10 @@ def chern_even(P, k_max, tol=1e-8):
     else:
         P = P.form
     dP = P.dtot()
+    factors = [P] + [dP @ dP] * k_max
+    del dP  # the curvature dP dP is all the character reads of it
     out = P.graded_trace()
-    for k, traced in enumerate(_prefix_traces([P] + [dP @ dP] * k_max), 1):
+    for k, traced in enumerate(_prefix_traces(factors), 1):
         coeff = (-1.0) ** k / (TWO_PI_I ** k * math.factorial(k))
         out = out + traced.scale(coeff)
     return out
@@ -152,36 +155,56 @@ def chern_homotopy_defect(path, phi, k_max=None):
 
 def _sphere_field(grid, r_max=0.42, family="mollifier"):
     """Unit-vector field sweeping the sphere once, constant near the
-    chart boundary, with analytic first derivatives."""
+    chart boundary, with analytic first derivatives.  Each grid array is
+    computed into a buffer that is free by then, in the operation order
+    of the formulas in the comments, so the values do not depend on it."""
     u = grid.xs - 0.5
     v = grid.ys - 0.5
-    r = np.sqrt(u * u + v * v)
+    r = u * u
+    r += v * v
+    r = np.sqrt(r, out=r)  # r = sqrt(u^2 + v^2)
     t = r / r_max
     s, s1 = bumps.step(t, family)
-    sig = np.pi * s
-    sig_r = np.pi * s1 / r_max
+    sig = np.multiply(np.pi, s, out=s)  # sig = pi s
+    sig_r = np.multiply(np.pi, s1, out=s1)
+    sig_r /= r_max  # sig_r = pi s' / r_max
     cos_s = np.cos(sig)
-    sin_s = np.sin(sig)
+    sin_s = np.sin(sig, out=sig)
     # every step is flat at t = 0, so a grid point at the centre takes
     # the limits n = (0, 0, 1) and zero derivatives
-    r = np.where(r > 0, r, 1.0)
+    r[r <= 0] = 1.0
     w = sin_s / r
-    w_r = cos_s * sig_r / r - sin_s / r ** 2
-    ux, uy = u / r, v / r
+    w_r = np.multiply(cos_s, sig_r)
+    w_r /= r
+    w_r -= np.divide(sin_s, np.square(r, out=t), out=t)
+    # w_r = cos_s sig_r / r - sin_s / r^2
+    ux = u / r
+    uy = np.divide(v, r, out=r)
 
-    n1 = u * w
-    n2 = v * w
-    n3 = cos_s
-    comps = {
-        "n1": (n1, w + u * w_r * ux, u * w_r * uy),
-        "n2": (n2, v * w_r * ux, w + v * w_r * uy),
-        "n3": (n3, -sin_s * sig_r * ux, -sin_s * sig_r * uy),
-    }
-    jets = {}
-    for name, (val, dx, dy) in comps.items():
-        jets[name] = JetFunction.from_arrays(
-            grid, {(0, 0): val, (1, 0): dx, (0, 1): dy})
-    return jets
+    pos = _jet_layout(grid.ndim, 1).position
+    val, dx, dy = pos[(0, 0)], pos[(1, 0)], pos[(0, 1)]
+    stacks = np.empty((3, len(pos)) + grid.shape)
+    n1, n2, n3 = stacks
+    # n1 = u w: (u w, w + u w_r ux, u w_r uy)
+    np.multiply(u, w, out=n1[val])
+    uw_r = np.multiply(u, w_r, out=u)
+    np.multiply(uw_r, ux, out=n1[dx])
+    n1[dx] += w
+    np.multiply(uw_r, uy, out=n1[dy])
+    # n2 = v w: (v w, v w_r ux, w + v w_r uy)
+    np.multiply(v, w, out=n2[val])
+    vw_r = np.multiply(v, w_r, out=v)
+    np.multiply(vw_r, ux, out=n2[dx])
+    np.multiply(vw_r, uy, out=n2[dy])
+    n2[dy] += w
+    # n3 = cos_s: (cos_s, -sin_s sig_r ux, -sin_s sig_r uy)
+    n3[val] = cos_s
+    ss_r = np.negative(sin_s, out=sin_s)
+    ss_r *= sig_r
+    np.multiply(ss_r, ux, out=n3[dx])
+    np.multiply(ss_r, uy, out=n3[dy])
+    return {name: JetFunction(grid, 1, stack)
+            for name, stack in zip(("n1", "n2", "n3"), stacks)}
 
 
 #: the identity and the Pauli matrices sigma_x, sigma_y, sigma_z
@@ -198,14 +221,25 @@ def bott_projector(grid, r_max=0.42, family="mollifier"):
     if not isinstance(grid, ChartGrid2D):
         raise TypeError("the curvature projector lives on a ChartGrid2D")
     field = _sphere_field(grid, r_max, family)
-    # the coefficient jets of sigma_0 = id, sigma_x, sigma_y and sigma_z
-    jets = np.stack([JetFunction.constant(grid, 1.0, order=1).stack,
-                     field["n1"].stack, -field["n2"].stack,
-                     field["n3"].stack])
+    # the coefficient jets of sigma_x, sigma_y and sigma_z, n_2 reversed
+    # through the sign of its coefficient; sigma_0 = id takes the
+    # constant 1, whose jet is 1 at its value and 0 elsewhere
+    jets = [(1.0, field["n1"].stack), (-1.0, field["n2"].stack),
+            (1.0, field["n3"].stack)]
+    shape = jets[0][1].shape
+    out = np.zeros((2, 2) + shape, dtype=complex)
+    term = np.empty(shape)
+    # sum_k (sigma_k / 2) jet_k into the real and the imaginary part, in
+    # the order of k, each nonzero coefficient times its jet in turn
+    for part, half in ((out.real, PAULI.real / 2),
+                       (out.imag, PAULI.imag / 2)):
+        part[:, :, 0] += half[0, :, :, None, None]
+        for (sign, jet), coeff in zip(jets, half[1:]):
+            for i, j in zip(*np.nonzero(coeff)):
+                part[i, j] += np.multiply(sign * coeff[i, j], jet, out=term)
     spec = GroupSpec.trivial()
     P = MixedForm.zero(grid, spec, 2, kalg=2)
-    P.add_entries([((spec.identity(),), (),
-                    np.einsum("kij,kJ...->ijJ...", PAULI / 2, jets))])
+    P.add_entries([((spec.identity(),), (), out)])
     return P
 
 
@@ -213,6 +247,5 @@ def bott_integral(grid_or_size=64, r_max=0.42, family="mollifier"):
     """Integral over the chart of the degree-(2,0) character component."""
     grid = (grid_or_size if isinstance(grid_or_size, ChartGrid2D)
             else ChartGrid2D(int(grid_or_size)))
-    P = bott_projector(grid, r_max=r_max, family=family)
-    ch = chern_even(P, 1)
+    ch = chern_even(bott_projector(grid, r_max=r_max, family=family), 1)
     return ch.scalar_part().integrate()

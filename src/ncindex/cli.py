@@ -164,7 +164,7 @@ _FIELDS = {
         "system": (_one_of("circle", "rotation"), "circle"),
         "u": (_SYMBOL, {"type": "exp", "m": 1}),
         "fourier_cutoff": (_INTEGER, 64),
-        "grid_size": (_INTEGER, 256),
+        "grid_size": (_at_least(1), 256),
         "eps_k": (_TOLERANCE, 1e-6),
         "p": (_INTEGER, 1),
         "q": (_at_least(1), 3),

@@ -25,7 +25,8 @@ from .errors import BadCover, DegreeMismatch, UnsupportedManifold
 from .chern import chern_even, projection_defects
 from .cyclic import GroupCocycle, d_gamma, pair_cochain_form, tau_to_c
 from .group_algebra import GroupSpec
-from .nc_forms import JetFunction, MixedForm, ScalarForm, _jet_mul
+from .nc_forms import (JetFunction, MixedForm, ScalarForm, _jet_mul,
+                       _jet_product)
 
 TWO_PI_I = 2j * np.pi
 
@@ -45,13 +46,17 @@ class CoverData:
         self.n_arcs = len(self.arcs)
         if self.deck.shape != (self.n_arcs, self.n_arcs):
             raise BadCover("deck matrix shape does not match the arcs")
+        if deck_spec.family != "cyclic" and deck_spec != GroupSpec.lattice(1):
+            raise BadCover("the deck group of a circle cover is Z or Z/k")
         # the lift table: _inside[i, s, p] says that the lift x_p + LIFTS[s]
         # of the grid point x_p lies in the open arc i
         lifts = grid.points + np.array(LIFTS, dtype=float)[:, None]
         ends = np.array(self.arcs).reshape(-1, 2, 1, 1)
         self._inside = (lifts > ends[:, 0]) & (lifts < ends[:, 1])
-        self.chi = self._build_chi(lifts)
-        self.chi_sq = [c * c for c in self.chi]
+        chi = self._build_chi(lifts)
+        self.chi = [JetFunction(grid, 1, c) for c in chi]
+        self.chi_sq = [JetFunction(grid, 1, c)
+                       for c in _jet_product(chi, chi, grid.ndim)]
         self.validate()
 
     # -- construction ---------------------------------------------------
@@ -79,28 +84,27 @@ class CoverData:
         return cls(grid, arcs, family, spec, deck)
 
     def _build_chi(self, lifts):
-        """First-order jets of the normalised bumps chi_i at the lifts:
-        the character identity and omega_tau read no higher derivative."""
+        """First-order jets of the normalised bumps chi_i at the lifts, as
+        one (n_arcs, 2, G) stack: the character identity and omega_tau
+        read no higher derivative."""
         if self.n_arcs == 1:
-            return [JetFunction.constant(self.grid, 1.0, 1)]
-        raw = []
-        for (left, right), inside in zip(self.arcs, self._inside):
-            if right <= left or right - left >= 1.0:
-                raise BadCover("arcs must be nonempty and shorter than "
-                               "the full circle")
-            width = 0.3 * (right - left)
-            # an arc shorter than the circle holds at most one lift
-            x = np.select(inside, lifts, left - 1.0)
-            val, d1 = bumps.plateau(x, left, right, width, self.family)
-            raw.append(JetFunction.from_arrays(
-                self.grid, {(0,): val, (1,): d1}))
-        squares = [jet * jet for jet in raw]
+            return JetFunction.constant(self.grid, 1.0, 1).stack[None]
+        left, right = np.array(self.arcs).T[:, :, None]
+        if np.any(right <= left) or np.any(right - left >= 1.0):
+            raise BadCover("arcs must be nonempty and shorter than "
+                           "the full circle")
+        # an arc shorter than the circle holds at most one lift
+        x = np.select(list(self._inside.swapaxes(0, 1)), lifts[:, None],
+                      left - 1.0)
+        raw = np.stack(bumps.plateau(x, left, right, 0.3 * (right - left),
+                                     self.family), axis=1)
+        squares = _jet_product(raw, raw, self.grid.ndim)
         total = sum(squares[1:], squares[0])
-        if np.any(np.real(total.value()) <= 0):
+        if np.any(total[0] <= 0):
             raise BadCover("arcs do not cover the circle: the squared "
                            "bumps vanish somewhere")
-        norm = total.rsqrt()
-        return [jet * norm for jet in raw]
+        norm = JetFunction(self.grid, 1, total).rsqrt()
+        return _jet_product(raw, norm.stack, self.grid.ndim)
 
     # -- validation ------------------------------------------------------
     def partition_residual(self):
@@ -108,33 +112,47 @@ class CoverData:
         return float(np.max(np.abs(total.value() - 1.0)))
 
     def validate(self, tol=1e-12):
+        """Raise BadCover on the first failure, in the order of the loop
+        over i (the deck diagonal, then the antisymmetry of row i) and
+        then over (i, j) (the overlap connected, then the cocycle
+        condition on each triple overlap (i, j, k))."""
         res = self.partition_residual()
         if res > tol:
             raise BadCover(f"partition of unity residual {res:.3g} > {tol}")
-        spec = self.deck_spec
-        for i in range(self.n_arcs):
-            if self.deck_element(i, i) != spec.identity():
-                raise BadCover("deck diagonal is not the identity")
-            for j in range(self.n_arcs):
-                if spec.mul(self.deck_element(i, j),
-                            self.deck_element(j, i)) != spec.identity():
-                    raise BadCover("deck matrix is not antisymmetric")
-        support = [np.abs(c.value().real) > 1e-9 for c in self.chi]
-        for i in range(self.n_arcs):
-            for j in range(self.n_arcs):
-                if i != j and not _circularly_connected(
-                        support[i] & support[j]):
-                    raise BadCover(
-                        f"overlap of arcs {i} and {j} is not connected; "
-                        f"a single deck element cannot describe it")
-                for k in range(self.n_arcs):
-                    if not np.any(support[i] & support[j] & support[k]):
-                        continue
-                    lhs = spec.mul(self.deck_element(i, j),
-                                   self.deck_element(j, k))
-                    if lhs != self.deck_element(i, k):
-                        raise BadCover(
-                            f"cocycle condition fails on ({i},{j},{k})")
+        # deck elements as integers, 0 the identity
+        deck = self._reduce(self.deck)
+        diagonal = np.diagonal(deck) != 0
+        bad = diagonal | (self._reduce(deck + deck.T) != 0).any(1)
+        if bad.any():
+            raise BadCover("deck diagonal is not the identity"
+                           if diagonal[np.argmax(bad)]
+                           else "deck matrix is not antisymmetric")
+        support = np.stack([np.abs(c.value().real) > 1e-9
+                            for c in self.chi])
+        overlap = support[:, None] & support
+        # a circular mask with at most one rise has at most one component
+        rises = np.count_nonzero(~overlap & np.roll(overlap, -1, axis=-1),
+                                 axis=-1)
+        disconnected = (rises > 1) & ~np.eye(self.n_arcs, dtype=bool)
+        cocycle = self._reduce(deck[:, :, None] + deck - deck[:, None]) != 0
+        if cocycle.any():
+            cocycle &= (overlap[:, :, None] & support).any(-1)
+        bad = disconnected | cocycle.any(-1)
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            if disconnected[i, j]:
+                raise BadCover(
+                    f"overlap of arcs {i} and {j} is not connected; "
+                    f"a single deck element cannot describe it")
+            raise BadCover(f"cocycle condition fails on "
+                           f"({i},{j},{np.argmax(cocycle[i, j])})")
+
+    def _reduce(self, m):
+        """Integer lifts m as the integers of their deck elements: mod the
+        order over Z/k, m itself over Z."""
+        if self.deck_spec.family == "cyclic":
+            return m % self.deck_spec.order
+        return m
 
     def deck_element(self, i, j):
         return self._lift_element(int(self.deck[i, j]))
@@ -163,15 +181,6 @@ class CoverData:
         met = self._inside.any(axis=(0, 2))
         return sorted({self.deck_spec.inv(self._lift_element(m))
                        for m, hit in zip(LIFTS, met) if hit})
-
-
-def _circularly_connected(mask):
-    """Whether a boolean grid mask on the circle has <= 1 component."""
-    m = np.asarray(mask, dtype=bool)
-    if not m.any() or m.all():
-        return True
-    rises = int(np.sum(~m & np.roll(m, -1)))
-    return rises <= 1
 
 
 class MFProjection:

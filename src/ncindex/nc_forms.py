@@ -225,14 +225,12 @@ class JetFunction:
         return JetFunction(self.grid, self.order, c * self.stack)
 
     def __mul__(self, other):
-        """Pointwise product, by Leibniz in the jets: `_jet_mul` on the
-        two stacks viewed as 1 x 1 matrices of jets."""
+        """Pointwise product, by Leibniz in the jets (`_jet_product`)."""
         if not isinstance(other, JetFunction):
             return self.scale(other)
         order, a, b = self._common(other)
-        out = _jet_mul(a.reshape(1, 1, len(a), -1),
-                       b.reshape(1, 1, len(b), -1), self.grid.ndim)
-        return JetFunction(self.grid, order, out.reshape(a.shape))
+        return JetFunction(self.grid, order,
+                           _jet_product(a, b, self.grid.ndim))
 
     def conj(self):
         return JetFunction(self.grid, self.order, np.conj(self.stack))
@@ -267,15 +265,40 @@ class JetFunction:
 # ---------------------------------------------------------------------
 
 
+def _jet_product(x, y, ndim):
+    """Pointwise product of stacked jets, (..., J, *grid) arrays with ndim
+    grid axes whose other axes broadcast: by Leibniz in the jets, one
+    elementwise product per Leibniz term."""
+    grid = (slice(None),) * ndim
+    J = min(x.shape[-ndim - 1], y.shape[-ndim - 1])
+    shape = np.broadcast_shapes(x[(..., 0) + grid].shape,
+                                y[(..., 0) + grid].shape)
+    out = np.zeros(shape[:-ndim] + (J,) + shape[-ndim:],
+                   dtype=np.result_type(x, y))
+    for o, i, j, c in _jet_layout(ndim, _jet_order(ndim, J)).mul_table:
+        term = x[(..., i) + grid] * y[(..., j) + grid]
+        if c != 1:
+            term *= c
+        out[(..., o) + grid] += term
+    return out
+
+
 def _jet_mul(x, y, ndim):
     """Product of two matrices of jets, (n, l, J, G) and (l, m, J, G)
     arrays: a matrix product, by Leibniz in the jets and pointwise on the
     G grid points, one `einsum` per Leibniz term.  A grid axis of length
     1 broadcasts."""
     J = min(x.shape[-2], y.shape[-2])
-    out = np.zeros((len(x), y.shape[1], J, max(x.shape[-1], y.shape[-1])),
+    out = np.empty((len(x), y.shape[1], J, max(x.shape[-1], y.shape[-1])),
                    dtype=np.result_type(x, y))
+    written = set()
     for o, i, j, c in _jet_layout(ndim, _jet_order(ndim, J)).mul_table:
+        # the first term of each jet (c = 1) is written in place
+        if o not in written:
+            written.add(o)
+            np.einsum("nlg,lmg->nmg", x[:, :, i], y[:, :, j],
+                      out=out[:, :, o])
+            continue
         term = np.einsum("nlg,lmg->nmg", x[:, :, i], y[:, :, j])
         if c != 1:
             term *= c
@@ -340,13 +363,21 @@ class _Sub:
                     tuple(itertools.compress(self.cols, cols.tolist())),
                     self.part[np.ix_(rows, cols)])
 
+    def adjoint(self):
+        """The conjugate transpose, on the transposed rows and columns."""
+        return _Sub(self.shape[::-1], self.cols, self.rows,
+                    np.conj(self.part).swapaxes(0, 1))
+
     def trace(self):
         """The 1 x 1 entry of the trace, summed over the diagonal
         positions the entry holds; None when it holds none."""
         i, j = _positions(self.rows, self.cols)
         if not i:
             return None
-        return _Sub((1, 1), (0,), (0,), self.part[i, j].sum(0)[None, None])
+        total = self.part[i[0], j[0]].copy()
+        for a, b in zip(i[1:], j[1:]):
+            total += self.part[a, b]
+        return _Sub((1, 1), (0,), (0,), total[None, None])
 
     def flat(self, column):
         """The entry as a row of its n*m positions (row-major), or its
@@ -399,6 +430,20 @@ def _sub_add(a, b, own):
     return _Sub(a.shape, rows, cols, part)
 
 
+def _sub_diff(a, b):
+    """The value jets of a - b, on the union of their rows and columns."""
+    x, y = a.part[..., 0, :], b.part[..., 0, :]
+    if (a.rows, a.cols) == (b.rows, b.cols):
+        return x - y
+    rows, ra, rb = _union(a.rows, b.rows)
+    cols, ca, cb = _union(a.cols, b.cols)
+    out = np.zeros((len(rows), len(cols), max(x.shape[-1], y.shape[-1])),
+                   np.result_type(x, y))
+    out[np.ix_(ra, ca)] = x
+    out[np.ix_(rb, cb)] -= y
+    return out
+
+
 def _jet_outer(x, y, ndim, solve):
     """Products x[s] y[t] of every (n, l) entry of x with every (l, m)
     entry of y, as in `_jet_mul`, through one BLAS product per grid point
@@ -445,6 +490,7 @@ class _DenseBlocks:
         self.ndim, self.e, self.k = ndim, spec.identity(), len(els)
         self.solve = np.array([np.argsort([spec.mul(g, h) for h in els])
                                for g in els])
+        self.inv = np.array([spec.inv(g) for g in els])
 
     def block(self, entries, q):
         entries = list(entries)
@@ -471,6 +517,18 @@ class _DenseBlocks:
     def apply(self, block, fn):
         return fn(block)
 
+    def adjoint(self, block):
+        # the entry at g is the conjugate transpose of the entry at g^-1,
+        # C-contiguous like every block that `block` builds
+        out = np.empty(block.shape, block.dtype)
+        return np.conjugate(block[self.inv].swapaxes(-4, -3), out=out)
+
+    def differences(self, a, b):
+        if a is None or b is None:
+            yield (b if a is None else a)[..., 0, :]
+        else:
+            yield a[..., 0, :] - b[..., 0, :]
+
     def trace(self, block):
         return np.trace(block, axis1=-4, axis2=-3)[..., None, None, :, :]
 
@@ -482,9 +540,14 @@ class _DenseBlocks:
                                                  else (1, n * m))
                              + block.shape[-2:])
 
-    def add(self, a, b):
+    def add(self, a, b, own=False):
         J = min(a.shape[-2], b.shape[-2])
-        return a[..., :J, :] + b[..., :J, :]
+        b = b[..., :J, :]
+        if own and a.shape[-2] == J and a.dtype == np.result_type(a, b) \
+                and a.shape == np.broadcast_shapes(a.shape, b.shape):
+            a += b
+            return a
+        return a[..., :J, :] + b
 
     def prune(self, block):
         return block if block.any() else None
@@ -527,6 +590,7 @@ class _TupleBlocks:
 
     def __init__(self, spec, ndim):
         self.ndim, self.e, self.mul = ndim, spec.identity(), spec.mul
+        self.inv = spec.inv
 
     def block(self, entries, q):
         return self._collect((t, _Sub.whole(x)) for t, x in entries)
@@ -544,6 +608,18 @@ class _TupleBlocks:
     def apply(self, block, fn):
         return {t: x.map(fn) for t, x in block.items()}
 
+    def adjoint(self, block):
+        return {(self.inv(g),): x.adjoint() for (g,), x in block.items()}
+
+    def differences(self, a, b):
+        a, b = a or {}, b or {}
+        for t in {**a, **b}:
+            x, y = a.get(t), b.get(t)
+            if x is None or y is None:
+                yield (y if x is None else x).part[..., 0, :]
+            else:
+                yield _sub_diff(x, y)
+
     def trace(self, block):
         return {t: tr for t, x in block.items()
                 if (tr := x.trace()) is not None}
@@ -551,13 +627,13 @@ class _TupleBlocks:
     def flat(self, block, column):
         return {t: x.flat(column) for t, x in block.items()}
 
-    def add(self, a, b):
+    def add(self, a, b, own=False):
         J = min((next(iter(c.values())).part.shape[-2] for c in (a, b) if c),
                 default=None)
         return self._collect(
-            (t, x if x.part.shape[-2] == J
-             else x.map(lambda p: p[..., :J, :]))
-            for c in (a, b) for t, x in c.items())
+            ((t, x if x.part.shape[-2] == J
+              else x.map(lambda p: p[..., :J, :]))
+             for c in (a, b) for t, x in c.items()), a if own else ())
 
     def prune(self, block):
         return {t: y for t, x in block.items()
@@ -585,10 +661,11 @@ class _TupleBlocks:
         return {t: x for t, x in block.items() if self.e not in t[1:]}
 
     @staticmethod
-    def _collect(pairs):
+    def _collect(pairs, own=()):
         """Sum the entries of equal tuples.  A sum accumulates in place
-        only in an array allocated here, never in an input."""
-        out, own = {}, set()
+        only in an array allocated here or in an entry of a tuple in own,
+        never in another input."""
+        out, own = {}, set(own)
         for t, x in pairs:
             if t not in out:
                 out[t] = x
@@ -696,10 +773,12 @@ class MixedForm:
                                       q)
             self._add((q, axes), self.layout.kill(block))
 
-    def _add(self, key, block):
-        """Add a block at key, dropping the key if its block is zero."""
+    def _add(self, key, block, own=False):
+        """Add a block at key, dropping the key if its block is zero; own
+        says that the form alone holds its block at key, which the sum
+        may then overwrite."""
         if key in self.terms:
-            block = self.layout.add(self.terms.pop(key), block)
+            block = self.layout.add(self.terms.pop(key), block, own)
         block = self.layout.prune(block)
         if block is not None:
             self.terms[key] = block
@@ -795,10 +874,11 @@ class MixedForm:
                     out.dropped = True
                 elif axes is not None:
                     block = lay.outer(a, b, fuse=True)
-                    # the product allocated every array of block
+                    # the product allocated every array of block, and of
+                    # every block of out
                     sign *= (-1) ** (qa * len(ax_b))
                     out._add((qa + qb, axes),
-                             _signed(lay, lay.kill(block), sign, True))
+                             _signed(lay, lay.kill(block), sign, True), True)
         return out
 
     # -- differential -------------------------------------------------
@@ -853,14 +933,13 @@ class MixedForm:
             yield from ((tup, axes, x) for tup, x in zip(tuples, arrays))
 
     def star(self):
-        """Adjoint, defined for forms of algebra degree zero."""
+        """Adjoint, defined for forms of algebra degree zero: each entry
+        conjugated and transposed in place of its group inverse."""
         if any(q for q, _ in self.terms):
             raise ValueError("star only on algebra-degree-0 forms")
         out = self._spawn()
-        for (_q, axes), block in self.terms.items():
-            out._add((0, axes), self.layout.block(
-                (((self.spec.inv(g),), x.conj().swapaxes(0, 1))
-                 for (g,), x in zip(*self.layout.stacked(block))), 0))
+        out.terms = {key: self.layout.adjoint(block)
+                     for key, block in self.terms.items()}
         return out
 
     def components(self):
@@ -892,6 +971,16 @@ class MixedForm:
                   for x in self.layout.arrays(b))
         return max((float(np.max(np.abs(x[..., 0, :]))) for x in arrays),
                    default=0.0)
+
+    def max_abs_diff(self, other):
+        """(self - other).max_abs() without forming the difference: block
+        by block on the value jets, a block of one form alone against 0."""
+        self._check(other)
+        kalg = min(self.kalg, other.kalg)
+        diffs = (d for key in {**self.terms, **other.terms} if key[0] <= kalg
+                 for d in self.layout.differences(self.terms.get(key),
+                                                  other.terms.get(key)))
+        return max((float(np.max(np.abs(d))) for d in diffs), default=0.0)
 
 
 class ScalarForm(MixedForm):

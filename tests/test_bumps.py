@@ -35,3 +35,29 @@ def test_plateau_derivative_matches_central_difference(family):
     # the rise over width w scales S' by 1/w and S''' by 1/w^3
     assert np.max(np.abs(d1 - fd)) <= TOL / width ** 3
     assert np.all(val[(x > 0.31) & (x < 0.69)] == 1.0)
+
+
+@pytest.mark.parametrize("family", sorted(bumps.FAMILIES))
+def test_plateau_with_array_bounds_is_the_per_arc_plateaus(family):
+    # one call over an (n, G) array of points, with (n, 1) bounds, is
+    # the n calls with scalar bounds, bit for bit
+    left = np.array([[-0.1], [0.2], [0.55]])
+    right = np.array([[0.45], [0.8], [1.1]])
+    width = 0.3 * (right - left)
+    x = np.linspace(-0.2, 1.2, 3 * 97).reshape(3, 97)
+    val, d1 = bumps.plateau(x, left, right, width, family)
+    for i in range(3):
+        v, d = bumps.plateau(x[i], float(left[i, 0]), float(right[i, 0]),
+                             float(width[i, 0]), family)
+        assert val[i].tobytes() == v.tobytes()
+        assert d1[i].tobytes() == d.tobytes()
+
+
+def test_one_narrow_plateau_among_many_raises():
+    left = np.array([[0.0], [0.2], [0.5]])
+    right = np.array([[0.4], [0.3], [0.9]])
+    width = np.array([[0.1], [0.06], [0.1]])  # the second is too narrow
+    with pytest.raises(ValueError, match="narrower"):
+        bumps.plateau(np.zeros((3, 4)), left, right, width)
+    width[1, 0] = 0.04
+    bumps.plateau(np.zeros((3, 4)), left, right, width)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ncindex import chern
+from ncindex import bumps, chern
 from ncindex.chern import (ProjectionPath, bott_integral, bott_projector,
                            chern_even, chern_homotopy_defect, chern_odd,
                            closedness_defect)
@@ -100,6 +100,75 @@ def test_bott_projector_entries_are_the_word_sum(n):
     assert got[:2] == want[:2]
     assert got[2].dtype == want[2].dtype and got[2].shape == want[2].shape
     assert np.array_equal(got[2], want[2])
+
+
+def _sphere_field_by_formulas(grid, r_max=0.42, family="mollifier"):
+    """The sphere field with one fresh array per operation."""
+    u = grid.xs - 0.5
+    v = grid.ys - 0.5
+    r = np.sqrt(u * u + v * v)
+    s, s1 = bumps.step(r / r_max, family)
+    sig = np.pi * s
+    sig_r = np.pi * s1 / r_max
+    cos_s = np.cos(sig)
+    sin_s = np.sin(sig)
+    r = np.where(r > 0, r, 1.0)
+    w = sin_s / r
+    w_r = cos_s * sig_r / r - sin_s / r ** 2
+    ux, uy = u / r, v / r
+    comps = {
+        "n1": (u * w, w + u * w_r * ux, u * w_r * uy),
+        "n2": (v * w, v * w_r * ux, w + v * w_r * uy),
+        "n3": (cos_s, -sin_s * sig_r * ux, -sin_s * sig_r * uy),
+    }
+    return {name: JetFunction.from_arrays(
+        grid, {(0, 0): val, (1, 0): dx, (0, 1): dy})
+        for name, (val, dx, dy) in comps.items()}
+
+
+def _bott_entry_by_einsum(grid, family):
+    """(1 + n.sigma)/2 as one complex einsum of PAULI with the jets."""
+    field = _sphere_field_by_formulas(grid, family=family)
+    jets = np.stack([JetFunction.constant(grid, 1.0, order=1).stack,
+                     field["n1"].stack, -field["n2"].stack,
+                     field["n3"].stack])
+    return np.einsum("kij,kJ...->ijJ...", chern.PAULI / 2, jets)
+
+
+@pytest.mark.parametrize("family", sorted(bumps.FAMILIES))
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_bott_projector_is_the_einsum_construction_bit_for_bit(n, family):
+    grid = ChartGrid2D(n)
+    field = chern._sphere_field(grid, family=family)
+    want = _sphere_field_by_formulas(grid, family=family)
+    for name in ("n1", "n2", "n3"):
+        assert field[name].order == want[name].order == 1
+        assert field[name].stack.tobytes() == want[name].stack.tobytes()
+    ((tup, axes, got),) = bott_projector(grid, family=family).entries()
+    entry = _bott_entry_by_einsum(grid, family)
+    assert (tup, axes) == (((),), ())
+    assert got.dtype == entry.dtype and got.shape == entry.shape
+    assert got.tobytes() == entry.tobytes()
+
+
+def _traced_peak(fn):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bott_projector_at_128_is_lean():
+    # the complex projector (3 MB) and the three field jets (1.2 MB),
+    # with no complex einsum operands and no per-operation grid arrays
+    # (5.75 MB with them)
+    grid = ChartGrid2D(128)
+    assert _traced_peak(lambda: bott_projector(grid)) < 4.8 * 2 ** 20
+    assert _traced_peak(lambda: bott_integral(grid)) <= 9 * 2 ** 20
 
 
 def test_chern_odd_identity_vanishes():
@@ -331,3 +400,26 @@ def test_flat_projection_records_the_full_order_defects(n_arcs):
     mf = build_mf_projection(CoverData.standard(CircleGrid(256),
                                                 n_arcs=n_arcs))
     assert (mf.idempotence, mf.selfadjoint) == _full_order_defects(mf.form)
+
+
+def _star_by_entries(P):
+    """The adjoint through full entries: each one conjugated, transposed
+    and added at the inverse group element."""
+    out = MixedForm.zero(P.grid, P.spec, P.size, P.kalg)
+    out.add_entries(((P.spec.inv(g),), axes, x.conj().swapaxes(0, 1))
+                    for (g,), axes, x in P.entries())
+    return out
+
+
+@pytest.mark.parametrize("name, P", list(_projections()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_star_is_the_adjoint_of_the_full_entries(name, P):
+    # each layout conjugates its own entries (a tuple block on its live
+    # rows and columns) and densifies nothing
+    for form in (P, P._values(), ((P + P.scale(0.25)) @ P).scale(1 - 2j)):
+        got = sorted(form.star().entries(), key=lambda e: e[0])
+        want = sorted(_star_by_entries(form).entries(), key=lambda e: e[0])
+        assert [e[:2] for e in got] == [e[:2] for e in want]
+        for (_, _, x), (_, _, y) in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert form.star().max_abs_diff(_star_by_entries(form)) == 0.0

@@ -253,6 +253,8 @@ def test_override_goes_only_to_kinds_that_take_it(tmp_path):
     {"kind": "covering-check", "arcs": "3"},
     {"kind": "covering-check", "deck_order": False},
     {"kind": "covering-check", "grid_size": 0},
+    {"kind": "toeplitz", "grid_size": 0},
+    {"kind": "toeplitz", "grid_size": -4},
     {"kind": "toeplitz", "u": {"type": "exp", "m": "2"}},
     {"kind": "toeplitz", "u": {"type": "exp", "m": "200"}},
     {"kind": "toeplitz", "u": {"type": "exp", "m": [1]}},

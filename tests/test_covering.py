@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ncindex import bumps
 from ncindex.chern import chern_even, closedness_defect
 from ncindex.covering import (CoverData, build_mf_projection,
                               cocycle_closedness_defect, higher_index_rhs,
@@ -13,7 +14,7 @@ from ncindex.cyclic import (GroupCocycle, d_gamma, pair_cochain_form,
                             tau_to_c)
 from ncindex.errors import BadCover, NotAProjection, UnsupportedManifold
 from ncindex.group_algebra import GroupSpec
-from ncindex.nc_forms import CircleGrid, JetFunction
+from ncindex.nc_forms import CircleGrid, JetFunction, _jet_mul
 
 GRID = CircleGrid(256)
 
@@ -361,6 +362,141 @@ def test_lift_table_matches_the_period_walk(name):
                               _walk_omega(cover, tau).value())
     else:
         assert omega_tau(cover, zero_cocycle(spec)).terms == {}
+
+
+# -- the array construction against the per-arc and loop oracles -------
+
+def _chi_by_arc(cover):
+    """chi by one plateau call and JetFunction products per arc."""
+    grid = cover.grid
+    if cover.n_arcs == 1:
+        return [JetFunction.constant(grid, 1.0, 1)]
+    lifts = grid.points + np.array([-1.0, 0.0, 1.0])[:, None]
+    raw = []
+    for (left, right), inside in zip(cover.arcs, cover._inside):
+        width = 0.3 * (right - left)
+        x = np.select(inside, lifts, left - 1.0)
+        val, d1 = bumps.plateau(x, left, right, width, cover.family)
+        raw.append(JetFunction.from_arrays(grid, {(0,): val, (1,): d1}))
+    squares = [jet * jet for jet in raw]
+    norm = sum(squares[1:], squares[0]).rsqrt()
+    return [jet * norm for jet in raw]
+
+
+def _jet_by_einsum(a, b):
+    """The product of two jets as the einsum kernel on 1 x 1 matrices."""
+    out = _jet_mul(a.stack.reshape(1, 1, len(a.stack), -1),
+                   b.stack.reshape(1, 1, len(b.stack), -1), a.grid.ndim)
+    return out.reshape(a.stack.shape)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COVERS))
+def test_chi_stacks_are_the_per_arc_ones(name):
+    cover = ORACLE_COVERS[name]()
+    want = _chi_by_arc(cover)
+    assert [c.stack.tobytes() for c in cover.chi] \
+        == [c.stack.tobytes() for c in want]
+    assert [c.stack.tobytes() for c in cover.chi_sq] \
+        == [_jet_by_einsum(c, c).tobytes() for c in want]
+
+
+def _validate_by_loop(cover):
+    """The deck and overlap checks of `CoverData.validate` as the loop
+    over arcs; returns the first failure's message or None."""
+    spec, n = cover.deck_spec, cover.n_arcs
+    g = cover.deck_element
+    for i in range(n):
+        if g(i, i) != spec.identity():
+            return "deck diagonal is not the identity"
+        for j in range(n):
+            if spec.mul(g(i, j), g(j, i)) != spec.identity():
+                return "deck matrix is not antisymmetric"
+    support = [np.abs(c.value().real) > 1e-9 for c in cover.chi]
+    for i in range(n):
+        for j in range(n):
+            m = support[i] & support[j]
+            if i != j and m.any() and not m.all() \
+                    and np.sum(~m & np.roll(m, -1)) > 1:
+                return (f"overlap of arcs {i} and {j} is not connected; "
+                        f"a single deck element cannot describe it")
+            for k in range(n):
+                if np.any(m & support[k]) \
+                        and spec.mul(g(i, j), g(j, k)) != g(i, k):
+                    return f"cocycle condition fails on ({i},{j},{k})"
+    return None
+
+
+def _unvalidated(monkeypatch, *args):
+    """A CoverData built without its validation."""
+    with monkeypatch.context() as m:
+        m.setattr(CoverData, "validate", lambda self, tol=1e-12: None)
+        return CoverData(*args)
+
+
+#: four arcs with one triple overlap, (0.4, 0.45) in arcs 0, 1 and 2
+TRIPLE_ARCS = [(0.0, 0.45), (0.3, 0.7), (0.4, 0.9), (0.85, 1.05)]
+TRIPLE_DECK = [[0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]
+
+
+def _with(deck, **entries):
+    out = np.array(deck)
+    for key, value in entries.items():
+        out[int(key[1]), int(key[2])] = value
+    return out
+
+
+@pytest.mark.parametrize("arcs, spec, deck, need", [
+    (TRIPLE_ARCS, GroupSpec.lattice(1), _with(TRIPLE_DECK, d11=1),
+     "deck diagonal"),
+    (TRIPLE_ARCS, GroupSpec.lattice(1), _with(TRIPLE_DECK, d21=1),
+     "antisymmetric"),
+    (TRIPLE_ARCS, GroupSpec.cyclic(3), _with(TRIPLE_DECK, d03=2, d12=1),
+     "antisymmetric"),
+    ([(-0.125, 0.625), (0.375, 1.125)], GroupSpec.lattice(1),
+     [[0, -1], [1, 0]], "not connected"),
+    (TRIPLE_ARCS, GroupSpec.lattice(1), _with(TRIPLE_DECK, d01=1, d10=-1),
+     "cocycle condition fails on (0,1,2)"),
+    (TRIPLE_ARCS, GroupSpec.cyclic(3),
+     _with(TRIPLE_DECK, d03=2, d01=1, d10=2),
+     "cocycle condition fails on (0,1,2)"),
+], ids=["diagonal", "antisymmetry", "antisymmetry-Z3", "disconnected",
+        "cocycle-lattice", "cocycle-Z3"])
+def test_a_malformed_cover_raises_the_loop_message(monkeypatch, arcs, spec,
+                                                    deck, need):
+    cover = _unvalidated(monkeypatch, CircleGrid(400), arcs, "mollifier",
+                         spec, deck)
+    want = _validate_by_loop(cover)
+    assert need in want
+    with pytest.raises(BadCover) as err:
+        cover.validate()
+    assert str(err.value) == want
+    # and so does the constructor, which validates
+    with pytest.raises(BadCover) as err:
+        CoverData(CircleGrid(400), arcs, "mollifier", spec, deck)
+    assert str(err.value) == want
+
+
+def test_the_deck_group_is_z_or_a_cyclic_group():
+    with pytest.raises(BadCover, match="Z or Z/k"):
+        CoverData(GRID, TRIPLE_ARCS, "mollifier", GroupSpec.lattice(2),
+                  TRIPLE_DECK)
+
+
+def test_a_cover_takes_the_bump_steps_once_for_all_arcs(monkeypatch):
+    calls = []
+    step = bumps.step
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return step(*args, **kw)
+
+    monkeypatch.setattr(bumps, "step", counted)
+    counts = set()
+    for n_arcs in (3, 4, 5, 6):
+        calls.clear()
+        standard(n_arcs=n_arcs)
+        counts.add(len(calls))
+    assert counts == {2}
 
 
 def _dtypes(form):
