@@ -472,11 +472,17 @@ def _jet_outer(x, y, ndim, solve):
 
 def _partial(x, axis, ndim, jet_axis=-2):
     """Jets of the derivative along a grid axis, for jets stacked on
-    jet_axis of x."""
+    jet_axis of x: a view of x where they lie in one run of positions,
+    as for first-order jets, else a copy."""
     partials = _jet_layout(ndim, _jet_order(ndim, x.shape[jet_axis])).partials
     if not partials:
         raise ValueError("jet order exhausted; build with higher order")
-    return np.take(x, partials[axis], axis=jet_axis)
+    index = partials[axis]
+    if index == list(range(index[0], index[0] + len(index))):
+        run = [slice(None)] * x.ndim
+        run[jet_axis] = slice(index[0], index[0] + len(index))
+        return x[tuple(run)]
+    return np.take(x, index, axis=jet_axis)
 
 
 class _DenseBlocks:
@@ -893,9 +899,9 @@ class MixedForm:
             for ax in range(ndim):
                 if ax not in axes:
                     merged, sign = _merge_axes((ax,), axes)
-                    # np.take gives every partial a fresh array
+                    # a partial may be a view of the block
                     part = lay.apply(block, lambda x: _partial(x, ax, ndim))
-                    out._add((q, merged), _signed(lay, part, sign, True))
+                    out._add((q, merged), _signed(lay, part, sign, False))
         return out
 
     def dtot_algebra(self):

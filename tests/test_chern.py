@@ -168,7 +168,11 @@ def test_bott_projector_at_128_is_lean():
     # (5.75 MB with them)
     grid = ChartGrid2D(128)
     assert _traced_peak(lambda: bott_projector(grid)) < 4.8 * 2 ** 20
-    assert _traced_peak(lambda: bott_integral(grid)) <= 9 * 2 ** 20
+    # the projector, its differential as views of it and the two
+    # curvature products, 6.0 MB; at 8.76 MB, with the differential
+    # copied, glibc trimmed its heap after each call and the next call
+    # refaulted about 2300 pages
+    assert _traced_peak(lambda: bott_integral(grid)) < 6.5 * 2 ** 20
 
 
 def test_chern_odd_identity_vanishes():
