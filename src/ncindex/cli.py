@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (bumps, chern, covering, cyclic, group_algebra, nc_forms,
-               specflow, testing, toeplitz)
+from . import (bumps, chern, covering, group_algebra, nc_forms, specflow,
+               testing, toeplitz)
 from .errors import DomainError
 
 CSV_COLUMNS = ("experiment", "kind", "check", "inputs", "value", "oracle",
@@ -129,6 +129,7 @@ def _is_arcs(v):
 
 
 _INTEGER = _check("an integer", _is_int)
+_SEED = _at_least(0)
 _NUMBER = _check("a finite number", _is_finite)
 _TOLERANCE = _check("a finite positive number",
                     lambda v: _is_finite(v) and v > 0)
@@ -188,7 +189,7 @@ _FIELDS = {
 
 #: checks of the fields every kind takes; `id` and `kind` are required
 #: and `seed` falls back to the config's seed
-_COMMON = {"id": _STRING, "kind": _one_of(*_FIELDS), "seed": _INTEGER}
+_COMMON = {"id": _STRING, "kind": _one_of(*_FIELDS), "seed": _SEED}
 
 
 def _require(where, key, check, value):
@@ -284,7 +285,7 @@ def validate_config(cfg):
     unknown = set(cfg) - {"seed", "experiments", "out"}
     if unknown:
         raise ConfigError(f"unknown top-level fields {sorted(unknown)}")
-    for key, check in (("seed", _INTEGER), ("out", _STRING)):
+    for key, check in (("seed", _SEED), ("out", _STRING)):
         if key in cfg:
             _require("", key, check, cfg[key])
     exps = cfg.get("experiments")
@@ -407,31 +408,13 @@ def _run_specflow(x, seed):
 
 
 def _run_cyclic(x, seed):
-    m_max = x["m_max"]
     rng = np.random.default_rng(
         (seed or 0) * 2 ** 32 + zlib.crc32(x["id"].encode()))
     spec = group_algebra.GroupSpec.cyclic(x["k"])
-    grid = nc_forms.CircleGrid(4)
     worst = 0.0
-    bases = {m: cyclic.closed_cocycle_basis(spec, 2 * m)
-             for m in range(1, m_max + 1)}
     for _ in range(x["instances"]):
         p = testing.random_projection_matrix(spec, 2, rng)
-        P = nc_forms.MixedForm.zero(grid, spec, 2, kalg=2 * m_max + 2)
-        P.add_term(nc_forms.ScalarForm.one(grid, order=1), (p,))
-        ch = chern.chern_even(P, m_max)
-        chains = cyclic.chern_lambda(p, m_max)
-        # degree-0 pairing is the canonical trace on both sides
-        trace_lhs = chains[0].terms.get((spec.identity(),), 0j)
-        trace_rhs = ch.scalar_part().component(())[0]
-        worst = max(worst, abs(trace_lhs - trace_rhs))
-        for m in range(1, m_max + 1):
-            if not bases[m]:
-                continue
-            phi = cyclic.random_closed_cocycle(spec, 2 * m, rng, bases[m])
-            lhs = chains[m].pair(phi)
-            rhs = ((2j * np.pi) ** m * math.factorial(m)
-                   * cyclic.pair_cochain_form(phi, ch).component(())[0])
+        for _, lhs, rhs in testing.normalization_bridge(p, x["m_max"], rng):
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return [("normalization_bridge", worst, 0.0, worst, x["tolerance"])]
 
@@ -479,6 +462,8 @@ def run(config, out_dir=None, seed=None, overrides=None):
         cfg = validate_config(config)
         if overrides:
             cfg = validate_config(_apply_overrides(cfg, overrides))
+        if seed is not None:
+            _require("--", "seed", _SEED, seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

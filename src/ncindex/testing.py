@@ -12,12 +12,16 @@ quantities they target.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from .cyclic import CyclicCochain, GroupCocycle, orbit_index
+from .chern import chern_even
+from .cyclic import (CyclicCochain, GroupCocycle, chern_lambda, orbit_index,
+                     pair_cochain_form)
 from .group_algebra import GAMatrix, GroupSpec, gamatrix_from_sectors
-from .nc_forms import JetFunction, MixedForm, ScalarForm, _jet_mul
+from .nc_forms import (CircleGrid, JetFunction, MixedForm, ScalarForm,
+                       _jet_mul)
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,9 +52,8 @@ def random_unitary_matrix(spec, n, rng):
 
 
 def random_trig_jet(grid, rng, band=2, order=2):
-    coeffs = {}
-    for m in range(-band, band + 1):
-        coeffs[m] = complex(rng.standard_normal(), rng.standard_normal())
+    coeffs = {m: complex(rng.standard_normal(), rng.standard_normal())
+              for m in range(-band, band + 1)}
     return JetFunction.trig(grid, coeffs, order)
 
 
@@ -160,16 +163,9 @@ def random_alternating_cocycle(spec, degree, rng):
         table[tup] = complex(rng.standard_normal(), rng.standard_normal())
 
     perms = list(itertools.permutations(range(degree + 1)))
-
-    def sign(p):
-        s = 1
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                if p[i] > p[j]:
-                    s = -s
-        return s
-
-    signs = [sign(p) for p in perms]
+    # the sign of a permutation is the parity of its inversions
+    signs = [(-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+             for p in perms]
 
     def fn(*args):
         total = 0j
@@ -206,3 +202,27 @@ def random_normalized_cochain(spec, degree, rng):
     count, _, _ = orbit_index(spec.order, degree)
     vals = rng.standard_normal((count, 2)).view(complex)[:, 0]
     return CyclicCochain.on_orbits(spec, degree, vals)
+
+
+def normalization_bridge(p, m_max, rng):
+    """Both sides of the normalization bridge of a projection p over Z/k.
+
+    Yields (degree, lhs, rhs): in degree 0 the canonical trace of the
+    chain and of the character form of the constant p on CircleGrid(4);
+    in degree 2m, m = 1..m_max, the chain pairing with a fresh
+    `random_normalized_cochain` (not closed, so the pairing need not
+    vanish) and (2 pi i)^m m! times the form pairing.
+    """
+    spec = p.spec
+    grid = CircleGrid(4)
+    P = MixedForm.zero(grid, spec, p.n, kalg=2 * m_max + 2)
+    P.add_term(ScalarForm.one(grid, order=1), (p,))
+    ch = chern_even(P, m_max)
+    chains = chern_lambda(p, m_max)
+    yield (0, chains[0].terms.get((spec.identity(),), 0j),
+           ch.scalar_part().component(())[0])
+    for m in range(1, m_max + 1):
+        psi = random_normalized_cochain(spec, 2 * m, rng)
+        yield (2 * m, chains[m].pair(psi),
+               (2j * np.pi) ** m * math.factorial(m)
+               * pair_cochain_form(psi, ch).component(())[0])

@@ -73,6 +73,49 @@ def test_cyclic_check_over_z9_peaks_under_48_mb(tmp_path):
     assert peak < 48 * 2 ** 20
 
 
+def test_cyclic_check_needs_no_cocycle_basis(tmp_path, monkeypatch):
+    import tracemalloc
+
+    from ncindex import cyclic
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("cyclic-check built a closed-cocycle basis")
+
+    monkeypatch.setattr(cyclic, "closed_cocycle_basis", no_basis)
+    cfg = {"experiments": [{"id": "c13", "kind": "cyclic-check", "k": 13,
+                            "m_max": 2, "instances": 2}]}
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        code = run(str(path), out_dir=str(tmp_path / "out"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 80 * 2 ** 20
+
+
+def test_shipped_config_sees_a_wrong_degree_4_coefficient(tmp_path,
+                                                          monkeypatch):
+    import math
+    import types
+
+    from ncindex import chern
+
+    def factorial(j):
+        # the degree-4 (k = 2) coefficient of chern_even, times 3
+        return math.factorial(j) / (3 if j == 2 else 1)
+
+    monkeypatch.setattr(chern, "math", types.SimpleNamespace(
+        factorial=factorial))
+    config = Path(__file__).parents[1] / "configs" / "checks.json"
+    assert run(str(config), out_dir=tmp_path) == 2
+    with open(tmp_path / "report.csv") as fh:
+        failed = [(r["experiment"], r["check"]) for r in csv.DictReader(fh)
+                  if r["passed"] != "True"]
+    assert failed == [("cyclic-bridge", "normalization_bridge")]
+
+
 def test_malformed_config_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -374,6 +417,15 @@ def test_mistyped_override_exits_one(tmp_path):
     assert not (out / "report.csv").exists()
 
 
+def test_negative_seed_flag_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, TOEPLITZ_CFG)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--seed",
+                 "-1"]) == 1
+    assert "--seed must be an integer >= 0" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
 SPECFLOW_EXP = {"id": "sf", "kind": "specflow", "fourier_cutoff": 32,
                 "m_values": [1]}
 ARCS = [[0.0, 0.6], [0.5, 1.1]]
@@ -390,6 +442,10 @@ ARCS = [[0.0, 0.6], [0.5, 1.1]]
                       "m_max": 1, "instances": 1, "seed": 1.5}]},
     {"seed": 1.5, "experiments": [{"id": "c", "kind": "cyclic-check",
                                    "k": 3, "m_max": 1, "instances": 1}]},
+    {"experiments": [{"id": "c", "kind": "cyclic-check", "k": 3,
+                      "m_max": 1, "instances": 1, "seed": -1}]},
+    {"seed": -1, "experiments": [{"id": "c", "kind": "cyclic-check",
+                                  "k": 3, "m_max": 1, "instances": 1}]},
     {"experiments": [{"id": "b", "kind": "chern-check", "chart_grid": 16,
                       "tolerance": True}]},
     {"experiments": [dict(SPECFLOW_EXP, tolerance=1e-30)]},
@@ -430,6 +486,7 @@ ARCS = [[0.0, 0.6], [0.5, 1.1]]
                       "deck": [[0, 1, 2]]}]},
 ], ids=["margin-string", "m_values-strings", "bott_radius-string",
         "bump_family-unknown", "experiment-seed-float", "config-seed-float",
+        "experiment-seed-negative", "config-seed-negative",
         "tolerance-bool", "specflow-tolerance-tiny", "specflow-tolerance",
         "ids-int-and-string", "id-list", "out-int", "u-type-list",
         "arc-string", "deck-float", "u-m-float", "u-m-bool", "shift-nan",
