@@ -27,6 +27,8 @@ from .group_algebra import GroupSpec
 from .nc_forms import ChartGrid2D, JetFunction, MixedForm, _jet_layout
 
 TWO_PI_I = 2j * np.pi
+#: the largest residual of a character's input or of a path's samples
+RESIDUAL_TOL = 1e-8
 
 
 def projection_defects(P):
@@ -50,18 +52,18 @@ def unitary_residual(u):
     return max((vs @ v).max_abs_diff(one), (v @ vs).max_abs_diff(one))
 
 
-def chern_even(P, k_max, tol=1e-8):
+def chern_even(P, k_max):
     """Even Chern character form of a projection.
 
     P is a projection-valued `MixedForm`, whose residual must be within
-    `tol`, or a `covering.MFProjection`, whose constructor has already
-    checked its form; that form is used unchecked.
+    `RESIDUAL_TOL`, or a `covering.MFProjection`, whose constructor has
+    already checked its form; that form is used unchecked.
     """
     if isinstance(P, MixedForm):
         residual = projection_residual(P)
-        if residual > tol:
+        if residual > RESIDUAL_TOL:
             raise NotAProjection(
-                f"projection residual {residual:.3g} > {tol}")
+                f"projection residual {residual:.3g} > {RESIDUAL_TOL}")
     else:
         P = P.form
     dP = P.dtot()
@@ -74,11 +76,12 @@ def chern_even(P, k_max, tol=1e-8):
     return out
 
 
-def chern_odd(u, k_max, tol=1e-8):
+def chern_odd(u, k_max):
     """Odd Chern character form of a unitary-valued mixed form."""
     residual = unitary_residual(u)
-    if residual > tol:
-        raise NotUnitary(f"unitarity residual {residual:.3g} > {tol}")
+    if residual > RESIDUAL_TOL:
+        raise NotUnitary(
+            f"unitarity residual {residual:.3g} > {RESIDUAL_TOL}")
     us = u.star()
     du = u.dtot()
     factors = [us, du]
@@ -121,28 +124,27 @@ def closedness_defect(form, cocycles=()):
 class ProjectionPath:
     """Sampled differentiable family of projection-valued mixed forms."""
 
-    def __init__(self, samples, tol=1e-8):
+    def __init__(self, samples):
         if not samples:
             raise ValueError("empty path")
         self.samples = list(samples)
         self.residuals = [projection_residual(P) for P in self.samples]
         worst = max(self.residuals)
-        if worst > tol:
+        if worst > RESIDUAL_TOL:
             raise NotAProjection(
                 f"path leaves the projection manifold: residual "
-                f"{worst:.3g} > {tol}")
+                f"{worst:.3g} > {RESIDUAL_TOL}")
 
 
-def chern_homotopy_defect(path, phi, k_max=None):
+def chern_homotopy_defect(path, phi):
     """Pairing of phi (integrated over M) against ch(P_1) - ch(P_0).
 
     For a normalized closed cocycle this must vanish up to tolerance:
     the difference of endpoint characters is exact.
     """
-    if k_max is None:
-        # the degree-n pairing reads bidegree (2k - n, n); p <= dim M
-        # bounds the character order needed
-        k_max = max((phi.degree + path.samples[0].grid.ndim) // 2, 1)
+    # the degree-n pairing reads bidegree (2k - n, n); p <= dim M bounds
+    # the character order needed
+    k_max = max((phi.degree + path.samples[0].grid.ndim) // 2, 1)
     ch1 = chern_even(path.samples[-1], k_max)
     ch0 = chern_even(path.samples[0], k_max)
     paired = cyclic.pair_cochain_form(phi, ch1 - ch0)

@@ -30,6 +30,8 @@ from .nc_forms import (JetFunction, MixedForm, ScalarForm, _jet_mul,
 
 TWO_PI_I = 2j * np.pi
 
+#: the largest partition-of-unity or flat-projection residual of a cover
+BUILD_TOL = 1e-12
 #: the integer lifts x + m of a base point x in [0, 1) that an arc can hold
 LIFTS = (-1, 0, 1)
 
@@ -111,14 +113,15 @@ class CoverData:
         total = sum(self.chi_sq[1:], self.chi_sq[0])
         return float(np.max(np.abs(total.value() - 1.0)))
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         """Raise BadCover on the first failure, in the order of the loop
         over i (the deck diagonal, then the antisymmetry of row i) and
         then over (i, j) (the overlap connected, then the cocycle
         condition on each triple overlap (i, j, k))."""
         res = self.partition_residual()
-        if res > tol:
-            raise BadCover(f"partition of unity residual {res:.3g} > {tol}")
+        if res > BUILD_TOL:
+            raise BadCover(
+                f"partition of unity residual {res:.3g} > {BUILD_TOL}")
         # deck elements as integers, 0 the identity
         deck = self._reduce(self.deck)
         diagonal = np.diagonal(deck) != 0
@@ -186,13 +189,13 @@ class CoverData:
 class MFProjection:
     """The flat projection of a cover as a degree-(0, 0) mixed form."""
 
-    def __init__(self, cover, form, tol=1e-12):
+    def __init__(self, cover, form):
         self.cover = cover
         self.form = form
         self.idempotence, self.selfadjoint = projection_defects(form)
-        if max(self.idempotence, self.selfadjoint) > tol:
-            raise BadCover(
-                f"projection residual {self.idempotence:.3g} above {tol}")
+        if max(self.idempotence, self.selfadjoint) > BUILD_TOL:
+            raise BadCover(f"projection residual {self.idempotence:.3g} "
+                           f"above {BUILD_TOL}")
 
 
 def build_mf_projection(cover, kalg=4):

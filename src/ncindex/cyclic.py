@@ -25,6 +25,9 @@ from .errors import IllConditioned, NotAProjection, UnsupportedDegree
 from .group_algebra import GAMatrix
 from .nc_forms import ScalarForm
 
+#: `chern_lambda`'s projection residual, `closed_cocycle_basis`'s gap
+TOL = 1e-10
+
 # ---------------------------------------------------------------------
 # group cochains
 # ---------------------------------------------------------------------
@@ -114,9 +117,9 @@ class CyclicCochain(GroupCocycle):
             tuples = tuple(index.reshape(-1, self.degree + 1).T)
         return self._lookup(tuples)
 
-    def cyclic_defect(self, rng, samples=20, radius=2):
+    def cyclic_defect(self, rng, samples=20):
         """Deviation from phi(lambda x) = phi(x) with the (-1)^n sign."""
-        pool = self.spec.ball(radius)
+        pool = self.spec.ball(2)
         n = self.degree
         sign = -1.0 if n % 2 else 1.0
         worst = 0.0
@@ -228,7 +231,7 @@ class CyclicChain:
         return complex(np.dot(self.coeffs.ravel(), np.ravel(values)))
 
 
-def chern_lambda(p, m_max, tol=1e-10):
+def chern_lambda(p, m_max):
     """Cyclic Chern character chains of a projection matrix over C Gamma.
 
     Returns one chain per even degree 2m, m = 0..m_max: the matrix trace
@@ -239,7 +242,7 @@ def chern_lambda(p, m_max, tol=1e-10):
     """
     if not isinstance(p, GAMatrix):
         raise TypeError("chern_lambda expects a GAMatrix projection")
-    if (p @ p - p).max_abs() > tol or (p.star() - p).max_abs() > tol:
+    if (p @ p - p).max_abs() > TOL or (p.star() - p).max_abs() > TOL:
         raise NotAProjection("p fails p^2 = p or p* = p")
     n = p.n
     support = list(p.parts)
@@ -331,7 +334,7 @@ def orbit_index(k, degree):
     return len(labels), column, sign
 
 
-def closed_cocycle_basis(spec, degree, tol=1e-10):
+def closed_cocycle_basis(spec, degree):
     """Basis of b^t-closed normalized invariant cyclic cochains at <e>.
 
     The variables are the orbits of `orbit_index` on the support (product
@@ -340,8 +343,8 @@ def closed_cocycle_basis(spec, degree, tol=1e-10):
     agree up to sign, so one reduced chain per rotation orbit gives all
     the equations, a matrix B of n + 2 entries +-1 per row.  B is never
     formed: its kernel is that of the integer normal matrix G = B^T B,
-    spanned by the eigenvectors of G with eigenvalues at most tol times
-    max(1, largest).  An eigenvalue above that but below sqrt(tol) times
+    spanned by the eigenvectors of G with eigenvalues at most TOL times
+    max(1, largest).  An eigenvalue above that but below sqrt(TOL) times
     it leaves no clear gap and raises IllConditioned.  Returns orbit
     cochains with real values spanning the kernel.
     """
@@ -380,10 +383,10 @@ def closed_cocycle_basis(spec, degree, tol=1e-10):
                        minlength=size * size).reshape(size, size)
     evals, evecs = np.linalg.eigh(gram)
     scale = max(1.0, evals[-1])
-    if np.any((evals > tol * scale) & (evals < np.sqrt(tol) * scale)):
+    if np.any((evals > TOL * scale) & (evals < np.sqrt(TOL) * scale)):
         raise IllConditioned("an eigenvalue of the b^t normal matrix lies "
                              "between tol and sqrt(tol) of its scale")
-    vecs = np.zeros((int(np.sum(evals <= tol * scale)), count))
+    vecs = np.zeros((int(np.sum(evals <= TOL * scale)), count))
     vecs[:, live] = evecs[:, :len(vecs)].T
     return [CyclicCochain.on_orbits(spec, n, v) for v in vecs]
 

@@ -40,6 +40,8 @@ from .toeplitz import kernel_rank
 #: global orientation between the compression-convention relative index
 #: and the spectral flow, fixed by the winding-one example
 RELATIVE_INDEX_ORIENTATION = -1
+#: the defects `relative_index` and `pu_projection` accept of their input
+PROJ_TOL = 1e-8
 
 
 class SelfAdjointPath:
@@ -217,12 +219,12 @@ def _endpoint_flow(first, last, delta_c, margin_filter):
     return negs[0] - negs[1]
 
 
-def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
+def relative_index(P, Q, eps_k=1e-6, spurious=None):
     """Fredholm index of the compression Q P : ran P -> ran Q.
 
     P and Q, matrices or the 1-D arrays of diagonal ones, must be
-    self-adjoint within `proj_tol`, with every eigenvalue within
-    `proj_tol` of 0 or 1.  Kernel and cokernel dimensions come from
+    self-adjoint within `PROJ_TOL`, with every eigenvalue within
+    `PROJ_TOL` of 0 or 1.  Kernel and cokernel dimensions come from
     singular values of the compression below `eps_k`; a `spurious`
     callback may reject vectors (in ambient coordinates, one per column)
     that are finite-truncation artifacts.  When both are diagonal, ran P
@@ -233,8 +235,8 @@ def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
     if len(P) != len(Q):
         raise ValueError(f"P of shape {np.shape(P)} and Q of shape "
                          f"{np.shape(Q)} act on spaces of different sizes")
-    p = _projection_range(_compact(_own_field(P)), "P", proj_tol)
-    q = _projection_range(_compact(_own_field(Q)), "Q", proj_tol)
+    p = _projection_range(_compact(_own_field(P)), "P")
+    q = _projection_range(_compact(_own_field(Q)), "Q")
     if p.ndim == q.ndim == 1:
         ker, coker = np.flatnonzero(p & ~q), np.flatnonzero(q & ~p)
     else:
@@ -252,15 +254,15 @@ def relative_index(P, Q, eps_k=1e-6, proj_tol=1e-8, spurious=None):
                - np.sum(~_rejected(spurious, coker, len(p))))
 
 
-def _projection_range(x, name, tol):
+def _projection_range(x, name):
     """Check that the compact `x` is a projection, as `relative_index`
     states, and return its range: for a 1-D diagonal, the mask of the
     modes that span it; else an orthonormal basis, from one `eigh`.
     The spectral residual max |w^2 - w| bounds every entry of x^2 - x."""
-    if not _sa_residual(x) <= tol:
+    if not _sa_residual(x) <= PROJ_TOL:
         raise NotAProjection(f"{name} is not self-adjoint")
     w, v = (x.real, None) if x.ndim == 1 else _eigh(x)
-    if not np.max(np.abs(w * w - w), initial=0.0) <= tol:
+    if not np.max(np.abs(w * w - w), initial=0.0) <= PROJ_TOL:
         raise NotAProjection(f"{name} has an eigenvalue away from 0 and 1")
     return w > 0.5 if v is None else v[:, w > 0.5]
 
@@ -316,7 +318,7 @@ class ChiTriple:
         return float(max(r1, r2))
 
 
-def pu_projection(U, chi, tol=1e-8):
+def pu_projection(U, chi):
     """Projection field onto the graph of the loop clutching unitary.
 
     Returns samples of the 2x2-block projection
@@ -328,7 +330,7 @@ def pu_projection(U, chi, tol=1e-8):
     """
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
-    if np.max(np.abs(U.conj().T @ U - np.eye(d))) > tol:
+    if np.max(np.abs(U.conj().T @ U - np.eye(d))) > PROJ_TOL:
         raise NotUnitary("U is not unitary at the requested tolerance")
     eye = np.eye(d, dtype=complex)
     c0, c1, c2 = (c[:, None, None] for c in (chi.chi0, chi.chi1, chi.chi2))
@@ -417,7 +419,7 @@ def boundary_mass_filter(fc, margin=0.1):
     return reject
 
 
-def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
+def verify_oddind(fc, m, margin=0.1, shift=0.5):
     """Both sides of the odd pairing on a mode-window truncation.
 
     Spectral flow of the path D + A -> (1-t) D + t U D U* -> U (D + A) U*
@@ -433,7 +435,7 @@ def verify_oddind(fc, m, margin=0.1, delta_c=0.2, shift=0.5):
     start[fc] += shift
     reject = boundary_mass_filter(fc, margin)
     spfl = _endpoint_flow(_eigh(start), _eigh(conjugate_by_shift(start, m)),
-                          delta_c, reject)
+                          0.2, reject)    # delta_c = 0.2
 
     P = (start.real >= 0.0).astype(float)   # the nonnegative projection
     Q = conjugate_by_shift(P, m)

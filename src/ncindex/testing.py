@@ -51,20 +51,15 @@ def random_unitary_matrix(spec, n, rng):
     return gamatrix_from_sectors(spec, sectors)
 
 
-def random_trig_jet(grid, rng, band=2, order=2):
+def random_trig_jet(grid, rng):
     coeffs = {m: complex(rng.standard_normal(), rng.standard_normal())
-              for m in range(-band, band + 1)}
-    return JetFunction.trig(grid, coeffs, order)
+              for m in range(-2, 3)}
+    return JetFunction.trig(grid, coeffs, 2)
 
 
-def random_gamatrix(spec, n, rng, support=None):
-    if spec.is_finite:
-        pool = spec.elements()
-    else:
-        pool = spec.ball(2)
-    if support is None:
-        support = min(3, len(pool))
-    idx = rng.choice(len(pool), size=support, replace=False)
+def random_gamatrix(spec, n, rng):
+    pool = spec.elements() if spec.is_finite else spec.ball(2)
+    idx = rng.choice(len(pool), size=min(3, len(pool)), replace=False)
     parts = {}
     for i in idx:
         parts[pool[int(i)]] = (rng.standard_normal((n, n))
@@ -72,12 +67,11 @@ def random_gamatrix(spec, n, rng, support=None):
     return GAMatrix(spec, n, parts)
 
 
-def random_mixed_form(grid, spec, n, p, q, rng, kalg=5, terms=2,
-                      order=2):
-    """Random mixed form of pure bidegree (p, q)."""
+def random_mixed_form(grid, spec, n, p, q, rng, kalg=5):
+    """Random mixed form of pure bidegree (p, q), a sum of two terms."""
     out = MixedForm.zero(grid, spec, n, kalg)
-    for _ in range(terms):
-        jet = random_trig_jet(grid, rng, order=order)
+    for _ in range(2):
+        jet = random_trig_jet(grid, rng)
         sform = (ScalarForm(grid, {(0,): jet}) if p == 1
                  else ScalarForm.function(jet))
         word = tuple(random_gamatrix(spec, n, rng) for _ in range(q + 1))
@@ -85,22 +79,16 @@ def random_mixed_form(grid, spec, n, p, q, rng, kalg=5, terms=2,
     return out
 
 
-def _real_trig(grid, rng, band=1):
-    """Real trig polynomial t(x) with (t, t', t'') arrays."""
-    x = grid.points
-    t = np.zeros_like(x)
-    t1 = np.zeros_like(x)
-    t2 = np.zeros_like(x)
-    for m in range(1, band + 1):
-        a, b = rng.standard_normal(2)
-        w = TWO_PI * m
-        t += a * np.cos(w * x) + b * np.sin(w * x)
-        t1 += w * (-a * np.sin(w * x) + b * np.cos(w * x))
-        t2 += w * w * (-a * np.cos(w * x) - b * np.sin(w * x))
-    return t, t1, t2
+def _real_trig(grid, rng):
+    """Real trig polynomial t = a cos(2 pi x) + b sin(2 pi x) with
+    (t, t', t'') arrays."""
+    a, b = rng.standard_normal(2)
+    cos, sin = np.cos(TWO_PI * grid.points), np.sin(TWO_PI * grid.points)
+    return (a * cos + b * sin, TWO_PI * (-a * sin + b * cos),
+            TWO_PI * TWO_PI * (-a * cos - b * sin))
 
 
-def _rotation_sector(grid, rng, n, order=2):
+def _rotation_sector(grid, rng, n):
     """Jets of exp(i t(x) h) for one random hermitian h, as an
     (n, n, J, G) array."""
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -110,8 +98,7 @@ def _rotation_sector(grid, rng, n, order=2):
     ph = np.exp(1j * lam * t)
     jets = np.stack([ph, 1j * lam * t1 * ph,
                      (1j * lam * t2 - lam ** 2 * t1 ** 2) * ph], axis=1)
-    return np.einsum("ak,bk,kjg->abjg", vec, vec.conj(),
-                     jets[:, :min(order, 2) + 1])
+    return np.einsum("ak,bk,kjg->abjg", vec, vec.conj(), jets)
 
 
 def _from_sectors(grid, spec, sectors, n, kalg):
@@ -123,11 +110,11 @@ def _from_sectors(grid, spec, sectors, n, kalg):
     return out
 
 
-def random_projection_form(grid, spec, n, rng, kalg=5, order=2):
+def random_projection_form(grid, spec, n, rng, kalg=5):
     """Grid-dependent projection-valued mixed form over C[Z/k]."""
     sectors = []
     for _ in range(spec.order):
-        u = _rotation_sector(grid, rng, n, order)
+        u = _rotation_sector(grid, rng, n)
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         _, v = np.linalg.eigh(h + h.conj().T)
         # u p0 u* with the rank-one p0 = v_0 v_0*
@@ -136,10 +123,9 @@ def random_projection_form(grid, spec, n, rng, kalg=5, order=2):
     return _from_sectors(grid, spec, np.stack(sectors), n, kalg)
 
 
-def random_unitary_form(grid, spec, n, rng, kalg=5, order=2):
+def random_unitary_form(grid, spec, n, rng, kalg=5):
     """Grid-dependent unitary-valued mixed form over C[Z/k]."""
-    sectors = [_rotation_sector(grid, rng, n, order)
-               for _ in range(spec.order)]
+    sectors = [_rotation_sector(grid, rng, n) for _ in range(spec.order)]
     return _from_sectors(grid, spec, np.stack(sectors), n, kalg)
 
 

@@ -190,7 +190,7 @@ class ToeplitzProblem:
         return [self.section(modes, modes)]
 
 
-def assemble_toeplitz(system, u, fc, eps_k=1e-6, tol=1e-8):
+def assemble_toeplitz(system, u, fc, eps_k=1e-6):
     """Block Toeplitz compression of the action of u onto modes 0..F_c.
 
     For the circle the translate of u by y compresses to D_y T D_y* with
@@ -198,8 +198,8 @@ def assemble_toeplitz(system, u, fc, eps_k=1e-6, tol=1e-8):
     uu = system.mul(system.star(u), u)
     uu[0] = uu.get(0, 0) - np.eye(system.rep_dim)
     res = max(float(np.max(np.abs(b))) for b in uu.values())
-    if res > tol:
-        raise NotUnitary(f"unitarity residual {res:.3g} > {tol}")
+    if res > 1e-8:
+        raise NotUnitary(f"unitarity residual {res:.3g} > 1e-08")
     band = max((abs(m) for m in u), default=0)
     return ToeplitzProblem(system, fc, eps_k, u, band)
 
@@ -229,11 +229,11 @@ def floor_cutoff(bandwidth):
 
 
 def least_cutoff(bandwidth):
-    """Smallest F_c passing both guards of `tau_index` at the default
-    margin when a symbol of bandwidth w = max(bandwidth, 1) has w kernel
-    vectors, as exp(+-w) has: floor_cutoff(w), and w modes in the top
-    margin.  `tau_index` checks the margin against the kernel vectors it
-    finds; the CLI, which knows only the bandwidth, checks this bound."""
+    """Smallest F_c passing both guards of `tau_index` when a symbol of
+    bandwidth w = max(bandwidth, 1) has w kernel vectors, as exp(+-w)
+    has: floor_cutoff(w), and w modes in the top margin.  `tau_index`
+    checks the margin against the kernel vectors it finds; the CLI,
+    which knows only the bandwidth, checks this bound."""
     w = max(bandwidth, 1)
     fc = floor_cutoff(w)
     while _top_modes(fc + 1, MARGIN) < w:
@@ -241,7 +241,7 @@ def least_cutoff(bandwidth):
     return fc
 
 
-def tau_index(tp, margin=MARGIN):
+def tau_index(tp):
     """Trace-weighted kernel-minus-cokernel defect of the compression.
 
     Kernel and cokernel are counted by the singular values below the
@@ -271,7 +271,7 @@ def tau_index(tp, margin=MARGIN):
             f"kernel threshold {tp.eps_k:g} lies above the singular value "
             f"1 of the interior modes")
     # the artifacts of one side are n vectors at the top of the window
-    top = _top_modes(tp.fc + 1, margin)
+    top = _top_modes(tp.fc + 1, MARGIN)
     if n > top * d:
         raise ValueError(
             f"truncation margin violated: {n} kernel vectors, but the top "
@@ -279,13 +279,13 @@ def tau_index(tp, margin=MARGIN):
     return int(np.sum(cols[0] < tp.eps_k) - np.sum(rows < tp.eps_k)) / d
 
 
-def dynsys_formula(system, u, tol=1e-10):
+def dynsys_formula(system, u):
     """The derivation-trace index value -(2 pi i)^{-1} tau(u* delta(u))."""
     du = system.delta(u)
     first = -system.trace(system.mul(system.star(u), du)) / TWO_PI_I
     dus = system.delta(system.star(u))
     second = system.trace(system.mul(u, dus)) / TWO_PI_I
-    if abs(first - second) > tol:
+    if abs(first - second) > 1e-10:
         raise ArithmeticError(
             f"the two derivation-trace expressions disagree: "
             f"{first} vs {second}")

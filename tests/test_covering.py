@@ -429,7 +429,7 @@ def _validate_by_loop(cover):
 def _unvalidated(monkeypatch, *args):
     """A CoverData built without its validation."""
     with monkeypatch.context() as m:
-        m.setattr(CoverData, "validate", lambda self, tol=1e-12: None)
+        m.setattr(CoverData, "validate", lambda self: None)
         return CoverData(*args)
 
 

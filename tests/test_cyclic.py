@@ -182,7 +182,10 @@ def test_chern_lambda_components_are_cycles():
         assert abs(chains[m].pair(b_transpose(psi))) <= 1e-9
 
 
-def test_normalization_bridge_small():
+def test_closed_basis_cocycles_pair_to_zero_on_both_sides():
+    # over Z/k a closed basis cocycle is a coboundary, so above degree 0
+    # both sides of the bridge vanish and cannot be compared; the bridge
+    # is pinned with open cochains (the tests of `normalization_bridge`)
     rng = np.random.default_rng(9)
     grid = CircleGrid(4)
     from ncindex.chern import chern_even
@@ -200,7 +203,8 @@ def test_normalization_bridge_small():
         lhs = chains[m].pair(phi)
         rhs = ((2j * np.pi) ** m * math.factorial(m)
                * pair_cochain_form(phi, ch).component(())[0])
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+        assert abs(lhs) <= 1e-12
+        assert abs(rhs) <= 1e-12
 
 
 def test_conjugated_projection_pairs_equally():

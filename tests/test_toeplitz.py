@@ -136,6 +136,17 @@ def test_top_margin_must_hold_the_artifacts(m):
         == round(dynsys_formula(sys_c, u).real)
 
 
+@pytest.mark.parametrize("m", [s * w for w in range(1, 13) for s in (1, -1)])
+def test_least_cutoff_is_tight(m):
+    # exact at the least cutoff, refused one mode below it
+    sys_c = CircleSystem()
+    u = sys_c.exponential(m)
+    fc = least_cutoff(abs(m))
+    assert tau_index(assemble_toeplitz(sys_c, u, fc)) == m
+    with pytest.raises(ValueError, match="truncation margin violated"):
+        tau_index(assemble_toeplitz(sys_c, u, fc - 1))
+
+
 def test_winding_oracle_values():
     x = np.arange(512) / 512
     assert winding_oracle(np.ones(512, dtype=complex)) == 0
