@@ -90,7 +90,7 @@ class CyclicCochain(GroupCocycle):
 
     def _lookup(self, index):
         _, column, sign = orbit_index(self.spec.order, self.degree)
-        return sign[index] * self.orbits[column[index]]
+        return self.orbits.take(column[index]) * sign[index]
 
     def __call__(self, *args):
         if self.orbits is None or len(args) != self.degree + 1:
@@ -226,8 +226,7 @@ class CyclicChain:
             values = phi.values(self.words())
         else:
             # coeffs[i] is the coefficient of the word support[i]
-            index = np.asarray(self.support)[np.indices(self.coeffs.shape)]
-            values = phi._lookup(tuple(index))
+            values = phi._lookup(np.ix_(*(self.support,) * (self.degree + 1)))
         return complex(np.dot(self.coeffs.ravel(), np.ravel(values)))
 
 
@@ -296,7 +295,7 @@ def pair_cochain_form(phi, omega):
 
 
 # ---------------------------------------------------------------------
-# closed cocycles on finite cyclic groups by enumeration
+# closed cocycles on finite cyclic groups as the image of b^t
 # ---------------------------------------------------------------------
 
 
@@ -334,60 +333,61 @@ def orbit_index(k, degree):
     return len(labels), column, sign
 
 
+def _live_orbits(k, degree):
+    """The orbits of `orbit_index(k, degree)` on the support (product e)
+    that are not forced to zero, and the lattice index of each one's
+    first member."""
+    _, column, sign = orbit_index(k, degree)
+    on_support = sum(np.indices(column.shape, sparse=True)) % k == 0
+    flat = np.flatnonzero(on_support & (sign != 0))
+    live, first = np.unique(column.ravel()[flat], return_index=True)
+    return live, np.unravel_index(flat[first], column.shape)
+
+
 def closed_cocycle_basis(spec, degree):
     """Basis of b^t-closed normalized invariant cyclic cochains at <e>.
 
-    The variables are the orbits of `orbit_index` on the support (product
-    e) that are not forced to zero.  Since b^t maps cyclic cochains to
-    cyclic ones, the rows of b^t phi = 0 at y and at a rotation of y
-    agree up to sign, so one reduced chain per rotation orbit gives all
-    the equations, a matrix B of n + 2 entries +-1 per row.  B is never
-    formed: its kernel is that of the integer normal matrix G = B^T B,
-    spanned by the eigenvectors of G with eigenvalues at most TOL times
-    max(1, largest).  An eigenvalue above that but below sqrt(TOL) times
-    it leaves no clear gap and raises IllConditioned.  Returns orbit
-    cochains with real values spanning the kernel.
+    Over Z/k these cochains are exact in positive degrees: every closed
+    one is b^t psi for a cochain psi one degree down (the reduced cyclic
+    cohomology of C[Z/k] vanishes at the identity class).  So the basis
+    spans the range of the matrix M of b^t from the live orbits of
+    `orbit_index` in degree n-1 to those in degree n; row r of M holds
+    the n + 1 signed merges of orbit r's first member.  The left singular
+    vectors of M with squared singular values above TOL times max(1,
+    largest) span that range; a squared value above that but below
+    sqrt(TOL) times it leaves no clear gap and raises IllConditioned.
+    Returns orbit cochains with real orthonormal orbit values.
     """
     if not spec.is_finite:
-        raise ValueError("enumeration needs a finite cyclic group")
+        raise ValueError("closed cocycles need a finite cyclic group")
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
     k = spec.order
     n = degree
-    count, column, sign = orbit_index(k, n)
-    on_support = sum(np.indices((k,) * (n + 1), sparse=True)) % k == 0
-    live = np.unique(column[on_support & (sign != 0)])
-    if not len(live):
+    rows, x = _live_orbits(k, n)
+    cols = _live_orbits(k, n - 1)[0] if n else []
+    if not len(rows) or not len(cols):
         return []
+    count, column, sign = orbit_index(k, n - 1)
     var = np.zeros(count, dtype=int)
-    var[live] = np.arange(len(live))
-
-    # the reduced chains: nonzero tail, product e; one per rotation orbit.
-    # A merge off the support has sign 0, so it adds nothing.
-    nonzero = np.indices((k - 1,) * (n + 1)).reshape(n + 1, -1) + 1
-    y = np.vstack([-nonzero.sum(axis=0) % k, nonzero])
-    y = y[:, np.unique(_rotations(y, k).min(axis=0),
-                       return_index=True)[1]]
-    cols = np.empty((n + 2, y.shape[1]), dtype=int)
-    vals = np.empty((n + 2, y.shape[1]))
-    for i in range(n + 2):
-        if i <= n:
-            merged = np.vstack([y[:i], (y[i] + y[i + 1]) % k, y[i + 2:]])
+    var[cols] = np.arange(len(cols))
+    # one entry per row in each turn; sign is 0 where a merge gives e
+    mat = np.zeros((len(rows), len(cols)))
+    r = np.arange(len(rows))
+    for i in range(n + 1):
+        if i < n:
+            at = x[:i] + ((x[i] + x[i + 1]) % k,) + x[i + 2:]
         else:
-            merged = np.vstack([(y[n + 1] + y[0]) % k, y[1:n + 1]])
-        at = tuple(merged)
-        cols[i] = var[column[at]]
-        vals[i] = (-1) ** i * sign[at]
-    # G[a, b] sums vals[i] vals[j] over the rows with cols (a, b) at (i, j)
-    size = len(live)
-    gram = np.bincount((cols[:, None] * size + cols[None]).ravel(),
-                       (vals[:, None] * vals[None]).ravel(),
-                       minlength=size * size).reshape(size, size)
-    evals, evecs = np.linalg.eigh(gram)
-    scale = max(1.0, evals[-1])
-    if np.any((evals > TOL * scale) & (evals < np.sqrt(TOL) * scale)):
-        raise IllConditioned("an eigenvalue of the b^t normal matrix lies "
-                             "between tol and sqrt(tol) of its scale")
-    vecs = np.zeros((int(np.sum(evals <= TOL * scale)), count))
-    vecs[:, live] = evecs[:, :len(vecs)].T
+            at = ((x[n] + x[0]) % k,) + x[1:n]
+        mat[r, var[column[at]]] += (-1) ** i * sign[at]
+    u, svals, _ = np.linalg.svd(mat, full_matrices=False)
+    sq = svals ** 2
+    scale = max(1.0, sq[0])
+    if np.any((sq > TOL * scale) & (sq < np.sqrt(TOL) * scale)):
+        raise IllConditioned("a squared singular value of the b^t matrix "
+                             "lies between tol and sqrt(tol) of its scale")
+    vecs = np.zeros((int(np.sum(sq > TOL * scale)), orbit_index(k, n)[0]))
+    vecs[:, rows] = u[:, :len(vecs)].T
     return [CyclicCochain.on_orbits(spec, n, v) for v in vecs]
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ncindex.cyclic import (CyclicChain, CyclicCochain, GroupCocycle,
+from ncindex.cyclic import (TOL, CyclicChain, CyclicCochain, GroupCocycle,
                             _rotations, b_transpose, c_to_tau,
                             chern_lambda, closed_cocycle_basis, d_gamma,
                             orbit_index, pair_cochain_form,
@@ -435,16 +435,20 @@ def test_closed_cocycle_basis_z7_degree4_peaks_under_32_mb():
 @pytest.mark.parametrize("level,lost", [(5e-11, 0), (1e-4, 1), (1e-8, None)])
 def test_closed_cocycle_basis_needs_a_clear_gap(monkeypatch, level, lost):
     clean = closed_cocycle_basis(Z5, 4)
-    eigh = np.linalg.eigh
+    svd = np.linalg.svd
 
-    def spectrum(gram):
-        # the last null eigenvalue moved to level times the scale
-        evals, evecs = eigh(gram)
-        evals = evals.copy()
-        evals[len(clean) - 1] = level * max(1.0, evals[-1])
-        return evals, evecs
+    def spectrum(mat, full_matrices=True):
+        # the last cocycle's squared singular value moved to TOL^1.5 /
+        # level times the scale: level mirrored across the gap [TOL,
+        # sqrt(TOL)], so a level that would leave a null eigenvalue in
+        # the kernel keeps the cocycle and one that lifts it out drops it
+        u, svals, vh = svd(mat, full_matrices=full_matrices)
+        svals = svals.copy()
+        scale = max(1.0, svals[0] ** 2)
+        svals[len(clean) - 1] = np.sqrt(TOL ** 1.5 / level * scale)
+        return u, svals, vh
 
-    monkeypatch.setattr(np.linalg, "eigh", spectrum)
+    monkeypatch.setattr(np.linalg, "svd", spectrum)
     if lost is None:
         # between tol and sqrt(tol) of the scale: no clear gap
         with pytest.raises(IllConditioned):
@@ -454,6 +458,32 @@ def test_closed_cocycle_basis_needs_a_clear_gap(monkeypatch, level, lost):
     assert len(basis) == len(clean) - lost
     for phi, ref in zip(basis, clean):
         assert np.array_equal(phi.orbits, ref.orbits)
+
+
+def _live_count(k, n):
+    """The number of orbit variables of `orbit_index(k, n)` on the
+    support (product e) that are not forced to zero."""
+    _, column, sign = orbit_index(k, n)
+    on_support = sum(np.indices((k,) * (n + 1), sparse=True)) % k == 0
+    return len(np.unique(column[on_support & (sign != 0)]))
+
+
+@pytest.mark.parametrize("k,degree", [(k, n) for k in range(2, 10)
+                                      for n in range(1, 5)] + [(11, 4)])
+def test_closed_cocycle_bases_are_exact_in_dimension(k, degree):
+    # the cocycles of degree n - 1 are the kernel of b^t and those of
+    # degree n its image, so their dimensions fill the live variables
+    spec = GroupSpec.cyclic(k)
+    assert (len(closed_cocycle_basis(spec, degree))
+            + len(closed_cocycle_basis(spec, degree - 1))
+            == _live_count(k, degree - 1))
+
+
+def test_closed_cocycle_basis_rejects_a_negative_degree():
+    assert closed_cocycle_basis(Z5, 0) == []
+    for degree in (-1, -2):
+        with pytest.raises(ValueError, match=f"degree {degree} "):
+            closed_cocycle_basis(Z5, degree)
 
 
 def _basis_by_orbit_walk(k, n, tol=1e-10):
