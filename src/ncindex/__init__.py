@@ -24,7 +24,7 @@ from .group_algebra import (GA, GAMatrix, GroupAlgebraElement, GroupSpec,
                             gamatrix_from_sectors, ga_mul, neumann_inverse,
                             trace_e)
 from .nc_forms import (ChartGrid2D, CircleGrid, JetFunction, MixedForm,
-                       ScalarForm, form_dtot, form_mul, graded_trace)
+                       ScalarForm)
 from .specflow import (ChiTriple, SelfAdjointPath, pu_projection,
                        relative_index, spectral_flow, verify_oddind)
 from .toeplitz import (CircleSystem, RotationSystem, ToeplitzProblem,
@@ -36,7 +36,6 @@ __all__ = [
     "cyclic_sectors", "delta_word_length", "gamatrix_from_sectors",
     "ga_mul", "neumann_inverse", "trace_e",
     "ChartGrid2D", "CircleGrid", "JetFunction", "MixedForm", "ScalarForm",
-    "form_dtot", "form_mul", "graded_trace",
     "CyclicChain", "CyclicCochain", "GroupCocycle", "b_transpose",
     "c_to_tau", "chern_lambda", "closed_cocycle_basis", "d_gamma",
     "pair_cochain_form", "random_closed_cocycle", "tau_to_c",

@@ -236,10 +236,10 @@ def _validate_experiment(exp, seen):
         if not _is_int(x["u"].get("m", 1)):
             raise ConfigError(f"{where}u.m must be an integer")
         band = _bandwidth(x["u"])
-        if x["fourier_cutoff"] < toeplitz.least_cutoff(band):
+        if x["fourier_cutoff"] < (least := toeplitz.least_cutoff(band)):
             raise ConfigError(
                 f"{where}fourier_cutoff {x['fourier_cutoff']} is below "
-                f"{toeplitz.least_cutoff(band)}, the truncation margin of "
+                f"{least}, the truncation margin of "
                 f"tau_index: at least 8 x bandwidth = "
                 f"{toeplitz.floor_cutoff(band)}, "
                 f"with the top margin holding the bandwidth")

@@ -445,29 +445,26 @@ def _sub_diff(a, b):
 
 
 def _jet_outer(x, y, ndim, solve):
-    """Products x[s] y[t] of every (n, l) entry of x with every (l, m)
-    entry of y, as in `_jet_mul`, through one BLAS product per grid point
-    with the jets of x contracted into its inner index.  The result has
-    the leading (tuple) axes of x, then those of y, then the entry axes.
-    Unless solve is None, x's last slot g meets y's first slot solve[g][f]
-    at the slot f, summed over g in the inner index (see `_DenseBlocks`).
-    A grid axis of length 1 broadcasts in the batched product."""
+    """The fused products of the (n, l) entries of x with the (l, m)
+    entries of y, as in `_jet_mul`: x's last slot g meets y's first slot
+    solve[g][f] at the slot f, summed over g (see `_DenseBlocks`).  One
+    BLAS product per grid point, with the jets of x and the summed slot
+    contracted into its inner index.  The result has the leading (tuple)
+    axes of x but its last, then the slot f and the other axes of y, then
+    the entry axes.  A grid axis of length 1 broadcasts in the product."""
     J = min(x.shape[-2], y.shape[-2])
     lay = _jet_layout(ndim, _jet_order(ndim, J))
     (n, l), m = x.shape[-4:-2], y.shape[-3]
     gx, gy = x.shape[-1], y.shape[-1]
-    G = max(gx, gy)
-    c = 1 if solve is None else len(solve)
+    G, c = max(gx, gy), len(solve)
     xs = x[..., :J, :].reshape(-1, c, n, l, J, gx)
     xo = np.einsum("oij,Lcabig->gLaobjc", lay.leibniz, xs)
     # y as a (G, l, J, slots..., m) view, so the gather is its one copy
-    yt = np.moveaxis(y[..., :J, :], (-1, -4, -2), (0, 1, 2))
-    if solve is not None:
-        yt = np.take(yt, solve, axis=3)
+    yt = np.take(np.moveaxis(y[..., :J, :], (-1, -4, -2), (0, 1, 2)), solve,
+                 axis=3)
     out = xo.reshape(gx, -1, l * J * c) @ yt.reshape(gy, l * J * c, -1)
     out = out.reshape(G, len(xs), n, J, -1, m).transpose(1, 4, 2, 5, 3, 0)
-    lead = x.shape[:x.ndim - 4 - (solve is not None)]
-    return out.reshape(lead + y.shape[:-4] + (n, m, J, G))
+    return out.reshape(x.shape[:-5] + y.shape[:-4] + (n, m, J, G))
 
 
 def _partial(x, axis, ndim, jet_axis=-2):
@@ -517,9 +514,6 @@ class _DenseBlocks:
         live = block.any(axis=(-4, -3, -2, -1))
         return np.tensordot(values(live), block[live], 1)
 
-    def arrays(self, block):
-        return (block,)
-
     def apply(self, block, fn):
         return fn(block)
 
@@ -565,9 +559,10 @@ class _DenseBlocks:
             np.take(block[head + (g,)], solve, axis=i)
             for g, solve in enumerate(self.solve)))
 
-    def outer(self, a, b, fuse=False):
-        # fused: a's last slot g meets b's first slot g^-1 f at the slot f
-        return _jet_outer(a, b, self.ndim, self.solve if fuse else None)
+    def outer(self, a, b):
+        """The fused product: a's last slot g meets b's first slot g^-1 f
+        at the slot f."""
+        return _jet_outer(a, b, self.ndim, self.solve)
 
     def prepend_e(self, block):
         out = np.zeros((self.k,) + block.shape, dtype=block.dtype)
@@ -608,9 +603,6 @@ class _TupleBlocks:
     def pair(self, block, values):
         return np.tensordot(values(list(block)), self.stacked(block)[1], 1)
 
-    def arrays(self, block):
-        return (x.part for x in block.values())
-
     def apply(self, block, fn):
         return {t: x.map(fn) for t, x in block.items()}
 
@@ -650,11 +642,12 @@ class _TupleBlocks:
             (t[:i] + (self.mul(t[i], t[i + 1]),) + t[i + 2:], x)
             for t, x in block.items())
 
-    def outer(self, a, b, fuse=False):
-        out = self._collect((s + t, xy) for s, x in a.items()
-                            for t, y in b.items()
-                            if (xy := _sub_mul(x, y, self.ndim)) is not None)
-        return self.merge(out, len(next(iter(a))) - 1) if fuse else out
+    def outer(self, a, b):
+        # fused: a's last slot meets b's first by the group law
+        return self._collect(
+            (s[:-1] + (self.mul(s[-1], t[0]),) + t[1:], xy)
+            for s, x in a.items() for t, y in b.items()
+            if (xy := _sub_mul(x, y, self.ndim)) is not None)
 
     def prepend_e(self, block):
         return {(self.e,) + t: x for t, x in block.items()}
@@ -879,7 +872,7 @@ class MixedForm:
                 if qa + qb > out.kalg:
                     out.dropped = True
                 elif axes is not None:
-                    block = lay.outer(a, b, fuse=True)
+                    block = lay.outer(a, b)
                     # the product allocated every array of block, and of
                     # every block of out
                     sign *= (-1) ** (qa * len(ax_b))
@@ -973,10 +966,7 @@ class MixedForm:
     def max_abs(self):
         """Largest value of an entry: faithful, since the group tuples
         and matrix positions form a basis."""
-        arrays = (x for b in self.terms.values()
-                  for x in self.layout.arrays(b))
-        return max((float(np.max(np.abs(x[..., 0, :]))) for x in arrays),
-                   default=0.0)
+        return self.max_abs_diff(self._spawn())
 
     def max_abs_diff(self, other):
         """(self - other).max_abs() without forming the difference: block
@@ -1043,17 +1033,3 @@ class ScalarForm(MixedForm):
         """Integral of the top-degree component over the whole grid."""
         return complex(np.mean(self.component(range(self.grid.ndim))))
 
-
-def form_dtot(omega):
-    """Total differential of a mixed form."""
-    return omega.dtot()
-
-
-def form_mul(alpha, beta):
-    """Graded product of mixed forms."""
-    return alpha @ beta
-
-
-def graded_trace(omega):
-    """Matrix trace of a mixed form into the scalar algebra."""
-    return omega.graded_trace()

@@ -116,33 +116,16 @@ class SelfAdjointPath:
             self.mats + other.mats[1:], min(self.delta_c, other.delta_c))
 
 
-#: relative margin by which a cheap bound must clear the threshold to
-#: settle `norm_exceeds`; it covers the rounding of the bounds and of
-#: the singular values, so a settled step is settled as the exact norm
-#: would settle it
-_BOUND_SLACK = 1e-12
-
-
 def norm_exceeds(diff, bound):
     """Whether the spectral norm of `diff` exceeds `bound`.
 
-    `diff` is a matrix or the 1-D array of a diagonal one, whose norm is
-    its largest |entry|, compared exactly (a NaN entry exceeds every
-    bound).  Otherwise two O(n^2) bounds settle most steps: the largest
-    column 2-norm is at most the spectral norm, and the Schur test
-    sqrt(||A||_1 ||A||_inf) at least.  Only when the threshold lies
-    between them are the singular values taken.
+    `diff` is a matrix, compared by its largest singular value, or the
+    1-D array of a diagonal one, whose norm is its largest |entry| (a
+    NaN entry exceeds every bound).
     """
     x = _compact(diff)
     if x.ndim == 1:
         return not np.max(np.abs(x), initial=0.0) <= bound
-    a = np.abs(x)
-    if np.sqrt(np.max(np.einsum("ij,ij->j", a, a))) \
-            > bound * (1 + _BOUND_SLACK):
-        return True
-    schur = np.sqrt(np.max(np.sum(a, axis=0)) * np.max(np.sum(a, axis=1)))
-    if schur <= bound * (1 - _BOUND_SLACK):
-        return False
     return bool(np.linalg.norm(x, 2) > bound)
 
 

@@ -69,11 +69,6 @@ class WeightBlockSystem:
     def one(self):
         return {0: np.eye(self.rep_dim, dtype=complex)}
 
-    def weights(self, a):
-        return a
-
-    weight_blocks = weights
-
     def delta(self, a):
         """Generator of the action: d/dt of the action at t = 0."""
         return {m: TWO_PI_I * m * b for m, b in a.items() if m}
@@ -235,10 +230,15 @@ def least_cutoff(bandwidth):
     checks the margin against the kernel vectors it finds; the CLI,
     which knows only the bandwidth, checks this bound."""
     w = max(bandwidth, 1)
-    fc = floor_cutoff(w)
-    while _top_modes(fc + 1, MARGIN) < w:
-        fc += 1
-    return fc
+    # bisect: _top_modes never falls as the size grows, and exceeds w at hi
+    lo, hi = floor_cutoff(w), 10 * floor_cutoff(w)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _top_modes(mid + 1, MARGIN) < w:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def tau_index(tp):

@@ -633,6 +633,19 @@ def test_toeplitz_cutoff_top_margin_holds_the_bandwidth(tmp_path, capsys,
     assert rows and all(r["passed"] == "True" for r in rows)
 
 
+def test_toeplitz_config_of_bandwidth_ten_to_the_twelfth_validates_fast():
+    # only validated: tau_index would build boundary corners of 2w x w
+    m = 10 ** 12
+    least = cli.toeplitz.least_cutoff(m)
+    exp = {"id": "t", "kind": "toeplitz", "u": {"type": "exp", "m": m},
+           "fourier_cutoff": least}
+    start = time.perf_counter()
+    validate_config({"experiments": [exp]})
+    with pytest.raises(ConfigError, match=f"below {least}"):
+        validate_config({"experiments": [dict(exp, fourier_cutoff=least - 1)]})
+    assert time.perf_counter() - start < 1.0
+
+
 def test_cutoff_override_meets_the_truncation_margin(tmp_path, capsys):
     cfg = write_config(tmp_path, TOEPLITZ_CFG)
     out = tmp_path / "out"

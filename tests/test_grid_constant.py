@@ -128,8 +128,12 @@ def test_one_point_constants_match_full_grid_constants(spec, grid):
 
 
 def _grid_lengths(form):
-    return {x.shape[-1] for block in form.terms.values()
-            for x in form.layout.arrays(block)}
+    """The grid lengths of the block arrays: a dense block, or the part
+    of each entry of a tuple block."""
+    arrays = (a for block in form.terms.values()
+              for a in ([x.part for x in block.values()]
+                        if isinstance(block, dict) else [block]))
+    return {a.shape[-1] for a in arrays}
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)

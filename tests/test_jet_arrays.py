@@ -430,22 +430,21 @@ def _as_column(y):
 
 @pytest.mark.parametrize("n_arcs", [3, 4, 5, 6])
 def test_outer_matches_all_pairs_on_covers(n_arcs):
-    """Products of the blocks of P, dP and dP dP of a cover, fused and
-    not, and traced as `MixedForm.traced_product` views them: the rows
-    and columns of `_TupleBlocks.flat` against full arrays reshaped."""
+    """Fused products of the blocks of P, dP and dP dP of a cover, whole
+    and traced as `MixedForm.traced_product` views them: the rows and
+    columns of `_TupleBlocks.flat` against full arrays reshaped."""
     lay, blocks = _cover_blocks(n_arcs)
     zero_pairs = 0
     for a, b in itertools.product(blocks, repeat=2):
-        for fuse in (False, True):
-            want = _outer_all_pairs(lay, a, b, fuse)
-            _assert_same_block(lay.outer(a, b, fuse), want)
-            zero_pairs += sum(not x.part.any() for x in want.values())
+        _assert_same_block(lay.outer(a, b), _outer_all_pairs(lay, a, b, True))
+        zero_pairs += sum(not x.part.any()
+                          for x in _outer_all_pairs(lay, a, b).values())
         rows = {t: _Sub.whole(_as_row(x)) for t, x in _dense(a).items()}
         cols = {t: _Sub.whole(_as_column(y)) for t, y in _dense(b).items()}
         flat_a, flat_b = lay.flat(a, False), lay.flat(b, True)
         _assert_same_block(rows, flat_a)
         _assert_same_block(cols, flat_b)
-        _assert_same_block(lay.outer(flat_a, flat_b, True),
+        _assert_same_block(lay.outer(flat_a, flat_b),
                            _outer_all_pairs(lay, rows, cols, True))
     assert zero_pairs > 0
 
@@ -475,7 +474,8 @@ def test_cover_character_matches_all_pair_products(monkeypatch, n_arcs):
     cover = CoverData.standard(CircleGrid(128), n_arcs=n_arcs)
     mf = build_mf_projection(cover)
     got = chern_even(mf, 1)
-    monkeypatch.setattr(nc_forms._TupleBlocks, "outer", _outer_all_pairs)
+    monkeypatch.setattr(nc_forms._TupleBlocks, "outer",
+                        lambda lay, a, b: _outer_all_pairs(lay, a, b, True))
     want = chern_even(mf, 1)
     assert list(got.terms) == list(want.terms)
     for key, block in want.terms.items():
@@ -505,6 +505,18 @@ def test_pair_with_an_exactly_zero_product_gives_no_entry():
     assert lay.kill({}) == {} and lay.apply({}, np.negative) == {}
     assert lay.trace({}) == {} and lay.flat({}, False) == {}
     assert lay.prune({}) is None
+
+
+def test_fused_product_with_an_empty_block_is_empty():
+    lay = _blocks(GroupSpec.lattice(1), 1)
+    x = np.random.default_rng(63).standard_normal((2, 2, 2, 8))
+    for q in (0, 1, 2):
+        b = lay.block([(((1,),) * (q + 1), x)], q)
+        assert lay.outer({}, b) == {} and lay.outer(b, {}) == {}
+    assert lay.outer({}, {}) == {}
+    # a's last slot 2 and b's first slot 3 fuse to the slot 5
+    a = lay.block([(((1,), (2,)), x)], 1)
+    assert list(lay.outer(a, lay.block([(((3,),), x)], 0))) == [((1,), (5,))]
 
 
 def test_standard_cover_makes_one_untrimmed_pair_product(monkeypatch):

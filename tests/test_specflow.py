@@ -688,24 +688,10 @@ def test_norm_exceeds_matches_the_exact_norm(name, monkeypatch):
                   0.5 * exact, 2.0 * exact, 1e-3, 1e3):
         assert norm_exceeds(mat, bound) == (not exact <= bound), bound
     if name in ("rank-one", "hermitian"):
-        # a threshold between the two bounds takes the singular values
+        # a dense matrix is compared by its singular values
         assert calls
     if name in _diagonal_cases():
         # a diagonal is compared exactly, with no singular values
-        assert not calls
-
-
-def test_norm_exceeds_settles_far_thresholds_without_singular_values(
-        monkeypatch):
-    # the column bound is at least ||A||_2 / sqrt(columns) and the Schur
-    # bound at most (rows * columns)^(1/4) ||A||_2
-    calls = _count_exact_norms(monkeypatch)
-    for mat in _bound_cases().values():
-        exact = np.linalg.norm(mat, 2)
-        calls.clear()
-        assert norm_exceeds(mat, 0.9 * exact / np.sqrt(mat.shape[1])) \
-            == bool(mat.any())
-        assert not norm_exceeds(mat, 1.1 * exact * np.sqrt(max(mat.shape)))
         assert not calls
 
 
@@ -720,8 +706,7 @@ def test_refinement_matches_the_svd_loop(fc, kind):
         assert np.array_equal(specflow._dense(mat), fn(t))
 
 
-def test_refinement_takes_exact_norms_only_when_the_bounds_straddle(
-        monkeypatch):
+def test_refinement_takes_exact_norms_on_dense_paths_only(monkeypatch):
     calls = _count_exact_norms(monkeypatch)
     paths = _paths(64)
     SelfAdjointPath.from_callable(paths["translation"], delta_c=0.2)

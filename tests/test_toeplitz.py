@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ncindex.errors import IllConditioned, NotUnitary, PhaseJump
-from ncindex.toeplitz import (CircleSystem, RotationSystem,
+from ncindex.toeplitz import (MARGIN, CircleSystem, RotationSystem,
                               WeightBlockSystem, assemble_toeplitz,
-                              dynsys_formula, kernel_rank, least_cutoff,
-                              tau_index, winding_index, winding_oracle)
+                              dynsys_formula, floor_cutoff, kernel_rank,
+                              least_cutoff, tau_index, winding_index,
+                              winding_oracle)
 
 
 def test_trace_properties_circle():
@@ -38,9 +39,9 @@ def test_delta_is_a_derivation():
         rhs_blocks = {}
         for part in (system.mul(system.delta(a), b),
                      system.mul(a, system.delta(b))):
-            for m, blk in system.weight_blocks(part).items():
+            for m, blk in part.items():
                 rhs_blocks[m] = rhs_blocks.get(m, 0) + np.asarray(blk)
-        for m, blk in system.weight_blocks(lhs).items():
+        for m, blk in lhs.items():
             assert np.max(np.abs(np.asarray(blk)
                                  - rhs_blocks.get(m, 0))) <= 1e-10
 
@@ -55,7 +56,7 @@ def test_trace_action_invariance():
     for t in np.linspace(0, 1, 7):
         shifted = sys_c.element(
             {m: c * np.exp(2j * np.pi * m * t)
-             for m, c in sys_c.weights(a).items()})
+             for m, c in a.items()})
         assert abs(sys_c.trace(shifted) - sys_c.trace(a)) <= 1e-12
 
 
@@ -145,6 +146,22 @@ def test_least_cutoff_is_tight(m):
     assert tau_index(assemble_toeplitz(sys_c, u, fc)) == m
     with pytest.raises(ValueError, match="truncation margin violated"):
         tau_index(assemble_toeplitz(sys_c, u, fc - 1))
+
+
+def _least_cutoff_mode_by_mode(bandwidth):
+    """The least cutoff found by raising F_c one mode at a time, until
+    the top margin of its F_c + 1 modes holds the bandwidth."""
+    w = max(bandwidth, 1)
+    fc = floor_cutoff(w)
+    while fc + 1 - math.floor((fc + 1) * (1 - MARGIN)) < w:
+        fc += 1
+    return fc
+
+
+def test_least_cutoff_bisection_matches_the_mode_by_mode_search():
+    widths = range(2001)
+    assert [least_cutoff(w) for w in widths] \
+        == [_least_cutoff_mode_by_mode(w) for w in widths]
 
 
 def test_winding_oracle_values():
@@ -257,7 +274,7 @@ def test_phase_conjugates_share_tau_index():
             conj = d_y @ tp.blocks[0] @ d_y.conj().T
             shifted = sys_c.element(
                 {k: c * np.exp(2j * np.pi * k * y)
-                 for k, c in sys_c.weights(u).items()})
+                 for k, c in u.items()})
             tp_y = assemble_toeplitz(sys_c, shifted, 64)
             assert np.max(np.abs(tp_y.blocks[0] - conj)) <= 1e-13
             assert tau_index(tp_y) == value
@@ -303,7 +320,7 @@ def test_circle_is_the_one_block_case():
     sys_c = CircleSystem(32)
     u = sys_c.exponential(2)
     assert sys_c.rep_dim == 1
-    assert all(np.shape(b) == (1, 1) for b in sys_c.weight_blocks(u).values())
+    assert all(np.shape(b) == (1, 1) for b in u.values())
     assert sys_c.samples(u).shape == (32, 1, 1)
     tp = assemble_toeplitz(sys_c, u, 32)
     assert len(tp.blocks) == 1 and tp.blocks[0].shape == (33, 33)
