@@ -48,7 +48,7 @@ def unitary_residual(u):
     """max |u* u - 1| and max |u u* - 1|; reads the values of u only."""
     v = u._values()
     vs = v.star()
-    one = MixedForm.one(u.grid, u.spec, u.size, u.kalg, order=0)
+    one = MixedForm.one(u.grid, u.spec, u.size, u.kalg)
     return max((vs @ v).max_abs_diff(one), (v @ vs).max_abs_diff(one))
 
 

@@ -142,7 +142,7 @@ _SYMBOL = _check(f"an object whose type is one of {sorted(_U_TYPES)}; "
 #: {kind: {key: (check, default)}}; a default of None means none
 _FIELDS = {
     "chern-check": {
-        "chart_grid": (_at_least(1), 64),
+        "chart_grid": (_at_least(2), 64),
         # the field is constant outside this radius, so near the chart
         # boundary only when it is at most 0.5
         "bott_radius": (_check("a number in (0, 0.5]", lambda v: (
@@ -157,7 +157,7 @@ _FIELDS = {
             v, list) and all(map(_is_int_list, v))), None),
         "bump_family": (_FAMILY, "mollifier"),
         "deck_order": (_at_least(0), 0),
-        "grid_size": (_at_least(1), 1024),
+        "grid_size": (_at_least(2), 1024),
         "flat_tolerance": (_NUMBER, 1e-9),
         "tolerance": (_TOLERANCE, 1e-8),
     },

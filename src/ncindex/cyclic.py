@@ -225,8 +225,11 @@ class CyclicChain:
         if phi.orbits is None:
             values = phi.values(self.words())
         else:
-            # coeffs[i] is the coefficient of the word support[i]
-            values = phi._lookup(np.ix_(*(self.support,) * (self.degree + 1)))
+            # coeffs[i] is the coefficient of the word support[i]: the
+            # lattice table taken at the support along every axis
+            values = phi.table
+            for axis in range(self.degree + 1):
+                values = values.take(self.support, axis=axis)
         return complex(np.dot(self.coeffs.ravel(), np.ravel(values)))
 
 

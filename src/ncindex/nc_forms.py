@@ -6,12 +6,15 @@ tuples (g_0, ..., g_q).  The entry at a tuple is the (n, n) matrix of jets
 of the coefficient of g_0 dg_1 ... dg_q dx_axes.  As d e = 0, the tuples
 with g_i != e for i >= 1 are a basis of Omega^q C[Gamma], so equal forms
 have equal entries.  An entry is an (n, n, J, G) array over the G grid
-points; a coefficient that is constant on the grid (the same jets at every
-point) has G = 1.  `ScalarForm.one` and `MixedForm.one` store the
-constant 1 at one point, and every block operation broadcasts a length-1
-grid axis, so the character of a projection that is constant on the
-manifold is formed at one grid point.  What a caller reads (`stacks`,
-`entries` and the scalar views built on them) is broadcast to the grid.
+points; a coefficient that is constant on the grid has G = 1 and J = 1,
+its value jet, as its derivatives are zero (a grid has at least two
+points, so one point always means constant).  `ScalarForm.one` and
+`MixedForm.one` store the constant 1 so.  Every block operation
+broadcasts a length-1 grid axis and pads a constant's jets with zeros
+where it meets an entry of J jets, so the character of a projection that
+is constant on the manifold is formed at one grid point and one jet.
+What a caller reads (`stacks`, `entries` and the scalar views built on
+them) is broadcast to the grid, a constant as an order-0 jet.
 
 Words over B = M_n(C Gamma) enter through the map
 
@@ -67,12 +70,20 @@ _TRIVIAL = GroupSpec.trivial()
 # ---------------------------------------------------------------------
 
 
+def _check_points(n):
+    """A grid needs two points per axis: an entry with one grid point is
+    a grid-constant coefficient."""
+    if n < 2:
+        raise ValueError(f"a grid needs at least 2 points per axis, not {n}")
+
+
 class CircleGrid:
     """Uniform grid on the circle R/Z with quadrature weight 1/n."""
 
     ndim = 1
 
     def __init__(self, n):
+        _check_points(n)
         self.n = n
         self.points = np.arange(n) / n
         self.shape = (n,)
@@ -93,6 +104,7 @@ class ChartGrid2D:
     ndim = 2
 
     def __init__(self, n):
+        _check_points(n)
         self.n = n
         pts = (np.arange(n) + 0.5) / n
         self.xs, self.ys = np.meshgrid(pts, pts, indexing="ij")
@@ -283,12 +295,31 @@ def _jet_product(x, y, ndim):
     return out
 
 
+def _jet_count(*xs):
+    """The jets of a sum or product of jet arrays (..., J, G): the least
+    count among the arrays that vary on the grid, or 1 when every one is
+    grid-constant (one grid point, value jet only)."""
+    return min((x.shape[-2] for x in xs if x.shape[-1] > 1), default=1)
+
+
+def _jets(x, J):
+    """The jet array x at J jets: truncated, or, for a grid-constant x,
+    padded with zero derivative jets."""
+    if x.shape[-2] >= J:
+        return x if x.shape[-2] == J else x[..., :J, :]
+    out = np.zeros(x.shape[:-2] + (J, 1), x.dtype)
+    out[..., :1, :] = x
+    return out
+
+
 def _jet_mul(x, y, ndim):
     """Product of two matrices of jets, (n, l, J, G) and (l, m, J, G)
     arrays: a matrix product, by Leibniz in the jets and pointwise on the
     G grid points, one `einsum` per Leibniz term.  A grid axis of length
-    1 broadcasts."""
-    J = min(x.shape[-2], y.shape[-2])
+    1 broadcasts, and a grid-constant side is padded to the jets of the
+    other (`_jet_count`)."""
+    J = _jet_count(x, y)
+    x, y = _jets(x, J), _jets(y, J)
     out = np.empty((len(x), y.shape[1], J, max(x.shape[-1], y.shape[-1])),
                    dtype=np.result_type(x, y))
     written = set()
@@ -411,22 +442,24 @@ def _sub_mul(x, y, ndim):
 
 
 def _sub_add(a, b, own):
-    """a + b, over the union of their rows and columns; on equal ones in
-    place into a's part if own (allocated for this sum), of b's field
-    and of the broadcast grid length."""
-    dtype = np.result_type(a.part, b.part)
-    G = max(a.part.shape[-1], b.part.shape[-1])
+    """a + b, over the union of their rows and columns, at the jets of
+    `_jet_count`; on equal ones in place into a's part if own (allocated
+    for this sum), of b's field, of the broadcast grid length and of the
+    jets of the sum."""
+    J = _jet_count(a.part, b.part)
+    x, y = _jets(a.part, J), _jets(b.part, J)
+    dtype = np.result_type(x, y)
+    G = max(x.shape[-1], y.shape[-1])
     if (a.rows, a.cols) == (b.rows, b.cols):
-        if own and a.part.dtype == dtype and a.part.shape[-1] == G:
-            a.part += b.part
+        if own and x is a.part and x.dtype == dtype and x.shape[-1] == G:
+            x += y
             return a
-        return a.map(lambda p: p + b.part)
+        return _Sub(a.shape, a.rows, a.cols, x + y)
     rows, ra, rb = _union(a.rows, b.rows)
     cols, ca, cb = _union(a.cols, b.cols)
-    part = np.zeros((len(rows), len(cols)) + a.part.shape[2:-1] + (G,),
-                    dtype)
-    part[np.ix_(ra, ca)] = a.part
-    part[np.ix_(rb, cb)] += b.part
+    part = np.zeros((len(rows), len(cols), J, G), dtype)
+    part[np.ix_(ra, ca)] = x
+    part[np.ix_(rb, cb)] += y
     return _Sub(a.shape, rows, cols, part)
 
 
@@ -451,17 +484,24 @@ def _jet_outer(x, y, ndim, solve):
     BLAS product per grid point, with the jets of x and the summed slot
     contracted into its inner index.  The result has the leading (tuple)
     axes of x but its last, then the slot f and the other axes of y, then
-    the entry axes.  A grid axis of length 1 broadcasts in the product."""
-    J = min(x.shape[-2], y.shape[-2])
-    lay = _jet_layout(ndim, _jet_order(ndim, J))
+    the entry axes.  A grid axis of length 1 broadcasts in the product,
+    and a grid-constant side is padded to the jets of the other
+    (`_jet_count`); two grid-constant sides multiply their value jets
+    alone, with no Leibniz contraction."""
+    J = _jet_count(x, y)
+    x, y = _jets(x, J), _jets(y, J)
     (n, l), m = x.shape[-4:-2], y.shape[-3]
     gx, gy = x.shape[-1], y.shape[-1]
     G, c = max(gx, gy), len(solve)
-    xs = x[..., :J, :].reshape(-1, c, n, l, J, gx)
-    xo = np.einsum("oij,Lcabig->gLaobjc", lay.leibniz, xs)
+    xs = x.reshape(-1, c, n, l, J, gx)
+    if J == 1:
+        # the einsum's (g, L, a, o, b, j, c) order, o and j of length 1
+        xo = xs.transpose(5, 0, 2, 4, 3, 1)
+    else:
+        xo = np.einsum("oij,Lcabig->gLaobjc",
+                       _jet_layout(ndim, _jet_order(ndim, J)).leibniz, xs)
     # y as a (G, l, J, slots..., m) view, so the gather is its one copy
-    yt = np.take(np.moveaxis(y[..., :J, :], (-1, -4, -2), (0, 1, 2)), solve,
-                 axis=3)
+    yt = np.take(np.moveaxis(y, (-1, -4, -2), (0, 1, 2)), solve, axis=3)
     out = xo.reshape(gx, -1, l * J * c) @ yt.reshape(gy, l * J * c, -1)
     out = out.reshape(G, len(xs), n, J, -1, m).transpose(1, 4, 2, 5, 3, 0)
     return out.reshape(x.shape[:-5] + y.shape[:-4] + (n, m, J, G))
@@ -500,8 +540,9 @@ class _DenseBlocks:
         shape = np.broadcast_shapes(*(x.shape for _, x in entries))
         out = np.zeros((self.k,) * (q + 1) + shape,
                        dtype=np.result_type(*{x.dtype for _, x in entries}))
+        # a grid-constant entry fills the value jet alone
         for tup, x in entries:
-            out[tup] += x
+            out[tup][..., :x.shape[-2], :] += x
         return out
 
     def stacked(self, block):
@@ -541,13 +582,19 @@ class _DenseBlocks:
                              + block.shape[-2:])
 
     def add(self, a, b, own=False):
-        J = min(a.shape[-2], b.shape[-2])
-        b = b[..., :J, :]
-        if own and a.shape[-2] == J and a.dtype == np.result_type(a, b) \
+        J = _jet_count(a, b)
+        x, b = _jets(a, J), _jets(b, J)
+        if own and x is a and a.dtype == np.result_type(a, b) \
                 and a.shape == np.broadcast_shapes(a.shape, b.shape):
             a += b
             return a
-        return a[..., :J, :] + b
+        return x + b
+
+    def partial(self, block, axis):
+        """The partials along a grid axis, a view where `_partial` gives
+        one; None for a grid-constant block, whose partials are zero."""
+        return None if block.shape[-1] == 1 else _partial(block, axis,
+                                                          self.ndim)
 
     def prune(self, block):
         return block if block.any() else None
@@ -583,11 +630,13 @@ class _DenseBlocks:
 
 class _TupleBlocks:
     """Blocks over an infinite group: a dict from group tuples to entries
-    (`_Sub`), each held as its live submatrix, all with one jet order.
-    Products pair single entries on long grids (`_sub_mul`) and sums
-    combine submatrices (`_sub_add`): the entries of a flat projection
-    are sparse matrices of jets.  Full arrays are built only where a
-    caller reads them (`stacked`, `pair`).  A block may be empty."""
+    (`_Sub`), each held as its live submatrix; the entries that vary on
+    the grid share one jet order, and a grid-constant entry holds its
+    value jet only, padded where it meets another (`_jets`).  Products
+    pair single entries on long grids (`_sub_mul`) and sums combine
+    submatrices (`_sub_add`): the entries of a flat projection are sparse
+    matrices of jets.  Full arrays are built only where a caller reads
+    them (`stacked`, `pair`).  A block may be empty."""
 
     def __init__(self, spec, ndim):
         self.ndim, self.e, self.mul = ndim, spec.identity(), spec.mul
@@ -597,8 +646,10 @@ class _TupleBlocks:
         return self._collect((t, _Sub.whole(x)) for t, x in entries)
 
     def stacked(self, block):
+        parts = [x.full() for x in block.values()]
+        J = _jet_count(*parts)
         return list(block), np.stack(np.broadcast_arrays(
-            *(x.full() for x in block.values())))
+            *(_jets(x, J) for x in parts)))
 
     def pair(self, block, values):
         return np.tensordot(values(list(block)), self.stacked(block)[1], 1)
@@ -626,12 +677,17 @@ class _TupleBlocks:
         return {t: x.flat(column) for t, x in block.items()}
 
     def add(self, a, b, own=False):
-        J = min((next(iter(c.values())).part.shape[-2] for c in (a, b) if c),
-                default=None)
+        J = _jet_count(*(x.part for c in (a, b) for x in c.values()))
         return self._collect(
-            ((t, x if x.part.shape[-2] == J
+            ((t, x if x.part.shape[-2] <= J
               else x.map(lambda p: p[..., :J, :]))
              for c in (a, b) for t, x in c.items()), a if own else ())
+
+    def partial(self, block, axis):
+        """The partials of the entries that vary on the grid; None when
+        every entry is grid-constant."""
+        return {t: x.map(lambda p: _partial(p, axis, self.ndim))
+                for t, x in block.items() if x.part.shape[-1] > 1} or None
 
     def prune(self, block):
         return {t: y for t, x in block.items()
@@ -710,7 +766,11 @@ class MixedForm:
     terms maps (algebra degree q, manifold axes) to a block whose entry
     at the group tuple (g_0, ..., g_q) is the (n, n, J, G) jet array of
     the coefficient of g_0 dg_1 ... dg_q dx_axes; G is the number of grid
-    points, or 1 for a grid-constant coefficient, broadcast on reading.
+    points, or 1 for a grid-constant coefficient.  A grid-constant entry
+    has J = 1, its value jet: its derivatives are zero, so where it meets
+    an entry of J jets in a sum or product it is padded with zero jets,
+    and the read boundary shows it as an order-0 jet broadcast to the
+    grid.
     """
 
     __slots__ = ("grid", "spec", "size", "kalg", "terms", "dropped",
@@ -731,9 +791,9 @@ class MixedForm:
         return cls(grid, spec, size, kalg)
 
     @classmethod
-    def one(cls, grid, spec, size, kalg=4, order=2):
+    def one(cls, grid, spec, size, kalg=4):
         out = cls(grid, spec, size, kalg)
-        out.add_term(ScalarForm.one(grid, order),
+        out.add_term(ScalarForm.one(grid),
                      (GAMatrix.identity(spec, size),))
         return out
 
@@ -755,19 +815,22 @@ class MixedForm:
     def add_entries(self, entries):
         """Add (group tuple, axes, (n, n, J, *grid) array) entries, the
         inverse of `entries`; an (n, n, J, 1) array is a grid-constant
-        entry, kept at one grid point.  The algebra degree is the tuple
-        length less one; entries above kalg are dropped (and `dropped`
-        set), and a tuple with e in a slot >= 1 dies.  A block takes the
-        lowest jet order among its entries, as `_add` does."""
+        entry, kept at one grid point as its value jet.  The algebra
+        degree is the tuple length less one; entries above kalg are
+        dropped (and `dropped` set), and a tuple with e in a slot >= 1
+        dies.  A block takes the lowest jet order among its entries that
+        vary on the grid, and pads its grid-constant ones to it, as `_add`
+        does."""
         blocks = {}
         for tup, axes, x in entries:
             if len(tup) - 1 > self.kalg:
                 self.dropped = True
-            else:
-                blocks.setdefault((len(tup) - 1, tuple(axes)), []).append(
-                    (tuple(tup), x.reshape(x.shape[:3] + (-1,))))
+                continue
+            x = x.reshape(x.shape[:3] + (-1,))
+            blocks.setdefault((len(tup) - 1, tuple(axes)), []).append(
+                (tuple(tup), x[..., :1, :] if x.shape[-1] == 1 else x))
         for (q, axes), block in blocks.items():
-            J = min(x.shape[-2] for _, x in block)
+            J = _jet_count(*(x for _, x in block))
             block = self.layout.block([(t, x[..., :J, :]) for t, x in block],
                                       q)
             self._add((q, axes), self.layout.kill(block))
@@ -893,8 +956,9 @@ class MixedForm:
                 if ax not in axes:
                     merged, sign = _merge_axes((ax,), axes)
                     # a partial may be a view of the block
-                    part = lay.apply(block, lambda x: _partial(x, ax, ndim))
-                    out._add((q, merged), _signed(lay, part, sign, False))
+                    part = lay.partial(block, ax)
+                    if part is not None:
+                        out._add((q, merged), _signed(lay, part, sign, False))
         return out
 
     def dtot_algebra(self):
@@ -958,8 +1022,11 @@ class MixedForm:
         if self.size != 1:
             raise ValueError("scalar_part needs a traced (size-1) form")
         out = ScalarForm(self.grid)
+        # the blocks, not `entries`, keep a grid-constant coefficient at
+        # one grid point
         out.add_entries((ScalarForm.E, axes, x)
-                        for tup, axes, x in self.algebra_component(0).entries()
+                        for (q, axes), block in self.terms.items() if q == 0
+                        for tup, x in zip(*self.layout.stacked(block))
                         if tup == (self.spec.identity(),))
         return out
 
@@ -1006,12 +1073,10 @@ class ScalarForm(MixedForm):
         return cls(jet.grid, {(): jet})
 
     @classmethod
-    def one(cls, grid, order=2):
-        """The constant 1, stored at one grid point."""
+    def one(cls, grid):
+        """The constant 1, stored as its value jet at one grid point."""
         out = cls(grid)
-        one = np.zeros((1, 1, len(_jet_layout(grid.ndim, order).indices), 1))
-        one[:, :, 0] = 1.0
-        out.add_entries([(cls.E, (), one)])
+        out.add_entries([(cls.E, (), np.ones((1, 1, 1, 1)))])
         return out
 
     d = MixedForm.dtot_manifold

@@ -202,7 +202,7 @@ def normalization_bridge(p, m_max, rng):
     spec = p.spec
     grid = CircleGrid(4)
     P = MixedForm.zero(grid, spec, p.n, kalg=2 * m_max + 2)
-    P.add_term(ScalarForm.one(grid, order=1), (p,))
+    P.add_term(ScalarForm.one(grid), (p,))
     ch = chern_even(P, m_max)
     chains = chern_lambda(p, m_max)
     yield (0, chains[0].terms.get((spec.identity(),), 0j),

@@ -41,8 +41,10 @@ import numpy as np
 from .errors import IllConditioned, NotUnitary, PhaseJump
 
 TWO_PI_I = 2j * np.pi
-# share of the top modes that must hold the tail corner's kernel vectors
-MARGIN = 0.1
+# the top modes that must hold the tail corner's kernel vectors: one in
+# TOP_PARTS of the modes, the share MARGIN
+TOP_PARTS = 10
+MARGIN = 1 / TOP_PARTS
 
 
 class WeightBlockSystem:
@@ -211,10 +213,12 @@ def kernel_rank(sv, eps_k):
     return r
 
 
-def _top_modes(size, margin):
-    """Modes in the top `margin` share of `size` modes, where the finite
-    section leaves its artifact kernel vectors."""
-    return size - int(np.floor(size * (1.0 - margin)))
+def _top_modes(size):
+    """Modes in the top MARGIN share of `size` modes, where the finite
+    section leaves its artifact kernel vectors: size - floor(size (1 -
+    MARGIN)), which is ceil(size / TOP_PARTS), counted in integers so
+    that it never falls as the size grows."""
+    return -(-size // TOP_PARTS)
 
 
 def floor_cutoff(bandwidth):
@@ -234,7 +238,7 @@ def least_cutoff(bandwidth):
     lo, hi = floor_cutoff(w), 10 * floor_cutoff(w)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _top_modes(mid + 1, MARGIN) < w:
+        if _top_modes(mid + 1) < w:
             lo = mid + 1
         else:
             hi = mid
@@ -271,7 +275,7 @@ def tau_index(tp):
             f"kernel threshold {tp.eps_k:g} lies above the singular value "
             f"1 of the interior modes")
     # the artifacts of one side are n vectors at the top of the window
-    top = _top_modes(tp.fc + 1, MARGIN)
+    top = _top_modes(tp.fc + 1)
     if n > top * d:
         raise ValueError(
             f"truncation margin violated: {n} kernel vectors, but the top "

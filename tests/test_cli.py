@@ -301,6 +301,9 @@ def test_override_goes_only_to_kinds_that_take_it(tmp_path):
     {"kind": "toeplitz", "u": {"type": "exp", "m": "2"}},
     {"kind": "toeplitz", "u": {"type": "exp", "m": "200"}},
     {"kind": "toeplitz", "u": {"type": "exp", "m": [1]}},
+    # one grid point would make every coefficient grid-constant
+    {"kind": "covering-check", "arcs": 3, "grid_size": 1},
+    {"kind": "chern-check", "chart_grid": 1},
 ])
 def test_mistyped_integer_field_exits_one(tmp_path, exp):
     cfg = {"experiments": [dict({"id": "x"}, **exp)]}
@@ -345,11 +348,11 @@ ROTATION_EXP = {"id": "r", "kind": "toeplitz", "system": "rotation",
     (dict(ROTATION_EXP, p=0, q=5), "p/q = 0/5 must be in lowest terms"),
     (dict(ROTATION_EXP, p=1, q=0), "q must be an integer >= 1"),
     ({"id": "b", "kind": "chern-check", "chart_grid": 0},
-     "chart_grid must be an integer >= 1"),
+     "chart_grid must be an integer >= 2"),
     ({"id": "b", "kind": "chern-check", "chart_grid": -4},
-     "chart_grid must be an integer >= 1"),
+     "chart_grid must be an integer >= 2"),
     ({"id": "v", "kind": "covering-check", "grid_size": 0},
-     "grid_size must be an integer >= 1"),
+     "grid_size must be an integer >= 2"),
     ({"id": "t", "kind": "toeplitz", "u": {"type": "exp", "m": "2"}},
      "u.m must be an integer"),
     ({"id": "v", "kind": "covering-check", "deck_order": -1},

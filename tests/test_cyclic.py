@@ -612,6 +612,23 @@ def test_table_cochain_pairing_stores_nothing():
     assert abs(value - exact) <= bound
 
 
+@pytest.mark.parametrize("degree", [2, 4])
+def test_chain_pairing_takes_the_table_at_an_unsorted_support(degree):
+    """A chain on a proper, unsorted support reads the orbit cochain's
+    lattice table along every axis, bitwise as the open-mesh lookup."""
+    z7 = GroupSpec.cyclic(7)
+    rng = np.random.default_rng(degree)
+    support = [3, 0, 5]
+    coeffs = (rng.standard_normal((3,) * (degree + 1))
+              + 1j * rng.standard_normal((3,) * (degree + 1)))
+    chain = CyclicChain(z7, support, coeffs)
+    phi = random_normalized_cochain(z7, degree, rng)
+    mesh = phi._lookup(np.ix_(*(support,) * (degree + 1)))
+    assert chain.pair(phi) == complex(np.dot(coeffs.ravel(), mesh.ravel()))
+    words = sum(c * phi(*w) for w, c in zip(chain.words(), coeffs.ravel()))
+    assert abs(chain.pair(phi) - words) <= 1e-12 * np.sum(np.abs(coeffs))
+
+
 def _normalized_table_by_orbit_walk(k, n, rng):
     """The per-tuple orbit walk that `random_normalized_cochain` used."""
     sign = -1.0 if n % 2 else 1.0
@@ -706,7 +723,7 @@ def _odd_bridge_errors(k):
     U = random_unitary_matrix(spec, 2, rng)
     grid = CircleGrid(4)
     u = MixedForm.zero(grid, spec, 2, kalg=6)
-    u.add_term(ScalarForm.one(grid, order=1), (U,))
+    u.add_term(ScalarForm.one(grid), (U,))
     ch = chern_odd(u, 2)
     # E[a, b, g]: the coefficient of g in the (a, b) entry
     factors = []

@@ -1,11 +1,13 @@
-"""Grid-constant coefficients stored at one grid point.
+"""Grid-constant coefficients stored as their value jet at one grid point.
 
-`ScalarForm.one` and `MixedForm.one` hold their jets at one grid point,
-and every block operation broadcasts that point over the grid.  Each form
-here is built twice, from the one-point constants and from full-grid
-constant jets, and every operation must give the same form; the read
-boundary (`stacks`, `entries`, `comps`, `component`, `integrate`) shows
-grid-shaped arrays either way.
+`ScalarForm.one` and `MixedForm.one` hold their value jet at one grid
+point, and every block operation broadcasts that point over the grid and
+pads the missing jets with zeros where it meets an entry of more jets.
+Each form here is built twice, from the one-point constants and from
+full-grid constant jets, and every operation must give the same form on
+the jets the one-point build holds, the reference's other jets being
+exactly zero; the read boundary (`stacks`, `entries`, `comps`,
+`component`, `integrate`) shows grid-shaped arrays either way.
 """
 
 import math
@@ -13,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from ncindex import nc_forms
 from ncindex.chern import (chern_even, chern_odd, projection_residual,
                            unitary_residual)
 from ncindex.cyclic import pair_cochain_form, tau_to_c
@@ -90,25 +93,44 @@ def _entries(form):
 
 def _assert_agree(got, want):
     """The same form, entry by entry on the grid, within TOL of the
-    largest entry; an entry one side lacks is zero."""
+    largest entry; an entry one side lacks is zero.  Where both hold an
+    entry, they agree on the jets of got's (a one-point entry holds its
+    value jet alone), and want's other jets are exactly zero."""
     a, b = _entries(got), _entries(want)
     scale = max((np.max(np.abs(x)) for x in b.values()), default=0.0)
     for key in a.keys() | b.keys():
         x = a.get(key, 0.0)
         y = b.get(key, 0.0)
+        if key in a and key in b:
+            J = x.shape[2]
+            assert not y[:, :, J:].any(), key
+            y = y[:, :, :J]
         assert np.max(np.abs(x - y)) <= TOL * scale, key
+
+
+def _pairings(phis, forms):
+    return [pair_cochain_form(phi, form) for phi in phis for form in forms
+            if any(q == phi.degree for q, _axes in form.terms)]
+
+
+def _constant_operations(P, u, phis):
+    """The operations that read only the constants P and u."""
+    dP = P.dtot()
+    ch = chern_even(P, 2)
+    return [P @ P, dP.traced_product(dP), P.dtot(), P.graded_trace(), ch,
+            chern_odd(u, 1), *_pairings(phis, [ch])]
 
 
 def _operations(P, u, unit, W, phis):
     dP = P.dtot()
-    ch = chern_even(P, 2)
-    return [P @ P, P @ W, W @ P, unit @ W, W @ unit, dP @ W, W @ dP,
-            P.traced_product(W), W.traced_product(P), dP.traced_product(dP),
-            P.dtot(), (P @ W).dtot(), P.graded_trace(),
-            (W @ P).graded_trace(), ch, chern_odd(u, 1),
-            *(pair_cochain_form(phi, form) for phi in phis
-              for form in (ch, P @ W, dP @ W)
-              if any(q == phi.degree for q, _axes in form.terms))]
+    # a sum of a constant and a varying block, which a tuple block holds
+    # as entries of both kinds
+    S = dP + W
+    return _constant_operations(P, u, phis) + [
+        P @ W, W @ P, unit @ W, W @ unit, dP @ W, W @ dP,
+        P.traced_product(W), W.traced_product(P), (P @ W).dtot(),
+        (W @ P).graded_trace(), S, W + dP, S @ W, S @ S, S.dtot(),
+        S.traced_product(W), *_pairings(phis, [P @ W, dP @ W, S @ W])]
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -127,13 +149,67 @@ def test_one_point_constants_match_full_grid_constants(spec, grid):
     assert abs(unitary_residual(uc) - unitary_residual(uf)) <= TOL
 
 
-def _grid_lengths(form):
-    """The grid lengths of the block arrays: a dense block, or the part
-    of each entry of a tuple block."""
+def _jets_and_points(form):
+    """The (jet, grid) lengths of the block arrays: a dense block, or the
+    part of each entry of a tuple block."""
     arrays = (a for block in form.terms.values()
               for a in ([x.part for x in block.values()]
                         if isinstance(block, dict) else [block]))
-    return {a.shape[-1] for a in arrays}
+    return {a.shape[-2:] for a in arrays}
+
+
+def _grid_lengths(form):
+    return {G for _J, G in _jets_and_points(form)}
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_constants_hold_their_value_jet_at_one_grid_point(spec, grid):
+    (P, u, one, W), _ = _both(grid, spec)
+    phis = _cochains(spec, np.random.default_rng(1))
+    assert _jets_and_points(MixedForm.one(grid, spec, 2)) == {(1, 1)}
+    assert _jets_and_points(ScalarForm.one(grid)) == {(1, 1)}
+    for form in _constant_operations(P, u, phis):
+        assert form.terms and _jets_and_points(form) == {(1, 1)}
+    # in every result, a block or entry with one grid point has one jet
+    for form in _operations(P, u, one, W, phis):
+        assert all(J == 1 for J, G in _jets_and_points(form) if G == 1)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_constant_operations_read_no_jet_layout_above_order_0(spec, grid,
+                                                              monkeypatch):
+    """Every product, sum and pairing of constants runs at one jet: no
+    Leibniz table of a higher order is looked up."""
+    (P, u, *_), (full, *_) = _both(grid, spec)
+    phis = _cochains(spec, np.random.default_rng(1))
+    orders = []
+    layout = nc_forms._jet_layout
+    monkeypatch.setattr(nc_forms, "_jet_layout", lambda ndim, order: (
+        orders.append(order), layout(ndim, order))[1])
+    assert _constant_operations(P, u, phis)
+    assert set(orders) <= {0}
+    # the full-grid constants carry second-order jets through the product
+    full @ full
+    assert max(orders) == 2
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_products_with_a_constant_keep_the_jets_of_the_other(spec, grid):
+    (P, _u, one, W), _ = _both(grid, spec)
+    jets = {(math.comb(2 + grid.ndim, grid.ndim), math.prod(grid.shape))}
+    assert _jets_and_points(W) == jets
+    for form in (P @ W, W @ P, one @ W, W @ one):
+        assert form.terms and _jets_and_points(form) == jets
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_grids_need_two_points_per_axis(n):
+    for grid in (CircleGrid, ChartGrid2D):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            grid(n)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -147,16 +223,21 @@ def test_constant_blocks_keep_one_grid_point_and_read_on_the_grid(spec,
     assert ch.terms and _grid_lengths(ch) == {1}
     assert _grid_lengths(ref) == {math.prod(grid.shape)}
 
+    # the one-point build reads as the value jet of the reference, whose
+    # other jets are zero
     stacks = {(q, axes): (tuples, x) for q, axes, tuples, x in ch.stacks()}
     for q, axes, tuples, x in ref.stacks():
         got_tuples, got = stacks.pop((q, axes))
         assert got_tuples == tuples
-        assert got.shape == x.shape and x.shape[-grid.ndim:] == grid.shape
-        assert np.max(np.abs(got - x)) <= TOL * np.max(np.abs(x))
+        assert got.shape == x[:, :, :, :1].shape
+        assert x.shape[-grid.ndim:] == grid.shape
+        assert not x[:, :, :, 1:].any()
+        assert np.max(np.abs(got - x[:, :, :, :1])) \
+            <= TOL * np.max(np.abs(x))
     assert not stacks
     entries = _entries(ch)
     for key, x in _entries(ref).items():
-        assert entries[key].shape == x.shape
+        assert entries[key].shape == x[:, :, :1].shape
 
     [phi] = [c for c in _cochains(spec, np.random.default_rng(2))
              if c.degree == 2]
@@ -165,14 +246,18 @@ def test_constant_blocks_keep_one_grid_point_and_read_on_the_grid(spec,
                        pair_cochain_form(phi, ref))):
         assert set(got.comps) == set(want.comps) == {()}
         jet, ref_jet = got.comps[()], want.comps[()]
-        assert jet.stack.shape == ref_jet.stack.shape
-        assert jet.stack.shape[1:] == grid.shape
+        assert jet.order == 0 and jet.stack.shape == (1,) + grid.shape
+        assert ref_jet.stack.shape[1:] == grid.shape
+        assert not ref_jet.stack[1:].any()
         value = got.component(())
         assert value.shape == grid.shape
         assert np.max(np.abs(value - want.component(()))) <= TOL
         assert got.integrate() == want.integrate() == 0
-    # the pairing of a one-point character is itself a one-point form
-    assert _grid_lengths(pair_cochain_form(phi, ch)) == {1}
+    # the scalar part and the pairing of a one-point character are
+    # themselves one-point forms, whose differential is zero
+    for form in (ch.scalar_part(), pair_cochain_form(phi, ch)):
+        assert _jets_and_points(form) == {(1, 1)}
+        assert not form.d().terms
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -184,7 +269,7 @@ def test_integrate_reads_a_constant_top_degree_form(grid):
     x[:, :, 0] = 2.5 - 1j
     compact = ScalarForm(grid)
     compact.add_entries([(ScalarForm.E, top, x)])
-    assert _grid_lengths(compact) == {1}
+    assert _jets_and_points(compact) == {(1, 1)}
     assert compact.component(top).shape == grid.shape
     assert compact.integrate() == full.integrate() == 2.5 - 1j
 
@@ -193,13 +278,41 @@ def test_integrate_reads_a_constant_top_degree_form(grid):
                          ids=["Z3", "Z"])
 def test_entries_of_one_tuple_sum_across_grid_lengths(spec):
     """Two one-point entries and a full-grid one at the same tuple: the
-    sum takes the grid, however the layout accumulates it."""
+    sum takes the grid, however the layout accumulates it, and a
+    one-point entry adds its value jet alone."""
     grid = CircleGrid(4)
     rng = np.random.default_rng(3)
     xs = [rng.standard_normal((2, 2, 3, G)) for G in (1, 1, 4)]
     form = MixedForm.zero(grid, spec, 2)
     form.add_entries(((spec.identity(),), (), x) for x in xs)
     [(_tup, _axes, got)] = list(form.entries())
-    want = xs[0] + xs[1] + xs[2]
+    want = xs[2].copy()
+    want[:, :, :1] += xs[0][:, :, :1] + xs[1][:, :, :1]
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= TOL * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.cyclic(3), GroupSpec.lattice(1)],
+                         ids=["Z3", "Z"])
+def test_a_block_of_constant_and_varying_entries(spec):
+    """A constant entry beside a varying one in one block (a tuple block
+    keeps both kinds) acts as its full-grid jets with zero derivatives."""
+    grid = CircleGrid(4)
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal((2, 2, 1, 1))
+    v = rng.standard_normal((2, 2, 3, 4))
+    e, g = spec.identity(), spec.elements()[1] if spec.is_finite else (1,)
+    full_c = np.zeros((2, 2, 3, 4))
+    full_c[:, :, :1] = c
+    forms = []
+    for x in (c, full_c):
+        form = MixedForm.zero(grid, spec, 2, kalg=3)
+        form.add_entries([((e,), (), x), ((g,), (), v)])
+        forms.append(form)
+    one, full = forms
+    assert _jets_and_points(one) == ({(1, 1), (3, 4)} if not spec.is_finite
+                                     else {(3, 4)})
+    for op in (lambda f: f, lambda f: f @ f, lambda f: f.dtot(),
+               lambda f: f.dtot() @ f, lambda f: f.traced_product(f),
+               lambda f: f + f.scale(2.0), lambda f: f.graded_trace()):
+        _assert_agree(op(one), op(full))

@@ -7,7 +7,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "ncindex"
 
 #: the parameter defaults the package may carry
-MAX_DEFAULTS = 71
+MAX_DEFAULTS = 69
 
 
 def _defaults(node, prefix):

@@ -5,8 +5,9 @@ import pytest
 
 from ncindex.errors import IllConditioned, NotUnitary, PhaseJump
 from ncindex.toeplitz import (MARGIN, CircleSystem, RotationSystem,
-                              WeightBlockSystem, assemble_toeplitz,
-                              dynsys_formula, floor_cutoff, kernel_rank,
+                              WeightBlockSystem, _top_modes,
+                              assemble_toeplitz, dynsys_formula,
+                              floor_cutoff, kernel_rank,
                               least_cutoff, tau_index, winding_index,
                               winding_oracle)
 
@@ -156,6 +157,18 @@ def _least_cutoff_mode_by_mode(bandwidth):
     while fc + 1 - math.floor((fc + 1) * (1 - MARGIN)) < w:
         fc += 1
     return fc
+
+
+def test_top_modes_never_fall_above_1e16_modes():
+    start = floor_cutoff(10 ** 16)
+    counts = [_top_modes(size) for size in range(start, start + 2001)]
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+def test_top_modes_are_the_float_count_up_to_1e6_modes():
+    sizes = np.arange(1, 10 ** 6 + 1)
+    assert np.array_equal(_top_modes(sizes),
+                          sizes - np.floor(sizes * (1.0 - MARGIN)).astype(int))
 
 
 def test_least_cutoff_bisection_matches_the_mode_by_mode_search():
