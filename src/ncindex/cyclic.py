@@ -241,10 +241,16 @@ def chern_lambda(p, m_max):
     group tensor words over the support of p.  With E[i, j, s] the
     coefficient of the s-th support element in p[i, j], chain 2m is the
     cyclic contraction of 2m+1 copies of E over the matrix indices.
+    Over Z/k, p is checked on its (k, n, n) coefficient stack
+    (`_cyclic_defects`); over other groups in `GAMatrix` arithmetic.
     """
     if not isinstance(p, GAMatrix):
         raise TypeError("chern_lambda expects a GAMatrix projection")
-    if (p @ p - p).max_abs() > TOL or (p.star() - p).max_abs() > TOL:
+    if p.spec.is_finite:
+        square, adjoint = _cyclic_defects(p)
+    else:
+        square, adjoint = (p @ p - p).max_abs(), (p.star() - p).max_abs()
+    if square > TOL or adjoint > TOL:
         raise NotAProjection("p fails p^2 = p or p* = p")
     n = p.n
     support = list(p.parts)
@@ -257,6 +263,22 @@ def chern_lambda(p, m_max):
         chains.append(CyclicChain(p.spec, support,
                                   -coeffs if m % 2 else coeffs))
     return chains
+
+
+def _cyclic_defects(p):
+    """max |p p - p| and max |p* - p| of a matrix over C[Z/k], on its
+    coefficient stack P[g]: (p p)[h] is the sum over g of P[g] P[h - g],
+    one `einsum` over the index table (h - g) mod k, and p*[g] is the
+    conjugate transpose of P[-g]."""
+    k = p.spec.order
+    P = np.zeros((k, p.n, p.n), dtype=complex)
+    for g, m in p.parts.items():
+        P[g] = m
+    els = np.arange(k)
+    square = np.einsum("gij,ghjl->hil", P, P[(els - els[:, None]) % k])
+    adjoint = np.conj(P[-els]).swapaxes(1, 2)
+    return float(np.max(np.abs(square - P))), float(np.max(np.abs(
+        adjoint - P)))
 
 
 def _cyclic_operands(E, slots):
@@ -336,15 +358,19 @@ def orbit_index(k, degree):
     return len(labels), column, sign
 
 
+@functools.cache
 def _live_orbits(k, degree):
     """The orbits of `orbit_index(k, degree)` on the support (product e)
     that are not forced to zero, and the lattice index of each one's
-    first member."""
+    first member, as read-only arrays."""
     _, column, sign = orbit_index(k, degree)
     on_support = sum(np.indices(column.shape, sparse=True)) % k == 0
     flat = np.flatnonzero(on_support & (sign != 0))
     live, first = np.unique(column.ravel()[flat], return_index=True)
-    return live, np.unravel_index(flat[first], column.shape)
+    index = np.unravel_index(flat[first], column.shape)
+    for arr in (live, *index):
+        arr.flags.writeable = False
+    return live, index
 
 
 def closed_cocycle_basis(spec, degree):
@@ -397,8 +423,10 @@ def closed_cocycle_basis(spec, degree):
 def random_closed_cocycle(spec, degree, rng, basis=None):
     """Seeded random combination of the closed-cocycle basis.
 
-    The orbit values of the basis (as from `closed_cocycle_basis`) are
-    combined once into a single orbit cochain with complex values.
+    The orbit values of the basis (as from `closed_cocycle_basis`, real)
+    are combined once into a single orbit cochain with complex values,
+    by the real and the imaginary weights in turn, so that a real basis
+    matrix is never cast to complex.
     """
     if basis is None:
         basis = closed_cocycle_basis(spec, degree)
@@ -407,5 +435,6 @@ def random_closed_cocycle(spec, degree, rng, basis=None):
                          f"{spec}")
     w = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
         len(basis))
-    return CyclicCochain.on_orbits(spec, degree, np.tensordot(
-        w, np.stack([b.orbits for b in basis]), 1))
+    mat = np.array([b.orbits for b in basis])
+    return CyclicCochain.on_orbits(
+        spec, degree, np.dot(w.real, mat) + 1j * np.dot(w.imag, mat))

@@ -33,7 +33,10 @@ kinds of form share one storage layout, sum and differential.
 
 Over a finite group a block is one dense array with a leading axis of
 length k per slot: merges are index maps, and a product is one BLAS
-product per grid point that also sums the slot the group law fuses.
+product per grid point that also sums the slot the group law fuses,
+after one GEMM that expands the left factor's jets against the Leibniz
+table.  A block pairs with cochain values as a (tuples, entry) matrix:
+its live rows, picked by a flat mask, times the values in one matvec.
 Over an infinite group (the lattice deck groups of covers) it is a dict
 keyed by tuple whose entries are held as their live submatrices (`_Sub`),
 and a product takes one pair of entries at a time along the grid, over
@@ -134,6 +137,7 @@ def _multi_indices(ndim, order):
     return out
 
 
+@functools.cache
 def _jet_order(ndim, size):
     """The jet order whose layout has `size` multi-indices."""
     return next(o for o in itertools.count()
@@ -153,9 +157,12 @@ def _jet_layout(ndim, order):
             coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
             table.append((position[alpha], position[beta], position[gamma],
                           float(coeff)))
-    leibniz = np.zeros((len(indices),) * 3)
+    # the same table as the (left, out x right) matrix of a GEMM that
+    # expands the left factor's jets (`_jet_outer`)
+    J = len(indices)
+    leibniz = np.zeros((J, J * J))
     for o, i, j, coeff in table:
-        leibniz[o, i, j] += coeff
+        leibniz[i, o * J + j] += coeff
     # partial-derivative source positions per axis
     partials = [[position[tuple(a + (i == ax) for i, a in enumerate(alpha))]
                  for alpha in _multi_indices(ndim, order - 1)]
@@ -482,28 +489,37 @@ def _jet_outer(x, y, ndim, solve):
     entries of y, as in `_jet_mul`: x's last slot g meets y's first slot
     solve[g][f] at the slot f, summed over g (see `_DenseBlocks`).  One
     BLAS product per grid point, with the jets of x and the summed slot
-    contracted into its inner index.  The result has the leading (tuple)
-    axes of x but its last, then the slot f and the other axes of y, then
-    the entry axes.  A grid axis of length 1 broadcasts in the product,
-    and a grid-constant side is padded to the jets of the other
-    (`_jet_count`); two grid-constant sides multiply their value jets
-    alone, with no Leibniz contraction."""
+    contracted into its inner index.  Before it, one GEMM expands x's
+    jets against the Leibniz table, (x entries, i) times (i, o j): the
+    sum over i of the multinomial coefficient of (o, i, j) times x_i is
+    the left factor of the jet o of the product where y brings its jet
+    j.  The result has the leading (tuple) axes of x but its last, then
+    the slot f and the other axes of y, then the entry axes.  A grid
+    axis of length 1 broadcasts in the product, and a grid-constant side
+    is padded to the jets of the other (`_jet_count`); two grid-constant
+    sides multiply their value jets alone, with no Leibniz expansion."""
     J = _jet_count(x, y)
     x, y = _jets(x, J), _jets(y, J)
     (n, l), m = x.shape[-4:-2], y.shape[-3]
     gx, gy = x.shape[-1], y.shape[-1]
     G, c = max(gx, gy), len(solve)
-    xs = x.reshape(-1, c, n, l, J, gx)
+    # x as (g, L, c, a, b, i): grid, leading tuples, summed slot, entry
+    # row and column, jet
+    xs = x.reshape(-1, c, n, l, J, gx).transpose(5, 0, 1, 2, 3, 4)
     if J == 1:
-        # the einsum's (g, L, a, o, b, j, c) order, o and j of length 1
-        xo = xs.transpose(5, 0, 2, 4, 3, 1)
+        # (g, L, a, o, b, c), o and the missing j of length 1
+        xo = xs.transpose(0, 1, 3, 5, 4, 2)
     else:
-        xo = np.einsum("oij,Lcabig->gLaobjc",
-                       _jet_layout(ndim, _jet_order(ndim, J)).leibniz, xs)
+        lay = _jet_layout(ndim, _jet_order(ndim, J))
+        # (g, L, c, a, b, o, j) -> (g, L, a, o, b, j, c)
+        xo = (xs.reshape(-1, J) @ lay.leibniz).reshape(
+            xs.shape[:-1] + (J, J)).transpose(0, 1, 3, 5, 4, 6, 2)
     # y as a (G, l, J, slots..., m) view, so the gather is its one copy
-    yt = np.take(np.moveaxis(y, (-1, -4, -2), (0, 1, 2)), solve, axis=3)
+    d = y.ndim
+    yt = np.take(y.transpose((d - 1, d - 4, d - 2, *range(d - 4), d - 3)),
+                 solve, axis=3)
     out = xo.reshape(gx, -1, l * J * c) @ yt.reshape(gy, l * J * c, -1)
-    out = out.reshape(G, len(xs), n, J, -1, m).transpose(1, 4, 2, 5, 3, 0)
+    out = out.reshape(G, xs.shape[1], n, J, -1, m).transpose(1, 4, 2, 5, 3, 0)
     return out.reshape(x.shape[:-5] + y.shape[:-4] + (n, m, J, G))
 
 
@@ -545,15 +561,26 @@ class _DenseBlocks:
             out[tup][..., :x.shape[-2], :] += x
         return out
 
+    def _rows(self, block):
+        """The block as a (tuples, entry) matrix, C order on both axes,
+        and the mask of its live rows."""
+        rows = block.reshape(-1, math.prod(block.shape[-4:]))
+        return rows, rows.any(axis=1)
+
     def stacked(self, block):
-        live = block.any(axis=(-4, -3, -2, -1))
-        tuples = zip(*(idx.tolist() for idx in np.nonzero(live)))
-        return list(tuples), block[live]
+        rows, live = self._rows(block)
+        tuples = zip(*(idx.tolist() for idx in np.nonzero(
+            live.reshape(block.shape[:-4]))))
+        return list(tuples), rows[live].reshape((-1,) + block.shape[-4:])
 
     def pair(self, block, values):
-        """The sum of values(t) block[t] over live t, given as a mask."""
-        live = block.any(axis=(-4, -3, -2, -1))
-        return np.tensordot(values(live), block[live], 1)
+        """The sum of values(t) block[t] over live t, given as a mask:
+        one matvec of the values with the live rows of the block as a
+        (tuples, entry) matrix, bit for bit the `tensordot` of the values
+        with the stacked live entries."""
+        rows, live = self._rows(block)
+        vals = values(live.reshape(block.shape[:-4]))
+        return np.dot(vals, rows[live]).reshape(block.shape[-4:])
 
     def apply(self, block, fn):
         return fn(block)
@@ -846,16 +873,18 @@ class MixedForm:
             self.terms[key] = block
 
     def _spawn(self, kalg=None, size=None):
-        """An empty form of the class of self."""
+        """An empty form of the class of self, on its layout."""
         out = object.__new__(type(self))
-        MixedForm.__init__(out, self.grid, self.spec, size or self.size,
-                           self.kalg if kalg is None else kalg)
-        out.dropped = self.dropped
+        out.grid, out.spec, out.layout = self.grid, self.spec, self.layout
+        out.size = size or self.size
+        out.kalg = self.kalg if kalg is None else kalg
+        out.terms, out.dropped = {}, self.dropped
         return out
 
     def _check(self, other):
-        if (self.grid != other.grid or self.spec != other.spec
-                or self.size != other.size):
+        if (self.size != other.size
+                or not (self.grid is other.grid or self.grid == other.grid)
+                or not (self.spec is other.spec or self.spec == other.spec)):
             raise ValueError("incompatible mixed forms")
 
     def _mapped(self, fn, size=None):

@@ -61,3 +61,49 @@ def test_one_narrow_plateau_among_many_raises():
         bumps.plateau(np.zeros((3, 4)), left, right, width)
     width[1, 0] = 0.04
     bumps.plateau(np.zeros((3, 4)), left, right, width)
+
+
+# -- the rise alone is evaluated ---------------------------------------------
+
+def _whole_array_step(t, family):
+    """The raised-cosine and poly-spline steps as formulas over the whole
+    clipped array, masked afterwards: the reference for the rise-only
+    evaluation."""
+    t = np.asarray(t, dtype=float)
+    tc = np.clip(t, 0.0, 1.0)
+    if family == "raised-cosine":
+        w = 2.0 * np.pi * tc
+        s = (tc - 3.0 / (4.0 * np.pi) * np.sin(w)
+             + 3.0 / (20.0 * np.pi) * np.sin(2.0 * w)
+             - 1.0 / (60.0 * np.pi) * np.sin(3.0 * w))
+        d1 = 0.4 * (1.0 - np.cos(w)) ** 3
+    else:
+        s = tc ** 4 * (35.0 - 84.0 * tc + 70.0 * tc ** 2 - 20.0 * tc ** 3)
+        d1 = (140.0 * tc ** 3 - 420.0 * tc ** 4 + 420.0 * tc ** 5
+              - 140.0 * tc ** 6)
+    inside = (t > 0.0) & (t < 1.0)
+    return (np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, s)),
+            np.where(inside, d1, 0.0))
+
+
+@pytest.mark.parametrize("family", ["raised-cosine", "poly-spline"])
+def test_rise_only_steps_equal_the_whole_array_formulas(family):
+    rng = np.random.default_rng(16)
+    t = np.concatenate([
+        rng.uniform(-0.5, 1.5, 4096), np.linspace(-1e-300, 1e-300, 9),
+        [0.0, -0.0, 1.0, 5e-324, -5e-324, np.nextafter(1.0, 0.0),
+         np.nextafter(1.0, 2.0), np.inf, -np.inf]])
+    for points in (t, t[:4095].reshape(3, 1365)):
+        got = bumps.step(points, family)
+        want = _whole_array_step(points, family)
+        for g, w in zip(got, want):
+            assert g.shape == points.shape and g.dtype == np.float64
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(bumps.FAMILIES))
+def test_a_nan_point_steps_to_nan(family):
+    s, s1 = bumps.step(np.array([0.5, np.nan, -1.0, 2.0]), family)
+    assert np.isnan(s[1]) and np.isnan(s1[1])
+    assert np.isfinite(np.delete(s, 1)).all()
+    assert np.array_equal(s[2:], [0.0, 1.0]) and not s1[2:].any()

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from ncindex import cyclic
 from ncindex.cyclic import (TOL, CyclicChain, CyclicCochain, GroupCocycle,
-                            _rotations, b_transpose, c_to_tau,
+                            _cyclic_defects, _cyclic_operands, _cyclic_path,
+                            _live_orbits, _rotations, b_transpose, c_to_tau,
                             chern_lambda, closed_cocycle_basis, d_gamma,
                             orbit_index, pair_cochain_form,
                             random_closed_cocycle, tau_to_c)
@@ -170,6 +172,88 @@ def test_chern_lambda_rejects_non_projections():
     m = GAMatrix(Z5, 2, {0: rng.standard_normal((2, 2))})
     with pytest.raises(NotAProjection):
         chern_lambda(m, 1)
+
+
+# -- the projection check over Z/k on the coefficient stack -----------------
+
+def _non_self_adjoint_idempotent(spec):
+    # [[1, 1], [0, 0]] at e: e squared is e, but e* is [[1, 0], [1, 0]]
+    return GAMatrix(spec, 2, {spec.identity(): [[1.0, 1.0], [0.0, 0.0]]})
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_chern_lambda_rejects_a_scaled_and_a_skew_projection(k):
+    spec = GroupSpec.cyclic(k)
+    p = random_projection_matrix(spec, 2, np.random.default_rng(70 + k),
+                                 rank_choices=(1, 2))
+    for bad in (p.scale(1.01), _non_self_adjoint_idempotent(spec)):
+        with pytest.raises(NotAProjection,
+                           match=r"^p fails p\^2 = p or p\* = p$"):
+            chern_lambda(bad, 2)
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_cyclic_defects_are_the_group_algebra_residuals(k):
+    spec = GroupSpec.cyclic(k)
+    rng = np.random.default_rng(80 + k)
+    p = random_projection_matrix(spec, 2, rng, rank_choices=(1, 2))
+    sparse = GAMatrix(spec, 2, {1: rng.standard_normal((2, 2)),
+                                k - 1: rng.standard_normal((2, 2))})
+    for m in (p, p.scale(1.01), _non_self_adjoint_idempotent(spec), sparse,
+              GAMatrix.identity(spec, 2), GAMatrix(spec, 2)):
+        want = ((m @ m - m).max_abs(), (m.star() - m).max_abs())
+        got = _cyclic_defects(m)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * max(1.0, w)
+
+
+def _chains_by_einsum(p, m_max):
+    """The chains of `chern_lambda` from its operands and cached paths,
+    with no projection check."""
+    n = p.n
+    E = np.moveaxis(np.reshape(list(p.parts.values()), (-1, n, n)), 0, -1)
+    chains = [np.einsum(*_cyclic_operands(E, 2 * m + 1),
+                        optimize=_cyclic_path(2 * m + 1, E.shape))
+              for m in range(m_max + 1)]
+    return [-c if m % 2 else c for m, c in enumerate(chains)]
+
+
+def test_chern_lambda_over_z7_needs_no_group_algebra_product(monkeypatch):
+    p = random_projection_matrix(GroupSpec.cyclic(7), 2,
+                                 np.random.default_rng(90),
+                                 rank_choices=(1, 2))
+    want = _chains_by_einsum(p, 2)
+
+    def refuse(*_args):
+        raise AssertionError("GAMatrix product in chern_lambda")
+
+    monkeypatch.setattr(GAMatrix, "__matmul__", refuse)
+    chains = chern_lambda(p, 2)
+    # the chains are the einsum contractions, bit for bit
+    assert [c.support for c in chains] == [list(p.parts)] * 3
+    for chain, coeffs in zip(chains, want):
+        assert chain.coeffs.tobytes() == coeffs.tobytes()
+
+
+def test_chern_lambda_over_a_lattice_checks_in_group_algebra(monkeypatch):
+    # (1/2) [[1, g], [g^-1, 1]] for the generator g of Z
+    g, e = (1,), (0,)
+    p = GAMatrix(Z, 2, {e: 0.5 * np.eye(2), g: [[0.0, 0.5], [0.0, 0.0]],
+                        (-1,): [[0.0, 0.0], [0.5, 0.0]]})
+    products = []
+    matmul = GAMatrix.__matmul__
+    monkeypatch.setattr(GAMatrix, "__matmul__", lambda a, b: products.append(
+        1) or matmul(a, b))
+
+    def refuse(_p):
+        raise AssertionError("dense check of a lattice matrix")
+
+    monkeypatch.setattr(cyclic, "_cyclic_defects", refuse)
+    chains = chern_lambda(p, 1)
+    assert products
+    assert abs(chains[0].terms[(e,)] - 1.0) <= 1e-15
+    with pytest.raises(NotAProjection, match="p fails"):
+        chern_lambda(p.scale(1.01), 1)
 
 
 def test_chern_lambda_components_are_cycles():
@@ -458,6 +542,31 @@ def test_closed_cocycle_basis_needs_a_clear_gap(monkeypatch, level, lost):
     assert len(basis) == len(clean) - lost
     for phi, ref in zip(basis, clean):
         assert np.array_equal(phi.orbits, ref.orbits)
+
+
+def test_live_orbits_are_cached_read_only_arrays():
+    _live_orbits(7, 4)
+    hits = _live_orbits.cache_info().hits
+    live, first = _live_orbits(7, 4)
+    assert _live_orbits.cache_info().hits == hits + 1
+    assert _live_orbits(7, 4)[0] is live
+    for arr in (live, *first):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+@pytest.mark.parametrize("k,degree", [(3, 2), (3, 3), (5, 4), (7, 2),
+                                      (7, 4)])
+def test_closed_cocycle_basis_is_the_one_of_uncached_live_orbits(
+        monkeypatch, k, degree):
+    spec = GroupSpec.cyclic(k)
+    cached = closed_cocycle_basis(spec, degree)
+    monkeypatch.setattr(cyclic, "_live_orbits", _live_orbits.__wrapped__)
+    fresh = closed_cocycle_basis(spec, degree)
+    assert len(cached) == len(fresh) > 0
+    for a, b in zip(cached, fresh):
+        assert a.orbits.tobytes() == b.orbits.tobytes()
 
 
 def _live_count(k, n):

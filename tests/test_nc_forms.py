@@ -8,7 +8,8 @@ import pytest
 from ncindex.group_algebra import GAMatrix, GroupSpec
 from ncindex.nc_forms import (ChartGrid2D, CircleGrid, JetFunction,
                               MixedForm, ScalarForm, _blocks, _DenseBlocks,
-                              _jet_outer, _merge_axes, _multi_indices)
+                              _jet_mul, _jet_outer, _merge_axes,
+                              _multi_indices)
 from ncindex.testing import (random_gamatrix, random_mixed_form,
                              random_normalized_cochain,
                              random_projection_form, random_trig_jet)
@@ -565,6 +566,99 @@ def test_fused_product_matches_the_per_slot_loop(k, field, jets):
     assert got.shape == want.shape == (k,) * 4 + (2, 1, 2, 4)
     assert got.dtype == want.dtype == np.dtype(field)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _all_pairs_outer(spec, a, b, ndim):
+    """The fused product pair by pair: the entry of a at (s, g) times the
+    entry of b at (h, t) by `_jet_mul`, added at (s, g h, t).  The jets
+    are those of a side that varies on the grid."""
+    k = spec.order
+    jets = min(x.shape[-2] for x in (a, b) if x.shape[-1] > 1)
+    shape = (a.shape[:-5] + (k,) + b.shape[1:-4] + (a.shape[-4], b.shape[-3])
+             + (jets, max(a.shape[-1], b.shape[-1])))
+    out = np.zeros(shape, np.result_type(a, b))
+    for s in np.ndindex(a.shape[:-4]):
+        for t in np.ndindex(b.shape[:-4]):
+            out[s[:-1] + (spec.mul(s[-1], t[0]),) + t[1:]] += _jet_mul(
+                a[s], b[t], ndim)
+    return out
+
+
+@pytest.mark.parametrize("field", [float, complex])
+@pytest.mark.parametrize("grid", [CircleGrid(5), ChartGrid2D(3)],
+                         ids=["circle-J3", "chart-J6"])
+def test_jet_outer_matches_the_all_pairs_loop(grid, field):
+    spec = GroupSpec.cyclic(3)
+    lay = _blocks(spec, grid.ndim)
+    J = len(_multi_indices(grid.ndim, 2))
+    G = int(np.prod(grid.shape))
+    rng = np.random.default_rng(17 + J)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field is complex else x
+
+    # degree 1 times degree 2, 2 x 3 entries times 3 x 2 ones, on the
+    # grid; then a grid-constant side, padded to the jets of the other
+    a = draw((3, 3, 2, 3, J, G))
+    b = draw((3, 3, 3, 3, 2, J, G))
+    for x, y in ((a, b), (a, b[..., :1, :1]), (a[..., :1, :1], b)):
+        got = _jet_outer(x, y, grid.ndim, lay.solve)
+        want = _all_pairs_outer(spec, x, y, grid.ndim)
+        assert got.shape == want.shape == (3, 3, 3, 3, 2, 2, J, G)
+        assert got.dtype == want.dtype == np.dtype(field)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_dense_pairing_is_the_masked_tensordot_bit_for_bit():
+    from ncindex.chern import chern_even
+    from ncindex.cyclic import (GroupCocycle, closed_cocycle_basis,
+                                pair_cochain_form, random_closed_cocycle,
+                                tau_to_c)
+    from ncindex.testing import random_projection_matrix
+
+    rng = np.random.default_rng(18)
+    ch5, cochains = _z5_character()
+    z7 = GroupSpec.cyclic(7)
+    P = MixedForm.zero(CircleGrid(4), z7, 2, kalg=6)
+    P.add_term(ScalarForm.one(CircleGrid(4)), (random_projection_matrix(
+        z7, 2, rng, rank_choices=(1, 2)),))
+    ch7 = chern_even(P, 2)
+    function_cochain = tau_to_c(GroupCocycle(
+        GroupSpec.cyclic(5), 1, lambda a, b: complex((b - a) % 5)))
+    cases = [(ch5, phi) for phi in cochains + [function_cochain]]
+    cases += [(ch7, random_closed_cocycle(z7, d, rng,
+                                          closed_cocycle_basis(z7, d)))
+              for d in (2, 4)]
+    paired = 0
+    for ch, phi in cases:
+        traced = ch.graded_trace()
+        lay = traced.layout
+        for (q, _axes), block in traced.terms.items():
+            if q != phi.degree:
+                continue
+            live = block.any(axis=(-4, -3, -2, -1))
+            want = np.tensordot(phi.values(live), block[live], 1)
+            got = lay.pair(block, phi.values)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            paired += 1
+        assert pair_cochain_form(phi, ch).terms
+    assert paired >= len(cases)
+
+
+def test_a_z3_curvature_product_runs_no_einsum_and_no_moveaxis(monkeypatch):
+    P = random_projection_form(GRID, SPEC, 2, np.random.default_rng(19))
+    dP = P.dtot()
+    calls = []
+    for name in ("einsum", "moveaxis"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _n=name, _f=real, **kw: (
+            calls.append(_n) or _f(*a, **kw)))
+    curvature = dP @ dP
+    monkeypatch.undo()
+    assert curvature.terms
+    assert calls == []
 
 
 # -- the field of the inputs decides the dtype ------------------------------
