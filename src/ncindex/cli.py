@@ -67,13 +67,10 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _is_finite(v):
     # exact for an int too large for a float, where math.isfinite raises
-    return _is_number(v) and abs(v) <= sys.float_info.max
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _is_int_list(v):
@@ -124,7 +121,7 @@ def _is_weight(k):
 
 def _is_arcs(v):
     return _is_int(v) or (isinstance(v, list) and all(
-        isinstance(a, list) and len(a) == 2 and all(map(_is_number, a))
+        isinstance(a, list) and len(a) == 2 and all(map(_is_finite, a))
         for a in v))
 
 
@@ -151,8 +148,8 @@ _FIELDS = {
         "tolerance": (_TOLERANCE, 2e-3),
     },
     "covering-check": {
-        "arcs": (_check("an integer or a list of [start, end] arcs",
-                        _is_arcs), 3),
+        "arcs": (_check("an integer or a list of [start, end] arcs of "
+                        "finite numbers", _is_arcs), 3),
         "deck": (_check("a list of integer lists", lambda v: isinstance(
             v, list) and all(map(_is_int_list, v))), None),
         "bump_family": (_FAMILY, "mollifier"),
@@ -176,7 +173,8 @@ _FIELDS = {
         "m_values": (_check("a non-empty list of integers",
                             lambda v: _is_int_list(v) and len(v) > 0),
                      [1, 2]),
-        "margin": (_NUMBER, 0.1),
+        "margin": (_check("a finite number >= 0",
+                          lambda v: _is_finite(v) and v >= 0), 0.1),
         "shift": (_NUMBER, 0.5),
     },
     "cyclic-check": {

@@ -54,7 +54,8 @@ class SelfAdjointPath:
     (the bound still fails on a step shorter than 1e-6).  A path has at
     least one sample and one time per sample.  `mats` holds each sample
     in compact form (a diagonal one as its 1-D diagonal, see `_compact`),
-    checked self-adjoint as it is taken.
+    checked self-adjoint as it is taken; `from_callable` checks and
+    compacts each sample before it evaluates the next.
     """
 
     def __init__(self, ts, mats, delta_c=1e-2):
@@ -83,8 +84,22 @@ class SelfAdjointPath:
 
     @classmethod
     def from_callable(cls, fn, delta_c=1e-2, initial=9, max_samples=4096):
+        """The path of the samples `fn(t)` on [0, 1], refined to the
+        guarantee of the class.
+
+        `fn` is first evaluated on the grid `np.linspace(0, 1, initial)`;
+        then, from the left, each step whose difference exceeds
+        delta_c / 2 in spectral norm is bisected at its midpoint, and the
+        left half is settled before the right one.  Samples are taken one
+        at a time: each is checked and compacted before `fn` is asked for
+        the next time, so a diagonal sample is held dense only while it is
+        checked, and an invalid sample stops the walk before any later
+        time is evaluated.
+        """
         ts = np.linspace(0.0, 1.0, initial)
-        path = cls(ts, [fn(t) for t in ts], delta_c)
+        path = cls(ts[:1], map(fn, ts[:1]), delta_c)
+        for t in ts[1:]:
+            path._insert(len(path.ts), t, fn(t))
         ts = path.ts
         i = 0
         while i < len(ts) - 1:

@@ -487,6 +487,16 @@ ARCS = [[0.0, 0.6], [0.5, 1.1]]
                       "arcs": 2, "deck": [[0, 1], [-1, 0]]}]},
     {"experiments": [{"id": "v", "kind": "covering-check", "grid_size": 64,
                       "deck": [[0, 1, 2]]}]},
+    {"experiments": [{"id": "v", "kind": "covering-check", "grid_size": 64,
+                      "arcs": [[float("nan"), 0.6], [0.4, 1.1]],
+                      "deck": [[0, 1], [-1, 0]]}]},
+    {"experiments": [{"id": "v", "kind": "covering-check", "grid_size": 64,
+                      "arcs": [[0.0, float("inf")], [0.4, 1.1]],
+                      "deck": [[0, 1], [-1, 0]]}]},
+    {"experiments": [{"id": "v", "kind": "covering-check", "grid_size": 64,
+                      "arcs": [[0.0, 10 ** 400], [0.4, 1.1]],
+                      "deck": [[0, 1], [-1, 0]]}]},
+    {"experiments": [dict(SPECFLOW_EXP, margin=-0.5)]},
 ], ids=["margin-string", "m_values-strings", "bott_radius-string",
         "bump_family-unknown", "experiment-seed-float", "config-seed-float",
         "experiment-seed-negative", "config-seed-negative",
@@ -496,7 +506,8 @@ ARCS = [[0.0, 0.6], [0.5, 1.1]]
         "margin-nan", "margin-inf", "margin-huge-int", "bott_radius-nan",
         "tolerance-inf", "bott_radius-zero", "bott_radius-negative",
         "bott_radius-above-half", "bott_radius-ten", "deck-with-integer-arcs",
-        "deck-with-default-arcs"])
+        "deck-with-default-arcs", "arc-nan", "arc-inf", "arc-huge-int",
+        "margin-negative"])
 def test_mistyped_field_exits_one(tmp_path, monkeypatch, capsys, cfg):
     # no --out: a config's own "out" decides where the report would go
     monkeypatch.chdir(tmp_path)
@@ -692,6 +703,17 @@ def test_specflow_margin_that_swallows_the_crossing_modes_exits_one(
     assert f"m_values {m_values} need the edge width {edge}" in err
     assert "at most fourier_cutoff - |m|" in err
     assert not (out / "report.csv").exists()
+
+
+def test_negative_margin_exits_one_naming_the_margin(tmp_path, capsys):
+    # not as a negative edge width, which would slice the boundary
+    # filter from the far end
+    cfg = {"experiments": [dict(SPECFLOW_EXP, margin=-0.5)]}
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "margin must be a finite number >= 0" in err
+    assert "edge width" not in err
 
 
 @pytest.mark.parametrize("margin, m", [(0.75, 3), (0.8, 2), (0.9, 1)])

@@ -816,7 +816,9 @@ def test_window_builders_are_real():
 
 def test_path_flow_path_holds_no_dense_sample():
     # the path of perfbench's path-flow-128 call: 17 samples, which as
-    # dense 257 x 257 arrays would hold 8.99 MB
+    # dense 257 x 257 arrays would hold 8.99 MB; while it is built, one
+    # dense sample and the temporaries of the sample function are alive
+    # (about 2 samples), not the whole initial grid of 9
     import tracemalloc
 
     n = 2 * 128 + 1
@@ -825,11 +827,45 @@ def test_path_flow_path_holds_no_dense_sample():
     try:
         path = SelfAdjointPath.from_callable(lambda t: D + t * np.eye(n),
                                              delta_c=0.2)
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(path.mats) == 17 and spectral_flow(path) == 1
     assert held < 0.5 * 2 ** 20
+    assert peak < 3 * n * n * 8
+
+
+def test_samples_are_taken_one_at_a_time_in_grid_then_bisection_order():
+    D = half_shifted_dirac()
+    n = D.shape[0]
+    taken = []
+
+    def fn(t):
+        taken.append(t)
+        return D + t * np.eye(n)
+
+    path = SelfAdjointPath.from_callable(fn, delta_c=0.2)
+    assert len(path.ts) > 9 and sorted(taken) == path.ts
+    assert taken[:9] == list(np.linspace(0.0, 1.0, 9))
+    for k, mid in enumerate(taken[9:], start=9):
+        # each midpoint halves the step between its neighbours so far
+        before = sorted(taken[:k])
+        i = np.searchsorted(before, mid)
+        assert mid == 0.5 * (before[i - 1] + before[i])
+
+    # a sample that is not self-adjoint stops the walk at once
+    taken.clear()
+
+    def skewed(t):
+        taken.append(t)
+        out = D + t * np.eye(n)
+        if t == 0.125:
+            out[0, 1] = 1.0
+        return out
+
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        SelfAdjointPath.from_callable(skewed, delta_c=0.2)
+    assert taken == [0.0, 0.125]
 
 
 def test_path_samples_keep_their_field():
